@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import Channel, output_marginal, per_input_divergences
+from .channel import Channel, _check_input_size, output_marginal, per_input_divergences
 from .errors import NonInteriorInput, ParameterOutOfRange
-from .numeric import logsumexp, ordered_dot
+from .numeric import logsumexp, ordered_dot, ordered_sum
 from .probability import Distribution
 
 __all__ = [
@@ -128,12 +128,7 @@ class CapacityResult:
 
 
 def _require_interior_input(q: Distribution, ch: Channel) -> None:
-    if q.alphabet_size != ch.num_inputs:
-        from .errors import DimensionMismatch
-
-        raise DimensionMismatch(
-            f"input distribution has {q.alphabet_size} symbols, channel has {ch.num_inputs}"
-        )
+    _check_input_size(q, ch)
     if not q.is_interior:
         raise NonInteriorInput("the iteration requires strictly positive input weights")
 
@@ -149,7 +144,7 @@ def _multiplicative_update(weights: np.ndarray, divergences: np.ndarray) -> tupl
     clamped = bool(np.any(fresh == 0.0))
     if clamped:
         fresh = np.maximum(fresh, _TINY)
-        fresh = fresh / np.cumsum(fresh)[-1]
+        fresh = fresh / ordered_sum(fresh)
     return fresh, clamped
 
 

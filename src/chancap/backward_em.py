@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arimoto import CapacityResult, IterationTrace, _iterate, _TINY
-from .channel import Channel, output_marginal, per_input_divergences
+from .channel import Channel, _check_input_size, output_marginal, per_input_divergences
 from .errors import DimensionMismatch, NonInteriorInput, ParameterOutOfRange
 from .numeric import logsumexp, ordered_sum
 from .probability import Distribution
@@ -110,10 +110,7 @@ class GeometricMixtureResult:
 
 
 def _checked_base(base_input: Distribution, ch: Channel) -> None:
-    if base_input.alphabet_size != ch.num_inputs:
-        raise DimensionMismatch(
-            f"base input has {base_input.alphabet_size} symbols, channel has {ch.num_inputs}"
-        )
+    _check_input_size(base_input, ch)
     if not base_input.is_interior:
         raise NonInteriorInput("the backward family is defined over interior base inputs")
 
@@ -302,7 +299,7 @@ def solve_backward_em(
         clamped = False
         if not fresh.is_interior:
             weights = np.maximum(fresh.weights, _TINY)
-            fresh = Distribution(weights / np.cumsum(weights)[-1])
+            fresh = Distribution(weights / ordered_sum(weights))
             clamped = True
         return fresh, clamped, label, outcome.residual
 

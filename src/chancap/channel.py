@@ -6,6 +6,14 @@ Distribution (sum within 1e-9 of one, renormalized; sums within 1e-12 kept
 bit for bit).  Output symbols that no input can ever produce (all-zero
 columns) are removed at construction with a warning, which guarantees that
 every output marginal of an interior input is strictly positive.
+
+This module is also the kernel every solver and check shares.  A sweep is
+
+    r = q P,    d(x) = negH(x) - sum_y P(y|x) log r(y),
+
+where negH(x) = sum_y P(y|x) log P(y|x) is the row negentropy, computed
+once per channel on first use and cached.  Both steps are one elementwise
+product and one np.add.reduce over a C-contiguous operand (see numeric).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import io
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from .errors import (
     ParseError,
     RowNotStochastic,
 )
-from .numeric import ordered_sum, ordered_sum_along
+from .numeric import ordered_sum_along
 from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution
 
 __all__ = [
@@ -58,7 +67,8 @@ class Channel:
     output_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        # C order fixes the grouping of every reduction over the matrix.
+        m = np.array(self.matrix, dtype=float, order="C")
         if m.ndim != 2 or m.size == 0:
             raise InvalidDistribution(f"channel matrix must be 2-dimensional, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -67,16 +77,17 @@ class Channel:
         if negative.size:
             x, y = (int(v) for v in negative[0])
             raise NegativeEntry(f"matrix entry ({x}, {y}) is negative: {m[x, y]!r}")
-        for x in range(m.shape[0]):
-            deviation = abs(ordered_sum(m[x]) - 1.0)
-            if deviation > _SUM_REJECT:
-                raise RowNotStochastic(x, deviation)
+        totals = ordered_sum_along(m, axis=1)
+        deviation = np.abs(totals - 1.0)
+        bad = np.flatnonzero(deviation > _SUM_REJECT)
+        if bad.size:
+            x = int(bad[0])
+            raise RowNotStochastic(x, float(deviation[x]))
         # Normalize rows only when needed, so a matrix saved by this package
         # reloads without any bit changing.
-        for x in range(m.shape[0]):
-            total = ordered_sum(m[x])
-            if abs(total - 1.0) > _SUM_KEEP:
-                m[x] = m[x] / total
+        off = deviation > _SUM_KEEP
+        if np.any(off):
+            m[off] = m[off] / totals[off, None]
 
         dead = np.all(m == 0.0, axis=0)
         out_labels = self.output_labels
@@ -109,6 +120,21 @@ class Channel:
 
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def row_negentropy(self) -> np.ndarray:
+        """sum_y p(y|x) log p(y|x) for every input x, with 0 log 0 = 0.
+
+        Computed on first use rather than at construction, so loading a
+        channel allocates no matrix-sized temporary beyond the matrix itself.
+        """
+        m = self.matrix
+        terms = np.zeros_like(m)
+        np.log(m, out=terms, where=m > 0.0)
+        np.multiply(terms, m, out=terms)
+        negentropy = ordered_sum_along(terms, axis=1)
+        negentropy.flags.writeable = False
+        return negentropy
 
     @property
     def num_inputs(self) -> int:
@@ -209,22 +235,25 @@ def load_channel(source, format: str = "json") -> Channel:
 # channel operations
 # ---------------------------------------------------------------------------
 
-def joint(q: Distribution, ch: Channel) -> JointDistribution:
-    """The joint distribution q(x) * p(y|x)."""
+def _check_input_size(q: Distribution, ch: Channel) -> None:
+    """Raise DimensionMismatch unless q is a law over the channel inputs."""
     if q.alphabet_size != ch.num_inputs:
         raise DimensionMismatch(
             f"input distribution has {q.alphabet_size} symbols, channel has {ch.num_inputs}"
         )
+
+
+def joint(q: Distribution, ch: Channel) -> JointDistribution:
+    """The joint distribution q(x) * p(y|x)."""
+    _check_input_size(q, ch)
     return JointDistribution(q.weights[:, None] * ch.matrix)
 
 
 def output_marginal(q: Distribution, ch: Channel) -> Distribution:
     """The output distribution induced by feeding q through the channel."""
-    if q.alphabet_size != ch.num_inputs:
-        raise DimensionMismatch(
-            f"input distribution has {q.alphabet_size} symbols, channel has {ch.num_inputs}"
-        )
-    return Distribution(ordered_sum_along(q.weights[:, None] * ch.matrix, axis=0))
+    _check_input_size(q, ch)
+    # The product is C-contiguous, so the axis-0 reduction adds row after row.
+    return Distribution(np.add.reduce(q.weights[:, None] * ch.matrix, axis=0))
 
 
 def per_input_divergences(
@@ -236,30 +265,33 @@ def per_input_divergences(
     has mass on a symbol with zero reference weight the divergence is
     infinite; infinite="raise" raises AbsoluteContinuityViolation, while
     infinite="inf" records +inf for that row (useful for diagnostic checks
-    that must not throw).
+    that must not throw).  Computed as negH(x) - sum_y P(y|x) log r(y) from
+    the channel's cached row negentropies, so each call makes one pass over P.
     """
     r = np.asarray(reference, dtype=float)
     if r.shape != (ch.num_outputs,):
         raise DimensionMismatch(
             f"reference has shape {r.shape}, channel has {ch.num_outputs} outputs"
         )
+    if infinite not in ("raise", "inf"):
+        raise ValueError(f"infinite must be 'raise' or 'inf', got {infinite!r}")
     m = ch.matrix
-    mask = m > 0.0
-    violated = mask & (r == 0.0)[None, :]
-    bad_rows = np.any(violated, axis=1)
-    if np.any(bad_rows):
+    bad_rows = None
+    zero = r == 0.0
+    if np.any(zero):
+        # No output column is all zero, so some row has mass where r has none.
+        bad_rows = np.any(m[:, zero] > 0.0, axis=1)
         if infinite == "raise":
             raise AbsoluteContinuityViolation(
                 f"row {int(np.flatnonzero(bad_rows)[0])} has mass outside the reference support"
             )
-        if infinite != "inf":
-            raise ValueError(f"infinite must be 'raise' or 'inf', got {infinite!r}")
-    with np.errstate(divide="ignore"):
-        log_ref = np.log(np.where(r > 0.0, r, 1.0))
-        terms = np.where(mask, m * (np.log(np.where(mask, m, 1.0)) - log_ref[None, :]), 0.0)
-    d = ordered_sum_along(terms, axis=1)
+    # Outputs without reference mass get log r = 0: a row with mass there is
+    # overwritten with +inf below, and every other row has P = 0 there.
+    log_ref = np.log(np.where(r > 0.0, r, 1.0))
+    # m * log_ref is C-contiguous, so the row reduction is deterministic.
+    d = ch.row_negentropy - np.add.reduce(m * log_ref, axis=1)
     d = np.maximum(d, 0.0)
-    if np.any(bad_rows):
+    if bad_rows is not None:
         d = np.where(bad_rows, np.inf, d)
     return d
 

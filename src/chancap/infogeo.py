@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, joint, per_input_divergences
-from .errors import DimensionMismatch, NonInteriorInput
+from .channel import Channel, _check_input_size, joint, per_input_divergences
+from .errors import NonInteriorInput
 from .numeric import logsumexp
 from .probability import Distribution, JointDistribution, marginals, mutual_information
 
@@ -65,10 +65,7 @@ def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:
     AbsoluteContinuityViolation is raised).
     """
     q = point.input_factor
-    if q.alphabet_size != ch.num_inputs:
-        raise DimensionMismatch(
-            f"input factor has {q.alphabet_size} symbols, channel has {ch.num_inputs}"
-        )
+    _check_input_size(q, ch)
     if not q.is_interior:
         raise NonInteriorInput("e-projection requires an interior input factor")
     d = per_input_divergences(ch, point.output_factor.weights)

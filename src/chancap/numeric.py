@@ -1,12 +1,14 @@
 """Deterministic floating point reductions.
 
-numpy's own reductions use pairwise blocking whose grouping depends on memory
-layout and vector width, so the same multiset of terms can sum to different
-floats depending on how the array is strided.  The helpers here accumulate
-strictly left to right (via the running-sum semantics of cumsum), which makes
-every reduction in the package a pure function of its operand values: repeated
-evaluation is bit-identical, and so is evaluation of the same values behind a
-different layout.
+Every reduction in the package is np.add.reduce over a C-contiguous operand:
+the helpers here normalize layout with np.ascontiguousarray before reducing,
+and the channel kernel reduces products it has just allocated in C order.
+For a fixed numpy build the result is then a pure function of the operand
+values and shape: repeated evaluation is bit-identical, and so is evaluation
+of the same values behind a different layout (a strided or Fortran-ordered
+view).  The grouping itself is numpy's: pairwise along the contiguous last
+axis, strictly row after row along axis 0 of a 2-D array.  No reduction goes
+through BLAS, whose thread splits can change rounding.
 
 All public quantities in the package are float64 nats.
 """
@@ -19,30 +21,23 @@ __all__ = ["ordered_sum", "ordered_sum_along", "ordered_dot", "logsumexp"]
 
 
 def ordered_sum(values: np.ndarray) -> float:
-    """Sum all entries left to right in C order and return a float.
+    """Sum of all entries, taken over their C-order flattening, as a float.
 
     An empty array sums to 0.0.
     """
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    # cumsum is defined as a running accumulation, so its last entry is the
-    # strict left-to-right total.
-    return float(np.cumsum(a)[-1])
+    return float(np.add.reduce(np.ascontiguousarray(values, dtype=float).ravel()))
 
 
 def ordered_sum_along(values: np.ndarray, axis: int) -> np.ndarray:
-    """Left-to-right sum along one axis of a 2-D array."""
-    a = np.asarray(values, dtype=float)
-    if a.shape[axis] == 0:
-        shape = list(a.shape)
-        del shape[axis]
-        return np.zeros(shape)
-    return np.take(np.cumsum(a, axis=axis), -1, axis=axis)
+    """Sum along one axis of a 2-D array, after normalizing it to C order.
+
+    A zero-length axis sums to zeros.
+    """
+    return np.add.reduce(np.ascontiguousarray(values, dtype=float), axis=axis)
 
 
 def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product with left-to-right accumulation."""
+    """Inner product, reduced like ordered_sum."""
     return ordered_sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float))
 
 
