@@ -24,7 +24,6 @@ from .backward_em import (
     backward_e_member,
     exact_backward_m_step,
     geometric_mixture_check,
-    log_normalizer,
     solve_backward_em,
 )
 from .channel import (
@@ -57,7 +56,6 @@ from .errors import (
 )
 from .infogeo import (
     ProductPoint,
-    capacity_distance,
     e_project_to_channel,
     m_project_to_independence,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "bsc",
     "canonical",
     "capacity_bracket",
-    "capacity_distance",
     "circumcenter_check",
     "converse_check",
     "e_project_to_channel",
@@ -121,7 +118,6 @@ __all__ = [
     "joint",
     "kl_divergence",
     "load_channel",
-    "log_normalizer",
     "m_project_to_independence",
     "marginals",
     "mutual_information",

@@ -24,13 +24,13 @@ float and the iterate renormalized, flagged on the trace record.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import Channel, _check_input_size, output_marginal, per_input_divergences
-from .errors import NonInteriorInput, ParameterOutOfRange
+from .channel import Channel, _check_interior_input, output_marginal, per_input_divergences
+from .errors import ParameterOutOfRange
 from .numeric import logsumexp, ordered_dot, ordered_sum
 from .probability import Distribution
 
@@ -62,15 +62,12 @@ class Bracket(NamedTuple):
 class TraceRecord:
     """State of the solver at one iteration, before stepping.
 
-    mutual_info equals lower_bound (both are sum_x q(x) d(x)); the trace keeps
-    both names because consumers of the CSV schema address them separately.
     step_status and inner_residual are populated only by solvers whose step
     has an inner loop; clamped marks an iterate that needed the underflow
     clamp when it was produced.
     """
 
     iteration: int
-    mutual_info: float
     lower_bound: float
     upper_bound: float
     per_input_divergence: np.ndarray
@@ -78,6 +75,11 @@ class TraceRecord:
     clamped: bool = False
     step_status: str | None = None
     inner_residual: float | None = None
+
+    @property
+    def mutual_info(self) -> float:
+        """The mutual information of the iterate, which is lower_bound."""
+        return self.lower_bound
 
     @property
     def gap(self) -> float:
@@ -127,25 +129,38 @@ class CapacityResult:
     termination: Termination
 
 
-def _require_interior_input(q: Distribution, ch: Channel) -> None:
-    _check_input_size(q, ch)
-    if not q.is_interior:
-        raise NonInteriorInput("the iteration requires strictly positive input weights")
+def _sweep(q: Distribution, ch: Channel) -> tuple[np.ndarray, Bracket]:
+    """Per-input divergences from r_q and the bracket they certify at q."""
+    d = per_input_divergences(ch, output_marginal(q, ch).weights)
+    lower = ordered_dot(q.weights, d)
+    return d, Bracket(lower, max(lower, float(np.max(d))))
+
+
+def _tilt(weights: np.ndarray, divergences: np.ndarray) -> np.ndarray:
+    """q(x) * exp(d(x)), normalized in log space; entries may underflow to 0."""
+    logits = np.log(weights) + divergences
+    return np.exp(logits - logsumexp(logits))
+
+
+def _clamp(weights: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lift underflowed weights to the smallest positive normal float.
+
+    Returns the (renormalized) weights and whether any entry was lifted.
+    """
+    clamped = bool(np.any(weights == 0.0))
+    if clamped:
+        weights = np.maximum(weights, _TINY)
+        weights = weights / ordered_sum(weights)
+    return weights, clamped
 
 
 def _multiplicative_update(weights: np.ndarray, divergences: np.ndarray) -> tuple[np.ndarray, bool]:
-    """q(x) * exp(d(x)), normalized in log space.
+    """One multiplicative reweighting, clamped to stay interior.
 
     Returns the new weights and whether any of them underflowed and had to be
     clamped to the smallest positive normal float.
     """
-    logits = np.log(weights) + divergences
-    fresh = np.exp(logits - logsumexp(logits))
-    clamped = bool(np.any(fresh == 0.0))
-    if clamped:
-        fresh = np.maximum(fresh, _TINY)
-        fresh = fresh / ordered_sum(fresh)
-    return fresh, clamped
+    return _clamp(_tilt(weights, divergences))
 
 
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
@@ -154,8 +169,8 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     Requires an interior q.  The exponent is invariant under shifting all
     divergences by a constant, which the normalization absorbs.
     """
-    _require_interior_input(q, ch)
-    d = per_input_divergences(ch, output_marginal(q, ch).weights)
+    _check_interior_input(q, ch)
+    d, _ = _sweep(q, ch)
     fresh, _ = _multiplicative_update(q.weights, d)
     return Distribution(fresh)
 
@@ -168,15 +183,14 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     above their maximum when all of them coincide, so upper is floored at
     lower to keep the bracket ordered.
     """
-    _require_interior_input(q, ch)
-    d = per_input_divergences(ch, output_marginal(q, ch).weights)
-    lower = ordered_dot(q.weights, d)
-    return Bracket(lower, max(lower, float(np.max(d))))
+    _check_interior_input(q, ch)
+    return _sweep(q, ch)[1]
 
 
-# grows the trace one record per iteration; shared with the backward solver,
-# whose step function reports an inner status alongside the new iterate.
-Stepper = Callable[[Distribution, np.ndarray], tuple[Distribution, bool, str | None, float | None]]
+# Maps the current iterate and its divergences to the raw next weights, plus
+# the step's inner status and residual (None for single-sweep steps).
+# _iterate clamps the weights and records the rest on the next trace record.
+Stepper = Callable[[Distribution, np.ndarray], tuple[np.ndarray, str | None, float | None]]
 
 
 def _iterate(
@@ -186,12 +200,13 @@ def _iterate(
     initial: Distribution | None,
     stepper: Stepper,
 ) -> tuple[CapacityResult, IterationTrace]:
-    if tol <= 0.0:
+    # `not tol > 0` rejects NaN too, which would never stop the iteration.
+    if not tol > 0.0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol!r}")
     if max_iters < 1:
         raise ParameterOutOfRange(f"max_iters must be at least 1, got {max_iters!r}")
     q = Distribution.uniform(ch.num_inputs) if initial is None else initial
-    _require_interior_input(q, ch)
+    _check_interior_input(q, ch)
 
     records: list[TraceRecord] = []
     clamped = False
@@ -199,13 +214,10 @@ def _iterate(
     residual: float | None = None
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
-        d = per_input_divergences(ch, output_marginal(q, ch).weights)
-        lower = ordered_dot(q.weights, d)
-        upper = max(lower, float(np.max(d)))
+        d, (lower, upper) = _sweep(q, ch)
         records.append(
             TraceRecord(
                 iteration=iteration,
-                mutual_info=lower,
                 lower_bound=lower,
                 upper_bound=upper,
                 per_input_divergence=d,
@@ -220,7 +232,9 @@ def _iterate(
             break
         if iteration == max_iters:
             break
-        q, clamped, status, residual = stepper(q, d)
+        fresh, status, residual = stepper(q, d)
+        fresh, clamped = _clamp(fresh)
+        q = Distribution(fresh)
 
     trace = IterationTrace(tuple(records))
     trace.validate()
@@ -236,8 +250,7 @@ def _iterate(
 
 
 def _arimoto_stepper(q: Distribution, d: np.ndarray):
-    fresh, clamped = _multiplicative_update(q.weights, d)
-    return Distribution(fresh), clamped, None, None
+    return _tilt(q.weights, d), None, None
 
 
 def solve_arimoto(

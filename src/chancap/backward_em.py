@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, _iterate, _TINY
-from .channel import Channel, _check_input_size, output_marginal, per_input_divergences
-from .errors import DimensionMismatch, NonInteriorInput, ParameterOutOfRange
-from .numeric import logsumexp, ordered_sum
+from .arimoto import CapacityResult, IterationTrace, _iterate, _tilt
+from .channel import Channel, _check_interior_input, output_marginal, per_input_divergences
+from .errors import DimensionMismatch, ParameterOutOfRange
+from .numeric import logsumexp
 from .probability import Distribution
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "MStepOutcome",
     "GeometricMixtureResult",
     "backward_e_member",
-    "log_normalizer",
     "exact_backward_m_step",
     "approximate_m_step",
     "geometric_mixture_check",
@@ -109,46 +108,23 @@ class GeometricMixtureResult:
     normalizer_gap: float
 
 
-def _checked_base(base_input: Distribution, ch: Channel) -> None:
-    _check_input_size(base_input, ch)
-    if not base_input.is_interior:
-        raise NonInteriorInput("the backward family is defined over interior base inputs")
-
-
-def _checked_output_factor(r: Distribution, ch: Channel) -> None:
-    if r.alphabet_size != ch.num_outputs:
-        raise DimensionMismatch(
-            f"output factor has {r.alphabet_size} symbols, channel has {ch.num_outputs}"
-        )
-
-
 def backward_e_member(
     base_input: Distribution, output_factor: Distribution, ch: Channel
 ) -> BackwardFamilyMember:
     """The unique family member with the given output factor.
 
     Computed in log space: log q(x) = log q_t(x) + d_r(x) - log_normalizer.
+    The log normalizer log sum_x q_t(x) exp(d_r(x)) is also D(p_t || member),
+    and is non-negative by Jensen's inequality since sum_x q_t(x) d_r(x) >= 0.
     Raises AbsoluteContinuityViolation when some channel row has mass outside
     the support of the output factor.
     """
-    _checked_base(base_input, ch)
-    _checked_output_factor(output_factor, ch)
+    _check_interior_input(base_input, ch)
     d = per_input_divergences(ch, output_factor.weights)
     logits = np.log(base_input.weights) + d
     log_norm = logsumexp(logits)
     induced = Distribution(np.exp(logits - log_norm))
     return BackwardFamilyMember(base_input, output_factor, induced, log_norm)
-
-
-def log_normalizer(base_input: Distribution, output_factor: Distribution, ch: Channel) -> float:
-    """log sum_x q_t(x) exp(d_r(x)), which is also D(p_t || member).
-
-    Non-negative by Jensen's inequality since sum_x q_t(x) d_r(x) >= 0.
-    """
-    _checked_base(base_input, ch)
-    _checked_output_factor(output_factor, ch)
-    d = per_input_divergences(ch, output_factor.weights)
-    return logsumexp(np.log(base_input.weights) + d)
 
 
 def exact_backward_m_step(
@@ -171,10 +147,10 @@ def exact_backward_m_step(
     to converge within max_inner sweeps (or an output factor underflowing to
     the boundary) is reported via the status, never raised.
     """
-    _checked_base(base_input, ch)
+    _check_interior_input(base_input, ch)
     if not 0.0 < damping <= 1.0:
         raise ParameterOutOfRange(f"damping must be in (0, 1], got {damping!r}")
-    if inner_tol <= 0.0:
+    if not inner_tol > 0.0:
         raise ParameterOutOfRange(f"inner_tol must be positive, got {inner_tol!r}")
     if max_inner < 1:
         raise ParameterOutOfRange(f"max_inner must be at least 1, got {max_inner!r}")
@@ -205,7 +181,6 @@ def approximate_m_step(base_input: Distribution, ch: Channel) -> Distribution:
     member whose induced input is exactly one multiplicative capacity sweep
     of q_t.
     """
-    _checked_base(base_input, ch)
     member = backward_e_member(base_input, output_marginal(base_input, ch), ch)
     return member.induced_input
 
@@ -230,9 +205,12 @@ def geometric_mixture_check(
     with logN_i the members' log normalizers; normalizer_gap is the relative
     defect of that identity.  Both quantities are reported, not asserted.
     """
-    _checked_base(base_input, ch)
-    _checked_output_factor(r1, ch)
-    _checked_output_factor(r2, ch)
+    _check_interior_input(base_input, ch)
+    for r in (r1, r2):
+        if r.alphabet_size != ch.num_outputs:
+            raise DimensionMismatch(
+                f"output factor has {r.alphabet_size} symbols, channel has {ch.num_outputs}"
+            )
     if not 0.0 <= weight <= 1.0:
         raise ParameterOutOfRange(f"mixture weight must be in [0, 1], got {weight!r}")
 
@@ -285,22 +263,15 @@ def solve_backward_em(
     Each outer iteration attempts the exact backward m-step and falls back to
     the approximate step when the inner solve does not converge; the trace
     records which route produced every iterate ("exact" or "fallback")
-    together with the inner residual reached.
+    together with the inner residual reached.  The approximate step is the
+    multiplicative tilt of the divergences the iteration already computed at
+    r_{q_t}, so the fallback costs no further pass over the channel.
     """
 
     def stepper(q: Distribution, d: np.ndarray):
         outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, damping)
         if outcome.status is MStepStatus.EXACT_CONVERGED:
-            fresh = outcome.solution.induced_input
-            label = "exact"
-        else:
-            fresh = approximate_m_step(q, ch)
-            label = "fallback"
-        clamped = False
-        if not fresh.is_interior:
-            weights = np.maximum(fresh.weights, _TINY)
-            fresh = Distribution(weights / ordered_sum(weights))
-            clamped = True
-        return fresh, clamped, label, outcome.residual
+            return outcome.solution.induced_input.weights, "exact", outcome.residual
+        return _tilt(q.weights, d), "fallback", outcome.residual
 
     return _iterate(ch, tol, max_iters, initial, stepper)

@@ -33,6 +33,7 @@ from .errors import (
     DroppedOutputColumnWarning,
     InvalidDistribution,
     NegativeEntry,
+    NonInteriorInput,
     ParameterOutOfRange,
     ParseError,
     RowNotStochastic,
@@ -207,13 +208,17 @@ def load_channel(source, format: str = "json") -> Channel:
         widths = {len(r) for r in matrix}
         if len(widths) > 1:
             raise ParseError("matrix rows have unequal lengths")
-        labels_in = doc.get("input_labels")
-        labels_out = doc.get("output_labels")
-        return Channel(
-            np.asarray(matrix, dtype=float),
-            tuple(labels_in) if labels_in is not None else None,
-            tuple(labels_out) if labels_out is not None else None,
-        )
+        labels = []
+        for key in ("input_labels", "output_labels"):
+            value = doc.get(key)
+            if value is not None and not isinstance(value, list):
+                raise ParseError(f'"{key}" must be a list')
+            labels.append(tuple(value) if value is not None else None)
+        try:
+            m = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):
+            raise ParseError('"matrix" entries must all be numbers') from None
+        return Channel(m, *labels)
     if format == "csv":
         rows = []
         try:
@@ -241,6 +246,17 @@ def _check_input_size(q: Distribution, ch: Channel) -> None:
         raise DimensionMismatch(
             f"input distribution has {q.alphabet_size} symbols, channel has {ch.num_inputs}"
         )
+
+
+def _check_interior_input(q: Distribution, ch: Channel) -> None:
+    """Raise unless q is a strictly positive law over the channel inputs.
+
+    The multiplicative sweep, the backward family and the e-projection all
+    take log q, so each of them requires an interior input law.
+    """
+    _check_input_size(q, ch)
+    if not q.is_interior:
+        raise NonInteriorInput("the input law must give every channel input positive weight")
 
 
 def joint(q: Distribution, ch: Channel) -> JointDistribution:

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, _check_input_size, joint, per_input_divergences
-from .errors import NonInteriorInput
+from .channel import Channel, _check_interior_input, per_input_divergences
 from .numeric import logsumexp
-from .probability import Distribution, JointDistribution, marginals, mutual_information
+from .probability import Distribution, JointDistribution, marginals
 
 __all__ = [
     "ProductPoint",
     "m_project_to_independence",
     "e_project_to_channel",
-    "capacity_distance",
 ]
 
 
@@ -65,18 +63,7 @@ def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:
     AbsoluteContinuityViolation is raised).
     """
     q = point.input_factor
-    _check_input_size(q, ch)
-    if not q.is_interior:
-        raise NonInteriorInput("e-projection requires an interior input factor")
+    _check_interior_input(q, ch)
     d = per_input_divergences(ch, point.output_factor.weights)
     logits = np.log(q.weights) - d
     return Distribution(np.exp(logits - logsumexp(logits)))
-
-
-def capacity_distance(q: Distribution, ch: Channel) -> float:
-    """Divergence from the joint of (q, ch) to the independence family.
-
-    Delegates to mutual_information so the two quantities share one code path
-    and agree bit for bit.
-    """
-    return mutual_information(joint(q, ch))

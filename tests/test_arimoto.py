@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chancap import (
+    Channel,
     Distribution,
     NonInteriorInput,
     ParameterOutOfRange,
@@ -18,6 +19,7 @@ from chancap import (
     mutual_information,
     joint,
     solve_arimoto,
+    solve_backward_em,
     uniform_rows,
     z_channel,
 )
@@ -149,9 +151,22 @@ class TestSolve:
         with pytest.raises(ParameterOutOfRange):
             solve_arimoto(bsc(0.1), tol=0.0)
         with pytest.raises(ParameterOutOfRange):
+            solve_arimoto(bsc(0.1), tol=float("nan"))
+        with pytest.raises(ParameterOutOfRange):
             solve_arimoto(bsc(0.1), max_iters=0)
         with pytest.raises(NonInteriorInput):
             solve_arimoto(bsc(0.1), initial=Distribution(np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
+    def test_underflowing_iterate_is_clamped_and_flagged(self, solve):
+        # The last input starts at the smallest subnormal; its first
+        # reweighting underflows to 0 and the shared iteration lifts it back.
+        ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
+        start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+        _, trace = solve(ch, initial=start)
+        assert not trace.records[0].clamped
+        assert trace.records[1].clamped
+        assert all(rec.input_distribution.is_interior for rec in trace)
 
     def test_deterministic_across_runs(self):
         first, _ = solve_arimoto(z_channel(0.4))

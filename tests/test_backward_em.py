@@ -21,7 +21,6 @@ from chancap import (
     geometric_mixture_check,
     joint,
     kl_divergence,
-    log_normalizer,
     output_marginal,
     solve_arimoto,
     solve_backward_em,
@@ -58,15 +57,7 @@ class TestFamilyMember:
             ch = random_channel(rng, n, m)
             base = random_interior(rng, n)
             r = random_interior(rng, m)
-            assert log_normalizer(base, r, ch) >= -1e-12
-
-    def test_function_and_member_normalizers_agree(self):
-        rng = np.random.default_rng(44)
-        ch = random_channel(rng, 4, 5)
-        base = random_interior(rng, 4)
-        r = random_interior(rng, 5)
-        member = backward_e_member(base, r, ch)
-        assert member.log_normalizer == log_normalizer(base, r, ch)
+            assert backward_e_member(base, r, ch).log_normalizer >= -1e-12
 
     def test_member_at_output_marginal_reproduces_sweep(self):
         # Freezing r at the output marginal makes the induced input exactly
@@ -150,6 +141,9 @@ class TestExactMStep:
             exact_backward_m_step(q, bsc(0.1), inner_tol=0.0)
         with pytest.raises(ParameterOutOfRange):
             exact_backward_m_step(q, bsc(0.1), max_inner=0)
+        # A NaN inner_tol used to run every inner solve to max_inner.
+        with pytest.raises(ParameterOutOfRange):
+            exact_backward_m_step(q, bsc(0.1), inner_tol=float("nan"))
 
     def test_pythagorean_chain_at_exact_steps(self):
         # With the member in the backward family and the new joint on the
@@ -251,6 +245,23 @@ class TestSolver:
         assert "fallback" in routes
         trace.validate()
         assert result.capacity == pytest.approx(np.log(1.25), abs=1e-8)
+
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ParameterOutOfRange):
+            solve_backward_em(bsc(0.1), tol=float("nan"))
+
+    def test_fallback_is_bit_identical_to_the_multiplicative_step(self):
+        rng = np.random.default_rng(60)
+        ch = random_channel(rng, 6, 5)
+        _, trace = solve_backward_em(ch, max_inner=1)
+        records = trace.records
+        fallbacks = 0
+        for before, after in zip(records, records[1:]):
+            if after.step_status == "fallback":
+                expected = arimoto_step(before.input_distribution, ch).weights
+                assert np.array_equal(after.input_distribution.weights, expected)
+                fallbacks += 1
+        assert fallbacks > 0
 
     def test_bracket_stopping_rule(self):
         result, trace = solve_backward_em(z_channel(0.5), tol=1e-9)

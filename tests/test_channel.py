@@ -113,6 +113,25 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_channel(b"0.5,0.5\n1.0\n", "csv")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"matrix": [["a", "b"]]}',
+            b'{"matrix": [[0.5, [0.5]]]}',
+            b'{"matrix": [[{"a": 1}, 0.5]]}',
+        ],
+    )
+    def test_non_numeric_entries(self, doc):
+        with pytest.raises(ParseError):
+            load_channel(doc, "json")
+
+    @pytest.mark.parametrize("labels", [b"5", b'"ab"', b'{"a": 1}'])
+    def test_labels_must_be_lists(self, labels):
+        for key in (b"input_labels", b"output_labels"):
+            doc = b'{"matrix": [[0.5, 0.5], [0.1, 0.9]], "' + key + b'": ' + labels + b"}"
+            with pytest.raises(ParseError):
+                load_channel(doc, "json")
+
     def test_csv_bad_number(self):
         with pytest.raises(ParseError):
             load_channel(b"0.5,abc\n", "csv")

@@ -134,6 +134,30 @@ class TestCapacity:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"matrix": [["a", "b"]]}',
+            '{"matrix": [[{"a": 1}, 0.5]]}',
+            '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "input_labels": 5}',
+        ],
+    )
+    def test_non_numeric_channel_is_bad_input(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code = main(["capacity", "--channel", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_nan_tolerance_is_bad_input(self, tmp_path, capsys):
+        path = write_z(tmp_path, capsys)
+        code = main(["capacity", "--channel", str(path), "--tol", "nan"])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestVerify:
     def test_round_trip_from_capacity_output(self, tmp_path, capsys):
         channel_path = write_z(tmp_path, capsys)

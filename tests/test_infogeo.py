@@ -8,9 +8,7 @@ from chancap import (
     JointDistribution,
     NonInteriorInput,
     ProductPoint,
-    capacity_distance,
     e_project_to_channel,
-    joint,
     kl_divergence,
     m_project_to_independence,
     marginals,
@@ -124,12 +122,3 @@ class TestEProjection:
             assert qh.is_interior
             assert abs(float(np.sum(qh.weights)) - 1.0) <= 1e-12
 
-
-class TestCapacityDistance:
-    def test_shares_the_mutual_information_code_path(self):
-        rng = np.random.default_rng(27)
-        for _ in range(100):
-            n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-            ch = random_channel(rng, n, m)
-            q = random_interior(rng, n)
-            assert capacity_distance(q, ch) == mutual_information(joint(q, ch))

@@ -112,6 +112,10 @@ class TestCircumcenter:
         assert report.support.tolist() == [True, True, False]
         assert report.max_off_support_excess == 0.0
 
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ParameterOutOfRange):
+            circumcenter_check(Distribution.uniform(2), z_channel(0.5), tol=float("nan"))
+
     def test_infinite_divergence_off_support_fails_cleanly(self):
         # All mass on the first input of a noiseless channel: the unused
         # input sits at infinite divergence, which is a failure, not an
@@ -149,6 +153,11 @@ class TestConverse:
 
     def test_declines_on_infinite_divergence(self):
         assert converse_check(identity_channel(2), Distribution(np.array([1.0, 0.0]))) is None
+
+    def test_rejects_nan_tolerance(self):
+        # A NaN tolerance used to certify a value below capacity here.
+        with pytest.raises(ParameterOutOfRange):
+            converse_check(z_channel(0.5), Distribution.uniform(2), tol=float("nan"))
 
     def test_tolerance_widens_the_certificate(self):
         q = Distribution(np.array([0.55, 0.45]))
