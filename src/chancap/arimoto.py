@@ -24,6 +24,7 @@ float and the iterate renormalized, flagged on the trace record.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -187,6 +188,20 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     return _sweep(q, ch)[1]
 
 
+def _check_limit(name: str, value) -> None:
+    """Raise ParameterOutOfRange unless value is an integer of at least 1.
+
+    Any integer type numpy or Python provides passes; a float, even a whole
+    one, does not, since range() would reject it later with a bare TypeError.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ParameterOutOfRange(f"{name} must be at least 1, got {value!r}")
+
+
 # Maps the current iterate and its divergences to the raw next weights, plus
 # the step's inner status and residual (None for single-sweep steps).
 # _iterate clamps the weights and records the rest on the next trace record.
@@ -203,8 +218,7 @@ def _iterate(
     # `not tol > 0` rejects NaN too, which would never stop the iteration.
     if not tol > 0.0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol!r}")
-    if max_iters < 1:
-        raise ParameterOutOfRange(f"max_iters must be at least 1, got {max_iters!r}")
+    _check_limit("max_iters", max_iters)
     q = Distribution.uniform(ch.num_inputs) if initial is None else initial
     _check_interior_input(q, ch)
 
@@ -234,7 +248,7 @@ def _iterate(
             break
         fresh, status, residual = stepper(q, d)
         fresh, clamped = _clamp(fresh)
-        q = Distribution(fresh)
+        q = Distribution._trusted(fresh)
 
     trace = IterationTrace(tuple(records))
     trace.validate()

@@ -34,8 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, _iterate, _tilt
-from .channel import Channel, _check_interior_input, output_marginal, per_input_divergences
+from .arimoto import CapacityResult, IterationTrace, _check_limit, _iterate, _tilt
+from .channel import (
+    Channel,
+    _check_interior_input,
+    _marginal,
+    output_marginal,
+    per_input_divergences,
+)
 from .errors import DimensionMismatch, ParameterOutOfRange
 from .numeric import logsumexp
 from .probability import Distribution
@@ -108,6 +114,15 @@ class GeometricMixtureResult:
     normalizer_gap: float
 
 
+def _induced_input(
+    log_base: np.ndarray, output_factor: np.ndarray, ch: Channel
+) -> tuple[Distribution, float]:
+    """The induced input and log normalizer of the member at a raw factor."""
+    logits = log_base + per_input_divergences(ch, output_factor)
+    log_norm = logsumexp(logits)
+    return Distribution._trusted(np.exp(logits - log_norm)), log_norm
+
+
 def backward_e_member(
     base_input: Distribution, output_factor: Distribution, ch: Channel
 ) -> BackwardFamilyMember:
@@ -120,11 +135,17 @@ def backward_e_member(
     the support of the output factor.
     """
     _check_interior_input(base_input, ch)
-    d = per_input_divergences(ch, output_factor.weights)
-    logits = np.log(base_input.weights) + d
-    log_norm = logsumexp(logits)
-    induced = Distribution(np.exp(logits - log_norm))
+    induced, log_norm = _induced_input(np.log(base_input.weights), output_factor.weights, ch)
     return BackwardFamilyMember(base_input, output_factor, induced, log_norm)
+
+
+def _check_inner_parameters(inner_tol: float, max_inner: int, damping: float) -> None:
+    """Raise ParameterOutOfRange unless the exact m-step's settings are usable."""
+    if not 0.0 < damping <= 1.0:
+        raise ParameterOutOfRange(f"damping must be in (0, 1], got {damping!r}")
+    if not inner_tol > 0.0:
+        raise ParameterOutOfRange(f"inner_tol must be positive, got {inner_tol!r}")
+    _check_limit("max_inner", max_inner)
 
 
 def exact_backward_m_step(
@@ -148,29 +169,28 @@ def exact_backward_m_step(
     the boundary) is reported via the status, never raised.
     """
     _check_interior_input(base_input, ch)
-    if not 0.0 < damping <= 1.0:
-        raise ParameterOutOfRange(f"damping must be in (0, 1], got {damping!r}")
-    if not inner_tol > 0.0:
-        raise ParameterOutOfRange(f"inner_tol must be positive, got {inner_tol!r}")
-    if max_inner < 1:
-        raise ParameterOutOfRange(f"max_inner must be at least 1, got {max_inner!r}")
+    _check_inner_parameters(inner_tol, max_inner, damping)
 
+    # The sweep runs on raw arrays: log q_t is taken once, and only the
+    # converged solution becomes a BackwardFamilyMember.
+    log_base = np.log(base_input.weights)
     r = output_marginal(base_input, ch)
     residual = np.inf
     for sweep in range(max_inner + 1):
-        member = backward_e_member(base_input, r, ch)
-        mapped = output_marginal(member.induced_input, ch)
-        residual = float(np.max(np.abs(mapped.weights - r.weights)))
+        induced, log_norm = _induced_input(log_base, r.weights, ch)
+        mapped = Distribution._trusted(_marginal(induced.weights, ch)).weights
+        residual = float(np.max(np.abs(mapped - r.weights)))
         if residual <= inner_tol:
+            member = BackwardFamilyMember(base_input, r, induced, log_norm)
             return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
         if sweep == max_inner:
             break
-        blended = (1.0 - damping) * r.weights + damping * mapped.weights
+        blended = (1.0 - damping) * r.weights + damping * mapped
         if np.any(blended == 0.0):
             # The sweep is heading for the boundary of the output simplex;
             # the closed forms above stop being finite there.
             break
-        r = Distribution(blended)
+        r = Distribution._trusted(blended)
     return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
 
 
@@ -267,6 +287,10 @@ def solve_backward_em(
     multiplicative tilt of the divergences the iteration already computed at
     r_{q_t}, so the fallback costs no further pass over the channel.
     """
+
+    # Checked here as well as in every m-step, since a run that converges at
+    # its first record never takes a step.
+    _check_inner_parameters(inner_tol, max_inner, damping)
 
     def stepper(q: Distribution, d: np.ndarray):
         outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, damping)

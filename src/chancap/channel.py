@@ -214,6 +214,17 @@ def load_channel(source, format: str = "json") -> Channel:
             if value is not None and not isinstance(value, list):
                 raise ParseError(f'"{key}" must be a list')
             labels.append(tuple(value) if value is not None else None)
+        # np.asarray would read true/false as 1.0/0.0.  Each test below runs
+        # only when the cheaper one before it passes.  "u" and "l" are
+        # one-character searches (memchr) and occur in no JSON number and not
+        # in the "matrix" key, so a plain numeric document stops there; only
+        # a document with a true/false token pays for the per-entry scan.
+        if (
+            ("u" in text or "l" in text)
+            and ("true" in text or "false" in text)
+            and any(isinstance(v, bool) for row in matrix for v in row)
+        ):
+            raise ParseError('"matrix" entries must be numbers, not true/false')
         try:
             m = np.asarray(matrix, dtype=float)
         except (TypeError, ValueError):
@@ -265,11 +276,16 @@ def joint(q: Distribution, ch: Channel) -> JointDistribution:
     return JointDistribution(q.weights[:, None] * ch.matrix)
 
 
+def _marginal(weights: np.ndarray, ch: Channel) -> np.ndarray:
+    """The raw output weights sum_x q(x) p(y|x) of raw input weights."""
+    # The product is C-contiguous, so the axis-0 reduction adds row after row.
+    return np.add.reduce(weights[:, None] * ch.matrix, axis=0)
+
+
 def output_marginal(q: Distribution, ch: Channel) -> Distribution:
     """The output distribution induced by feeding q through the channel."""
     _check_input_size(q, ch)
-    # The product is C-contiguous, so the axis-0 reduction adds row after row.
-    return Distribution(np.add.reduce(q.weights[:, None] * ch.matrix, axis=0))
+    return Distribution(_marginal(q.weights, ch))
 
 
 def per_input_divergences(

@@ -9,6 +9,13 @@ Conventions used throughout:
 * all divergences are in nats.
 * zero-mass terms are skipped before the reference weight is inspected, which
   realizes the 0*log(0/q) = 0 and 0*log(0/0) = 0 conventions.
+
+Trust boundary: every vector that arrives from outside the package is
+validated on the way in by the constructor, which copies it.  The private
+Distribution._trusted is only for 1-D float arrays the package has just
+allocated (a solver's iterate, an inner-loop marginal); it takes no copy and
+checks the sum and the minimum only, which still rejects every vector the
+constructor rejects, with the same error.
 """
 
 from __future__ import annotations
@@ -65,6 +72,27 @@ class Distribution:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _validated_weights(self.weights, 1, "distribution"))
+
+    @classmethod
+    def _trusted(cls, weights: np.ndarray) -> "Distribution":
+        """Wrap a 1-D float array the package has just allocated, without a copy.
+
+        One ordered_sum and one minimum stand in for the constructor's checks:
+        a NaN or infinite entry makes the sum non-finite, so any array the
+        constructor would reject is handed to it, and it raises.  Otherwise
+        the weights are renormalized (or kept) exactly as the constructor
+        would, and the array is made read-only.
+        """
+        total = ordered_sum(weights)
+        deviation = abs(total - 1.0)
+        if not deviation <= _SUM_REJECT or np.min(weights) < 0.0:
+            return cls(weights)
+        if deviation > _SUM_KEEP:
+            weights = weights / total
+        weights.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "weights", weights)
+        return dist
 
     @property
     def alphabet_size(self) -> int:

@@ -154,8 +154,18 @@ class TestSolve:
             solve_arimoto(bsc(0.1), tol=float("nan"))
         with pytest.raises(ParameterOutOfRange):
             solve_arimoto(bsc(0.1), max_iters=0)
+        # Non-integers used to reach range() and raise a bare TypeError.
+        for limit in (float("nan"), 2.5, 10.0, "10"):
+            with pytest.raises(ParameterOutOfRange):
+                solve_arimoto(z_channel(0.5), max_iters=limit)
         with pytest.raises(NonInteriorInput):
             solve_arimoto(bsc(0.1), initial=Distribution(np.array([1.0, 0.0])))
+
+    def test_numpy_integer_limits_are_accepted(self):
+        result, _ = solve_arimoto(z_channel(0.5), max_iters=np.int64(3))
+        assert result.iterations == 3
+        result, _ = solve_backward_em(z_channel(0.5), max_inner=np.int32(50))
+        assert result.termination is Termination.CONVERGED
 
     @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
     def test_underflowing_iterate_is_clamped_and_flagged(self, solve):

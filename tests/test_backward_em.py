@@ -6,6 +6,7 @@ import pytest
 from chancap import (
     DimensionMismatch,
     Distribution,
+    MStepOutcome,
     MStepStatus,
     NonInteriorInput,
     ParameterOutOfRange,
@@ -28,6 +29,29 @@ from chancap import (
     z_channel,
 )
 from support import random_channel, random_interior
+
+
+def reference_m_step(base, ch, inner_tol=1e-10, max_inner=10000, damping=0.5):
+    """The exact m-step written from the public member and marginal.
+
+    Each sweep builds a validated member and marginal; the library's loop
+    runs the same arithmetic on raw arrays and must match it bit for bit.
+    """
+    r = output_marginal(base, ch)
+    residual = np.inf
+    for sweep in range(max_inner + 1):
+        member = backward_e_member(base, r, ch)
+        mapped = output_marginal(member.induced_input, ch)
+        residual = float(np.max(np.abs(mapped.weights - r.weights)))
+        if residual <= inner_tol:
+            return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
+        if sweep == max_inner:
+            break
+        blended = (1.0 - damping) * r.weights + damping * mapped.weights
+        if np.any(blended == 0.0):
+            break
+        r = Distribution(blended)
+    return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
 
 
 def member_divergence(base, ch, member):
@@ -144,6 +168,43 @@ class TestExactMStep:
         # A NaN inner_tol used to run every inner solve to max_inner.
         with pytest.raises(ParameterOutOfRange):
             exact_backward_m_step(q, bsc(0.1), inner_tol=float("nan"))
+        for limit in (float("nan"), 2.5, "10"):
+            with pytest.raises(ParameterOutOfRange):
+                exact_backward_m_step(q, bsc(0.1), max_inner=limit)
+
+    @pytest.mark.parametrize(
+        "settings, expected",
+        [
+            ({}, MStepStatus.EXACT_CONVERGED),
+            ({"damping": 1.0}, MStepStatus.EXACT_CONVERGED),
+            ({"inner_tol": 1e-16, "max_inner": 2}, MStepStatus.NOT_CONVERGED_FALLBACK),
+        ],
+        ids=["default", "undamped", "not-converged"],
+    )
+    def test_bit_identical_to_the_reference_loop(self, settings, expected):
+        rng = np.random.default_rng(61)
+        statuses = set()
+        for _ in range(50):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            ch = random_channel(rng, n, m)
+            base = random_interior(rng, n)
+            got = exact_backward_m_step(base, ch, **settings)
+            want = reference_m_step(base, ch, **settings)
+            assert got.status is want.status
+            assert got.residual == want.residual
+            assert got.inner_iterations == want.inner_iterations
+            statuses.add(got.status)
+            if want.solution is None:
+                assert got.solution is None
+                continue
+            assert np.array_equal(
+                got.solution.output_factor.weights, want.solution.output_factor.weights
+            )
+            assert np.array_equal(
+                got.solution.induced_input.weights, want.solution.induced_input.weights
+            )
+            assert got.solution.log_normalizer == want.solution.log_normalizer
+        assert expected in statuses
 
     def test_pythagorean_chain_at_exact_steps(self):
         # With the member in the backward family and the new joint on the
@@ -249,6 +310,15 @@ class TestSolver:
     def test_rejects_nan_tolerance(self):
         with pytest.raises(ParameterOutOfRange):
             solve_backward_em(bsc(0.1), tol=float("nan"))
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"inner_tol": float("nan")}, {"damping": 7.0}, {"max_inner": -3}, {"max_inner": 2.5}],
+    )
+    def test_inner_parameters_checked_before_the_first_step(self, settings):
+        # bsc(0.1) converges at its first record, so no m-step ever runs.
+        with pytest.raises(ParameterOutOfRange):
+            solve_backward_em(bsc(0.1), **settings)
 
     def test_fallback_is_bit_identical_to_the_multiplicative_step(self):
         rng = np.random.default_rng(60)

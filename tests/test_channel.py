@@ -119,6 +119,8 @@ class TestSerialization:
             b'{"matrix": [["a", "b"]]}',
             b'{"matrix": [[0.5, [0.5]]]}',
             b'{"matrix": [[{"a": 1}, 0.5]]}',
+            b'{"matrix": [[true, false], [false, true]]}',
+            b'{"matrix": [[0.5, 0.5], [1, false]]}',
         ],
     )
     def test_non_numeric_entries(self, doc):
@@ -131,6 +133,12 @@ class TestSerialization:
             doc = b'{"matrix": [[0.5, 0.5], [0.1, 0.9]], "' + key + b'": ' + labels + b"}"
             with pytest.raises(ParseError):
                 load_channel(doc, "json")
+
+    def test_true_false_outside_the_matrix_are_fine(self):
+        doc = b'{"matrix": [[1, 0], [0, 1]], "input_labels": ["true", "false"]}'
+        ch = load_channel(doc, "json")
+        assert np.array_equal(ch.matrix, np.eye(2))
+        assert ch.input_labels == ("true", "false")
 
     def test_csv_bad_number(self):
         with pytest.raises(ParseError):

@@ -140,6 +140,7 @@ class TestCapacity:
             '{"matrix": [["a", "b"]]}',
             '{"matrix": [[{"a": 1}, 0.5]]}',
             '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "input_labels": 5}',
+            '{"matrix": [[true, false], [false, true]]}',
         ],
     )
     def test_non_numeric_channel_is_bad_input(self, tmp_path, capsys, doc):

@@ -76,6 +76,38 @@ class TestConstruction:
             JointDistribution(np.array([0.5, 0.5]))
 
 
+class TestTrusted:
+    """Distribution._trusted must accept, renormalize and reject like the constructor."""
+
+    @pytest.mark.parametrize(
+        "raw, outcome",
+        [
+            ([float("nan"), 1.0], "rejected"),
+            ([float("inf"), 0.5], "rejected"),
+            ([float("-inf"), 1.0], "rejected"),
+            ([-0.25, 1.25], "rejected"),
+            ([0.3, 0.7 + 2e-9], "rejected"),
+            ([0.3, 0.7 + 5e-12], "renormalized"),
+            ([0.25, 0.75], "kept"),
+        ],
+        ids=["nan", "+inf", "-inf", "negative", "sum-2e-9-off", "sum-5e-12-off", "exact"],
+    )
+    def test_matches_the_constructor(self, raw, outcome):
+        if outcome == "rejected":
+            with pytest.raises(InvalidDistribution) as expected:
+                Distribution(np.array(raw))
+            with pytest.raises(type(expected.value)):
+                Distribution._trusted(np.array(raw))
+            return
+        fresh = np.array(raw)
+        got = Distribution._trusted(fresh).weights
+        assert np.array_equal(got, Distribution(np.array(raw)).weights)
+        assert not got.flags.writeable
+        # Kept weights are the caller's array itself, unchanged bit for bit.
+        assert (got is fresh) == (outcome == "kept")
+        assert np.array_equal(got, np.array(raw)) == (outcome == "kept")
+
+
 class TestKLDivergence:
     def test_point_mass_against_fair_coin(self):
         assert kl_divergence(dist(1.0, 0.0), dist(0.5, 0.5)) == pytest.approx(
