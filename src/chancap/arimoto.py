@@ -24,6 +24,8 @@ float and the iterate renormalized, flagged on the trace record.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -63,9 +65,10 @@ class Bracket(NamedTuple):
 class TraceRecord:
     """State of the solver at one iteration, before stepping.
 
-    step_status and inner_residual are populated only by solvers whose step
-    has an inner loop; clamped marks an iterate that needed the underflow
-    clamp when it was produced.
+    step_status, inner_residual and inner_iterations describe the step that
+    produced this iterate; they are populated only by solvers whose step has
+    an inner loop.  clamped marks an iterate that needed the underflow clamp
+    when it was produced.
     """
 
     iteration: int
@@ -76,6 +79,7 @@ class TraceRecord:
     clamped: bool = False
     step_status: str | None = None
     inner_residual: float | None = None
+    inner_iterations: int | None = None
 
     @property
     def mutual_info(self) -> float:
@@ -130,11 +134,12 @@ class CapacityResult:
     termination: Termination
 
 
-def _sweep(q: Distribution, ch: Channel) -> tuple[np.ndarray, Bracket]:
-    """Per-input divergences from r_q and the bracket they certify at q."""
-    d = per_input_divergences(ch, output_marginal(q, ch).weights)
+def _sweep(q: Distribution, ch: Channel) -> tuple[Distribution, np.ndarray, Bracket]:
+    """r_q, the per-input divergences from it, and the bracket they certify at q."""
+    r = output_marginal(q, ch)
+    d = per_input_divergences(ch, r.weights)
     lower = ordered_dot(q.weights, d)
-    return d, Bracket(lower, max(lower, float(np.max(d))))
+    return r, d, Bracket(lower, max(lower, float(d.max())))
 
 
 def _tilt(weights: np.ndarray, divergences: np.ndarray) -> np.ndarray:
@@ -148,7 +153,7 @@ def _clamp(weights: np.ndarray) -> tuple[np.ndarray, bool]:
 
     Returns the (renormalized) weights and whether any entry was lifted.
     """
-    clamped = bool(np.any(weights == 0.0))
+    clamped = bool((weights == 0.0).any())
     if clamped:
         weights = np.maximum(weights, _TINY)
         weights = weights / ordered_sum(weights)
@@ -171,7 +176,7 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     divergences by a constant, which the normalization absorbs.
     """
     _check_interior_input(q, ch)
-    d, _ = _sweep(q, ch)
+    _, d, _ = _sweep(q, ch)
     fresh, _ = _multiplicative_update(q.weights, d)
     return Distribution(fresh)
 
@@ -185,7 +190,19 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     lower to keep the bracket ordered.
     """
     _check_interior_input(q, ch)
-    return _sweep(q, ch)[1]
+    return _sweep(q, ch)[2]
+
+
+def _check_real(name: str, value, upper: float = math.inf) -> None:
+    """Raise ParameterOutOfRange unless value is a real number in (0, upper].
+
+    `not 0 < value` rejects NaN too, which would never stop an iteration; a
+    string or None would otherwise reach the comparison and raise a bare
+    TypeError.
+    """
+    if not (isinstance(value, numbers.Real) and 0.0 < value <= upper):
+        allowed = "positive" if upper == math.inf else f"in (0, {upper:g}]"
+        raise ParameterOutOfRange(f"{name} must be a real number {allowed}, got {value!r}")
 
 
 def _check_limit(name: str, value) -> None:
@@ -202,10 +219,14 @@ def _check_limit(name: str, value) -> None:
         raise ParameterOutOfRange(f"{name} must be at least 1, got {value!r}")
 
 
-# Maps the current iterate and its divergences to the raw next weights, plus
-# the step's inner status and residual (None for single-sweep steps).
-# _iterate clamps the weights and records the rest on the next trace record.
-Stepper = Callable[[Distribution, np.ndarray], tuple[np.ndarray, str | None, float | None]]
+# Maps the current iterate q, its output marginal r_q and its divergences d to
+# the raw next weights, plus the step's inner status, residual and iteration
+# count (None for single-sweep steps).  _iterate clamps the weights and
+# records the rest on the next trace record.
+Stepper = Callable[
+    [Distribution, Distribution, np.ndarray],
+    tuple[np.ndarray, str | None, float | None, int | None],
+]
 
 
 def _iterate(
@@ -215,9 +236,7 @@ def _iterate(
     initial: Distribution | None,
     stepper: Stepper,
 ) -> tuple[CapacityResult, IterationTrace]:
-    # `not tol > 0` rejects NaN too, which would never stop the iteration.
-    if not tol > 0.0:
-        raise ParameterOutOfRange(f"tolerance must be positive, got {tol!r}")
+    _check_real("tolerance", tol)
     _check_limit("max_iters", max_iters)
     q = Distribution.uniform(ch.num_inputs) if initial is None else initial
     _check_interior_input(q, ch)
@@ -226,9 +245,10 @@ def _iterate(
     clamped = False
     status: str | None = None
     residual: float | None = None
+    inner: int | None = None
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
-        d, (lower, upper) = _sweep(q, ch)
+        r, d, (lower, upper) = _sweep(q, ch)
         records.append(
             TraceRecord(
                 iteration=iteration,
@@ -239,6 +259,7 @@ def _iterate(
                 clamped=clamped,
                 step_status=status,
                 inner_residual=residual,
+                inner_iterations=inner,
             )
         )
         if upper - lower <= tol:
@@ -246,7 +267,7 @@ def _iterate(
             break
         if iteration == max_iters:
             break
-        fresh, status, residual = stepper(q, d)
+        fresh, status, residual, inner = stepper(q, r, d)
         fresh, clamped = _clamp(fresh)
         q = Distribution._trusted(fresh)
 
@@ -263,8 +284,8 @@ def _iterate(
     return result, trace
 
 
-def _arimoto_stepper(q: Distribution, d: np.ndarray):
-    return _tilt(q.weights, d), None, None
+def _arimoto_stepper(q: Distribution, r: Distribution, d: np.ndarray):
+    return _tilt(q.weights, d), None, None, None
 
 
 def solve_arimoto(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, _check_limit, _iterate, _tilt
+from .arimoto import CapacityResult, IterationTrace, _check_limit, _check_real, _iterate, _tilt
 from .channel import (
     Channel,
     _check_interior_input,
@@ -114,11 +114,10 @@ class GeometricMixtureResult:
     normalizer_gap: float
 
 
-def _induced_input(
-    log_base: np.ndarray, output_factor: np.ndarray, ch: Channel
-) -> tuple[Distribution, float]:
-    """The induced input and log normalizer of the member at a raw factor."""
-    logits = log_base + per_input_divergences(ch, output_factor)
+def _induced_input(log_base: np.ndarray, divergences: np.ndarray) -> tuple[Distribution, float]:
+    """The induced input and log normalizer of the member at the output
+    factor whose per-input divergences are given."""
+    logits = log_base + divergences
     log_norm = logsumexp(logits)
     return Distribution._trusted(np.exp(logits - log_norm)), log_norm
 
@@ -135,16 +134,20 @@ def backward_e_member(
     the support of the output factor.
     """
     _check_interior_input(base_input, ch)
-    induced, log_norm = _induced_input(np.log(base_input.weights), output_factor.weights, ch)
+    induced, log_norm = _induced_input(
+        np.log(base_input.weights), per_input_divergences(ch, output_factor.weights)
+    )
     return BackwardFamilyMember(base_input, output_factor, induced, log_norm)
+
+
+# The default inner damping; see exact_backward_m_step for why 0.8.
+_DAMPING = 0.8
 
 
 def _check_inner_parameters(inner_tol: float, max_inner: int, damping: float) -> None:
     """Raise ParameterOutOfRange unless the exact m-step's settings are usable."""
-    if not 0.0 < damping <= 1.0:
-        raise ParameterOutOfRange(f"damping must be in (0, 1], got {damping!r}")
-    if not inner_tol > 0.0:
-        raise ParameterOutOfRange(f"inner_tol must be positive, got {inner_tol!r}")
+    _check_real("damping", damping, upper=1.0)
+    _check_real("inner_tol", inner_tol)
     _check_limit("max_inner", max_inner)
 
 
@@ -153,7 +156,9 @@ def exact_backward_m_step(
     ch: Channel,
     inner_tol: float = 1e-10,
     max_inner: int = 10000,
-    damping: float = 0.5,
+    damping: float = _DAMPING,
+    *,
+    _outer_sweep: tuple[Distribution, np.ndarray] | None = None,
 ) -> MStepOutcome:
     """Best-effort solve of the backward fixed-point condition.
 
@@ -167,6 +172,22 @@ def exact_backward_m_step(
     the step's solution and its induced input is the next iterate.  Failure
     to converge within max_inner sweeps (or an output factor underflowing to
     the boundary) is reported via the status, never raised.
+
+    Why the default damping is 0.8: at a fixed point r* the Jacobian of T is
+    -Cov_{q[r*]}(P) diag(1/r*), the covariance taken over inputs x of the
+    rows P(.|x).  Its spectrum lies in [-1, 0], because the covariance is at
+    most diag(r*).  A damped sweep multiplies the error along an eigenvalue
+    -s by 1 - damping * (1 + s).  Damping 0.8 keeps every factor in
+    [-0.6, 0.2], so the sweep always contracts; damping 0.5 gives [0, 0.5].
+    Noisy channels have most of their spectrum near s = 0, where 0.8
+    contracts by 0.2 and 0.5 only by 0.5.  Measured on random channels of
+    2-16 inputs, 0.8 takes about half the inner sweeps per outer step that
+    0.5 takes, with no non-converged step.  Channels with two outputs can
+    sit near s = 1 instead, where 0.8 is the slower of the two.
+
+    _outer_sweep is the pair (output marginal of base_input, per-input
+    divergences from it) when the caller has just computed them, as the
+    solver's iteration has; the first sweep then starts from them.
     """
     _check_interior_input(base_input, ch)
     _check_inner_parameters(inner_tol, max_inner, damping)
@@ -174,23 +195,28 @@ def exact_backward_m_step(
     # The sweep runs on raw arrays: log q_t is taken once, and only the
     # converged solution becomes a BackwardFamilyMember.
     log_base = np.log(base_input.weights)
-    r = output_marginal(base_input, ch)
+    if _outer_sweep is None:
+        r = output_marginal(base_input, ch)
+        d = per_input_divergences(ch, r.weights)
+    else:
+        r, d = _outer_sweep
     residual = np.inf
     for sweep in range(max_inner + 1):
-        induced, log_norm = _induced_input(log_base, r.weights, ch)
+        induced, log_norm = _induced_input(log_base, d)
         mapped = Distribution._trusted(_marginal(induced.weights, ch)).weights
-        residual = float(np.max(np.abs(mapped - r.weights)))
+        residual = float(np.abs(mapped - r.weights).max())
         if residual <= inner_tol:
             member = BackwardFamilyMember(base_input, r, induced, log_norm)
             return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
         if sweep == max_inner:
             break
         blended = (1.0 - damping) * r.weights + damping * mapped
-        if np.any(blended == 0.0):
+        if (blended == 0.0).any():
             # The sweep is heading for the boundary of the output simplex;
             # the closed forms above stop being finite there.
             break
         r = Distribution._trusted(blended)
+        d = per_input_divergences(ch, r.weights)
     return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
 
 
@@ -273,7 +299,7 @@ def solve_backward_em(
     tol: float = 1e-9,
     max_iters: int = 100000,
     inner_tol: float = 1e-10,
-    damping: float = 0.5,
+    damping: float = _DAMPING,
     max_inner: int = 10000,
     initial: Distribution | None = None,
 ) -> tuple[CapacityResult, IterationTrace]:
@@ -283,19 +309,27 @@ def solve_backward_em(
     Each outer iteration attempts the exact backward m-step and falls back to
     the approximate step when the inner solve does not converge; the trace
     records which route produced every iterate ("exact" or "fallback")
-    together with the inner residual reached.  The approximate step is the
-    multiplicative tilt of the divergences the iteration already computed at
-    r_{q_t}, so the fallback costs no further pass over the channel.
+    together with the inner residual reached and the inner sweeps taken.  The
+    m-step starts from the output marginal and divergences the iteration has
+    already computed at q_t, and the approximate step is the multiplicative
+    tilt of those divergences, so neither costs a further pass over the
+    channel.
     """
 
     # Checked here as well as in every m-step, since a run that converges at
     # its first record never takes a step.
     _check_inner_parameters(inner_tol, max_inner, damping)
 
-    def stepper(q: Distribution, d: np.ndarray):
-        outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, damping)
+    def stepper(q: Distribution, r: Distribution, d: np.ndarray):
+        # Called by its module-level name, so a wrapper installed there sees
+        # every m-step.
+        outcome = exact_backward_m_step(
+            q, ch, inner_tol, max_inner, damping, _outer_sweep=(r, d)
+        )
         if outcome.status is MStepStatus.EXACT_CONVERGED:
-            return outcome.solution.induced_input.weights, "exact", outcome.residual
-        return _tilt(q.weights, d), "fallback", outcome.residual
+            weights, route = outcome.solution.induced_input.weights, "exact"
+        else:
+            weights, route = _tilt(q.weights, d), "fallback"
+        return weights, route, outcome.residual, outcome.inner_iterations
 
     return _iterate(ch, tol, max_iters, initial, stepper)

@@ -72,27 +72,27 @@ class Channel:
         m = np.array(self.matrix, dtype=float, order="C")
         if m.ndim != 2 or m.size == 0:
             raise InvalidDistribution(f"channel matrix must be 2-dimensional, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise InvalidDistribution("channel matrix entries must be finite")
-        negative = np.argwhere(m < 0.0)
-        if negative.size:
-            x, y = (int(v) for v in negative[0])
+        negative = m < 0.0
+        if negative.any():
+            x, y = (int(v) for v in np.argwhere(negative)[0])
             raise NegativeEntry(f"matrix entry ({x}, {y}) is negative: {m[x, y]!r}")
         totals = ordered_sum_along(m, axis=1)
         deviation = np.abs(totals - 1.0)
-        bad = np.flatnonzero(deviation > _SUM_REJECT)
-        if bad.size:
-            x = int(bad[0])
+        bad = deviation > _SUM_REJECT
+        if bad.any():
+            x = int(bad.argmax())  # the first bad row
             raise RowNotStochastic(x, float(deviation[x]))
         # Normalize rows only when needed, so a matrix saved by this package
         # reloads without any bit changing.
         off = deviation > _SUM_KEEP
-        if np.any(off):
+        if off.any():
             m[off] = m[off] / totals[off, None]
 
-        dead = np.all(m == 0.0, axis=0)
+        dead = (m == 0.0).all(axis=0)
         out_labels = self.output_labels
-        if np.any(dead):
+        if dead.any():
             kept = ~dead
             dropped = [int(y) for y in np.flatnonzero(dead)]
             warnings.warn(
@@ -182,6 +182,12 @@ def _as_text(source) -> str:
     return data
 
 
+def _third_quote(text: str) -> bool:
+    """True when text holds more than two '"' characters."""
+    second = text.find('"', text.find('"') + 1)
+    return second >= 0 and text.find('"', second + 1) >= 0
+
+
 def load_channel(source, format: str = "json") -> Channel:
     """Parse a channel from bytes, text, or a readable stream.
 
@@ -214,17 +220,18 @@ def load_channel(source, format: str = "json") -> Channel:
             if value is not None and not isinstance(value, list):
                 raise ParseError(f'"{key}" must be a list')
             labels.append(tuple(value) if value is not None else None)
-        # np.asarray would read true/false as 1.0/0.0.  Each test below runs
-        # only when the cheaper one before it passes.  "u" and "l" are
-        # one-character searches (memchr) and occur in no JSON number and not
-        # in the "matrix" key, so a plain numeric document stops there; only
-        # a document with a true/false token pays for the per-entry scan.
+        # np.asarray would read true/false as 1.0/0.0 and "0.5" as 0.5.  The
+        # per-entry scan runs only when a one-character search (memchr) finds
+        # what such an entry needs.  "u" and "l" occur in no JSON number and
+        # not in the "matrix" key, and a true/false token contains one of
+        # them.  A string entry brings a third '"' after the two of the
+        # "matrix" key.  A plain numeric document stops at these searches;
+        # a labelled one pays for the scan.
         if (
-            ("u" in text or "l" in text)
-            and ("true" in text or "false" in text)
-            and any(isinstance(v, bool) for row in matrix for v in row)
-        ):
-            raise ParseError('"matrix" entries must be numbers, not true/false')
+            _third_quote(text)
+            or (("u" in text or "l" in text) and ("true" in text or "false" in text))
+        ) and any(isinstance(v, (bool, str)) for row in matrix for v in row):
+            raise ParseError('"matrix" entries must be numbers, not strings or true/false')
         try:
             m = np.asarray(matrix, dtype=float)
         except (TypeError, ValueError):
@@ -310,7 +317,7 @@ def per_input_divergences(
     m = ch.matrix
     bad_rows = None
     zero = r == 0.0
-    if np.any(zero):
+    if zero.any():
         # No output column is all zero, so some row has mass where r has none.
         bad_rows = np.any(m[:, zero] > 0.0, axis=1)
         if infinite == "raise":

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .arimoto import CapacityResult, IterationTrace, Termination, solve_arimoto
-from .backward_em import solve_backward_em
+from .backward_em import _DAMPING, solve_backward_em
 from .channel import CANONICAL_KINDS, Channel, canonical, load_channel, save_channel
 from .errors import ParameterOutOfRange, ParseError
 from .probability import Distribution
@@ -106,6 +106,8 @@ def cmd_capacity(args) -> int:
         "optimal_input": [float(w) for w in result.optimal_input.weights],
         "units": args.units,
     }
+    if args.algorithm == "backward-em":
+        payload["inner_sweeps"] = sum(rec.inner_iterations or 0 for rec in trace)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 
@@ -219,7 +221,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--inner-tol", type=float, default=1e-10, help="fixed point residual tolerance"
     )
     parser.add_argument(
-        "--damping", type=float, default=0.5, help="fixed point damping factor in (0, 1]"
+        "--damping", type=float, default=_DAMPING, help="fixed point damping factor in (0, 1]"
     )
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
 

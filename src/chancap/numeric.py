@@ -52,5 +52,5 @@ def logsumexp(values: np.ndarray) -> float:
     a = np.asarray(values, dtype=float).ravel()
     if a.size == 0:
         raise ValueError("logsumexp of an empty array")
-    m = float(np.max(a))
+    m = float(a.max())
     return m + float(np.log(ordered_sum(np.exp(a - m))))

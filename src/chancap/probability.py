@@ -48,9 +48,9 @@ def _validated_weights(raw, ndim: int, what: str) -> np.ndarray:
         raise InvalidDistribution(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
     if a.size == 0:
         raise InvalidDistribution(f"{what} must have at least one entry")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidDistribution(f"{what} entries must be finite")
-    if np.any(a < 0.0):
+    if (a < 0.0).any():
         raise InvalidDistribution(f"{what} entries must be non-negative")
     total = ordered_sum(a)
     deviation = abs(total - 1.0)
@@ -77,15 +77,16 @@ class Distribution:
     def _trusted(cls, weights: np.ndarray) -> "Distribution":
         """Wrap a 1-D float array the package has just allocated, without a copy.
 
-        One ordered_sum and one minimum stand in for the constructor's checks:
-        a NaN or infinite entry makes the sum non-finite, so any array the
+        One sum and one minimum stand in for the constructor's checks: a NaN
+        or infinite entry makes the sum non-finite, so any array the
         constructor would reject is handed to it, and it raises.  Otherwise
         the weights are renormalized (or kept) exactly as the constructor
-        would, and the array is made read-only.
+        would, and the array is made read-only.  The array is fresh, 1-D and
+        contiguous, so np.add.reduce sums it exactly as ordered_sum would.
         """
-        total = ordered_sum(weights)
+        total = float(np.add.reduce(weights))
         deviation = abs(total - 1.0)
-        if not deviation <= _SUM_REJECT or np.min(weights) < 0.0:
+        if not deviation <= _SUM_REJECT or weights.min() < 0.0:
             return cls(weights)
         if deviation > _SUM_KEEP:
             weights = weights / total
@@ -101,7 +102,7 @@ class Distribution:
     @property
     def is_interior(self) -> bool:
         """True when every symbol has strictly positive mass."""
-        return bool(np.all(self.weights > 0.0))
+        return bool((self.weights > 0.0).all())
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":

@@ -18,6 +18,7 @@ from math import comb
 
 import numpy as np
 
+from .arimoto import _check_real
 from .channel import Channel, output_marginal, per_input_divergences
 from .errors import ParameterOutOfRange, TooManyInputs
 from .numeric import ordered_dot, ordered_sum_along
@@ -101,13 +102,6 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
     return best_value, Distribution(best_point)
 
 
-def _check_tolerance(tol: float) -> None:
-    # Rejects NaN too: with a NaN tolerance `spread > tol` is false, and
-    # converse_check would certify any input law.
-    if not tol > 0.0:
-        raise ParameterOutOfRange(f"tolerance must be positive, got {tol!r}")
-
-
 @dataclass(frozen=True)
 class CircumcenterReport:
     """Outcome of the equal-divergence optimality check.
@@ -141,7 +135,7 @@ def circumcenter_check(
     whose divergences are infinite are reported as failures rather than
     raised.
     """
-    _check_tolerance(tol)
+    _check_real("tolerance", tol)
     d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
     support = q.weights > support_threshold
     # Inputs with no mass contribute nothing to the weighted mean even when
@@ -182,7 +176,8 @@ def converse_check(ch: Channel, q: Distribution, tol: float = 1e-6) -> float | N
     failure to certify, since optima supported on a strict subset of inputs
     never satisfy the all-inputs hypothesis.
     """
-    _check_tolerance(tol)
+    # With a NaN tolerance `spread > tol` would be false, certifying any law.
+    _check_real("tolerance", tol)
     d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
     if not np.all(np.isfinite(d)):
         return None

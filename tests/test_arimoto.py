@@ -131,6 +131,7 @@ class TestSolve:
         for rec in trace:
             assert rec.lower_bound <= rec.upper_bound
             assert rec.mutual_info >= previous - 1e-12
+            assert rec.inner_iterations is None
             previous = rec.mutual_info
         trace.validate()
 
@@ -152,6 +153,10 @@ class TestSolve:
             solve_arimoto(bsc(0.1), tol=0.0)
         with pytest.raises(ParameterOutOfRange):
             solve_arimoto(bsc(0.1), tol=float("nan"))
+        # Non-numbers used to reach a comparison and raise a bare TypeError.
+        for tol in ("1e-9", None):
+            with pytest.raises(ParameterOutOfRange):
+                solve_arimoto(z_channel(0.5), tol=tol)
         with pytest.raises(ParameterOutOfRange):
             solve_arimoto(bsc(0.1), max_iters=0)
         # Non-integers used to reach range() and raise a bare TypeError.

@@ -28,10 +28,11 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
+from chancap.backward_em import _DAMPING
 from support import random_channel, random_interior
 
 
-def reference_m_step(base, ch, inner_tol=1e-10, max_inner=10000, damping=0.5):
+def reference_m_step(base, ch, inner_tol=1e-10, max_inner=10000, damping=_DAMPING):
     """The exact m-step written from the public member and marginal.
 
     Each sweep builds a validated member and marginal; the library's loop
@@ -171,6 +172,12 @@ class TestExactMStep:
         for limit in (float("nan"), 2.5, "10"):
             with pytest.raises(ParameterOutOfRange):
                 exact_backward_m_step(q, bsc(0.1), max_inner=limit)
+        # Non-numbers used to reach a comparison and raise a bare TypeError.
+        for value in ("0.5", None):
+            with pytest.raises(ParameterOutOfRange):
+                exact_backward_m_step(q, bsc(0.1), damping=value)
+            with pytest.raises(ParameterOutOfRange):
+                exact_backward_m_step(q, bsc(0.1), inner_tol=value)
 
     @pytest.mark.parametrize(
         "settings, expected",
@@ -289,7 +296,9 @@ class TestSolver:
         assert all(
             rec.inner_residual is not None for rec in trace.records[1:]
         )
+        assert all(rec.inner_iterations >= 0 for rec in trace.records[1:])
         assert trace.records[0].step_status is None
+        assert trace.records[0].inner_iterations is None
 
     def test_useless_channel_terminates_in_one_iteration(self):
         result, _ = solve_backward_em(uniform_rows(2, 3))
@@ -310,10 +319,19 @@ class TestSolver:
     def test_rejects_nan_tolerance(self):
         with pytest.raises(ParameterOutOfRange):
             solve_backward_em(bsc(0.1), tol=float("nan"))
+        with pytest.raises(ParameterOutOfRange):
+            solve_backward_em(z_channel(0.5), tol="1e-9")
 
     @pytest.mark.parametrize(
         "settings",
-        [{"inner_tol": float("nan")}, {"damping": 7.0}, {"max_inner": -3}, {"max_inner": 2.5}],
+        [
+            {"inner_tol": float("nan")},
+            {"damping": 7.0},
+            {"max_inner": -3},
+            {"max_inner": 2.5},
+            {"damping": "0.5"},
+            {"inner_tol": None},
+        ],
     )
     def test_inner_parameters_checked_before_the_first_step(self, settings):
         # bsc(0.1) converges at its first record, so no m-step ever runs.
@@ -332,6 +350,48 @@ class TestSolver:
                 assert np.array_equal(after.input_distribution.weights, expected)
                 fallbacks += 1
         assert fallbacks > 0
+
+    def test_exact_steps_match_the_standalone_m_step(self):
+        # The solver starts each m-step from the output marginal and
+        # divergences its own sweep computed; a fresh standalone m-step on
+        # the same iterate must give the same step to the bit.
+        rng = np.random.default_rng(62)
+        exact = 0
+        for _ in range(6):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            ch = random_channel(rng, n, m)
+            _, trace = solve_backward_em(ch, tol=1e-7)
+            for before, after in zip(trace.records, trace.records[1:]):
+                assert after.step_status == "exact"
+                outcome = exact_backward_m_step(before.input_distribution, ch)
+                assert np.array_equal(
+                    after.input_distribution.weights, outcome.solution.induced_input.weights
+                )
+                assert after.inner_residual == outcome.residual
+                assert after.inner_iterations == outcome.inner_iterations
+                exact += 1
+        assert exact > 0
+
+    def test_default_damping_halves_the_inner_sweeps(self):
+        # A count, not a timing: the spectral argument in the m-step's
+        # docstring predicts about half the inner sweeps of damping 0.5.
+        # Channels with two outputs can sit near s = 1 and gain less or even
+        # lose; this corpus has one, as drawn.
+        rng = np.random.default_rng(63)
+        channels = [
+            random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+            for _ in range(10)
+        ]
+
+        def inner_sweeps(damping):
+            total = 0
+            for ch in channels:
+                _, trace = solve_backward_em(ch, tol=1e-6, damping=damping)
+                assert all(rec.step_status == "exact" for rec in trace.records[1:])
+                total += sum(rec.inner_iterations for rec in trace.records[1:])
+            return total
+
+        assert inner_sweeps(_DAMPING) <= 0.55 * inner_sweeps(0.5)
 
     def test_bracket_stopping_rule(self):
         result, trace = solve_backward_em(z_channel(0.5), tol=1e-9)

@@ -121,6 +121,9 @@ class TestSerialization:
             b'{"matrix": [[{"a": 1}, 0.5]]}',
             b'{"matrix": [[true, false], [false, true]]}',
             b'{"matrix": [[0.5, 0.5], [1, false]]}',
+            b'{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
+            b'{"matrix": [[0.5, 0.5], [0.1, "0.9"]]}',
+            b'{"input_labels": ["a", "b"], "matrix": [["0.5", 0.5], [0.1, 0.9]]}',
         ],
     )
     def test_non_numeric_entries(self, doc):

@@ -49,6 +49,7 @@ class TestCapacity:
         assert payload["termination"] == "converged"
         assert payload["lower"] <= payload["capacity"] <= payload["upper"]
         assert payload["optimal_input"] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert "inner_sweeps" not in payload
 
     def test_nats_option(self, tmp_path, capsys):
         path = write_bsc(tmp_path, capsys)
@@ -64,6 +65,7 @@ class TestCapacity:
             capsys, ["capacity", "--channel", str(path), "--algorithm", "backward-em"]
         )
         assert payload["capacity"] == pytest.approx(Z05_BITS, abs=1e-8)
+        assert payload["inner_sweeps"] > 0
 
     def test_iteration_limit_exit_code(self, tmp_path, capsys):
         path = write_z(tmp_path, capsys)
@@ -141,6 +143,7 @@ class TestCapacity:
             '{"matrix": [[{"a": 1}, 0.5]]}',
             '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "input_labels": 5}',
             '{"matrix": [[true, false], [false, true]]}',
+            '{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
         ],
     )
     def test_non_numeric_channel_is_bad_input(self, tmp_path, capsys, doc):

@@ -115,6 +115,8 @@ class TestCircumcenter:
     def test_rejects_nan_tolerance(self):
         with pytest.raises(ParameterOutOfRange):
             circumcenter_check(Distribution.uniform(2), z_channel(0.5), tol=float("nan"))
+        with pytest.raises(ParameterOutOfRange):
+            circumcenter_check(Distribution.uniform(2), z_channel(0.5), tol="1e-6")
 
     def test_infinite_divergence_off_support_fails_cleanly(self):
         # All mass on the first input of a noiseless channel: the unused
@@ -158,6 +160,8 @@ class TestConverse:
         # A NaN tolerance used to certify a value below capacity here.
         with pytest.raises(ParameterOutOfRange):
             converse_check(z_channel(0.5), Distribution.uniform(2), tol=float("nan"))
+        with pytest.raises(ParameterOutOfRange):
+            converse_check(z_channel(0.5), Distribution.uniform(2), tol="1e-6")
 
     def test_tolerance_widens_the_certificate(self):
         q = Distribution(np.array([0.55, 0.45]))
