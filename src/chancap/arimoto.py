@@ -32,9 +32,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import Channel, _check_interior_input, output_marginal, per_input_divergences
+from .channel import Channel, _check_interior_input, _divergences, _marginal, per_input_divergences
 from .errors import ParameterOutOfRange
-from .numeric import logsumexp, ordered_dot, ordered_sum
+from .numeric import _tilt, ordered_dot, ordered_sum
 from .probability import Distribution
 
 __all__ = [
@@ -103,25 +103,6 @@ class IterationTrace:
     def __iter__(self):
         return iter(self.records)
 
-    def validate(self) -> None:
-        """Assert the structural trace invariants.
-
-        Brackets must be ordered at every record and mutual information must
-        be non-decreasing up to a 1e-12 rounding slack.
-        """
-        previous = -np.inf
-        for rec in self.records:
-            if rec.lower_bound > rec.upper_bound:
-                raise AssertionError(
-                    f"iteration {rec.iteration}: lower {rec.lower_bound!r} above upper {rec.upper_bound!r}"
-                )
-            if rec.mutual_info < previous - 1e-12:
-                raise AssertionError(
-                    f"iteration {rec.iteration}: mutual information fell by "
-                    f"{previous - rec.mutual_info:.3e}"
-                )
-            previous = rec.mutual_info
-
 
 @dataclass(frozen=True)
 class CapacityResult:
@@ -135,17 +116,19 @@ class CapacityResult:
 
 
 def _sweep(q: Distribution, ch: Channel) -> tuple[Distribution, np.ndarray, Bracket]:
-    """r_q, the per-input divergences from it, and the bracket they certify at q."""
-    r = output_marginal(q, ch)
-    d = per_input_divergences(ch, r.weights)
+    """r_q, the per-input divergences from it, and the bracket they certify at q.
+
+    Every caller has checked q.  A marginal entry that underflowed to zero
+    goes to the checking per_input_divergences, which raises
+    AbsoluteContinuityViolation; otherwise the kernel runs unchecked.
+    """
+    r = Distribution._trusted(_marginal(q.weights, ch))
+    if r.weights.min() > 0.0:
+        d = _divergences(ch, r.weights)
+    else:
+        d = per_input_divergences(ch, r.weights)
     lower = ordered_dot(q.weights, d)
     return r, d, Bracket(lower, max(lower, float(d.max())))
-
-
-def _tilt(weights: np.ndarray, divergences: np.ndarray) -> np.ndarray:
-    """q(x) * exp(d(x)), normalized in log space; entries may underflow to 0."""
-    logits = np.log(weights) + divergences
-    return np.exp(logits - logsumexp(logits))
 
 
 def _clamp(weights: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -160,15 +143,6 @@ def _clamp(weights: np.ndarray) -> tuple[np.ndarray, bool]:
     return weights, clamped
 
 
-def _multiplicative_update(weights: np.ndarray, divergences: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One multiplicative reweighting, clamped to stay interior.
-
-    Returns the new weights and whether any of them underflowed and had to be
-    clamped to the smallest positive normal float.
-    """
-    return _clamp(_tilt(weights, divergences))
-
-
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """One multiplicative reweighting of the input law.
 
@@ -177,7 +151,7 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """
     _check_interior_input(q, ch)
     _, d, _ = _sweep(q, ch)
-    fresh, _ = _multiplicative_update(q.weights, d)
+    fresh, _ = _clamp(_tilt(np.log(q.weights), d)[0])
     return Distribution(fresh)
 
 
@@ -242,6 +216,7 @@ def _iterate(
     _check_interior_input(q, ch)
 
     records: list[TraceRecord] = []
+    previous = -math.inf
     clamped = False
     status: str | None = None
     residual: float | None = None
@@ -249,6 +224,14 @@ def _iterate(
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
         r, d, (lower, upper) = _sweep(q, ch)
+        # Brackets are ordered and mutual information never falls, up to a
+        # 1e-12 rounding slack; a NaN bound fails the comparison too.
+        if not previous - 1e-12 <= lower <= upper:
+            raise AssertionError(
+                f"iteration {iteration}: bracket ({lower!r}, {upper!r}) is unordered "
+                f"or below the previous lower bound {previous!r}"
+            )
+        previous = lower
         records.append(
             TraceRecord(
                 iteration=iteration,
@@ -271,8 +254,6 @@ def _iterate(
         fresh, clamped = _clamp(fresh)
         q = Distribution._trusted(fresh)
 
-    trace = IterationTrace(tuple(records))
-    trace.validate()
     last = records[-1]
     result = CapacityResult(
         capacity=0.5 * (last.lower_bound + last.upper_bound),
@@ -281,11 +262,11 @@ def _iterate(
         iterations=len(records),
         termination=termination,
     )
-    return result, trace
+    return result, IterationTrace(tuple(records))
 
 
 def _arimoto_stepper(q: Distribution, r: Distribution, d: np.ndarray):
-    return _tilt(q.weights, d), None, None, None
+    return _tilt(np.log(q.weights), d)[0], None, None, None
 
 
 def solve_arimoto(

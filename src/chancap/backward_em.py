@@ -34,16 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, _check_limit, _check_real, _iterate, _tilt
+from .arimoto import CapacityResult, IterationTrace, _check_limit, _check_real, _iterate, _sweep
 from .channel import (
     Channel,
     _check_interior_input,
+    _divergences,
     _marginal,
     output_marginal,
     per_input_divergences,
 )
 from .errors import DimensionMismatch, ParameterOutOfRange
-from .numeric import logsumexp
+from .numeric import _tilt, logsumexp
 from .probability import Distribution
 
 __all__ = [
@@ -114,14 +115,6 @@ class GeometricMixtureResult:
     normalizer_gap: float
 
 
-def _induced_input(log_base: np.ndarray, divergences: np.ndarray) -> tuple[Distribution, float]:
-    """The induced input and log normalizer of the member at the output
-    factor whose per-input divergences are given."""
-    logits = log_base + divergences
-    log_norm = logsumexp(logits)
-    return Distribution._trusted(np.exp(logits - log_norm)), log_norm
-
-
 def backward_e_member(
     base_input: Distribution, output_factor: Distribution, ch: Channel
 ) -> BackwardFamilyMember:
@@ -134,10 +127,9 @@ def backward_e_member(
     the support of the output factor.
     """
     _check_interior_input(base_input, ch)
-    induced, log_norm = _induced_input(
-        np.log(base_input.weights), per_input_divergences(ch, output_factor.weights)
-    )
-    return BackwardFamilyMember(base_input, output_factor, induced, log_norm)
+    d = per_input_divergences(ch, output_factor.weights)
+    induced, log_norm = _tilt(np.log(base_input.weights), d)
+    return BackwardFamilyMember(base_input, output_factor, Distribution._trusted(induced), log_norm)
 
 
 # The default inner damping; see exact_backward_m_step for why 0.8.
@@ -196,13 +188,13 @@ def exact_backward_m_step(
     # converged solution becomes a BackwardFamilyMember.
     log_base = np.log(base_input.weights)
     if _outer_sweep is None:
-        r = output_marginal(base_input, ch)
-        d = per_input_divergences(ch, r.weights)
+        r, d, _ = _sweep(base_input, ch)
     else:
         r, d = _outer_sweep
     residual = np.inf
     for sweep in range(max_inner + 1):
-        induced, log_norm = _induced_input(log_base, d)
+        weights, log_norm = _tilt(log_base, d)
+        induced = Distribution._trusted(weights)
         mapped = Distribution._trusted(_marginal(induced.weights, ch)).weights
         residual = float(np.abs(mapped - r.weights).max())
         if residual <= inner_tol:
@@ -213,10 +205,11 @@ def exact_backward_m_step(
         blended = (1.0 - damping) * r.weights + damping * mapped
         if (blended == 0.0).any():
             # The sweep is heading for the boundary of the output simplex;
-            # the closed forms above stop being finite there.
+            # the closed forms above stop being finite there.  Past this
+            # test r has no zero entry, so the unchecked kernel applies.
             break
         r = Distribution._trusted(blended)
-        d = per_input_divergences(ch, r.weights)
+        d = _divergences(ch, r.weights)
     return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
 
 
@@ -329,7 +322,7 @@ def solve_backward_em(
         if outcome.status is MStepStatus.EXACT_CONVERGED:
             weights, route = outcome.solution.induced_input.weights, "exact"
         else:
-            weights, route = _tilt(q.weights, d), "fallback"
+            weights, route = _tilt(np.log(q.weights), d)[0], "fallback"
         return weights, route, outcome.residual, outcome.inner_iterations
 
     return _iterate(ch, tol, max_iters, initial, stepper)

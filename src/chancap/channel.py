@@ -14,6 +14,10 @@ This module is also the kernel every solver and check shares.  A sweep is
 where negH(x) = sum_y P(y|x) log P(y|x) is the row negentropy, computed
 once per channel on first use and cached.  Both steps are one elementwise
 product and one np.add.reduce over a C-contiguous operand (see numeric).
+The private _marginal and _divergences are the kernel itself and check
+nothing; the solvers call them on arrays they have built.  The public
+output_marginal and per_input_divergences validate their arguments and then
+call the same two functions, so both paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -295,6 +299,16 @@ def output_marginal(q: Distribution, ch: Channel) -> Distribution:
     return Distribution(_marginal(q.weights, ch))
 
 
+def _divergences(ch: Channel, r: np.ndarray) -> np.ndarray:
+    """D(row_x || r) for every input x, for a raw output law r with no zero entry.
+
+    The kernel negH(x) - sum_y P(y|x) log r(y), floored at 0 against rounding.
+    Nothing is checked: r must have the channel's width and be positive.
+    """
+    # P * log r is C-contiguous, so the row reduction is deterministic.
+    return np.maximum(ch.row_negentropy - np.add.reduce(ch.matrix * np.log(r), axis=1), 0.0)
+
+
 def per_input_divergences(
     ch: Channel, reference: np.ndarray, infinite: str = "raise"
 ) -> np.ndarray:
@@ -304,8 +318,8 @@ def per_input_divergences(
     has mass on a symbol with zero reference weight the divergence is
     infinite; infinite="raise" raises AbsoluteContinuityViolation, while
     infinite="inf" records +inf for that row (useful for diagnostic checks
-    that must not throw).  Computed as negH(x) - sum_y P(y|x) log r(y) from
-    the channel's cached row negentropies, so each call makes one pass over P.
+    that must not throw).  Computed by _divergences from the channel's cached
+    row negentropies, so each call makes one pass over P.
     """
     r = np.asarray(reference, dtype=float)
     if r.shape != (ch.num_outputs,):
@@ -314,25 +328,19 @@ def per_input_divergences(
         )
     if infinite not in ("raise", "inf"):
         raise ValueError(f"infinite must be 'raise' or 'inf', got {infinite!r}")
-    m = ch.matrix
-    bad_rows = None
+    positive = r > 0.0
+    if positive.all():
+        return _divergences(ch, r)
     zero = r == 0.0
-    if zero.any():
-        # No output column is all zero, so some row has mass where r has none.
-        bad_rows = np.any(m[:, zero] > 0.0, axis=1)
-        if infinite == "raise":
-            raise AbsoluteContinuityViolation(
-                f"row {int(np.flatnonzero(bad_rows)[0])} has mass outside the reference support"
-            )
+    # No output column is all zero, so some row has mass where r has none.
+    bad_rows = (ch.matrix[:, zero] > 0.0).any(axis=1)
+    if infinite == "raise" and bad_rows.any():
+        raise AbsoluteContinuityViolation(
+            f"row {int(np.flatnonzero(bad_rows)[0])} has mass outside the reference support"
+        )
     # Outputs without reference mass get log r = 0: a row with mass there is
-    # overwritten with +inf below, and every other row has P = 0 there.
-    log_ref = np.log(np.where(r > 0.0, r, 1.0))
-    # m * log_ref is C-contiguous, so the row reduction is deterministic.
-    d = ch.row_negentropy - np.add.reduce(m * log_ref, axis=1)
-    d = np.maximum(d, 0.0)
-    if bad_rows is not None:
-        d = np.where(bad_rows, np.inf, d)
-    return d
+    # overwritten with +inf, and every other row has P = 0 there.
+    return np.where(bad_rows, np.inf, _divergences(ch, np.where(positive, r, 1.0)))
 
 
 # ---------------------------------------------------------------------------

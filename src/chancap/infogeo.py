@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, _check_interior_input, per_input_divergences
-from .numeric import logsumexp
+from .numeric import _tilt
 from .probability import Distribution, JointDistribution, marginals
 
 __all__ = [
@@ -65,5 +65,4 @@ def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:
     q = point.input_factor
     _check_interior_input(q, ch)
     d = per_input_divergences(ch, point.output_factor.weights)
-    logits = np.log(q.weights) - d
-    return Distribution(np.exp(logits - logsumexp(logits)))
+    return Distribution._trusted(_tilt(np.log(q.weights), -d)[0])

@@ -54,3 +54,15 @@ def logsumexp(values: np.ndarray) -> float:
         raise ValueError("logsumexp of an empty array")
     m = float(a.max())
     return m + float(np.log(ordered_sum(np.exp(a - m))))
+
+
+def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(log w + e - L) and L = logsumexp(log w + e), given log w and e.
+
+    Every multiplicative reweighting in the package: the Arimoto step and the
+    backward member tilt by +d, the e-projection by -d.  Entries may
+    underflow to 0.
+    """
+    logits = log_weights + exponents
+    log_norm = logsumexp(logits)
+    return np.exp(logits - log_norm), log_norm

@@ -10,12 +10,15 @@ Conventions used throughout:
 * zero-mass terms are skipped before the reference weight is inspected, which
   realizes the 0*log(0/q) = 0 and 0*log(0/0) = 0 conventions.
 
-Trust boundary: every vector that arrives from outside the package is
-validated on the way in by the constructor, which copies it.  The private
-Distribution._trusted is only for 1-D float arrays the package has just
-allocated (a solver's iterate, an inner-loop marginal); it takes no copy and
-checks the sum and the minimum only, which still rejects every vector the
-constructor rejects, with the same error.
+Trust boundary: validate on the way in, trust internally.  Every vector
+that arrives from outside the package is validated by the constructor,
+which copies it, and every public function checks its arguments.  The
+private Distribution._trusted is only for 1-D float arrays the package has
+just allocated from checked inputs (a solver's iterate, an output marginal,
+an inner-loop blend); it takes no copy and checks the sum and the minimum
+only, which still rejects every vector the constructor rejects, with the
+same error.  The solver loops call the channel kernel (channel._marginal and
+channel._divergences) the same way, past its checking wrappers.
 """
 
 from __future__ import annotations

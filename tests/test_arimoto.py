@@ -23,7 +23,8 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import _multiplicative_update
+from chancap.arimoto import _clamp
+from chancap.numeric import _tilt
 from support import random_channel, random_interior
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
@@ -77,13 +78,13 @@ class TestStep:
         rng = np.random.default_rng(77)
         q = rng.dirichlet(np.ones(5))
         d = rng.uniform(0.0, 3.0, size=5)
-        base, _ = _multiplicative_update(q, d)
-        shifted, _ = _multiplicative_update(q, d + shift)
+        base, _ = _clamp(_tilt(np.log(q), d)[0])
+        shifted, _ = _clamp(_tilt(np.log(q), d + shift)[0])
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
     def test_underflow_clamp_keeps_iterate_interior(self):
         q = np.array([1e-300, 1.0 - 1e-300])
-        fresh, clamped = _multiplicative_update(q, np.array([0.0, 800.0]))
+        fresh, clamped = _clamp(_tilt(np.log(q), np.array([0.0, 800.0]))[0])
         assert clamped
         assert np.all(fresh > 0.0)
         assert abs(float(np.sum(fresh)) - 1.0) <= 1e-12
@@ -133,7 +134,6 @@ class TestSolve:
             assert rec.mutual_info >= previous - 1e-12
             assert rec.inner_iterations is None
             previous = rec.mutual_info
-        trace.validate()
 
     def test_max_iters_termination(self):
         result, trace = solve_arimoto(z_channel(0.5), tol=1e-15, max_iters=3)

@@ -313,7 +313,8 @@ class TestSolver:
         )
         routes = {rec.step_status for rec in trace.records[1:]}
         assert "fallback" in routes
-        trace.validate()
+        for before, after in zip(trace.records, trace.records[1:]):
+            assert after.mutual_info >= before.mutual_info - 1e-12
         assert result.capacity == pytest.approx(np.log(1.25), abs=1e-8)
 
     def test_rejects_nan_tolerance(self):

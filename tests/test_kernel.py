@@ -1,8 +1,11 @@
 """The channel kernel: output marginal and per-input divergences.
 
-Every solver and check computes r = qP and d = negH - P log r through
-output_marginal and per_input_divergences; these tests pin that kernel
-against the plain divergence definition and its determinism contract.
+Every solver and check computes r = qP and d = negH - P log r with one
+kernel.  The public output_marginal and per_input_divergences validate their
+arguments before calling it; the solvers call it directly on the arrays they
+build.  These tests pin the kernel against the plain divergence definition
+and its determinism contract, and the solvers' unchecked path against the
+public one, bit for bit and error for error.
 """
 
 import numpy as np
@@ -26,8 +29,11 @@ from chancap import (
     kl_divergence,
     output_marginal,
     per_input_divergences,
+    solve_arimoto,
+    solve_backward_em,
 )
-from support import random_interior
+from chancap.numeric import ordered_dot
+from support import random_channel, random_interior
 
 
 def sparse_channel(rng: np.random.Generator, n_in: int, n_out: int) -> Channel:
@@ -150,3 +156,39 @@ class TestDeterminism:
             assert np.array_equal(output_marginal(q, again).weights, r)
             assert np.array_equal(per_input_divergences(again, r), d)
             assert np.array_equal(per_input_divergences(ch, r), d)
+
+
+class TestTrustBoundary:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q, ch: solve_arimoto(ch, initial=q),
+            lambda q, ch: solve_backward_em(ch, initial=q),
+            lambda q, ch: capacity_bracket(q, ch),
+            lambda q, ch: arimoto_step(q, ch),
+        ],
+    )
+    def test_underflowing_output_marginal_is_a_typed_error(self, call):
+        # q is interior, but its output marginal underflows to (1, 0) while
+        # row 1 keeps mass on output 1: the divergence there is infinite.
+        ch = Channel(np.array([[1.0, 0.0], [1.0 - 1e-300, 1e-300]]))
+        q = Distribution(np.array([1.0, 5e-324]))
+        assert q.is_interior
+        with pytest.raises(AbsoluteContinuityViolation):
+            call(q, ch)
+
+    @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
+    def test_solver_records_match_the_public_kernel(self, solve):
+        rng = np.random.default_rng(71)
+        records = 0
+        for _ in range(4):
+            n, m = (int(v) for v in rng.integers(2, 9, size=2))
+            ch = random_channel(rng, n, m)
+            _, trace = solve(ch, tol=1e-7)
+            for rec in trace:
+                q = rec.input_distribution
+                d = per_input_divergences(ch, output_marginal(q, ch).weights)
+                assert np.array_equal(rec.per_input_divergence, d)
+                assert rec.lower_bound == ordered_dot(q.weights, d)
+                records += 1
+        assert records > 4
