@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import Channel, _check_interior_input, _divergences, _marginal, per_input_divergences
-from .errors import ParameterOutOfRange
+from .errors import _check_limit, _check_real
 from .numeric import _tilt, ordered_dot, ordered_sum
-from .probability import Distribution
+from .probability import Distribution, _normalized
 
 __all__ = [
     "Termination",
@@ -115,19 +113,16 @@ class CapacityResult:
     termination: Termination
 
 
-def _sweep(q: Distribution, ch: Channel) -> tuple[Distribution, np.ndarray, Bracket]:
+def _sweep(q: np.ndarray, ch: Channel) -> tuple[np.ndarray, np.ndarray, Bracket]:
     """r_q, the per-input divergences from it, and the bracket they certify at q.
 
-    Every caller has checked q.  A marginal entry that underflowed to zero
-    goes to the checking per_input_divergences, which raises
-    AbsoluteContinuityViolation; otherwise the kernel runs unchecked.
+    q and r_q are raw weights; every caller has checked q.  A marginal entry
+    that underflowed to zero goes to the checking per_input_divergences,
+    which raises AbsoluteContinuityViolation; else the kernel runs unchecked.
     """
-    r = Distribution._trusted(_marginal(q.weights, ch))
-    if r.weights.min() > 0.0:
-        d = _divergences(ch, r.weights)
-    else:
-        d = per_input_divergences(ch, r.weights)
-    lower = ordered_dot(q.weights, d)
+    r = _normalized(_marginal(q, ch))
+    d = _divergences(ch, r) if r.min() > 0.0 else per_input_divergences(ch, r)
+    lower = ordered_dot(q, d)
     return r, d, Bracket(lower, max(lower, float(d.max())))
 
 
@@ -150,7 +145,7 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     divergences by a constant, which the normalization absorbs.
     """
     _check_interior_input(q, ch)
-    _, d, _ = _sweep(q, ch)
+    _, d, _ = _sweep(q.weights, ch)
     fresh, _ = _clamp(_tilt(np.log(q.weights), d)[0])
     return Distribution(fresh)
 
@@ -164,41 +159,15 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     lower to keep the bracket ordered.
     """
     _check_interior_input(q, ch)
-    return _sweep(q, ch)[2]
+    return _sweep(q.weights, ch)[2]
 
 
-def _check_real(name: str, value, upper: float = math.inf) -> None:
-    """Raise ParameterOutOfRange unless value is a real number in (0, upper].
-
-    `not 0 < value` rejects NaN too, which would never stop an iteration; a
-    string or None would otherwise reach the comparison and raise a bare
-    TypeError.
-    """
-    if not (isinstance(value, numbers.Real) and 0.0 < value <= upper):
-        allowed = "positive" if upper == math.inf else f"in (0, {upper:g}]"
-        raise ParameterOutOfRange(f"{name} must be a real number {allowed}, got {value!r}")
-
-
-def _check_limit(name: str, value) -> None:
-    """Raise ParameterOutOfRange unless value is an integer of at least 1.
-
-    Any integer type numpy or Python provides passes; a float, even a whole
-    one, does not, since range() would reject it later with a bare TypeError.
-    """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ParameterOutOfRange(f"{name} must be at least 1, got {value!r}")
-
-
-# Maps the current iterate q, its output marginal r_q and its divergences d to
-# the raw next weights, plus the step's inner status, residual and iteration
-# count (None for single-sweep steps).  _iterate clamps the weights and
-# records the rest on the next trace record.
+# Maps the current iterate q, its raw output marginal r_q and its divergences
+# d to the raw next weights, plus the step's inner status, residual and
+# iteration count (None for single-sweep steps).  _iterate clamps the weights,
+# builds the next iterate and records the rest on the next trace record.
 Stepper = Callable[
-    [Distribution, Distribution, np.ndarray],
+    [Distribution, np.ndarray, np.ndarray],
     tuple[np.ndarray, str | None, float | None, int | None],
 ]
 
@@ -223,7 +192,7 @@ def _iterate(
     inner: int | None = None
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
-        r, d, (lower, upper) = _sweep(q, ch)
+        r, d, (lower, upper) = _sweep(q.weights, ch)
         # Brackets are ordered and mutual information never falls, up to a
         # 1e-12 rounding slack; a NaN bound fails the comparison too.
         if not previous - 1e-12 <= lower <= upper:
@@ -252,7 +221,7 @@ def _iterate(
             break
         fresh, status, residual, inner = stepper(q, r, d)
         fresh, clamped = _clamp(fresh)
-        q = Distribution._trusted(fresh)
+        q = Distribution(fresh)
 
     last = records[-1]
     result = CapacityResult(
@@ -265,7 +234,7 @@ def _iterate(
     return result, IterationTrace(tuple(records))
 
 
-def _arimoto_stepper(q: Distribution, r: Distribution, d: np.ndarray):
+def _arimoto_stepper(q: Distribution, r: np.ndarray, d: np.ndarray):
     return _tilt(np.log(q.weights), d)[0], None, None, None
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, _check_limit, _check_real, _iterate, _sweep
+from .arimoto import CapacityResult, IterationTrace, _iterate, _sweep
 from .channel import (
     Channel,
     _check_interior_input,
@@ -43,9 +43,9 @@ from .channel import (
     output_marginal,
     per_input_divergences,
 )
-from .errors import DimensionMismatch, ParameterOutOfRange
+from .errors import DimensionMismatch, _check_limit, _check_probability, _check_real
 from .numeric import _tilt, logsumexp
-from .probability import Distribution
+from .probability import Distribution, _normalized
 
 __all__ = [
     "BackwardFamilyMember",
@@ -129,7 +129,7 @@ def backward_e_member(
     _check_interior_input(base_input, ch)
     d = per_input_divergences(ch, output_factor.weights)
     induced, log_norm = _tilt(np.log(base_input.weights), d)
-    return BackwardFamilyMember(base_input, output_factor, Distribution._trusted(induced), log_norm)
+    return BackwardFamilyMember(base_input, output_factor, Distribution(induced), log_norm)
 
 
 # The default inner damping; see exact_backward_m_step for why 0.8.
@@ -150,7 +150,7 @@ def exact_backward_m_step(
     max_inner: int = 10000,
     damping: float = _DAMPING,
     *,
-    _outer_sweep: tuple[Distribution, np.ndarray] | None = None,
+    _outer_sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MStepOutcome:
     """Best-effort solve of the backward fixed-point condition.
 
@@ -177,9 +177,9 @@ def exact_backward_m_step(
     0.5 takes, with no non-converged step.  Channels with two outputs can
     sit near s = 1 instead, where 0.8 is the slower of the two.
 
-    _outer_sweep is the pair (output marginal of base_input, per-input
-    divergences from it) when the caller has just computed them, as the
-    solver's iteration has; the first sweep then starts from them.
+    _outer_sweep is the pair of raw arrays (output marginal of base_input,
+    per-input divergences from it) when the caller has just computed them,
+    as the solver's iteration has; the first sweep then starts from them.
     """
     _check_interior_input(base_input, ch)
     _check_inner_parameters(inner_tol, max_inner, damping)
@@ -188,28 +188,28 @@ def exact_backward_m_step(
     # converged solution becomes a BackwardFamilyMember.
     log_base = np.log(base_input.weights)
     if _outer_sweep is None:
-        r, d, _ = _sweep(base_input, ch)
+        r, d, _ = _sweep(base_input.weights, ch)
     else:
         r, d = _outer_sweep
     residual = np.inf
     for sweep in range(max_inner + 1):
         weights, log_norm = _tilt(log_base, d)
-        induced = Distribution._trusted(weights)
-        mapped = Distribution._trusted(_marginal(induced.weights, ch)).weights
-        residual = float(np.abs(mapped - r.weights).max())
+        induced = _normalized(weights)
+        mapped = _normalized(_marginal(induced, ch))
+        residual = float(np.abs(mapped - r).max())
         if residual <= inner_tol:
-            member = BackwardFamilyMember(base_input, r, induced, log_norm)
+            member = BackwardFamilyMember(base_input, Distribution(r), Distribution(induced), log_norm)
             return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
         if sweep == max_inner:
             break
-        blended = (1.0 - damping) * r.weights + damping * mapped
+        blended = (1.0 - damping) * r + damping * mapped
         if (blended == 0.0).any():
             # The sweep is heading for the boundary of the output simplex;
             # the closed forms above stop being finite there.  Past this
             # test r has no zero entry, so the unchecked kernel applies.
             break
-        r = Distribution._trusted(blended)
-        d = _divergences(ch, r.weights)
+        r = _normalized(blended)
+        d = _divergences(ch, r)
     return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
 
 
@@ -250,8 +250,7 @@ def geometric_mixture_check(
             raise DimensionMismatch(
                 f"output factor has {r.alphabet_size} symbols, channel has {ch.num_outputs}"
             )
-    if not 0.0 <= weight <= 1.0:
-        raise ParameterOutOfRange(f"mixture weight must be in [0, 1], got {weight!r}")
+    _check_probability("mixture weight", weight)
 
     if weight == 0.0 or weight == 1.0:
         # Endpoint mixtures are the endpoint members themselves; both
@@ -313,7 +312,7 @@ def solve_backward_em(
     # its first record never takes a step.
     _check_inner_parameters(inner_tol, max_inner, damping)
 
-    def stepper(q: Distribution, r: Distribution, d: np.ndarray):
+    def stepper(q: Distribution, r: np.ndarray, d: np.ndarray):
         # Called by its module-level name, so a wrapper installed there sees
         # every m-step.
         outcome = exact_backward_m_step(

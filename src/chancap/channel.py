@@ -15,9 +15,10 @@ where negH(x) = sum_y P(y|x) log P(y|x) is the row negentropy, computed
 once per channel on first use and cached.  Both steps are one elementwise
 product and one np.add.reduce over a C-contiguous operand (see numeric).
 The private _marginal and _divergences are the kernel itself and check
-nothing; the solvers call them on arrays they have built.  The public
-output_marginal and per_input_divergences validate their arguments and then
-call the same two functions, so both paths agree bit for bit.
+nothing; the solver loops call them on raw arrays, each marginal checked by
+probability._normalized.  The public output_marginal and
+per_input_divergences validate their arguments and then call the same two
+functions, so both paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
     RowNotStochastic,
+    _check_limit,
+    _check_probability,
 )
 from .numeric import ordered_sum_along
 from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution
@@ -192,6 +195,20 @@ def _third_quote(text: str) -> bool:
     return second >= 0 and text.find('"', second + 1) >= 0
 
 
+def _json_numbers(rows: list, what: str, scan: bool = True) -> np.ndarray:
+    """Parsed JSON rows as a float array; ParseError unless every entry is a number.
+
+    np.asarray would read true/false as 1.0/0.0 and "0.5" as 0.5, hence the
+    scan, which a caller may skip when the text shows no such entry exists.
+    """
+    if scan and any(isinstance(v, (bool, str)) for row in rows for v in row):
+        raise ParseError(f"{what} entries must be numbers, not strings or true/false")
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} entries must all be numbers") from None
+
+
 def load_channel(source, format: str = "json") -> Channel:
     """Parse a channel from bytes, text, or a readable stream.
 
@@ -215,8 +232,7 @@ def load_channel(source, format: str = "json") -> Channel:
         matrix = doc["matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ParseError('"matrix" must be a list of rows')
-        widths = {len(r) for r in matrix}
-        if len(widths) > 1:
+        if len({len(r) for r in matrix}) > 1:
             raise ParseError("matrix rows have unequal lengths")
         labels = []
         for key in ("input_labels", "output_labels"):
@@ -224,23 +240,12 @@ def load_channel(source, format: str = "json") -> Channel:
             if value is not None and not isinstance(value, list):
                 raise ParseError(f'"{key}" must be a list')
             labels.append(tuple(value) if value is not None else None)
-        # np.asarray would read true/false as 1.0/0.0 and "0.5" as 0.5.  The
-        # per-entry scan runs only when a one-character search (memchr) finds
-        # what such an entry needs.  "u" and "l" occur in no JSON number and
-        # not in the "matrix" key, and a true/false token contains one of
-        # them.  A string entry brings a third '"' after the two of the
-        # "matrix" key.  A plain numeric document stops at these searches;
-        # a labelled one pays for the scan.
-        if (
-            _third_quote(text)
-            or (("u" in text or "l" in text) and ("true" in text or "false" in text))
-        ) and any(isinstance(v, (bool, str)) for row in matrix for v in row):
-            raise ParseError('"matrix" entries must be numbers, not strings or true/false')
-        try:
-            m = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError):
-            raise ParseError('"matrix" entries must all be numbers') from None
-        return Channel(m, *labels)
+        # The per-entry scan runs only when a one-character search (memchr)
+        # finds what a bad entry needs: a true/false token holds a "u" or an
+        # "l", which no JSON number or "matrix" key does, and a string entry
+        # a third '"'.  A plain numeric document stops at these searches.
+        scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
+        return Channel(_json_numbers(matrix, '"matrix"', scan), *labels)
     if format == "csv":
         rows = []
         try:
@@ -349,40 +354,33 @@ def per_input_divergences(
 
 def bsc(p: float) -> Channel:
     """Binary symmetric channel with crossover probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"crossover probability must be in [0, 1], got {p!r}")
+    _check_probability("crossover probability", p)
     return Channel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
 def bec(eps: float) -> Channel:
     """Binary erasure channel; the middle output symbol is the erasure."""
-    if not 0.0 <= eps <= 1.0:
-        raise ParameterOutOfRange(f"erasure probability must be in [0, 1], got {eps!r}")
+    _check_probability("erasure probability", eps)
     return Channel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
 
 def z_channel(p: float) -> Channel:
     """Z channel: input 0 is noiseless, input 1 flips to 0 with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"flip probability must be in [0, 1], got {p!r}")
+    _check_probability("flip probability", p)
     return Channel(np.array([[1.0, 0.0], [p, 1.0 - p]]))
 
 
 def noisy_typewriter(n: int) -> Channel:
     """Each of n symbols maps to itself or its cyclic successor, half and half."""
-    n = int(n)
+    _check_limit("typewriter size", n, minimum=None)
     if n < 2:
         raise ParameterOutOfRange(f"typewriter needs at least 2 symbols, got {n}")
-    m = np.zeros((n, n))
-    for x in range(n):
-        m[x, x] = 0.5
-        m[x, (x + 1) % n] = 0.5
-    return Channel(m)
+    return Channel(0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1)))
 
 
 def identity_channel(n: int) -> Channel:
     """A noiseless channel on n symbols."""
-    n = int(n)
+    _check_limit("identity channel size", n, minimum=None)
     if n < 1:
         raise ParameterOutOfRange(f"identity channel needs at least 1 symbol, got {n}")
     return Channel(np.eye(n))
@@ -390,7 +388,8 @@ def identity_channel(n: int) -> Channel:
 
 def uniform_rows(n: int, m: int) -> Channel:
     """The useless channel: every input induces the uniform output law."""
-    n, m = int(n), int(m)
+    _check_limit("input count", n, minimum=None)
+    _check_limit("output count", m, minimum=None)
     if n < 1 or m < 1:
         raise ParameterOutOfRange(f"uniform channel needs positive dimensions, got {n}x{m}")
     return Channel(np.full((n, m), 1.0 / m))

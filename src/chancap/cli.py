@@ -21,7 +21,7 @@ import numpy as np
 
 from .arimoto import CapacityResult, IterationTrace, Termination, solve_arimoto
 from .backward_em import _DAMPING, solve_backward_em
-from .channel import CANONICAL_KINDS, Channel, canonical, load_channel, save_channel
+from .channel import CANONICAL_KINDS, Channel, _json_numbers, canonical, load_channel, save_channel
 from .errors import ParameterOutOfRange, ParseError
 from .probability import Distribution
 from .verify import brute_force_capacity, circumcenter_check, converse_check
@@ -60,7 +60,8 @@ def _read_input_distribution(path: str) -> Distribution:
             raise ParseError(f'{path}: expected an array or an object with "weights"')
     if not isinstance(doc, list):
         raise ParseError(f"{path}: expected a JSON array of weights")
-    return Distribution(np.asarray(doc, dtype=float))
+    # One row through the rule load_channel applies to matrix entries.
+    return Distribution(_json_numbers([doc], f"{path}: weight")[0])
 
 
 def _write_trace(path: str, trace: IterationTrace) -> None:

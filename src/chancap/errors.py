@@ -1,10 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the parameter checks.
 
 Every error raised on bad input derives from ChancapError and from ValueError,
 so callers can catch either the package hierarchy or the builtin they expect.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 __all__ = [
     "ChancapError",
@@ -70,3 +74,38 @@ class ParseError(ChancapError, ValueError):
 
 class DroppedOutputColumnWarning(UserWarning):
     """An all-zero output column was removed during channel construction."""
+
+
+def _check_real(name: str, value, upper: float | None = math.inf) -> None:
+    """Raise ParameterOutOfRange unless value is a real number in (0, upper].
+
+    `not 0 < value` rejects NaN too, which would never stop an iteration; a
+    string or None would otherwise reach a comparison and raise a bare
+    TypeError.  upper=None checks the type only, for a caller with its own
+    range and message.
+    """
+    if not (isinstance(value, numbers.Real) and (upper is None or 0.0 < value <= upper)):
+        allowed = "" if upper is None else " positive" if upper == math.inf else f" in (0, {upper:g}]"
+        raise ParameterOutOfRange(f"{name} must be a real number{allowed}, got {value!r}")
+
+
+def _check_probability(name: str, value) -> None:
+    """Raise ParameterOutOfRange unless value is a real number in [0, 1]."""
+    _check_real(name, value, upper=None)
+    if not 0.0 <= value <= 1.0:
+        raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _check_limit(name: str, value, minimum: int | None = 1) -> None:
+    """Raise ParameterOutOfRange unless value is an integer of at least minimum.
+
+    Any numpy or Python integer type passes; a float, even a whole one, does
+    not, since range() would reject it with a bare TypeError and int() would
+    truncate it.  minimum=None checks the type only, as upper=None does above.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ParameterOutOfRange(f"{name} must be at least {minimum}, got {value!r}")

@@ -65,4 +65,4 @@ def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:
     q = point.input_factor
     _check_interior_input(q, ch)
     d = per_input_divergences(ch, point.output_factor.weights)
-    return Distribution._trusted(_tilt(np.log(q.weights), -d)[0])
+    return Distribution(_tilt(np.log(q.weights), -d)[0])

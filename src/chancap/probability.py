@@ -12,22 +12,23 @@ Conventions used throughout:
 
 Trust boundary: validate on the way in, trust internally.  Every vector
 that arrives from outside the package is validated by the constructor,
-which copies it, and every public function checks its arguments.  The
-private Distribution._trusted is only for 1-D float arrays the package has
-just allocated from checked inputs (a solver's iterate, an output marginal,
-an inner-loop blend); it takes no copy and checks the sum and the minimum
-only, which still rejects every vector the constructor rejects, with the
-same error.  The solver loops call the channel kernel (channel._marginal and
+which copies it, and every public function checks its arguments.  Inside
+the solver loops vectors stay raw arrays: each one the package computes
+(an output marginal, an inner-loop blend, an induced input) goes through
+_normalized, the constructor's own check, which takes no copy and decides
+in one sum and one minimum.  A Distribution is built only where one is
+handed out: each solver iterate, a converged member, a public result.  The
+solver loops call the channel kernel (channel._marginal and
 channel._divergences) the same way, past its checking wrappers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution
+from .errors import AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution, _check_limit
 from .numeric import ordered_sum, ordered_sum_along
 
 __all__ = [
@@ -45,19 +46,20 @@ _SUM_REJECT = 1e-9
 _SUM_KEEP = 1e-12
 
 
-def _validated_weights(raw, ndim: int, what: str) -> np.ndarray:
-    a = np.array(raw, dtype=float)
-    if a.ndim != ndim:
-        raise InvalidDistribution(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
-    if a.size == 0:
-        raise InvalidDistribution(f"{what} must have at least one entry")
-    if not np.isfinite(a).all():
-        raise InvalidDistribution(f"{what} entries must be finite")
-    if (a < 0.0).any():
-        raise InvalidDistribution(f"{what} entries must be non-negative")
+def _normalized(a: np.ndarray, what: str = "distribution") -> np.ndarray:
+    """Check a float weight array the caller owns, without a copy.
+
+    One sum and one minimum decide; a NaN or infinite entry makes the sum
+    non-finite, so it cannot pass.  A failing array is scanned again so that
+    the first broken rule raises: finite, then non-negative, then the sum.
+    """
     total = ordered_sum(a)
     deviation = abs(total - 1.0)
-    if deviation > _SUM_REJECT:
+    if not (deviation <= _SUM_REJECT and a.min() >= 0.0):
+        if not np.isfinite(a).all():
+            raise InvalidDistribution(f"{what} entries must be finite")
+        if (a < 0.0).any():
+            raise InvalidDistribution(f"{what} entries must be non-negative")
         raise InvalidDistribution(
             f"{what} sums to {total!r}, off from 1 by {deviation:.3e} (limit {_SUM_REJECT:.0e})"
         )
@@ -65,6 +67,15 @@ def _validated_weights(raw, ndim: int, what: str) -> np.ndarray:
         a = a / total
     a.flags.writeable = False
     return a
+
+
+def _validated_weights(raw, ndim: int, what: str) -> np.ndarray:
+    a = np.array(raw, dtype=float)
+    if a.ndim != ndim:
+        raise InvalidDistribution(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
+    if a.size == 0:
+        raise InvalidDistribution(f"{what} must have at least one entry")
+    return _normalized(a, what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,28 +86,6 @@ class Distribution:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _validated_weights(self.weights, 1, "distribution"))
-
-    @classmethod
-    def _trusted(cls, weights: np.ndarray) -> "Distribution":
-        """Wrap a 1-D float array the package has just allocated, without a copy.
-
-        One sum and one minimum stand in for the constructor's checks: a NaN
-        or infinite entry makes the sum non-finite, so any array the
-        constructor would reject is handed to it, and it raises.  Otherwise
-        the weights are renormalized (or kept) exactly as the constructor
-        would, and the array is made read-only.  The array is fresh, 1-D and
-        contiguous, so np.add.reduce sums it exactly as ordered_sum would.
-        """
-        total = float(np.add.reduce(weights))
-        deviation = abs(total - 1.0)
-        if not deviation <= _SUM_REJECT or weights.min() < 0.0:
-            return cls(weights)
-        if deviation > _SUM_KEEP:
-            weights = weights / total
-        weights.flags.writeable = False
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "weights", weights)
-        return dist
 
     @property
     def alphabet_size(self) -> int:
@@ -109,6 +98,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
+        _check_limit("alphabet size", n, minimum=None)
         if n < 1:
             raise InvalidDistribution("alphabet size must be positive")
         return cls(np.full(n, 1.0 / n))

@@ -18,9 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .arimoto import _check_real
 from .channel import Channel, output_marginal, per_input_divergences
-from .errors import ParameterOutOfRange, TooManyInputs
+from .errors import ParameterOutOfRange, TooManyInputs, _check_real
 from .numeric import ordered_dot, ordered_sum_along
 from .probability import Distribution
 
@@ -71,6 +70,7 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
     n = ch.num_inputs
     if n > 4:
         raise TooManyInputs(f"exhaustive search supports at most 4 inputs, got {n}")
+    _check_real("grid_step", grid_step, upper=None)
     if not 0.0 < grid_step <= 0.1:
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step!r}")
     steps = round(1.0 / grid_step)
@@ -136,6 +136,7 @@ def circumcenter_check(
     raised.
     """
     _check_real("tolerance", tol)
+    _check_real("support_threshold", support_threshold, upper=None)
     d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
     support = q.weights > support_threshold
     # Inputs with no mass contribute nothing to the weighted mean even when

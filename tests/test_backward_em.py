@@ -277,8 +277,9 @@ class TestGeometricMixture:
     def test_weight_out_of_range(self):
         ch = bsc(0.1)
         u = Distribution.uniform(2)
-        with pytest.raises(ParameterOutOfRange):
-            geometric_mixture_check(u, u, u, 1.5, ch)
+        for weight in (1.5, float("nan"), "0.5"):
+            with pytest.raises(ParameterOutOfRange):
+                geometric_mixture_check(u, u, u, weight, ch)
 
 
 class TestSolver:

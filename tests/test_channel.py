@@ -227,7 +227,9 @@ class TestCanonical:
         assert ch.num_outputs == 1
 
     def test_parameter_ranges(self):
-        for bad in (-0.1, 1.5):
+        # Strings and None used to reach a comparison and raise a bare
+        # TypeError; non-integer sizes used to be truncated by int().
+        for bad in (-0.1, 1.5, float("nan"), "0.1", None):
             with pytest.raises(ParameterOutOfRange):
                 bsc(bad)
             with pytest.raises(ParameterOutOfRange):
@@ -238,8 +240,20 @@ class TestCanonical:
             noisy_typewriter(1)
         with pytest.raises(ParameterOutOfRange):
             identity_channel(0)
-        with pytest.raises(ParameterOutOfRange):
-            uniform_rows(0, 3)
+        for bad in (4.5, "3"):
+            with pytest.raises(ParameterOutOfRange):
+                noisy_typewriter(bad)
+            with pytest.raises(ParameterOutOfRange):
+                identity_channel(bad)
+        for n, m in ((0, 3), (2.9, 3), (2, 3.0)):
+            with pytest.raises(ParameterOutOfRange):
+                uniform_rows(n, m)
+        # Values rejected before keep their messages.
+        with pytest.raises(ParameterOutOfRange, match=r"^crossover probability must be in \[0, 1\], got 1.5$"):
+            bsc(1.5)
+        with pytest.raises(ParameterOutOfRange, match="^typewriter needs at least 2 symbols, got 1$"):
+            noisy_typewriter(np.int64(1))
+        assert noisy_typewriter(np.int64(3)).num_inputs == 3
 
     def test_dispatch(self):
         assert np.array_equal(canonical("bsc", 0.2).matrix, bsc(0.2).matrix)

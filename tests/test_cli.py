@@ -196,6 +196,21 @@ class TestVerify:
         assert code == EXIT_CHECK_FAILED
         assert "verdict: FAIL" in out
 
+    @pytest.mark.parametrize(
+        "doc", ['[{"a": 1}, 0.5]', "[true, false]", '["0.5", "0.5"]', '{"weights": [0.5, "0.5"]}']
+    )
+    def test_non_numeric_input_law_is_bad_input(self, tmp_path, capsys, doc):
+        # load_channel's rule for matrix entries applies to the weights too.
+        channel_path = write_z(tmp_path, capsys)
+        law_path = tmp_path / "bad.json"
+        law_path.write_text(doc)
+        code = main(["verify", "--channel", str(channel_path), "--input", str(law_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_brute_force_skipped_above_four_inputs(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         assert (

@@ -13,10 +13,12 @@ from chancap import (
     Distribution,
     InvalidDistribution,
     JointDistribution,
+    ParameterOutOfRange,
     kl_divergence,
     marginals,
     mutual_information,
 )
+from chancap.probability import _normalized
 from support import random_interior
 
 
@@ -63,6 +65,11 @@ class TestConstruction:
         u = Distribution.uniform(4)
         assert u.alphabet_size == 4
         assert np.array_equal(u.weights, np.full(4, 0.25))
+        with pytest.raises(InvalidDistribution, match="^alphabet size must be positive$"):
+            Distribution.uniform(0)
+        # A non-integer size used to raise a bare TypeError from np.full.
+        with pytest.raises(ParameterOutOfRange):
+            Distribution.uniform(2.5)
 
     def test_normalization_is_idempotent(self):
         # Renormalizing must be a fixed point, otherwise serialization would
@@ -77,31 +84,32 @@ class TestConstruction:
 
 
 class TestTrusted:
-    """Distribution._trusted must accept, renormalize and reject like the constructor."""
+    """Arrays the package computes are trusted after _normalized, the
+    constructor's own check: both reject with the same message, or give the
+    same bits."""
 
     @pytest.mark.parametrize(
         "raw, outcome",
         [
-            ([float("nan"), 1.0], "rejected"),
-            ([float("inf"), 0.5], "rejected"),
-            ([float("-inf"), 1.0], "rejected"),
-            ([-0.25, 1.25], "rejected"),
-            ([0.3, 0.7 + 2e-9], "rejected"),
+            ([float("nan"), 1.0], "entries must be finite"),
+            ([float("inf"), 0.5], "entries must be finite"),
+            ([float("-inf"), 1.0], "entries must be finite"),
+            ([-0.25, 1.25], "entries must be non-negative"),
+            ([0.3, 0.7 + 2e-9], "sums to"),
             ([0.3, 0.7 + 5e-12], "renormalized"),
             ([0.25, 0.75], "kept"),
         ],
         ids=["nan", "+inf", "-inf", "negative", "sum-2e-9-off", "sum-5e-12-off", "exact"],
     )
     def test_matches_the_constructor(self, raw, outcome):
-        if outcome == "rejected":
-            with pytest.raises(InvalidDistribution) as expected:
-                Distribution(np.array(raw))
-            with pytest.raises(type(expected.value)):
-                Distribution._trusted(np.array(raw))
+        if outcome not in ("renormalized", "kept"):
+            for build in (Distribution, _normalized):
+                with pytest.raises(InvalidDistribution, match=f"^distribution {outcome}"):
+                    build(np.array(raw))
             return
         fresh = np.array(raw)
-        got = Distribution._trusted(fresh).weights
-        assert np.array_equal(got, Distribution(np.array(raw)).weights)
+        got = _normalized(fresh)
+        assert got.tobytes() == Distribution(np.array(raw)).weights.tobytes()
         assert not got.flags.writeable
         # Kept weights are the caller's array itself, unchanged bit for bit.
         assert (got is fresh) == (outcome == "kept")

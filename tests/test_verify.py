@@ -67,7 +67,7 @@ class TestBruteForce:
             brute_force_capacity(uniform_rows(5, 2), grid_step=0.1)
 
     def test_rejects_bad_grid_step(self):
-        for step in (0.0, -0.01, 0.2):
+        for step in (0.0, -0.01, 0.2, "0.1", None):
             with pytest.raises(ParameterOutOfRange):
                 brute_force_capacity(bsc(0.1), grid_step=step)
 
@@ -117,6 +117,8 @@ class TestCircumcenter:
             circumcenter_check(Distribution.uniform(2), z_channel(0.5), tol=float("nan"))
         with pytest.raises(ParameterOutOfRange):
             circumcenter_check(Distribution.uniform(2), z_channel(0.5), tol="1e-6")
+        with pytest.raises(ParameterOutOfRange):
+            circumcenter_check(Distribution.uniform(2), z_channel(0.5), support_threshold="1e-7")
 
     def test_infinite_divergence_off_support_fails_cleanly(self):
         # All mass on the first input of a noiseless channel: the unused
