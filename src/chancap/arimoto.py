@@ -126,28 +126,33 @@ def _sweep(q: np.ndarray, ch: Channel) -> tuple[np.ndarray, np.ndarray, Bracket]
     return r, d, Bracket(lower, max(lower, float(d.max())))
 
 
-def _clamp(weights: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Lift underflowed weights to the smallest positive normal float.
+def _multiplicative(q: Distribution, d: np.ndarray) -> Distribution:
+    """q reweighted by exp(d) and normalized: the multiplicative update.
 
-    Returns the (renormalized) weights and whether any entry was lifted.
+    The exponent is invariant under shifting all divergences by a constant,
+    which the normalization absorbs.  A weight may underflow to 0; see _lift.
     """
-    clamped = bool((weights == 0.0).any())
-    if clamped:
-        weights = np.maximum(weights, _TINY)
-        weights = weights / ordered_sum(weights)
-    return weights, clamped
+    return Distribution(_tilt(np.log(q.weights), d)[0])
+
+
+def _lift(q: Distribution) -> Distribution:
+    """q with underflowed weights lifted to the smallest positive normal float.
+
+    For a q that is not interior; the lifted weights are renormalized.
+    """
+    weights = np.maximum(q.weights, _TINY)
+    return Distribution(weights / ordered_sum(weights))
 
 
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """One multiplicative reweighting of the input law.
 
-    Requires an interior q.  The exponent is invariant under shifting all
-    divergences by a constant, which the normalization absorbs.
+    Requires an interior q, and returns an interior law.
     """
     _check_interior_input(q, ch)
     _, d, _ = _sweep(q.weights, ch)
-    fresh, _ = _clamp(_tilt(np.log(q.weights), d)[0])
-    return Distribution(fresh)
+    stepped = _multiplicative(q, d)
+    return stepped if stepped.is_interior else _lift(stepped)
 
 
 def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
@@ -162,14 +167,23 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     return _sweep(q.weights, ch)[2]
 
 
-# Maps the current iterate q, its raw output marginal r_q and its divergences
-# d to the raw next weights, plus the step's inner status, residual and
-# iteration count (None for single-sweep steps).  _iterate clamps the weights,
-# builds the next iterate and records the rest on the next trace record.
-Stepper = Callable[
-    [Distribution, np.ndarray, np.ndarray],
-    tuple[np.ndarray, str | None, float | None, int | None],
-]
+class Step(NamedTuple):
+    """What a stepper returns: the next iterate, and how the step made it.
+
+    A stepper maps the current iterate q, its raw output marginal r_q and
+    its divergences d to a Step.  route, residual and inner are the step's
+    route, last inner residual and inner sweep count, None for a step with
+    no inner loop.  _iterate lifts an iterate that is not interior and
+    records the rest on the next trace record.
+    """
+
+    iterate: Distribution
+    route: str | None = None
+    residual: float | None = None
+    inner: int | None = None
+
+
+Stepper = Callable[[Distribution, np.ndarray, np.ndarray], Step]
 
 
 def _iterate(
@@ -186,10 +200,8 @@ def _iterate(
 
     records: list[TraceRecord] = []
     previous = -math.inf
+    step = Step(q)
     clamped = False
-    status: str | None = None
-    residual: float | None = None
-    inner: int | None = None
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
         r, d, (lower, upper) = _sweep(q.weights, ch)
@@ -209,9 +221,9 @@ def _iterate(
                 per_input_divergence=d,
                 input_distribution=q,
                 clamped=clamped,
-                step_status=status,
-                inner_residual=residual,
-                inner_iterations=inner,
+                step_status=step.route,
+                inner_residual=step.residual,
+                inner_iterations=step.inner,
             )
         )
         if upper - lower <= tol:
@@ -219,9 +231,9 @@ def _iterate(
             break
         if iteration == max_iters:
             break
-        fresh, status, residual, inner = stepper(q, r, d)
-        fresh, clamped = _clamp(fresh)
-        q = Distribution(fresh)
+        step = stepper(q, r, d)
+        clamped = not step.iterate.is_interior
+        q = _lift(step.iterate) if clamped else step.iterate
 
     last = records[-1]
     result = CapacityResult(
@@ -234,8 +246,8 @@ def _iterate(
     return result, IterationTrace(tuple(records))
 
 
-def _arimoto_stepper(q: Distribution, r: np.ndarray, d: np.ndarray):
-    return _tilt(np.log(q.weights), d)[0], None, None, None
+def _arimoto_stepper(q: Distribution, r: np.ndarray, d: np.ndarray) -> Step:
+    return Step(_multiplicative(q, d))
 
 
 def solve_arimoto(

@@ -24,7 +24,10 @@ not guaranteed in general, so non-convergence is a reported status rather
 than an error, and the caller falls back to approximate_m_step: freeze the
 output factor at the current output marginal.  That approximation is exactly
 one multiplicative capacity sweep (see arimoto_step), which is what ties the
-backward alternation to the classical iteration.
+backward alternation to the classical iteration: solve_backward_em's
+fallback is the multiplicative update the classical solver steps with, and
+its exact step hands the converged member's induced input on as the next
+iterate itself.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, _iterate, _sweep
+from .arimoto import CapacityResult, IterationTrace, Step, _iterate, _multiplicative, _sweep
 from .channel import (
     Channel,
     _check_interior_input,
@@ -312,16 +315,16 @@ def solve_backward_em(
     # its first record never takes a step.
     _check_inner_parameters(inner_tol, max_inner, damping)
 
-    def stepper(q: Distribution, r: np.ndarray, d: np.ndarray):
+    def stepper(q: Distribution, r: np.ndarray, d: np.ndarray) -> Step:
         # Called by its module-level name, so a wrapper installed there sees
         # every m-step.
         outcome = exact_backward_m_step(
             q, ch, inner_tol, max_inner, damping, _outer_sweep=(r, d)
         )
         if outcome.status is MStepStatus.EXACT_CONVERGED:
-            weights, route = outcome.solution.induced_input.weights, "exact"
+            iterate, route = outcome.solution.induced_input, "exact"
         else:
-            weights, route = _tilt(np.log(q.weights), d)[0], "fallback"
-        return weights, route, outcome.residual, outcome.inner_iterations
+            iterate, route = _multiplicative(q, d), "fallback"
+        return Step(iterate, route, outcome.residual, outcome.inner_iterations)
 
     return _iterate(ch, tol, max_iters, initial, stepper)

@@ -46,7 +46,7 @@ from .errors import (
     _check_probability,
 )
 from .numeric import ordered_sum_along
-from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution
+from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution, _normalized, _real_array
 
 __all__ = [
     "Channel",
@@ -76,7 +76,7 @@ class Channel:
 
     def __post_init__(self):
         # C order fixes the grouping of every reduction over the matrix.
-        m = np.array(self.matrix, dtype=float, order="C")
+        m = _real_array(self.matrix, "channel matrix")
         if m.ndim != 2 or m.size == 0:
             raise InvalidDistribution(f"channel matrix must be 2-dimensional, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -319,20 +319,23 @@ def per_input_divergences(
 ) -> np.ndarray:
     """D(row_x || reference) for every input symbol x, as an array of nats.
 
-    reference is a raw weight vector over the channel outputs.  Where a row
-    has mass on a symbol with zero reference weight the divergence is
-    infinite; infinite="raise" raises AbsoluteContinuityViolation, while
-    infinite="inf" records +inf for that row (useful for diagnostic checks
-    that must not throw).  Computed by _divergences from the channel's cached
-    row negentropies, so each call makes one pass over P.
+    reference is a raw weight vector over the channel outputs.  A copy of it
+    is checked by the Distribution rule, so a broken one raises
+    InvalidDistribution.  Where a row has mass on a symbol with zero
+    reference weight the divergence is infinite; infinite="raise" raises
+    AbsoluteContinuityViolation, while infinite="inf" records +inf for that
+    row (useful for diagnostic checks that must not throw).  Computed by
+    _divergences from the channel's cached row negentropies, so each call
+    makes one pass over P.
     """
-    r = np.asarray(reference, dtype=float)
+    r = _real_array(reference, "reference")
     if r.shape != (ch.num_outputs,):
         raise DimensionMismatch(
             f"reference has shape {r.shape}, channel has {ch.num_outputs} outputs"
         )
     if infinite not in ("raise", "inf"):
-        raise ValueError(f"infinite must be 'raise' or 'inf', got {infinite!r}")
+        raise ParameterOutOfRange(f"infinite must be 'raise' or 'inf', got {infinite!r}")
+    r = _normalized(r, "reference")
     positive = r > 0.0
     if positive.all():
         return _divergences(ch, r)

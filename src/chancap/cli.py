@@ -219,10 +219,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="bracket gap tolerance in nats")
     parser.add_argument("--max-iters", type=int, default=100000, help="outer iteration limit")
     parser.add_argument(
-        "--inner-tol", type=float, default=1e-10, help="fixed point residual tolerance"
+        "--inner-tol", type=float, default=1e-10, help="backward-em only: fixed point residual tolerance"
     )
     parser.add_argument(
-        "--damping", type=float, default=_DAMPING, help="fixed point damping factor in (0, 1]"
+        "--damping", type=float, default=_DAMPING, help="backward-em only: fixed point damping in (0, 1]"
     )
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
 

@@ -47,13 +47,15 @@ _SUM_KEEP = 1e-12
 
 
 def _normalized(a: np.ndarray, what: str = "distribution") -> np.ndarray:
-    """Check a float weight array the caller owns, without a copy.
+    """Check a C-contiguous float weight array the caller owns, without a copy.
 
     One sum and one minimum decide; a NaN or infinite entry makes the sum
     non-finite, so it cannot pass.  A failing array is scanned again so that
     the first broken rule raises: finite, then non-negative, then the sum.
+    The sum is ordered_sum's, taken without its layout normalization, which
+    a C-contiguous array does not need.
     """
-    total = ordered_sum(a)
+    total = float(np.add.reduce(a, axis=None))
     deviation = abs(total - 1.0)
     if not (deviation <= _SUM_REJECT and a.min() >= 0.0):
         if not np.isfinite(a).all():
@@ -69,8 +71,25 @@ def _normalized(a: np.ndarray, what: str = "distribution") -> np.ndarray:
     return a
 
 
+def _real_array(raw, what: str) -> np.ndarray:
+    """A C-ordered float64 copy of raw; InvalidDistribution unless its entries are real numbers.
+
+    Booleans read as 0 and 1.  Strings, bytes, complex numbers and other
+    objects are rejected, where a float cast would parse "0.5" or raise a
+    bare ValueError or TypeError.  An array's entries are not scanned: its
+    dtype decides.
+    """
+    try:
+        a = np.asarray(raw)
+    except (TypeError, ValueError):  # ragged nesting, for one
+        raise InvalidDistribution(f"{what} entries must be real numbers") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidDistribution(f"{what} entries must be real numbers, got dtype {a.dtype}")
+    return np.array(a, dtype=float, order="C")
+
+
 def _validated_weights(raw, ndim: int, what: str) -> np.ndarray:
-    a = np.array(raw, dtype=float)
+    a = _real_array(raw, what)
     if a.ndim != ndim:
         raise InvalidDistribution(f"{what} must be {ndim}-dimensional, got shape {a.shape}")
     if a.size == 0:

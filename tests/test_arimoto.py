@@ -23,8 +23,7 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import _clamp
-from chancap.numeric import _tilt
+from chancap.arimoto import _lift, _multiplicative
 from support import random_channel, random_interior
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
@@ -76,16 +75,17 @@ class TestStep:
     @settings(max_examples=200)
     def test_update_ignores_constant_divergence_shifts(self, shift):
         rng = np.random.default_rng(77)
-        q = rng.dirichlet(np.ones(5))
+        q = Distribution(rng.dirichlet(np.ones(5)))
         d = rng.uniform(0.0, 3.0, size=5)
-        base, _ = _clamp(_tilt(np.log(q), d)[0])
-        shifted, _ = _clamp(_tilt(np.log(q), d + shift)[0])
+        base = _multiplicative(q, d).weights
+        shifted = _multiplicative(q, d + shift).weights
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
     def test_underflow_clamp_keeps_iterate_interior(self):
-        q = np.array([1e-300, 1.0 - 1e-300])
-        fresh, clamped = _clamp(_tilt(np.log(q), np.array([0.0, 800.0]))[0])
-        assert clamped
+        q = Distribution(np.array([1e-300, 1.0 - 1e-300]))
+        stepped = _multiplicative(q, np.array([0.0, 800.0]))
+        assert not stepped.is_interior
+        fresh = _lift(stepped).weights
         assert np.all(fresh > 0.0)
         assert abs(float(np.sum(fresh)) - 1.0) <= 1e-12
 

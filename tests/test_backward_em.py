@@ -28,6 +28,7 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
+from chancap import backward_em
 from chancap.backward_em import _DAMPING
 from support import random_channel, random_interior
 
@@ -281,6 +282,13 @@ class TestGeometricMixture:
             with pytest.raises(ParameterOutOfRange):
                 geometric_mixture_check(u, u, u, weight, ch)
 
+    def test_factor_sizes_must_match_the_outputs(self):
+        ch = bsc(0.1)
+        u2, u3 = Distribution.uniform(2), Distribution.uniform(3)
+        for r1, r2 in ((u3, u2), (u2, u3)):
+            with pytest.raises(DimensionMismatch):
+                geometric_mixture_check(u2, r1, r2, 0.5, ch)
+
 
 class TestSolver:
     def test_matches_classical_solver_on_canonical_channels(self):
@@ -373,6 +381,30 @@ class TestSolver:
                 assert after.inner_iterations == outcome.inner_iterations
                 exact += 1
         assert exact > 0
+
+    def test_exact_steps_hand_the_member_input_through(self, monkeypatch):
+        # The next iterate of an exact step is the converged member's own
+        # induced input, not a copy validated again.
+        outcomes = []
+        m_step = backward_em.exact_backward_m_step
+
+        def recording(*args, **kwargs):
+            outcomes.append(m_step(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(backward_em, "exact_backward_m_step", recording)
+        rng = np.random.default_rng(64)
+        handed = 0
+        for _ in range(3):
+            ch = random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+            outcomes.clear()
+            _, trace = solve_backward_em(ch, tol=1e-7)
+            assert len(outcomes) == len(trace) - 1
+            for rec, outcome in zip(trace.records[1:], outcomes):
+                if rec.step_status == "exact" and not rec.clamped:
+                    assert rec.input_distribution is outcome.solution.induced_input
+                    handed += 1
+        assert handed > 0
 
     def test_default_damping_halves_the_inner_sweeps(self):
         # A count, not a timing: the spectral argument in the m-step's

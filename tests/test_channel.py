@@ -11,6 +11,7 @@ from chancap import (
     DimensionMismatch,
     Distribution,
     DroppedOutputColumnWarning,
+    InvalidDistribution,
     NegativeEntry,
     ParameterOutOfRange,
     ParseError,
@@ -43,6 +44,23 @@ class TestConstruction:
         with pytest.raises(NegativeEntry):
             Channel(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [0.5, 0.5],
+            [[float("nan"), 1.0], [0.5, 0.5]],
+            [[float("inf"), 0.0], [0.5, 0.5]],
+            [["a", "b"]],
+            [["0.5", "0.5"]],
+            [[1 + 0j, 0]],
+            [[{"a": 1}, 0]],
+        ],
+        ids=["1-d", "nan", "inf", "strings", "numeric-strings", "complex", "dict"],
+    )
+    def test_matrix_entries_must_be_finite_reals(self, matrix):
+        with pytest.raises(InvalidDistribution):
+            Channel(matrix)
+
     def test_matrix_is_immutable(self):
         ch = bsc(0.2)
         with pytest.raises(ValueError):
@@ -64,6 +82,8 @@ class TestConstruction:
     def test_label_count_must_match(self):
         with pytest.raises(DimensionMismatch):
             Channel(np.eye(2), input_labels=("only",))
+        with pytest.raises(DimensionMismatch):
+            Channel(np.eye(2), output_labels=("a", "b", "c"))
 
     def test_row_accessor(self):
         ch = bec(0.3)
@@ -147,6 +167,21 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_channel(b"0.5,abc\n", "csv")
 
+    @pytest.mark.parametrize(
+        "doc, fmt",
+        [
+            (b'{"matrix": [[1.0]], "input_labels": ["\xff"]}', "json"),
+            (b'{"matrix": 3}', "json"),
+            (b"", "csv"),
+            (b"\n\n", "csv"),
+            (b"0.5,0.5\n0.5,0.5\n", "xml"),
+        ],
+        ids=["invalid-utf8", "matrix-not-a-list", "empty-csv", "blank-csv", "unknown-format"],
+    )
+    def test_unreadable_documents(self, doc, fmt):
+        with pytest.raises(ParseError):
+            load_channel(doc, fmt)
+
     def test_stream_input(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_bytes(save_channel(z_channel(0.25)))
@@ -191,6 +226,18 @@ class TestOperations:
         d = per_input_divergences(identity_channel(2), np.array([1.0, 0.0]), infinite="inf")
         assert d[0] == 0.0
         assert np.isinf(d[1])
+
+    @pytest.mark.parametrize(
+        "reference",
+        [[float("nan"), 1.0], [-0.5, 1.5], [float("inf"), 1.0], [1.0, 1.0], [0.25, 0.25], ["0.5", "0.5"]],
+        ids=["nan", "negative", "inf", "sum-2", "sum-half", "strings"],
+    )
+    def test_per_input_divergences_rejects_a_broken_reference(self, reference):
+        # Each of these used to give silent zeros, or divergences against an
+        # unnormalized reference, or a bare ValueError.
+        for infinite in ("raise", "inf"):
+            with pytest.raises(InvalidDistribution):
+                per_input_divergences(z_channel(0.5), reference, infinite=infinite)
 
 
 class TestCanonical:
@@ -248,6 +295,9 @@ class TestCanonical:
         for n, m in ((0, 3), (2.9, 3), (2, 3.0)):
             with pytest.raises(ParameterOutOfRange):
                 uniform_rows(n, m)
+        # Used to raise a bare ValueError.
+        with pytest.raises(ParameterOutOfRange):
+            per_input_divergences(z_channel(0.5), np.array([0.5, 0.5]), infinite="bogus")
         # Values rejected before keep their messages.
         with pytest.raises(ParameterOutOfRange, match=r"^crossover probability must be in \[0, 1\], got 1.5$"):
             bsc(1.5)

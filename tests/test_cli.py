@@ -197,10 +197,12 @@ class TestVerify:
         assert "verdict: FAIL" in out
 
     @pytest.mark.parametrize(
-        "doc", ['[{"a": 1}, 0.5]', "[true, false]", '["0.5", "0.5"]', '{"weights": [0.5, "0.5"]}']
+        "doc",
+        ['[{"a": 1}, 0.5]', "[true, false]", '["0.5", "0.5"]', '{"weights": [0.5, "0.5"]}', "[0.5,", "5"],
     )
     def test_non_numeric_input_law_is_bad_input(self, tmp_path, capsys, doc):
-        # load_channel's rule for matrix entries applies to the weights too.
+        # load_channel's rule for matrix entries applies to the weights too,
+        # and a document that is no JSON array of weights is bad input.
         channel_path = write_z(tmp_path, capsys)
         law_path = tmp_path / "bad.json"
         law_path.write_text(doc)

@@ -82,11 +82,20 @@ class TestConstruction:
         with pytest.raises(InvalidDistribution):
             JointDistribution(np.array([0.5, 0.5]))
 
+    def test_fortran_ordered_joint_is_stored_in_c_order(self):
+        # The constructor's sum runs over memory order, so the copy is made
+        # in C order: both layouts then check and store the same bits.
+        w = np.random.default_rng(3).dirichlet(np.ones(12)).reshape(3, 4)
+        p = JointDistribution(np.asfortranarray(w))
+        assert p.weights.flags.c_contiguous
+        assert p.weights.tobytes() == JointDistribution(w).weights.tobytes()
+
 
 class TestTrusted:
     """Arrays the package computes are trusted after _normalized, the
     constructor's own check: both reject with the same message, or give the
-    same bits."""
+    same bits.  Entries that are not real numbers never reach _normalized,
+    which takes float arrays: the constructors reject them as they convert."""
 
     @pytest.mark.parametrize(
         "raw, outcome",
@@ -98,18 +107,38 @@ class TestTrusted:
             ([0.3, 0.7 + 2e-9], "sums to"),
             ([0.3, 0.7 + 5e-12], "renormalized"),
             ([0.25, 0.75], "kept"),
+            ([True, False], "kept"),
+            ("ab", "not real"),
+            (["0.5", "0.5"], "not real"),
+            ([b"0.5", b"0.5"], "not real"),
+            ([{"a": 1}, 0.5], "not real"),
+            ([0.5 + 1j, 0.5], "not real"),
+            ([1 + 0j, 0], "not real"),
+            ([[0.5], 0.5], "not real"),
         ],
-        ids=["nan", "+inf", "-inf", "negative", "sum-2e-9-off", "sum-5e-12-off", "exact"],
+        ids=[
+            "nan", "+inf", "-inf", "negative", "sum-2e-9-off", "sum-5e-12-off", "exact",
+            "booleans", "string", "numeric-strings", "bytes", "dict", "complex", "real-complex",
+            "ragged",
+        ],
     )
     def test_matches_the_constructor(self, raw, outcome):
+        if outcome == "not real":
+            # These used to raise a bare ValueError or TypeError, or to be
+            # parsed as numbers.
+            for build in (Distribution, lambda w: JointDistribution([w])):
+                with pytest.raises(InvalidDistribution, match="entries must be real numbers"):
+                    build(raw)
+            return
         if outcome not in ("renormalized", "kept"):
             for build in (Distribution, _normalized):
                 with pytest.raises(InvalidDistribution, match=f"^distribution {outcome}"):
                     build(np.array(raw))
             return
-        fresh = np.array(raw)
+        fresh = np.array(raw, dtype=float)
         got = _normalized(fresh)
         assert got.tobytes() == Distribution(np.array(raw)).weights.tobytes()
+        assert got.tobytes() == Distribution(raw).weights.tobytes()
         assert not got.flags.writeable
         # Kept weights are the caller's array itself, unchanged bit for bit.
         assert (got is fresh) == (outcome == "kept")

@@ -1,0 +1,148 @@
+"""Hash the solvers' arithmetic, so that two checkouts can be compared bit for bit.
+
+    python3 tools/trace_hash.py --seed 1
+
+Run it from anywhere; it imports the chancap of its own checkout (src/) and
+the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
+
+* every trace record of solve_arimoto and solve_backward_em on the
+  small-tight, large-loose and backward-em corpora at the given seed, each
+  case at its benchmark tolerance (slow32 under backward-em at 1e-6, where
+  it takes seconds rather than minutes);
+* solve_backward_em on the backward-em corpus at damping=0.5, damping=1 and
+  max_inner=2, the last of which takes the fallback route on most steps;
+* both solvers on a channel whose first step underflows and is clamped;
+* direct arimoto_step, approximate_m_step, capacity_bracket and
+  exact_backward_m_step calls (default, damping=0.5, damping=1, max_inner=2)
+  on seeded random channels.
+
+A trace record contributes its bounds, divergences, input weights, clamp
+flag, step route, inner residual and inner iteration count.  The script
+prints the number of hashed items and the SHA-256 over all of them; equal
+lines from two checkouts mean the change left every number unchanged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import corpus  # noqa: E402
+from chancap import (  # noqa: E402
+    Channel,
+    Distribution,
+    arimoto_step,
+    capacity_bracket,
+    solve_arimoto,
+    solve_backward_em,
+)
+from chancap.backward_em import approximate_m_step, exact_backward_m_step  # noqa: E402
+
+CORPORA = ("small-tight", "large-loose", "backward-em")
+# Inner settings each backward run or direct m-step is repeated with.
+INNER_SETTINGS = ({}, {"damping": 0.5}, {"damping": 1.0}, {"max_inner": 2})
+
+
+class Hasher:
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.items = 0
+
+    def value(self, v) -> None:
+        """Feed one float, int, str, bool, None or float array, tagged by kind."""
+        if v is None:
+            self.sha.update(b"N")
+        elif isinstance(v, (bool, np.bool_)):
+            self.sha.update(b"T" if v else b"F")
+        elif isinstance(v, str):
+            self.sha.update(b"S" + v.encode() + b"\0")
+        elif isinstance(v, np.ndarray):
+            self.sha.update(b"A" + struct.pack("<q", v.size) + np.ascontiguousarray(v, dtype="<f8").tobytes())
+        elif isinstance(v, (int, np.integer)):
+            self.sha.update(b"I" + struct.pack("<q", int(v)))
+        else:
+            self.sha.update(b"D" + struct.pack("<d", float(v)))
+
+    def item(self, *values) -> None:
+        for v in values:
+            self.value(v)
+        self.items += 1
+
+    def trace(self, label: str, run) -> None:
+        result, trace = run
+        self.item(label, result.capacity, result.bracket.lower, result.bracket.upper, result.iterations)
+        for rec in trace:
+            self.item(
+                rec.lower_bound,
+                rec.upper_bound,
+                rec.per_input_divergence,
+                rec.input_distribution.weights,
+                rec.clamped,
+                rec.step_status,
+                rec.inner_residual,
+                rec.inner_iterations,
+            )
+
+
+def solver_runs(h: Hasher, seed: int) -> None:
+    for workload in CORPORA:
+        _, tol, build = corpus.WORKLOADS[workload]
+        for case in build(seed):
+            ch = Channel(case.matrix)
+            case_tol = case.tol or tol
+            h.trace(f"{workload}/{case.name}/arimoto", solve_arimoto(ch, tol=case_tol))
+            backward_tol = max(case_tol, 1e-6) if case.name == "slow32" else case_tol
+            h.trace(f"{workload}/{case.name}/backward", solve_backward_em(ch, tol=backward_tol))
+            if workload == "backward-em":
+                for settings in INNER_SETTINGS[1:]:
+                    h.trace(f"{workload}/{case.name}/{settings}", solve_backward_em(ch, tol=tol, **settings))
+
+
+def clamp_runs(h: Hasher) -> None:
+    # The last input starts at the smallest subnormal; its first reweighting
+    # underflows to zero and is lifted back.
+    ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
+    start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+    h.trace("clamp/arimoto", solve_arimoto(ch, initial=start))
+    h.trace("clamp/backward", solve_backward_em(ch, initial=start))
+
+
+def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
+    rng = np.random.default_rng(seed)
+    for _ in range(channels):
+        n, m = (int(v) for v in rng.integers(2, 9, size=2))
+        ch = Channel(rng.dirichlet(np.ones(m), size=n))
+        q = Distribution(rng.dirichlet(np.ones(n)))
+        h.item("arimoto_step", arimoto_step(q, ch).weights)
+        h.item("approximate_m_step", approximate_m_step(q, ch).weights)
+        h.item("capacity_bracket", *capacity_bracket(q, ch))
+        for settings in INNER_SETTINGS:
+            outcome = exact_backward_m_step(q, ch, **settings)
+            member = outcome.solution
+            h.item(str(settings), outcome.status.value, outcome.residual, outcome.inner_iterations)
+            if member is not None:
+                h.item(member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="corpus and random-channel seed")
+    args = parser.parse_args()
+    h = Hasher()
+    solver_runs(h, args.seed)
+    clamp_runs(h)
+    direct_steps(h, args.seed)
+    print(f"seed {args.seed}: {h.items} items, sha256 {h.sha.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
