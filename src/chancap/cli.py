@@ -222,7 +222,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--inner-tol", type=float, default=1e-10, help="backward-em only: fixed point residual tolerance"
     )
     parser.add_argument(
-        "--damping", type=float, default=_DAMPING, help="backward-em only: fixed point damping in (0, 1]"
+        "--damping",
+        type=float,
+        default=_DAMPING,
+        help="backward-em only: damping in (0, 1] of the inner steps that are not Newton steps",
     )
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
 

@@ -10,6 +10,14 @@ view).  The grouping itself is numpy's: pairwise along the contiguous last
 axis, strictly row after row along axis 0 of a 2-D array.  No reduction goes
 through BLAS, whose thread splits can change rounding.
 
+The one exception is the Newton step of the exact backward m-step (see
+backward_em._newton_step), on channels of at most 32 outputs.  It forms a
+covariance matrix with np.einsum, which without optimize reduces in its own
+loops rather than through BLAS, and solves a system of at most 32x32 with
+np.linalg.solve (LAPACK).  Both are deterministic for a fixed build, so
+results stay bit-identical across runs and across BLAS thread counts; the
+tests check this at 1 and 2 threads.
+
 All public quantities in the package are float64 nats.
 """
 

@@ -6,7 +6,6 @@ import pytest
 from chancap import (
     DimensionMismatch,
     Distribution,
-    MStepOutcome,
     MStepStatus,
     NonInteriorInput,
     ParameterOutOfRange,
@@ -29,31 +28,8 @@ from chancap import (
     z_channel,
 )
 from chancap import backward_em
-from chancap.backward_em import _DAMPING
-from support import random_channel, random_interior
-
-
-def reference_m_step(base, ch, inner_tol=1e-10, max_inner=10000, damping=_DAMPING):
-    """The exact m-step written from the public member and marginal.
-
-    Each sweep builds a validated member and marginal; the library's loop
-    runs the same arithmetic on raw arrays and must match it bit for bit.
-    """
-    r = output_marginal(base, ch)
-    residual = np.inf
-    for sweep in range(max_inner + 1):
-        member = backward_e_member(base, r, ch)
-        mapped = output_marginal(member.induced_input, ch)
-        residual = float(np.max(np.abs(mapped.weights - r.weights)))
-        if residual <= inner_tol:
-            return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
-        if sweep == max_inner:
-            break
-        blended = (1.0 - damping) * r.weights + damping * mapped.weights
-        if np.any(blended == 0.0):
-            break
-        r = Distribution(blended)
-    return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
+from chancap.backward_em import _NEWTON_MAX_OUTPUTS
+from support import random_channel, random_interior, reference_m_step
 
 
 def member_divergence(base, ch, member):
@@ -213,6 +189,24 @@ class TestExactMStep:
             )
             assert got.solution.log_normalizer == want.solution.log_normalizer
         assert expected in statuses
+
+    @pytest.mark.parametrize("outputs", [_NEWTON_MAX_OUTPUTS, _NEWTON_MAX_OUTPUTS + 1])
+    def test_channels_wider_than_the_cap_keep_the_damped_loop(self, outputs):
+        # Up to the cap the inner steps are Newton's; past it every step is
+        # the damped blend, bit for bit.
+        rng = np.random.default_rng(66)
+        newton = outputs <= _NEWTON_MAX_OUTPUTS
+        for n in (2, 5):
+            ch = random_channel(rng, n, outputs)
+            base = random_interior(rng, n)
+            for settings in ({}, {"damping": 0.5}):
+                got = exact_backward_m_step(base, ch, **settings)
+                want = reference_m_step(base, ch, newton=newton, **settings)
+                assert got.status is want.status is MStepStatus.EXACT_CONVERGED
+                assert (got.residual, got.inner_iterations) == (want.residual, want.inner_iterations)
+                assert np.array_equal(
+                    got.solution.induced_input.weights, want.solution.induced_input.weights
+                )
 
     def test_pythagorean_chain_at_exact_steps(self):
         # With the member in the backward family and the new joint on the
@@ -406,26 +400,19 @@ class TestSolver:
                     handed += 1
         assert handed > 0
 
-    def test_default_damping_halves_the_inner_sweeps(self):
-        # A count, not a timing: the spectral argument in the m-step's
-        # docstring predicts about half the inner sweeps of damping 0.5.
-        # Channels with two outputs can sit near s = 1 and gain less or even
-        # lose; this corpus has one, as drawn.
+    def test_newton_takes_about_one_inner_sweep_per_step(self):
+        # A count, not a timing: Newton's inner solve converges
+        # quadratically.  On this corpus it takes 1.28 inner sweeps per
+        # outer step, where the damped sweep at 0.8 took 7.21.
         rng = np.random.default_rng(63)
-        channels = [
-            random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-            for _ in range(10)
-        ]
-
-        def inner_sweeps(damping):
-            total = 0
-            for ch in channels:
-                _, trace = solve_backward_em(ch, tol=1e-6, damping=damping)
-                assert all(rec.step_status == "exact" for rec in trace.records[1:])
-                total += sum(rec.inner_iterations for rec in trace.records[1:])
-            return total
-
-        assert inner_sweeps(_DAMPING) <= 0.55 * inner_sweeps(0.5)
+        outer = inner = 0
+        for _ in range(10):
+            ch = random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+            _, trace = solve_backward_em(ch, tol=1e-6)
+            assert all(rec.step_status == "exact" for rec in trace.records[1:])
+            outer += len(trace) - 1
+            inner += sum(rec.inner_iterations for rec in trace.records[1:])
+        assert inner <= 1.6 * outer
 
     def test_bracket_stopping_rule(self):
         result, trace = solve_backward_em(z_channel(0.5), tol=1e-9)

@@ -19,7 +19,10 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 A trace record contributes its bounds, divergences, input weights, clamp
 flag, step route, inner residual and inner iteration count.  The script
 prints the number of hashed items and the SHA-256 over all of them; equal
-lines from two checkouts mean the change left every number unchanged.
+lines from two checkouts mean the change left every number unchanged.  It
+then prints the same for three groups of those items: the solve_arimoto
+traces, the solve_backward_em traces and the direct calls, so a change
+meant to touch one solver can show the other's numbers unchanged.
 """
 
 from __future__ import annotations
@@ -52,36 +55,43 @@ CORPORA = ("small-tight", "large-loose", "backward-em")
 INNER_SETTINGS = ({}, {"damping": 0.5}, {"damping": 1.0}, {"max_inner": 2})
 
 
+GROUPS = ("arimoto", "backward", "direct")
+
+
+def encode(v) -> bytes:
+    """One float, int, str, bool, None or float array, tagged by kind."""
+    if v is None:
+        return b"N"
+    if isinstance(v, (bool, np.bool_)):
+        return b"T" if v else b"F"
+    if isinstance(v, str):
+        return b"S" + v.encode() + b"\0"
+    if isinstance(v, np.ndarray):
+        return b"A" + struct.pack("<q", v.size) + np.ascontiguousarray(v, dtype="<f8").tobytes()
+    if isinstance(v, (int, np.integer)):
+        return b"I" + struct.pack("<q", int(v))
+    return b"D" + struct.pack("<d", float(v))
+
+
 class Hasher:
+    """A SHA-256 and an item count over everything, and one of each per group."""
+
     def __init__(self) -> None:
-        self.sha = hashlib.sha256()
-        self.items = 0
+        self.sha = {name: hashlib.sha256() for name in ("total", *GROUPS)}
+        self.items = dict.fromkeys(self.sha, 0)
 
-    def value(self, v) -> None:
-        """Feed one float, int, str, bool, None or float array, tagged by kind."""
-        if v is None:
-            self.sha.update(b"N")
-        elif isinstance(v, (bool, np.bool_)):
-            self.sha.update(b"T" if v else b"F")
-        elif isinstance(v, str):
-            self.sha.update(b"S" + v.encode() + b"\0")
-        elif isinstance(v, np.ndarray):
-            self.sha.update(b"A" + struct.pack("<q", v.size) + np.ascontiguousarray(v, dtype="<f8").tobytes())
-        elif isinstance(v, (int, np.integer)):
-            self.sha.update(b"I" + struct.pack("<q", int(v)))
-        else:
-            self.sha.update(b"D" + struct.pack("<d", float(v)))
+    def item(self, group: str, *values) -> None:
+        data = b"".join(encode(v) for v in values)
+        for name in ("total", group):
+            self.sha[name].update(data)
+            self.items[name] += 1
 
-    def item(self, *values) -> None:
-        for v in values:
-            self.value(v)
-        self.items += 1
-
-    def trace(self, label: str, run) -> None:
+    def trace(self, group: str, label: str, run) -> None:
         result, trace = run
-        self.item(label, result.capacity, result.bracket.lower, result.bracket.upper, result.iterations)
+        self.item(group, label, result.capacity, result.bracket.lower, result.bracket.upper, result.iterations)
         for rec in trace:
             self.item(
+                group,
                 rec.lower_bound,
                 rec.upper_bound,
                 rec.per_input_divergence,
@@ -99,12 +109,13 @@ def solver_runs(h: Hasher, seed: int) -> None:
         for case in build(seed):
             ch = Channel(case.matrix)
             case_tol = case.tol or tol
-            h.trace(f"{workload}/{case.name}/arimoto", solve_arimoto(ch, tol=case_tol))
+            h.trace("arimoto", f"{workload}/{case.name}/arimoto", solve_arimoto(ch, tol=case_tol))
             backward_tol = max(case_tol, 1e-6) if case.name == "slow32" else case_tol
-            h.trace(f"{workload}/{case.name}/backward", solve_backward_em(ch, tol=backward_tol))
+            h.trace("backward", f"{workload}/{case.name}/backward", solve_backward_em(ch, tol=backward_tol))
             if workload == "backward-em":
                 for settings in INNER_SETTINGS[1:]:
-                    h.trace(f"{workload}/{case.name}/{settings}", solve_backward_em(ch, tol=tol, **settings))
+                    label = f"{workload}/{case.name}/{settings}"
+                    h.trace("backward", label, solve_backward_em(ch, tol=tol, **settings))
 
 
 def clamp_runs(h: Hasher) -> None:
@@ -112,8 +123,8 @@ def clamp_runs(h: Hasher) -> None:
     # underflows to zero and is lifted back.
     ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-    h.trace("clamp/arimoto", solve_arimoto(ch, initial=start))
-    h.trace("clamp/backward", solve_backward_em(ch, initial=start))
+    h.trace("arimoto", "clamp/arimoto", solve_arimoto(ch, initial=start))
+    h.trace("backward", "clamp/backward", solve_backward_em(ch, initial=start))
 
 
 def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
@@ -122,15 +133,15 @@ def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
         n, m = (int(v) for v in rng.integers(2, 9, size=2))
         ch = Channel(rng.dirichlet(np.ones(m), size=n))
         q = Distribution(rng.dirichlet(np.ones(n)))
-        h.item("arimoto_step", arimoto_step(q, ch).weights)
-        h.item("approximate_m_step", approximate_m_step(q, ch).weights)
-        h.item("capacity_bracket", *capacity_bracket(q, ch))
+        h.item("direct", "arimoto_step", arimoto_step(q, ch).weights)
+        h.item("direct", "approximate_m_step", approximate_m_step(q, ch).weights)
+        h.item("direct", "capacity_bracket", *capacity_bracket(q, ch))
         for settings in INNER_SETTINGS:
             outcome = exact_backward_m_step(q, ch, **settings)
             member = outcome.solution
-            h.item(str(settings), outcome.status.value, outcome.residual, outcome.inner_iterations)
+            h.item("direct", str(settings), outcome.status.value, outcome.residual, outcome.inner_iterations)
             if member is not None:
-                h.item(member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
+                h.item("direct", member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
 
 
 def main() -> None:
@@ -141,7 +152,9 @@ def main() -> None:
     solver_runs(h, args.seed)
     clamp_runs(h)
     direct_steps(h, args.seed)
-    print(f"seed {args.seed}: {h.items} items, sha256 {h.sha.hexdigest()}")
+    print(f"seed {args.seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}")
+    for name in GROUPS:
+        print(f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}")
 
 
 if __name__ == "__main__":
