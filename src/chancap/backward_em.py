@@ -136,7 +136,9 @@ def backward_e_member(
     return BackwardFamilyMember(base_input, output_factor, Distribution(induced), log_norm)
 
 
-# The damping of every inner step that is not a Newton step.
+# The damping of every inner step that is not a Newton step.  It keeps each
+# error factor 1 - 0.8 * (1 + s) of that step in [-0.6, 0.2]; see
+# exact_backward_m_step.
 _DAMPING = 0.8
 # The most outputs a channel may have for its inner steps to be Newton's;
 # see exact_backward_m_step, and CHANGES.md for the measurement.
@@ -166,9 +168,8 @@ def _newton_step(q: np.ndarray, r: np.ndarray, t: np.ndarray, ch: Channel) -> np
     return r_next
 
 
-def _check_inner_parameters(inner_tol: float, max_inner: int, damping: float) -> None:
+def _check_inner_parameters(inner_tol: float, max_inner: int) -> None:
     """Raise ParameterOutOfRange unless the exact m-step's settings are usable."""
-    _check_real("damping", damping, upper=1.0)
     _check_real("inner_tol", inner_tol)
     _check_limit("max_inner", max_inner)
 
@@ -178,7 +179,6 @@ def exact_backward_m_step(
     ch: Channel,
     inner_tol: float = 1e-10,
     max_inner: int = 10000,
-    damping: float = _DAMPING,
     *,
     _outer_sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MStepOutcome:
@@ -217,21 +217,20 @@ def exact_backward_m_step(
     solve is m x m, so channels with more than _NEWTON_MAX_OUTPUTS (32)
     outputs keep the damped sweep
 
-        r_{k+1} = (1 - damping) * r_k + damping * t
+        r_{k+1} = (1 - _DAMPING) * r_k + _DAMPING * t,    _DAMPING = 0.8,
 
     for every step.  The damped sweep is also the safeguard: a step takes it
     when the Newton solve fails or r + r*u has an entry <= 0, a non-finite
-    entry or a sum the Distribution check rejects.  So damping only acts on
-    steps that are not Newton steps.  A damped sweep multiplies the error
-    along an eigenvalue -s of the Jacobian (s in [0, 1]) by
-    1 - damping * (1 + s); the default 0.8 keeps every factor in [-0.6, 0.2].
+    entry or a sum the Distribution check rejects.  It multiplies the error
+    along an eigenvalue -s of the Jacobian (s in [0, 1]) by 1 - 0.8 * (1 + s),
+    which lies in [-0.6, 0.2].
 
     _outer_sweep is the pair of raw arrays (output marginal of base_input,
     per-input divergences from it) when the caller has just computed them,
     as the solver's iteration has; the first inner step then starts from them.
     """
     _check_interior_input(base_input, ch)
-    _check_inner_parameters(inner_tol, max_inner, damping)
+    _check_inner_parameters(inner_tol, max_inner)
 
     # The loop runs on raw arrays: log q_t is taken once, and only the
     # converged solution becomes a BackwardFamilyMember.
@@ -254,7 +253,7 @@ def exact_backward_m_step(
             break
         r_next = _newton_step(induced, r, mapped, ch) if newton else None
         if r_next is None:
-            r_next = (1.0 - damping) * r + damping * mapped
+            r_next = (1.0 - _DAMPING) * r + _DAMPING * mapped
             if (r_next == 0.0).any():
                 # The sweep is heading for the boundary of the output
                 # simplex; the closed forms above stop being finite there.
@@ -344,7 +343,6 @@ def solve_backward_em(
     tol: float = 1e-9,
     max_iters: int = 100000,
     inner_tol: float = 1e-10,
-    damping: float = _DAMPING,
     max_inner: int = 10000,
     initial: Distribution | None = None,
 ) -> tuple[CapacityResult, IterationTrace]:
@@ -361,21 +359,19 @@ def solve_backward_em(
     channel.
 
     The inner solve takes Newton steps, about one per outer step, on
-    channels with at most 32 outputs.  damping applies to the damped sweep
-    that wider channels take, and that replaces a Newton step that would
-    leave the simplex; see exact_backward_m_step.
+    channels with at most 32 outputs; wider channels, and any Newton step
+    that would leave the simplex, take a damped sweep instead (see
+    exact_backward_m_step).  inner_tol and max_inner bound that solve.
     """
 
     # Checked here as well as in every m-step, since a run that converges at
     # its first record never takes a step.
-    _check_inner_parameters(inner_tol, max_inner, damping)
+    _check_inner_parameters(inner_tol, max_inner)
 
     def stepper(q: Distribution, r: np.ndarray, d: np.ndarray) -> Step:
         # Called by its module-level name, so a wrapper installed there sees
         # every m-step.
-        outcome = exact_backward_m_step(
-            q, ch, inner_tol, max_inner, damping, _outer_sweep=(r, d)
-        )
+        outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, _outer_sweep=(r, d))
         if outcome.status is MStepStatus.EXACT_CONVERGED:
             iterate, route = outcome.solution.induced_input, "exact"
         else:

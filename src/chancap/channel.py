@@ -97,8 +97,17 @@ class Channel:
         if off.any():
             m[off] = m[off] / totals[off, None]
 
+        # Label counts are checked against the matrix as given, before any
+        # column is dropped.
+        for kind, size in (("input", m.shape[0]), ("output", m.shape[1])):
+            field = f"{kind}_labels"
+            if getattr(self, field) is not None:
+                labels = tuple(str(s) for s in getattr(self, field))
+                if len(labels) != size:
+                    raise DimensionMismatch(f"{len(labels)} {kind} labels for {size} {kind}s")
+                object.__setattr__(self, field, labels)
+
         dead = (m == 0.0).all(axis=0)
-        out_labels = self.output_labels
         if dead.any():
             kept = ~dead
             dropped = [int(y) for y in np.flatnonzero(dead)]
@@ -108,23 +117,9 @@ class Channel:
                 stacklevel=2,
             )
             m = np.ascontiguousarray(m[:, kept])
-            if out_labels is not None:
-                out_labels = tuple(lab for lab, keep in zip(out_labels, kept) if keep)
-
-        if self.input_labels is not None:
-            labels = tuple(str(s) for s in self.input_labels)
-            if len(labels) != m.shape[0]:
-                raise DimensionMismatch(
-                    f"{len(labels)} input labels for {m.shape[0]} inputs"
-                )
-            object.__setattr__(self, "input_labels", labels)
-        if out_labels is not None:
-            labels = tuple(str(s) for s in out_labels)
-            if len(labels) != m.shape[1]:
-                raise DimensionMismatch(
-                    f"{len(labels)} output labels for {m.shape[1]} outputs"
-                )
-            object.__setattr__(self, "output_labels", labels)
+            if self.output_labels is not None:
+                labels = tuple(lab for lab, keep in zip(self.output_labels, kept) if keep)
+                object.__setattr__(self, "output_labels", labels)
 
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

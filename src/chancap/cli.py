@@ -6,8 +6,8 @@ Subcommands:
   compare    run both solvers side by side and print a summary
   generate   write a canonical channel to a JSON file
 
-Exit codes: 0 success, 1 bad input (parse or validation), 2 iteration limit
-reached, 3 verification check failed.
+Exit codes: 0 success, 1 bad input (usage, parse or validation), 2 iteration
+limit reached, 3 verification check failed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .arimoto import CapacityResult, IterationTrace, Termination, solve_arimoto
-from .backward_em import _DAMPING, solve_backward_em
+from .backward_em import solve_backward_em
 from .channel import CANONICAL_KINDS, Channel, _json_numbers, canonical, load_channel, save_channel
 from .errors import ParameterOutOfRange, ParseError
 from .probability import Distribution
@@ -82,15 +82,8 @@ def _scale(nats: float, units: str) -> float:
 
 
 def _solve(ch: Channel, args, algorithm: str) -> tuple[CapacityResult, IterationTrace]:
-    if algorithm == "arimoto":
-        return solve_arimoto(ch, tol=args.tol, max_iters=args.max_iters)
-    return solve_backward_em(
-        ch,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        inner_tol=args.inner_tol,
-        damping=args.damping,
-    )
+    solver = solve_arimoto if algorithm == "arimoto" else solve_backward_em
+    return solver(ch, tol=args.tol, max_iters=args.max_iters)
 
 
 def cmd_capacity(args) -> int:
@@ -218,15 +211,6 @@ def cmd_generate(args) -> int:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9, help="bracket gap tolerance in nats")
     parser.add_argument("--max-iters", type=int, default=100000, help="outer iteration limit")
-    parser.add_argument(
-        "--inner-tol", type=float, default=1e-10, help="backward-em only: fixed point residual tolerance"
-    )
-    parser.add_argument(
-        "--damping",
-        type=float,
-        default=_DAMPING,
-        help="backward-em only: damping in (0, 1] of the inner steps that are not Newton steps",
-    )
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
 
 
@@ -279,8 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error, which here means the
+        # iteration limit; -h and --help exit with 0.
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # every error chancap raises is a ValueError

@@ -6,7 +6,6 @@ so callers can catch either the package hierarchy or the builtin they expect.
 
 from __future__ import annotations
 
-import math
 import numbers
 import operator
 
@@ -76,22 +75,22 @@ class DroppedOutputColumnWarning(UserWarning):
     """An all-zero output column was removed during channel construction."""
 
 
-def _check_real(name: str, value, upper: float | None = math.inf) -> None:
-    """Raise ParameterOutOfRange unless value is a real number in (0, upper].
+def _check_real(name: str, value, positive: bool = True) -> None:
+    """Raise ParameterOutOfRange unless value is a positive real number.
 
     `not 0 < value` rejects NaN too, which would never stop an iteration; a
     string or None would otherwise reach a comparison and raise a bare
-    TypeError.  upper=None checks the type only, for a caller with its own
-    range and message.
+    TypeError.  positive=False checks the type only, for a caller with its
+    own range and message.
     """
-    if not (isinstance(value, numbers.Real) and (upper is None or 0.0 < value <= upper)):
-        allowed = "" if upper is None else " positive" if upper == math.inf else f" in (0, {upper:g}]"
+    if not (isinstance(value, numbers.Real) and (not positive or 0.0 < value)):
+        allowed = " positive" if positive else ""
         raise ParameterOutOfRange(f"{name} must be a real number{allowed}, got {value!r}")
 
 
 def _check_probability(name: str, value) -> None:
     """Raise ParameterOutOfRange unless value is a real number in [0, 1]."""
-    _check_real(name, value, upper=None)
+    _check_real(name, value, positive=False)
     if not 0.0 <= value <= 1.0:
         raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value!r}")
 
@@ -101,7 +100,7 @@ def _check_limit(name: str, value, minimum: int | None = 1) -> None:
 
     Any numpy or Python integer type passes; a float, even a whole one, does
     not, since range() would reject it with a bare TypeError and int() would
-    truncate it.  minimum=None checks the type only, as upper=None does above.
+    truncate it.  minimum=None checks the type only, as positive=False does above.
     """
     try:
         operator.index(value)

@@ -70,7 +70,7 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
     n = ch.num_inputs
     if n > 4:
         raise TooManyInputs(f"exhaustive search supports at most 4 inputs, got {n}")
-    _check_real("grid_step", grid_step, upper=None)
+    _check_real("grid_step", grid_step, positive=False)
     if not 0.0 < grid_step <= 0.1:
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step!r}")
     steps = round(1.0 / grid_step)
@@ -136,7 +136,7 @@ def circumcenter_check(
     raised.
     """
     _check_real("tolerance", tol)
-    _check_real("support_threshold", support_threshold, upper=None)
+    _check_real("support_threshold", support_threshold, positive=False)
     d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
     support = q.weights > support_threshold
     # Inputs with no mass contribute nothing to the weighted mean even when

@@ -37,9 +37,7 @@ def newton_output_factor(q: np.ndarray, r: np.ndarray, t: np.ndarray, matrix: np
     return r + r * u
 
 
-def reference_m_step(
-    base, ch, inner_tol=1e-10, max_inner=10000, damping=_DAMPING, newton=True, routes=None
-):
+def reference_m_step(base, ch, inner_tol=1e-10, max_inner=10000, newton=True, routes=None):
     """The exact m-step written from the public member and marginal.
 
     Each inner step builds a validated member and marginal; the library's
@@ -72,7 +70,7 @@ def reference_m_step(
         if routes is not None:
             routes.append("damped" if step is None else "newton")
         if step is None:
-            blended = (1.0 - damping) * r.weights + damping * mapped.weights
+            blended = (1.0 - _DAMPING) * r.weights + _DAMPING * mapped.weights
             if np.any(blended == 0.0):
                 break
             step = Distribution(blended)

@@ -136,10 +136,6 @@ class TestExactMStep:
     def test_parameter_validation(self):
         q = Distribution.uniform(2)
         with pytest.raises(ParameterOutOfRange):
-            exact_backward_m_step(q, bsc(0.1), damping=0.0)
-        with pytest.raises(ParameterOutOfRange):
-            exact_backward_m_step(q, bsc(0.1), damping=1.5)
-        with pytest.raises(ParameterOutOfRange):
             exact_backward_m_step(q, bsc(0.1), inner_tol=0.0)
         with pytest.raises(ParameterOutOfRange):
             exact_backward_m_step(q, bsc(0.1), max_inner=0)
@@ -152,18 +148,15 @@ class TestExactMStep:
         # Non-numbers used to reach a comparison and raise a bare TypeError.
         for value in ("0.5", None):
             with pytest.raises(ParameterOutOfRange):
-                exact_backward_m_step(q, bsc(0.1), damping=value)
-            with pytest.raises(ParameterOutOfRange):
                 exact_backward_m_step(q, bsc(0.1), inner_tol=value)
 
     @pytest.mark.parametrize(
         "settings, expected",
         [
             ({}, MStepStatus.EXACT_CONVERGED),
-            ({"damping": 1.0}, MStepStatus.EXACT_CONVERGED),
             ({"inner_tol": 1e-16, "max_inner": 2}, MStepStatus.NOT_CONVERGED_FALLBACK),
         ],
-        ids=["default", "undamped", "not-converged"],
+        ids=["default", "not-converged"],
     )
     def test_bit_identical_to_the_reference_loop(self, settings, expected):
         rng = np.random.default_rng(61)
@@ -199,14 +192,11 @@ class TestExactMStep:
         for n in (2, 5):
             ch = random_channel(rng, n, outputs)
             base = random_interior(rng, n)
-            for settings in ({}, {"damping": 0.5}):
-                got = exact_backward_m_step(base, ch, **settings)
-                want = reference_m_step(base, ch, newton=newton, **settings)
-                assert got.status is want.status is MStepStatus.EXACT_CONVERGED
-                assert (got.residual, got.inner_iterations) == (want.residual, want.inner_iterations)
-                assert np.array_equal(
-                    got.solution.induced_input.weights, want.solution.induced_input.weights
-                )
+            got = exact_backward_m_step(base, ch)
+            want = reference_m_step(base, ch, newton=newton)
+            assert got.status is want.status is MStepStatus.EXACT_CONVERGED
+            assert (got.residual, got.inner_iterations) == (want.residual, want.inner_iterations)
+            assert np.array_equal(got.solution.induced_input.weights, want.solution.induced_input.weights)
 
     def test_pythagorean_chain_at_exact_steps(self):
         # With the member in the backward family and the new joint on the
@@ -330,10 +320,8 @@ class TestSolver:
         "settings",
         [
             {"inner_tol": float("nan")},
-            {"damping": 7.0},
             {"max_inner": -3},
             {"max_inner": 2.5},
-            {"damping": "0.5"},
             {"inner_tol": None},
         ],
     )
@@ -358,12 +346,14 @@ class TestSolver:
     def test_exact_steps_match_the_standalone_m_step(self):
         # The solver starts each m-step from the output marginal and
         # divergences its own sweep computed; a fresh standalone m-step on
-        # the same iterate must give the same step to the bit.
+        # the same iterate must give the same step to the bit.  The last
+        # channel is wider than the Newton cap, so its inner steps are all
+        # damped sweeps.
         rng = np.random.default_rng(62)
+        channels = [random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9))) for _ in range(6)]
+        channels.append(random_channel(np.random.default_rng(69), 3, _NEWTON_MAX_OUTPUTS + 1))
         exact = 0
-        for _ in range(6):
-            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-            ch = random_channel(rng, n, m)
+        for ch in channels:
             _, trace = solve_backward_em(ch, tol=1e-7)
             for before, after in zip(trace.records, trace.records[1:]):
                 assert after.step_status == "exact"

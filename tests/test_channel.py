@@ -84,6 +84,11 @@ class TestConstruction:
             Channel(np.eye(2), input_labels=("only",))
         with pytest.raises(DimensionMismatch):
             Channel(np.eye(2), output_labels=("a", "b", "c"))
+        # The count is checked against the matrix as given, so a dropped
+        # all-zero column does not hide a wrong count.
+        for labels in (("a", "b"), ("a", "b", "c", "d"), ("a", "b", "c", "d", "e")):
+            with pytest.raises(DimensionMismatch):
+                Channel(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]), output_labels=labels)
 
     def test_row_accessor(self):
         ch = bec(0.3)

@@ -155,6 +155,26 @@ class TestCapacity:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "abc"], ["--damping", "0.5"], ["--inner-tol", "1e-12"], ["--algorithm", "newton"]],
+        ids=["non-numeric-tol", "no-damping-flag", "no-inner-tol-flag", "unknown-algorithm"],
+    )
+    def test_usage_error_is_bad_input(self, tmp_path, capsys, flags):
+        # argparse's own exit status, 2, is the iteration-limit code here.
+        path = write_z(tmp_path, capsys)
+        code = main(["capacity", "--channel", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_missing_subcommand_is_bad_input_and_help_is_ok(self, capsys):
+        assert main([]) == EXIT_BAD_INPUT
+        assert main(["capacity", "-h"]) == EXIT_OK
+        usage = capsys.readouterr().out
+        assert "--max-iters" in usage and "--damping" not in usage and "--inner-tol" not in usage
+
     def test_nan_tolerance_is_bad_input(self, tmp_path, capsys):
         path = write_z(tmp_path, capsys)
         code = main(["capacity", "--channel", str(path), "--tol", "nan"])

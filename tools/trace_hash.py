@@ -9,12 +9,12 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   small-tight, large-loose and backward-em corpora at the given seed, each
   case at its benchmark tolerance (slow32 under backward-em at 1e-6, where
   it takes seconds rather than minutes);
-* solve_backward_em on the backward-em corpus at damping=0.5, damping=1 and
-  max_inner=2, the last of which takes the fallback route on most steps;
+* solve_backward_em on the backward-em corpus at max_inner=2, which takes
+  the fallback route on most steps;
 * both solvers on a channel whose first step underflows and is clamped;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
-  exact_backward_m_step calls (default, damping=0.5, damping=1, max_inner=2)
-  on seeded random channels.
+  exact_backward_m_step calls (default and max_inner=2) on seeded random
+  channels.
 
 A trace record contributes its bounds, divergences, input weights, clamp
 flag, step route, inner residual and inner iteration count.  The script
@@ -52,7 +52,7 @@ from chancap.backward_em import approximate_m_step, exact_backward_m_step  # noq
 
 CORPORA = ("small-tight", "large-loose", "backward-em")
 # Inner settings each backward run or direct m-step is repeated with.
-INNER_SETTINGS = ({}, {"damping": 0.5}, {"damping": 1.0}, {"max_inner": 2})
+INNER_SETTINGS = ({}, {"max_inner": 2})
 
 
 GROUPS = ("arimoto", "backward", "direct")
