@@ -119,9 +119,13 @@ def _sweep(q: np.ndarray, ch: Channel) -> tuple[np.ndarray, np.ndarray, Bracket]
     q and r_q are raw weights; every caller has checked q.  A marginal entry
     that underflowed to zero goes to the checking per_input_divergences,
     which raises AbsoluteContinuityViolation; else the kernel runs unchecked.
+    The check and the choice share one minimum: renormalizing by a sum
+    within 1e-9 of one keeps a positive entry positive.
     """
-    r = _normalized(_marginal(q, ch))
-    d = _divergences(ch, r) if r.min() > 0.0 else per_input_divergences(ch, r)
+    r = _marginal(q, ch)
+    smallest = r.min()
+    r = _normalized(r, smallest=smallest)
+    d = _divergences(ch, r) if smallest > 0.0 else per_input_divergences(ch, r)
     lower = ordered_dot(q, d)
     return r, d, Bracket(lower, max(lower, float(d.max())))
 

@@ -12,8 +12,9 @@ This module is also the kernel every solver and check shares.  A sweep is
     r = q P,    d(x) = negH(x) - sum_y P(y|x) log r(y),
 
 where negH(x) = sum_y P(y|x) log P(y|x) is the row negentropy, computed
-once per channel on first use and cached.  Both steps are one elementwise
-product and one np.add.reduce over a C-contiguous operand (see numeric).
+once per channel on first use and cached.  Both steps are one np.einsum
+contraction with the C-contiguous channel matrix, which builds no n x m
+temporary and does not go through BLAS (see numeric).
 The private _marginal and _divergences are the kernel itself and check
 nothing; the solver loops call them on raw arrays, each marginal checked by
 probability._normalized.  The public output_marginal and
@@ -289,8 +290,9 @@ def joint(q: Distribution, ch: Channel) -> JointDistribution:
 
 def _marginal(weights: np.ndarray, ch: Channel) -> np.ndarray:
     """The raw output weights sum_x q(x) p(y|x) of raw input weights."""
-    # The product is C-contiguous, so the axis-0 reduction adds row after row.
-    return np.add.reduce(weights[:, None] * ch.matrix, axis=0)
+    # einsum without optimize adds q(x) P(x, .) row after row, in its own
+    # loops: no n x m temporary and no BLAS.
+    return np.einsum("x,xy->y", weights, ch.matrix)
 
 
 def output_marginal(q: Distribution, ch: Channel) -> Distribution:
@@ -305,8 +307,9 @@ def _divergences(ch: Channel, r: np.ndarray) -> np.ndarray:
     The kernel negH(x) - sum_y P(y|x) log r(y), floored at 0 against rounding.
     Nothing is checked: r must have the channel's width and be positive.
     """
-    # P * log r is C-contiguous, so the row reduction is deterministic.
-    return np.maximum(ch.row_negentropy - np.add.reduce(ch.matrix * np.log(r), axis=1), 0.0)
+    # One contraction over each C-contiguous row, in einsum's own loops: no
+    # n x m temporary and no BLAS.
+    return np.maximum(ch.row_negentropy - np.einsum("xy,y->x", ch.matrix, np.log(r)), 0.0)
 
 
 def per_input_divergences(

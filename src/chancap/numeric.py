@@ -1,22 +1,26 @@
 """Deterministic floating point reductions.
 
-Every reduction in the package is np.add.reduce over a C-contiguous operand:
-the helpers here normalize layout with np.ascontiguousarray before reducing,
-and the channel kernel reduces products it has just allocated in C order.
-For a fixed numpy build the result is then a pure function of the operand
-values and shape: repeated evaluation is bit-identical, and so is evaluation
-of the same values behind a different layout (a strided or Fortran-ordered
-view).  The grouping itself is numpy's: pairwise along the contiguous last
-axis, strictly row after row along axis 0 of a 2-D array.  No reduction goes
-through BLAS, whose thread splits can change rounding.
+Every reduction in the package is np.add.reduce or np.einsum without
+optimize, over C-contiguous operands, and never BLAS, whose thread splits
+can change rounding.  The helpers here normalize layout with
+np.ascontiguousarray before reducing; the channel kernel contracts the
+C-ordered channel matrix with np.einsum, which without optimize reduces in
+its own loops and builds no n x m temporary.  For a fixed numpy build the
+result is then a pure function of the operand values and shape: repeated
+evaluation is bit-identical, and so is evaluation of the same values behind
+a different layout (a strided or Fortran-ordered view) or at a different
+alignment.  The grouping itself is numpy's: np.add.reduce sums pairwise
+along the contiguous last axis and strictly row after row along axis 0 of a
+2-D array; einsum's "x,xy->y" adds row after row too, and its row
+contractions group as its inner loops do.
 
-The one exception is the Newton step of the exact backward m-step (see
-backward_em._newton_step), on channels of at most 32 outputs.  It forms a
-covariance matrix with np.einsum, which without optimize reduces in its own
-loops rather than through BLAS, and solves a system of at most 32x32 with
-np.linalg.solve (LAPACK).  Both are deterministic for a fixed build, so
-results stay bit-identical across runs and across BLAS thread counts; the
-tests check this at 1 and 2 threads.
+Two exceptions remain, both deterministic for a fixed build.  The Newton
+step of the exact backward m-step (see backward_em._newton_step), on
+channels of at most 32 outputs, solves a system of at most 32x32 with
+np.linalg.solve (LAPACK); verify.brute_force_capacity forms its grid
+product with @ on channels of at most 4 inputs.  Results stay bit-identical
+across runs and across BLAS thread counts; the tests check this at 1 and 2
+threads.
 
 All public quantities in the package are float64 nats.
 """

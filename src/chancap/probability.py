@@ -46,18 +46,21 @@ _SUM_REJECT = 1e-9
 _SUM_KEEP = 1e-12
 
 
-def _normalized(a: np.ndarray, what: str = "distribution") -> np.ndarray:
+def _normalized(a: np.ndarray, what: str = "distribution", smallest: float | None = None) -> np.ndarray:
     """Check a C-contiguous float weight array the caller owns, without a copy.
 
     One sum and one minimum decide; a NaN or infinite entry makes the sum
-    non-finite, so it cannot pass.  A failing array is scanned again so that
-    the first broken rule raises: finite, then non-negative, then the sum.
-    The sum is ordered_sum's, taken without its layout normalization, which
-    a C-contiguous array does not need.
+    non-finite, so it cannot pass.  smallest is a.min() when the caller has
+    already taken it.  A failing array is scanned again so that the first
+    broken rule raises: finite, then non-negative, then the sum.  The sum is
+    ordered_sum's, taken without its layout normalization, which a
+    C-contiguous array does not need.
     """
     total = float(np.add.reduce(a, axis=None))
     deviation = abs(total - 1.0)
-    if not (deviation <= _SUM_REJECT and a.min() >= 0.0):
+    if smallest is None:
+        smallest = a.min()
+    if not (deviation <= _SUM_REJECT and smallest >= 0.0):
         if not np.isfinite(a).all():
             raise InvalidDistribution(f"{what} entries must be finite")
         if (a < 0.0).any():

@@ -89,18 +89,24 @@ def test_two_output_channel_needs_at_most_one_inner_sweep_per_step():
 _TRACE_BYTES = """
 import sys
 import numpy as np
-from chancap import Channel, solve_backward_em
+from chancap import Channel, solve_arimoto, solve_backward_em
 rng = np.random.default_rng(68)
 for n, m in ((32, 32), (9, 5)):
     _, trace = solve_backward_em(Channel(rng.dirichlet(np.ones(m), size=n)), tol=1e-6)
     for rec in trace:
         sys.stdout.buffer.write(rec.input_distribution.weights.tobytes())
+_, trace = solve_arimoto(Channel(rng.dirichlet(np.full(256, 0.3), size=256)), max_iters=300)
+for rec in trace:
+    sys.stdout.buffer.write(rec.per_input_divergence.tobytes())
+    sys.stdout.buffer.write(rec.input_distribution.weights.tobytes())
 """
 
 
 def test_traces_do_not_depend_on_the_blas_thread_count():
-    # The covariance is reduced by einsum outside BLAS, and the linear
-    # solves are at most 32x32; a 32-output channel takes the largest.
+    # The covariance and the channel kernel are reduced by einsum outside
+    # BLAS, and the linear solves are at most 32x32; a 32-output channel
+    # takes the largest, and a 256x256 channel gives the kernel rows long
+    # enough for BLAS to have split them across threads.
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):

@@ -8,6 +8,8 @@ and its determinism contract, and the solvers' unchecked path against the
 public one, bit for bit and error for error.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,8 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
-from chancap.numeric import ordered_dot
+from chancap.channel import _divergences, _marginal
+from chancap.numeric import ordered_dot, ordered_sum, ordered_sum_along
 from support import random_channel, random_interior
 
 
@@ -45,6 +48,89 @@ def sparse_channel(rng: np.random.Generator, n_in: int, n_out: int) -> Channel:
     m[np.arange(n_in), rng.integers(1, n_out, size=n_in)] += 0.5
     m[0] += 1e-3
     return Channel(m / m.sum(axis=1, keepdims=True))
+
+
+# The unit roundoff of float64.
+_U = 2.0**-53
+
+
+def exact_divergences(matrix: np.ndarray, r: np.ndarray) -> list[Decimal]:
+    """sum_y P(ln P - ln r) over P > 0 for every row, floored at 0, at 40 digits.
+
+    Taken from the float P and the float r, so only the kernel's own
+    rounding separates it from the kernel.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_r = [Decimal(v).ln() for v in r]
+        rows = []
+        for row in matrix:
+            total = Decimal(0)
+            for p, lr in zip(row, log_r):
+                if p > 0.0:
+                    p = Decimal(p)
+                    total += p * (p.ln() - lr)
+            rows.append(max(total, Decimal(0)))
+    return rows
+
+
+def exact_marginal(weights: np.ndarray, matrix: np.ndarray) -> list[Decimal]:
+    """sum_x q(x) P(x, y) for every output, at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = [Decimal(v) for v in weights]
+        return [sum((qx * Decimal(p) for qx, p in zip(q, column)), Decimal(0)) for column in matrix.T]
+
+
+def _error(computed: float, exact: Decimal) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(abs(Decimal(computed) - exact))
+
+
+class TestAccuracy:
+    """The kernel against an exact reference, within bounds that hold for any summation order.
+
+    For n nonnegative products the rounding error of their sum is at most
+    gamma_n = n u / (1 - n u) times the sum (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 3).  A divergence is two such sums
+    of length m over logarithms a few ulp off, and a subtraction; the bound
+    (2m + 8) u sum_y P (|ln P| + |ln r|) covers all of it.
+    """
+
+    SHAPES = [(2, 2), (3, 17), (40, 5), (16, 16), (64, 64), (8, 256), (256, 8)]
+
+    @staticmethod
+    def channels():
+        # Rows whose entries span many orders of magnitude (Dirichlet 0.1),
+        # rows with exact zeros, and, on the small shapes only (the exact
+        # logarithms take most of the time), dense flat rows.
+        rng = np.random.default_rng(97)
+        for n, m in TestAccuracy.SHAPES:
+            yield random_channel(rng, n, m, 0.1), random_interior(rng, n, 0.5).weights
+            yield sparse_channel(rng, n, m), random_interior(rng, n, 0.5).weights
+            if n * m <= 256:
+                yield random_channel(rng, n, m), random_interior(rng, n, 0.5).weights
+
+    def test_divergences_within_the_rounding_bound(self):
+        for ch, q in self.channels():
+            m = ch.num_outputs
+            r = output_marginal(Distribution(q), ch).weights
+            d = _divergences(ch, r)
+            p = ch.matrix
+            log_p = np.log(np.where(p > 0.0, p, 1.0))
+            scale = np.add.reduce(p * (np.abs(log_p) + np.abs(np.log(r))), axis=1)
+            bound = (2 * m + 8) * _U * scale
+            errors = [_error(v, e) for v, e in zip(d, exact_divergences(p, r))]
+            assert np.all(np.array(errors) <= bound), (ch, max(np.array(errors) / bound))
+
+    def test_marginal_within_the_rounding_bound(self):
+        for ch, q in self.channels():
+            n = ch.num_inputs
+            exact = exact_marginal(q, ch.matrix)
+            gamma = n * _U / (1.0 - n * _U)
+            errors = [_error(v, e) for v, e in zip(_marginal(q, ch), exact)]
+            assert np.all(np.array(errors) <= gamma * np.array([float(e) for e in exact])), ch
 
 
 class TestDivergences:
@@ -156,6 +242,35 @@ class TestDeterminism:
             assert np.array_equal(output_marginal(q, again).weights, r)
             assert np.array_equal(per_input_divergences(again, r), d)
             assert np.array_equal(per_input_divergences(ch, r), d)
+
+    def test_kernel_bits_do_not_depend_on_alignment(self):
+        # The constructor copies the matrix into a fresh array, so the test
+        # places it itself: once at the start of a buffer and once one
+        # element (8 bytes) in, where vector loops peel differently.
+        rng = np.random.default_rng(41)
+        n, m = 257, 253
+        values = rng.dirichlet(np.ones(m), size=n)
+        q = random_interior(rng, n).weights
+        matrix_buffer, weight_buffer = np.empty(n * m + 1), np.empty(n + 1)
+        results = []
+        for offset in (0, 1):
+            matrix = matrix_buffer[offset : offset + n * m].reshape(n, m)
+            weights = weight_buffer[offset : offset + n]
+            matrix[...], weights[...] = values, q
+            ch = Channel(values)
+            object.__setattr__(ch, "matrix", matrix)
+            r = _marginal(weights, ch)
+            results.append(
+                (
+                    r,
+                    _divergences(ch, r / ordered_sum(r)),
+                    ch.row_negentropy,
+                    ordered_sum_along(matrix, axis=0),
+                    ordered_sum_along(matrix, axis=1),
+                )
+            )
+        for at_start, one_in in zip(*results):
+            assert np.array_equal(at_start, one_in)
 
 
 class TestTrustBoundary:
