@@ -19,6 +19,12 @@ bracket midpoint as capacity.
 All updates run in log space so that extreme divergences cannot overflow;
 a weight that still underflows is clamped to the smallest positive normal
 float and the iterate renormalized, flagged on the trace record.
+
+The iteration runs on raw weight arrays and stores its trace as columns:
+each sweep appends its bounds, divergences, input weights, clamp flag and
+step details to one list per field.  The TraceRecords, and the Distribution
+of each recorded iterate, are built only when IterationTrace.records is
+first read; len(trace) builds nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .channel import Channel, _check_interior_input, _divergences, _marginal, per_input_divergences
 from .errors import _check_limit, _check_real
-from .numeric import _tilt, ordered_dot, ordered_sum
+from .numeric import _tilt, ordered_sum
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -66,7 +72,8 @@ class TraceRecord:
     step_status, inner_residual and inner_iterations describe the step that
     produced this iterate; they are populated only by solvers whose step has
     an inner loop.  clamped marks an iterate that needed the underflow clamp
-    when it was produced.
+    when it was produced.  Records are built from a trace's columns on the
+    first read of IterationTrace.records.
     """
 
     iteration: int
@@ -89,14 +96,51 @@ class TraceRecord:
         return self.upper_bound - self.lower_bound
 
 
-@dataclass(frozen=True)
 class IterationTrace:
-    """The full bracket history of one solver run."""
+    """The full bracket history of one solver run, stored as columns.
 
-    records: tuple[TraceRecord, ...]
+    The solver hands over one list per TraceRecord field, one entry per
+    iteration: the bounds, the divergences, the raw input weights, the clamp
+    flags and each step's route, inner residual and inner count.  records
+    builds the TraceRecords, each with a Distribution of its input weights,
+    on first access and caches them; len builds nothing.  Inside the package
+    the columns are read directly: the CLI writes its trace CSV from them.
+    """
+
+    __slots__ = (
+        "_lower", "_upper", "_divergences", "_inputs", "_clamped", "_routes", "_residuals", "_inner",
+        "_records",
+    )
+
+    def __init__(self, lower, upper, divergences, inputs, clamped, routes, residuals, inner):
+        self._lower: list[float] = lower
+        self._upper: list[float] = upper
+        self._divergences: list[np.ndarray] = divergences
+        self._inputs: list[np.ndarray] | None = inputs
+        self._clamped: list[bool] = clamped
+        self._routes: list[str | None] = routes
+        self._residuals: list[float | None] = residuals
+        self._inner: list[int | None] = inner
+        self._records: tuple[TraceRecord, ...] | None = None
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        if self._records is None:
+            columns = zip(
+                self._lower, self._upper, self._divergences, self._inputs,
+                self._clamped, self._routes, self._residuals, self._inner,
+            )
+            self._records = tuple(
+                TraceRecord(iteration, lower, upper, d, Distribution(q), clamped, route, residual, inner)
+                for iteration, (lower, upper, d, q, clamped, route, residual, inner) in enumerate(columns, 1)
+            )
+            # Each Distribution holds its own copy of the weights, and
+            # nothing reads this column once the records exist.
+            self._inputs = None
+        return self._records
 
     def __len__(self):
-        return len(self.records)
+        return len(self._lower)
 
     def __iter__(self):
         return iter(self.records)
@@ -113,39 +157,53 @@ class CapacityResult:
     termination: Termination
 
 
-def _sweep(q: np.ndarray, ch: Channel) -> tuple[np.ndarray, np.ndarray, Bracket]:
-    """r_q, the per-input divergences from it, and the bracket they certify at q.
+def _sweep(q: np.ndarray, ch: Channel) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """r_q, the per-input divergences from it, and the bracket (lower, upper) they certify at q.
 
     q and r_q are raw weights; every caller has checked q.  A marginal entry
     that underflowed to zero goes to the checking per_input_divergences,
     which raises AbsoluteContinuityViolation; else the kernel runs unchecked.
     The check and the choice share one minimum: renormalizing by a sum
-    within 1e-9 of one keeps a positive entry positive.
+    within 1e-9 of one keeps a positive entry positive.  lower is
+    numeric.ordered_dot(q, d), written out: the product of two C-contiguous
+    vectors needs no layout normalization.
     """
     r = _marginal(q, ch)
     smallest = r.min()
     r = _normalized(r, smallest=smallest)
     d = _divergences(ch, r) if smallest > 0.0 else per_input_divergences(ch, r)
-    lower = ordered_dot(q, d)
-    return r, d, Bracket(lower, max(lower, float(d.max())))
+    lower = float(np.add.reduce(q * d))
+    return r, d, lower, max(lower, float(d.max()))
+
+
+def _reweighted(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Raw weights q reweighted by exp(d) and checked, and whether they are all positive.
+
+    The multiplicative update.  The exponent is invariant under shifting all
+    divergences by a constant, which the normalization absorbs.  A weight
+    may underflow to 0; the positivity test reuses the minimum that
+    probability._normalized checks, and _lifted repairs such weights.
+    """
+    weights = _tilt(np.log(q), d)[0]
+    smallest = weights.min()
+    return _normalized(weights, smallest=smallest), bool(smallest > 0.0)
+
+
+def _lifted(q: np.ndarray) -> np.ndarray:
+    """Raw weights q with underflowed entries lifted to the smallest positive
+    normal float, renormalized and checked again."""
+    weights = np.maximum(q, _TINY)
+    return _normalized(weights / ordered_sum(weights))
 
 
 def _multiplicative(q: Distribution, d: np.ndarray) -> Distribution:
-    """q reweighted by exp(d) and normalized: the multiplicative update.
-
-    The exponent is invariant under shifting all divergences by a constant,
-    which the normalization absorbs.  A weight may underflow to 0; see _lift.
-    """
-    return Distribution(_tilt(np.log(q.weights), d)[0])
+    """_reweighted for a Distribution: the update may leave q at the boundary; see _lift."""
+    return Distribution(_reweighted(q.weights, d)[0])
 
 
 def _lift(q: Distribution) -> Distribution:
-    """q with underflowed weights lifted to the smallest positive normal float.
-
-    For a q that is not interior; the lifted weights are renormalized.
-    """
-    weights = np.maximum(q.weights, _TINY)
-    return Distribution(weights / ordered_sum(weights))
+    """_lifted for a Distribution that is not interior."""
+    return Distribution(_lifted(q.weights))
 
 
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
@@ -154,7 +212,7 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     Requires an interior q, and returns an interior law.
     """
     _check_interior_input(q, ch)
-    _, d, _ = _sweep(q.weights, ch)
+    d = _sweep(q.weights, ch)[1]
     stepped = _multiplicative(q, d)
     return stepped if stepped.is_interior else _lift(stepped)
 
@@ -168,26 +226,29 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     lower to keep the bracket ordered.
     """
     _check_interior_input(q, ch)
-    return _sweep(q.weights, ch)[2]
+    return Bracket(*_sweep(q.weights, ch)[2:])
 
 
 class Step(NamedTuple):
     """What a stepper returns: the next iterate, and how the step made it.
 
-    A stepper maps the current iterate q, its raw output marginal r_q and
-    its divergences d to a Step.  route, residual and inner are the step's
-    route, last inner residual and inner sweep count, None for a step with
-    no inner loop.  _iterate lifts an iterate that is not interior and
-    records the rest on the next trace record.
+    A stepper maps the current iterate q, its output marginal r_q and its
+    divergences d, all raw arrays, to a Step.  iterate is a raw weight array
+    the stepper has passed through probability._normalized, and interior
+    says whether every weight is positive.  route, residual and inner are
+    the step's route, last inner residual and inner sweep count, None for a
+    step with no inner loop.  _iterate lifts an iterate that is not interior
+    and records the rest on the next trace record.
     """
 
-    iterate: Distribution
+    iterate: np.ndarray
+    interior: bool
     route: str | None = None
     residual: float | None = None
     inner: int | None = None
 
 
-Stepper = Callable[[Distribution, np.ndarray, np.ndarray], Step]
+Stepper = Callable[[np.ndarray, np.ndarray, np.ndarray], Step]
 
 
 def _iterate(
@@ -199,16 +260,19 @@ def _iterate(
 ) -> tuple[CapacityResult, IterationTrace]:
     _check_real("tolerance", tol)
     _check_limit("max_iters", max_iters)
-    q = Distribution.uniform(ch.num_inputs) if initial is None else initial
-    _check_interior_input(q, ch)
+    start = Distribution.uniform(ch.num_inputs) if initial is None else initial
+    _check_interior_input(start, ch)
 
-    records: list[TraceRecord] = []
+    # The trace's columns, one entry per iteration; q is a raw weight array.
+    lowers, uppers, divergences, inputs = [], [], [], []
+    clamps, routes, residuals, inners = [], [], [], []
+    q = start.weights
     previous = -math.inf
-    step = Step(q)
+    step = Step(q, True)
     clamped = False
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
-        r, d, (lower, upper) = _sweep(q.weights, ch)
+        r, d, lower, upper = _sweep(q, ch)
         # Brackets are ordered and mutual information never falls, up to a
         # 1e-12 rounding slack; a NaN bound fails the comparison too.
         if not previous - 1e-12 <= lower <= upper:
@@ -217,41 +281,35 @@ def _iterate(
                 f"or below the previous lower bound {previous!r}"
             )
         previous = lower
-        records.append(
-            TraceRecord(
-                iteration=iteration,
-                lower_bound=lower,
-                upper_bound=upper,
-                per_input_divergence=d,
-                input_distribution=q,
-                clamped=clamped,
-                step_status=step.route,
-                inner_residual=step.residual,
-                inner_iterations=step.inner,
-            )
-        )
+        lowers.append(lower)
+        uppers.append(upper)
+        divergences.append(d)
+        inputs.append(q)
+        clamps.append(clamped)
+        routes.append(step.route)
+        residuals.append(step.residual)
+        inners.append(step.inner)
         if upper - lower <= tol:
             termination = Termination.CONVERGED
             break
         if iteration == max_iters:
             break
         step = stepper(q, r, d)
-        clamped = not step.iterate.is_interior
-        q = _lift(step.iterate) if clamped else step.iterate
+        clamped = not step.interior
+        q = _lifted(step.iterate) if clamped else step.iterate
 
-    last = records[-1]
     result = CapacityResult(
-        capacity=0.5 * (last.lower_bound + last.upper_bound),
-        bracket=Bracket(last.lower_bound, last.upper_bound),
-        optimal_input=last.input_distribution,
-        iterations=len(records),
+        capacity=0.5 * (lower + upper),
+        bracket=Bracket(lower, upper),
+        optimal_input=Distribution(q),
+        iterations=len(lowers),
         termination=termination,
     )
-    return result, IterationTrace(tuple(records))
+    return result, IterationTrace(lowers, uppers, divergences, inputs, clamps, routes, residuals, inners)
 
 
-def _arimoto_stepper(q: Distribution, r: np.ndarray, d: np.ndarray) -> Step:
-    return Step(_multiplicative(q, d))
+def _arimoto_stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
+    return Step(*_reweighted(q, d))
 
 
 def solve_arimoto(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, Step, _iterate, _multiplicative, _sweep
+from .arimoto import CapacityResult, IterationTrace, Step, _iterate, _reweighted, _sweep
 from .channel import (
     Channel,
     _check_interior_input,
@@ -228,17 +228,20 @@ def exact_backward_m_step(
     _outer_sweep is the pair of raw arrays (output marginal of base_input,
     per-input divergences from it) when the caller has just computed them,
     as the solver's iteration has; the first inner step then starts from them.
+    That caller is solve_backward_em, which has checked the inner settings
+    once and whose iteration keeps base_input interior, so with _outer_sweep
+    the argument checks are skipped.
     """
-    _check_interior_input(base_input, ch)
-    _check_inner_parameters(inner_tol, max_inner)
+    if _outer_sweep is None:
+        _check_interior_input(base_input, ch)
+        _check_inner_parameters(inner_tol, max_inner)
+        r, d = _sweep(base_input.weights, ch)[:2]
+    else:
+        r, d = _outer_sweep
 
     # The loop runs on raw arrays: log q_t is taken once, and only the
     # converged solution becomes a BackwardFamilyMember.
     log_base = np.log(base_input.weights)
-    if _outer_sweep is None:
-        r, d, _ = _sweep(base_input.weights, ch)
-    else:
-        r, d = _outer_sweep
     newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
     residual = np.inf
     for sweep in range(max_inner + 1):
@@ -364,18 +367,25 @@ def solve_backward_em(
     exact_backward_m_step).  inner_tol and max_inner bound that solve.
     """
 
-    # Checked here as well as in every m-step, since a run that converges at
-    # its first record never takes a step.
+    # Checked once here: the m-steps the iteration calls skip their checks,
+    # and a run that converges at its first record never takes a step.
     _check_inner_parameters(inner_tol, max_inner)
+    start = Distribution.uniform(ch.num_inputs) if initial is None else initial
+    # The Distribution whose weights are the current iterate, when one
+    # exists: the start, then each converged member's induced input.  It is
+    # the next m-step's base_input, so no copy of the iterate is validated
+    # again.
+    held = start
 
-    def stepper(q: Distribution, r: np.ndarray, d: np.ndarray) -> Step:
+    def stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
+        nonlocal held
+        base = held if held.weights is q else Distribution(q)
         # Called by its module-level name, so a wrapper installed there sees
         # every m-step.
-        outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, _outer_sweep=(r, d))
+        outcome = exact_backward_m_step(base, ch, inner_tol, max_inner, _outer_sweep=(r, d))
         if outcome.status is MStepStatus.EXACT_CONVERGED:
-            iterate, route = outcome.solution.induced_input, "exact"
-        else:
-            iterate, route = _multiplicative(q, d), "fallback"
-        return Step(iterate, route, outcome.residual, outcome.inner_iterations)
+            held = outcome.solution.induced_input
+            return Step(held.weights, held.is_interior, "exact", outcome.residual, outcome.inner_iterations)
+        return Step(*_reweighted(q, d), "fallback", outcome.residual, outcome.inner_iterations)
 
-    return _iterate(ch, tol, max_iters, initial, stepper)
+    return _iterate(ch, tol, max_iters, start, stepper)

@@ -65,13 +65,14 @@ def _read_input_distribution(path: str) -> Distribution:
 
 
 def _write_trace(path: str, trace: IterationTrace) -> None:
+    # Written from the trace's columns, so no TraceRecord is built.  As on a
+    # record, mutual_info is the lower bound and gap is upper - lower.
     lines = [_TRACE_HEADER]
-    for rec in trace:
-        status = rec.step_status or ""
-        residual = "" if rec.inner_residual is None else repr(rec.inner_residual)
+    rows = zip(trace._lower, trace._upper, trace._routes, trace._residuals)
+    for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
+        residual = "" if residual is None else repr(residual)
         lines.append(
-            f"{rec.iteration},{rec.mutual_info!r},{rec.lower_bound!r},"
-            f"{rec.upper_bound!r},{rec.gap!r},{status},{residual}"
+            f"{iteration},{lower!r},{lower!r},{upper!r},{upper - lower!r},{route or ''},{residual}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -101,7 +102,7 @@ def cmd_capacity(args) -> int:
         "units": args.units,
     }
     if args.algorithm == "backward-em":
-        payload["inner_sweeps"] = sum(rec.inner_iterations or 0 for rec in trace)
+        payload["inner_sweeps"] = sum(inner or 0 for inner in trace._inner)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 

@@ -73,8 +73,11 @@ def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, f
 
     Every multiplicative reweighting in the package: the Arimoto step and the
     backward member tilt by +d, the e-projection by -d.  Entries may
-    underflow to 0.
+    underflow to 0.  The log-sum-exp is logsumexp's, inline: the same
+    operations in the same order, without its layout normalization and
+    empty-input guard, which a fresh non-empty 1-D sum does not need.
     """
     logits = log_weights + exponents
-    log_norm = logsumexp(logits)
+    m = float(logits.max())
+    log_norm = m + float(np.log(float(np.add.reduce(np.exp(logits - m)))))
     return np.exp(logits - log_norm), log_norm

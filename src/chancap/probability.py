@@ -16,10 +16,14 @@ which copies it, and every public function checks its arguments.  Inside
 the solver loops vectors stay raw arrays: each one the package computes
 (an output marginal, an inner-loop blend, an induced input) goes through
 _normalized, the constructor's own check, which takes no copy and decides
-in one sum and one minimum.  A Distribution is built only where one is
-handed out: each solver iterate, a converged member, a public result.  The
-solver loops call the channel kernel (channel._marginal and
-channel._divergences) the same way, past its checking wrappers.
+in one sum and one minimum.  Solver iterates stay raw arrays until a
+trace record or a result is handed out: the trace stores their weights,
+and a record's Distribution is built on the first read of the records.  A
+Distribution is otherwise built only where one is handed out: a converged
+member (whose induced input the backward solver passes on as the next
+m-step's base), a public result.  The solver loops call the channel kernel
+(channel._marginal and channel._divergences) the same way, past its
+checking wrappers.
 """
 
 from __future__ import annotations

@@ -330,6 +330,23 @@ class TestSolver:
         with pytest.raises(ParameterOutOfRange):
             solve_backward_em(bsc(0.1), **settings)
 
+    def test_inner_parameters_are_checked_once_per_solve(self, monkeypatch):
+        # The solver checks its inner settings once; the m-steps it calls
+        # skip the check, and a standalone m-step still makes it.
+        calls = []
+        check = backward_em._check_inner_parameters
+
+        def counting(*args):
+            calls.append(args)
+            check(*args)
+
+        monkeypatch.setattr(backward_em, "_check_inner_parameters", counting)
+        result, _ = solve_backward_em(z_channel(0.5))
+        assert result.iterations > 2
+        assert len(calls) == 1
+        exact_backward_m_step(Distribution.uniform(2), z_channel(0.5))
+        assert len(calls) == 2
+
     def test_fallback_is_bit_identical_to_the_multiplicative_step(self):
         rng = np.random.default_rng(60)
         ch = random_channel(rng, 6, 5)
@@ -368,27 +385,37 @@ class TestSolver:
 
     def test_exact_steps_hand_the_member_input_through(self, monkeypatch):
         # The next iterate of an exact step is the converged member's own
-        # induced input, not a copy validated again.
-        outcomes = []
+        # induced input, not a copy validated again: its weights are the
+        # recorded ones bit for bit, and the member's Distribution itself is
+        # the next m-step's base_input.  (The trace stores weight columns
+        # and builds its records' Distributions on first read, so identity
+        # is checked where it saves work, at the next m-step.)
+        outcomes, bases = [], []
         m_step = backward_em.exact_backward_m_step
 
-        def recording(*args, **kwargs):
-            outcomes.append(m_step(*args, **kwargs))
+        def recording(base_input, *args, **kwargs):
+            bases.append(base_input)
+            outcomes.append(m_step(base_input, *args, **kwargs))
             return outcomes[-1]
 
         monkeypatch.setattr(backward_em, "exact_backward_m_step", recording)
         rng = np.random.default_rng(64)
-        handed = 0
+        handed = passed_on = 0
         for _ in range(3):
             ch = random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
             outcomes.clear()
+            bases.clear()
             _, trace = solve_backward_em(ch, tol=1e-7)
             assert len(outcomes) == len(trace) - 1
-            for rec, outcome in zip(trace.records[1:], outcomes):
+            for k, (rec, outcome) in enumerate(zip(trace.records[1:], outcomes)):
                 if rec.step_status == "exact" and not rec.clamped:
-                    assert rec.input_distribution is outcome.solution.induced_input
+                    induced = outcome.solution.induced_input
+                    assert rec.input_distribution.weights.tobytes() == induced.weights.tobytes()
                     handed += 1
-        assert handed > 0
+                    if k + 1 < len(bases):
+                        assert bases[k + 1] is induced
+                        passed_on += 1
+        assert handed > 0 and passed_on > 0
 
     def test_newton_takes_about_one_inner_sweep_per_step(self):
         # A count, not a timing: Newton's inner solve converges

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chancap import load_channel
+from chancap import load_channel, save_channel, solve_arimoto, solve_backward_em
 from chancap.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -14,6 +14,7 @@ from chancap.cli import (
     _TRACE_HEADER,
     main,
 )
+from support import random_channel
 
 BSC01_BITS = 0.5310044064107188
 Z05_BITS = np.log2(1.25)
@@ -118,6 +119,33 @@ class TestCapacity:
         assert lines[1].endswith(",,")
         routes = {line.split(",")[5] for line in lines[2:]}
         assert routes <= {"exact", "fallback"} and routes
+
+    @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
+    @pytest.mark.parametrize("kind", ["z", "random"])
+    def test_trace_csv_is_the_records_text(self, tmp_path, capsys, algorithm, kind):
+        # The CLI writes its trace from the trace's columns; the file must be
+        # the text the records give, byte for byte, with mutual_info the
+        # lower bound and gap upper - lower.
+        if kind == "z":
+            path = write_z(tmp_path, capsys)
+        else:
+            path = tmp_path / "random.json"
+            path.write_bytes(save_channel(random_channel(np.random.default_rng(70), 5, 4)))
+        trace_path = tmp_path / "trace.csv"
+        argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--units", "nats"]
+        payload = run_json(capsys, [*argv, "--trace", str(trace_path)])
+        solve = solve_arimoto if algorithm == "arimoto" else solve_backward_em
+        _, trace = solve(load_channel(path.read_bytes()))
+        rows = [
+            f"{rec.iteration},{rec.mutual_info!r},{rec.lower_bound!r},{rec.upper_bound!r},"
+            f"{rec.gap!r},{rec.step_status or ''},"
+            f"{'' if rec.inner_residual is None else repr(rec.inner_residual)}"
+            for rec in trace.records
+        ]
+        assert trace_path.read_text(encoding="utf-8") == "\n".join([_TRACE_HEADER, *rows]) + "\n"
+        assert payload["iterations"] == len(trace)
+        if algorithm == "backward-em":
+            assert payload["inner_sweeps"] == sum(rec.inner_iterations or 0 for rec in trace.records)
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])
