@@ -24,7 +24,9 @@ The iteration runs on raw weight arrays and stores its trace as columns:
 each sweep appends its bounds, divergences, input weights, clamp flag and
 step details to one list per field.  The TraceRecords, and the Distribution
 of each recorded iterate, are built only when IterationTrace.records is
-first read; len(trace) builds nothing.
+first read; len(trace) builds nothing.  A stepper that has already
+computed the output marginal of the iterate it returns hands it on in its
+Step, and the next sweep does not compute it again.
 """
 
 from __future__ import annotations
@@ -157,20 +159,27 @@ class CapacityResult:
     termination: Termination
 
 
-def _sweep(q: np.ndarray, ch: Channel) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _sweep(
+    q: np.ndarray, ch: Channel, r: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     """r_q, the per-input divergences from it, and the bracket (lower, upper) they certify at q.
 
-    q and r_q are raw weights; every caller has checked q.  A marginal entry
-    that underflowed to zero goes to the checking per_input_divergences,
-    which raises AbsoluteContinuityViolation; else the kernel runs unchecked.
-    The check and the choice share one minimum: renormalizing by a sum
-    within 1e-9 of one keeps a positive entry positive.  lower is
+    q and r_q are raw weights; every caller has checked q.  r is r_q when
+    the caller already holds it, checked by probability._normalized, and
+    the marginal is then not computed again.  A marginal entry that
+    underflowed to zero goes to the checking per_input_divergences, which
+    raises AbsoluteContinuityViolation; else the kernel runs unchecked.  The
+    check and the choice share one minimum: renormalizing by a sum within
+    1e-9 of one keeps a positive entry positive.  lower is
     numeric.ordered_dot(q, d), written out: the product of two C-contiguous
     vectors needs no layout normalization.
     """
-    r = _marginal(q, ch)
-    smallest = r.min()
-    r = _normalized(r, smallest=smallest)
+    if r is None:
+        r = _marginal(q, ch)
+        smallest = r.min()
+        r = _normalized(r, smallest=smallest)
+    else:
+        smallest = r.min()
     d = _divergences(ch, r) if smallest > 0.0 else per_input_divergences(ch, r)
     lower = float(np.add.reduce(q * d))
     return r, d, lower, max(lower, float(d.max()))
@@ -237,8 +246,12 @@ class Step(NamedTuple):
     the stepper has passed through probability._normalized, and interior
     says whether every weight is positive.  route, residual and inner are
     the step's route, last inner residual and inner sweep count, None for a
-    step with no inner loop.  _iterate lifts an iterate that is not interior
-    and records the rest on the next trace record.
+    step with no inner loop.  marginal is the output marginal of iterate,
+    computed by _marginal and checked by _normalized exactly as _sweep
+    would, when the stepper has it; None otherwise.  _iterate lifts an
+    iterate that is not interior, which drops its marginal, hands any other
+    marginal to the next _sweep, and records the rest on the next trace
+    record.
     """
 
     iterate: np.ndarray
@@ -246,6 +259,7 @@ class Step(NamedTuple):
     route: str | None = None
     residual: float | None = None
     inner: int | None = None
+    marginal: np.ndarray | None = None
 
 
 Stepper = Callable[[np.ndarray, np.ndarray, np.ndarray], Step]
@@ -272,7 +286,7 @@ def _iterate(
     clamped = False
     termination = Termination.MAX_ITERATIONS
     for iteration in range(1, max_iters + 1):
-        r, d, lower, upper = _sweep(q, ch)
+        r, d, lower, upper = _sweep(q, ch, step.marginal)
         # Brackets are ordered and mutual information never falls, up to a
         # 1e-12 rounding slack; a NaN bound fails the comparison too.
         if not previous - 1e-12 <= lower <= upper:
@@ -296,7 +310,10 @@ def _iterate(
             break
         step = stepper(q, r, d)
         clamped = not step.interior
-        q = _lifted(step.iterate) if clamped else step.iterate
+        if clamped:
+            # The lifted iterate is a new array, with a marginal of its own.
+            step = step._replace(iterate=_lifted(step.iterate), marginal=None)
+        q = step.iterate
 
     result = CapacityResult(
         capacity=0.5 * (lower + upper),

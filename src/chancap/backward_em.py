@@ -27,14 +27,17 @@ freeze the output factor at the current output marginal.  That
 approximation is exactly one multiplicative capacity sweep (see
 arimoto_step), which is what ties the backward alternation to the classical
 iteration: solve_backward_em's fallback is the multiplicative update the
-classical solver steps with, and its exact step hands the converged member's
-induced input on as the next iterate itself.
+classical solver steps with.  Its exact step runs on raw arrays end to end:
+the converged induced input is the next iterate itself, and the output
+marginal the last inner step computed at it is the next outer sweep's, so
+no member is built unless a caller reads the m-step's solution.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +50,9 @@ from .channel import (
     output_marginal,
     per_input_divergences,
 )
-from .errors import DimensionMismatch, _check_limit, _check_probability, _check_real
+from .errors import DimensionMismatch, InvalidDistribution, _check_limit, _check_probability, _check_real
 from .numeric import _tilt, logsumexp
-from .probability import _SUM_REJECT, Distribution, _normalized
+from .probability import Distribution, _normalized
 
 __all__ = [
     "BackwardFamilyMember",
@@ -88,19 +91,51 @@ class MStepStatus(str, enum.Enum):
     NOT_CONVERGED_FALLBACK = "not_converged_fallback"
 
 
-@dataclass(frozen=True)
+class _Converged(NamedTuple):
+    """The raw arrays of a converged exact m-step, from which its member is built.
+
+    base is the base input (a Distribution, or the solver's raw iterate),
+    factor the output factor r, induced the induced input q[r] and
+    log_norm its log normalizer; marginal is the output marginal of
+    induced, checked, and interior says whether induced is all positive.
+    """
+
+    base: Distribution | np.ndarray
+    factor: np.ndarray
+    induced: np.ndarray
+    log_norm: float
+    marginal: np.ndarray
+    interior: bool
+
+
 class MStepOutcome:
     """Result of attempting the exact backward m-step.
 
     solution is None exactly when status says the fixed point was not
     reached; residual is the last max-norm defect of the fixed-point
-    condition either way.
+    condition either way.  exact_backward_m_step builds the solution, a
+    BackwardFamilyMember and its three Distributions, on the first read of
+    solution and caches it; the solver reads only the raw arrays it is
+    built from.
     """
 
-    solution: BackwardFamilyMember | None
-    residual: float
-    inner_iterations: int
-    status: MStepStatus
+    __slots__ = ("_solution", "_converged", "residual", "inner_iterations", "status")
+
+    def __init__(self, solution, residual, inner_iterations, status, *, _converged=None):
+        self._solution: BackwardFamilyMember | None = solution
+        self._converged: _Converged | None = _converged
+        self.residual: float = residual
+        self.inner_iterations: int = inner_iterations
+        self.status: MStepStatus = status
+
+    @property
+    def solution(self) -> BackwardFamilyMember | None:
+        if self._solution is None and self._converged is not None:
+            base, factor, induced, log_norm = self._converged[:4]
+            if not isinstance(base, Distribution):
+                base = Distribution(base)
+            self._solution = BackwardFamilyMember(base, Distribution(factor), Distribution(induced), log_norm)
+        return self._solution
 
 
 @dataclass(frozen=True)
@@ -146,26 +181,35 @@ _NEWTON_MAX_OUTPUTS = 32
 
 
 def _newton_step(q: np.ndarray, r: np.ndarray, t: np.ndarray, ch: Channel) -> np.ndarray | None:
-    """Newton's next output factor for T(r) = r, or None where it is unusable.
+    """Newton's next output factor for T(r) = r, checked, or None where it is unusable.
 
     q is the induced input at r and t = T(r).  With B = diag(sqrt q)(P - 1 t^T),
     B^T B is the covariance Cov_q(P), and the step solves the symmetric
     positive definite system (diag(r) + B^T B) u = t - r for the relative
     correction u.  None when the solve fails or r + r*u is not an interior
-    weight vector the Distribution check accepts.
+    weight vector that probability._normalized accepts.
     """
     b = np.sqrt(q)[:, None] * (ch.matrix - t)
     # einsum without optimize reduces in its own loops, not through BLAS.
-    system = np.einsum("xy,xz->yz", b, b) + np.diag(r)
+    system = np.einsum("xy,xz->yz", b, b)
+    # diag(r) added through a view of the diagonal: adding it whole would
+    # add an exact 0.0 to every other entry.
+    diagonal = system.reshape(-1)[:: ch.num_outputs + 1]
+    diagonal += r
     try:
         u = np.linalg.solve(system, t - r)
     except np.linalg.LinAlgError:
         return None
     r_next = r + r * u
-    # A NaN or infinite entry makes the sum non-finite, so it cannot pass.
-    if not (r_next.min() > 0.0 and abs(float(np.add.reduce(r_next)) - 1.0) <= _SUM_REJECT):
+    smallest = r_next.min()
+    # A NaN entry fails this test; an infinite one, or a sum too far from
+    # one, fails the check.
+    if not smallest > 0.0:
         return None
-    return r_next
+    try:
+        return _normalized(r_next, smallest=smallest)
+    except InvalidDistribution:
+        return None
 
 
 def _check_inner_parameters(inner_tol: float, max_inner: int) -> None:
@@ -225,33 +269,42 @@ def exact_backward_m_step(
     along an eigenvalue -s of the Jacobian (s in [0, 1]) by 1 - 0.8 * (1 + s),
     which lies in [-0.6, 0.2].
 
+    The outcome's solution, the member and its three Distributions, is
+    built on its first read.  The solver's stepper never reads it: it takes
+    the raw induced input as the next iterate and the output marginal of
+    that input, which the last inner step has computed, as the next outer
+    sweep's r_q.
+
     _outer_sweep is the pair of raw arrays (output marginal of base_input,
     per-input divergences from it) when the caller has just computed them,
-    as the solver's iteration has; the first inner step then starts from them.
-    That caller is solve_backward_em, which has checked the inner settings
-    once and whose iteration keeps base_input interior, so with _outer_sweep
-    the argument checks are skipped.
+    as the solver's iteration has; the first inner step then starts from
+    them.  That caller is solve_backward_em, which has checked the inner
+    settings once and whose iteration keeps its iterate interior.  With
+    _outer_sweep, base_input is that iterate as a raw weight array, and the
+    argument checks are skipped.
     """
     if _outer_sweep is None:
         _check_interior_input(base_input, ch)
         _check_inner_parameters(inner_tol, max_inner)
-        r, d = _sweep(base_input.weights, ch)[:2]
+        base = base_input.weights
+        r, d = _sweep(base, ch)[:2]
     else:
+        base = base_input
         r, d = _outer_sweep
 
-    # The loop runs on raw arrays: log q_t is taken once, and only the
-    # converged solution becomes a BackwardFamilyMember.
-    log_base = np.log(base_input.weights)
+    # The loop runs on raw arrays, and log q_t is taken once.
+    log_base = np.log(base)
     newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
     residual = np.inf
     for sweep in range(max_inner + 1):
         weights, log_norm = _tilt(log_base, d)
-        induced = _normalized(weights)
+        smallest = weights.min()
+        induced = _normalized(weights, smallest=smallest)
         mapped = _normalized(_marginal(induced, ch))
         residual = float(np.abs(mapped - r).max())
         if residual <= inner_tol:
-            member = BackwardFamilyMember(base_input, Distribution(r), Distribution(induced), log_norm)
-            return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
+            converged = _Converged(base_input, r, induced, log_norm, mapped, bool(smallest > 0.0))
+            return MStepOutcome(None, residual, sweep, MStepStatus.EXACT_CONVERGED, _converged=converged)
         if sweep == max_inner:
             break
         r_next = _newton_step(induced, r, mapped, ch) if newton else None
@@ -261,9 +314,10 @@ def exact_backward_m_step(
                 # The sweep is heading for the boundary of the output
                 # simplex; the closed forms above stop being finite there.
                 break
+            r_next = _normalized(r_next)
         # Past these tests r has no zero entry, so the unchecked kernel
         # applies.
-        r = _normalized(r_next)
+        r = r_next
         d = _divergences(ch, r)
     return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
 
@@ -359,7 +413,12 @@ def solve_backward_em(
     m-step starts from the output marginal and divergences the iteration has
     already computed at q_t, and the approximate step is the multiplicative
     tilt of those divergences, so neither costs a further pass over the
-    channel.
+    channel.  An exact step hands on its induced input as a raw array
+    together with that input's output marginal, which its last inner step
+    computed, so the next outer sweep computes only the divergences; it
+    builds no member or Distribution.  A clamped iterate gets a fresh
+    marginal.  Per outer step the solve thus makes about two marginal
+    passes, two divergence passes and one Newton solve.
 
     The inner solve takes Newton steps, about one per outer step, on
     channels with at most 32 outputs; wider channels, and any Newton step
@@ -370,22 +429,17 @@ def solve_backward_em(
     # Checked once here: the m-steps the iteration calls skip their checks,
     # and a run that converges at its first record never takes a step.
     _check_inner_parameters(inner_tol, max_inner)
-    start = Distribution.uniform(ch.num_inputs) if initial is None else initial
-    # The Distribution whose weights are the current iterate, when one
-    # exists: the start, then each converged member's induced input.  It is
-    # the next m-step's base_input, so no copy of the iterate is validated
-    # again.
-    held = start
 
     def stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
-        nonlocal held
-        base = held if held.weights is q else Distribution(q)
         # Called by its module-level name, so a wrapper installed there sees
         # every m-step.
-        outcome = exact_backward_m_step(base, ch, inner_tol, max_inner, _outer_sweep=(r, d))
-        if outcome.status is MStepStatus.EXACT_CONVERGED:
-            held = outcome.solution.induced_input
-            return Step(held.weights, held.is_interior, "exact", outcome.residual, outcome.inner_iterations)
+        outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, _outer_sweep=(r, d))
+        converged = outcome._converged
+        if converged is not None:
+            return Step(
+                converged.induced, converged.interior, "exact",
+                outcome.residual, outcome.inner_iterations, converged.marginal,
+            )
         return Step(*_reweighted(q, d), "fallback", outcome.residual, outcome.inner_iterations)
 
-    return _iterate(ch, tol, max_iters, start, stepper)
+    return _iterate(ch, tol, max_iters, initial, stepper)

@@ -103,6 +103,10 @@ def cmd_capacity(args) -> int:
     }
     if args.algorithm == "backward-em":
         payload["inner_sweeps"] = sum(inner or 0 for inner in trace._inner)
+        # How each iterate after the first was made, from the same columns.
+        payload["exact_steps"] = trace._routes.count("exact")
+        payload["fallback_steps"] = trace._routes.count("fallback")
+        payload["clamped_steps"] = sum(trace._clamped)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 

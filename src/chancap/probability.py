@@ -18,12 +18,14 @@ the solver loops vectors stay raw arrays: each one the package computes
 _normalized, the constructor's own check, which takes no copy and decides
 in one sum and one minimum.  Solver iterates stay raw arrays until a
 trace record or a result is handed out: the trace stores their weights,
-and a record's Distribution is built on the first read of the records.  A
-Distribution is otherwise built only where one is handed out: a converged
-member (whose induced input the backward solver passes on as the next
-m-step's base), a public result.  The solver loops call the channel kernel
-(channel._marginal and channel._divergences) the same way, past its
-checking wrappers.
+and a record's Distribution is built on the first read of the records.
+The backward solver's m-step hands on the raw induced input it checked as
+the next iterate, with the checked output marginal of that input as the
+next sweep's; a family member and its Distributions are built only when a
+caller reads the outcome's solution.  A Distribution is otherwise built
+only where one is handed out, as a public result.  The solver loops call
+the channel kernel (channel._marginal and channel._divergences) the same
+way, past its checking wrappers.
 """
 
 from __future__ import annotations

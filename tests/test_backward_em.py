@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from chancap import (
+    BackwardFamilyMember,
+    Channel,
     DimensionMismatch,
     Distribution,
     MStepStatus,
@@ -16,12 +18,14 @@ from chancap import (
     backward_e_member,
     bec,
     bsc,
+    capacity_bracket,
     e_project_to_channel,
     exact_backward_m_step,
     geometric_mixture_check,
     joint,
     kl_divergence,
     output_marginal,
+    per_input_divergences,
     solve_arimoto,
     solve_backward_em,
     uniform_rows,
@@ -384,12 +388,10 @@ class TestSolver:
         assert exact > 0
 
     def test_exact_steps_hand_the_member_input_through(self, monkeypatch):
-        # The next iterate of an exact step is the converged member's own
-        # induced input, not a copy validated again: its weights are the
-        # recorded ones bit for bit, and the member's Distribution itself is
-        # the next m-step's base_input.  (The trace stores weight columns
-        # and builds its records' Distributions on first read, so identity
-        # is checked where it saves work, at the next m-step.)
+        # The next iterate of an exact step is the m-step's own raw induced
+        # input, not a copy validated again: the array the step computed is
+        # the recorded iterate and the next m-step's base, and its bits are
+        # those of the member's induced input.
         outcomes, bases = [], []
         m_step = backward_em.exact_backward_m_step
 
@@ -406,16 +408,95 @@ class TestSolver:
             outcomes.clear()
             bases.clear()
             _, trace = solve_backward_em(ch, tol=1e-7)
+            # The iterates as the solver recorded them, before the records
+            # are built from them.
+            iterates = list(trace._inputs)
             assert len(outcomes) == len(trace) - 1
             for k, (rec, outcome) in enumerate(zip(trace.records[1:], outcomes)):
                 if rec.step_status == "exact" and not rec.clamped:
+                    assert iterates[k + 1] is outcome._converged.induced
                     induced = outcome.solution.induced_input
-                    assert rec.input_distribution.weights.tobytes() == induced.weights.tobytes()
+                    assert iterates[k + 1].tobytes() == induced.weights.tobytes()
                     handed += 1
                     if k + 1 < len(bases):
-                        assert bases[k + 1] is induced
+                        assert bases[k + 1] is iterates[k + 1]
                         passed_on += 1
         assert handed > 0 and passed_on > 0
+
+    def test_solver_outcome_builds_its_member_on_first_read(self, monkeypatch):
+        # On the solver's path an m-step builds no member; the first read of
+        # solution builds it, later reads return it, and it is the member a
+        # standalone m-step on the same iterate gives, bit for bit.
+        members = []
+        init = BackwardFamilyMember.__init__
+
+        def counting(self, *args):
+            members.append(self)
+            init(self, *args)
+
+        outcomes, bases = [], []
+        m_step = backward_em.exact_backward_m_step
+
+        def recording(base_input, *args, **kwargs):
+            bases.append(base_input)
+            outcomes.append(m_step(base_input, *args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(BackwardFamilyMember, "__init__", counting)
+        monkeypatch.setattr(backward_em, "exact_backward_m_step", recording)
+        ch = random_channel(np.random.default_rng(71), 5, 4)
+        solve_backward_em(ch, tol=1e-7)
+        assert len(outcomes) > 2 and not members
+        for base, outcome in zip(bases, outcomes):
+            assert outcome.status is MStepStatus.EXACT_CONVERGED
+            solution = outcome.solution
+            assert members == [solution]
+            assert outcome.solution is solution and len(members) == 1
+            want = m_step(Distribution(base), ch).solution
+            for field in ("base_input", "output_factor", "induced_input"):
+                got_weights = getattr(solution, field).weights
+                assert got_weights.tobytes() == getattr(want, field).weights.tobytes()
+            assert solution.log_normalizer == want.log_normalizer
+            members.clear()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "z", "wide", "fallback", "clamp"],
+    )
+    def test_every_record_is_the_bracket_of_its_iterate(self, case):
+        # A sweep after an exact step reuses the output marginal the m-step
+        # computed; every record must still be, bit for bit, the bracket and
+        # divergences a fresh sweep gives at the recorded iterate.
+        settings, initial = {}, None
+        if case == "random":
+            rng = np.random.default_rng(72)
+            channels = [random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9))) for _ in range(3)]
+        elif case == "z":
+            channels = [z_channel(0.5)]
+        elif case == "wide":
+            # Wider than the Newton cap: every inner step is damped.
+            channels = [random_channel(np.random.default_rng(73), 4, _NEWTON_MAX_OUTPUTS + 8)]
+        elif case == "fallback":
+            channels, settings = [random_channel(np.random.default_rng(74), 6, 5)], {"max_inner": 2}
+        else:
+            # tools/trace_hash.py's clamp run: the last input starts at the
+            # smallest subnormal, and its first step underflows and is lifted.
+            channels = [Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))]
+            initial = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+        routes, clamped = set(), False
+        for ch in channels:
+            _, trace = solve_backward_em(ch, initial=initial, **settings)
+            for rec in trace.records:
+                q = rec.input_distribution
+                bracket = np.array(capacity_bracket(q, ch))
+                assert np.array([rec.lower_bound, rec.upper_bound]).tobytes() == bracket.tobytes()
+                fresh = per_input_divergences(ch, output_marginal(q, ch).weights)
+                assert rec.per_input_divergence.tobytes() == fresh.tobytes()
+                routes.add(rec.step_status)
+                clamped |= rec.clamped
+        assert "exact" in routes
+        assert ("fallback" in routes) == (case == "fallback")
+        assert clamped == (case == "clamp")
 
     def test_newton_takes_about_one_inner_sweep_per_step(self):
         # A count, not a timing: Newton's inner solve converges

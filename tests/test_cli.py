@@ -147,6 +147,25 @@ class TestCapacity:
         if algorithm == "backward-em":
             assert payload["inner_sweeps"] == sum(rec.inner_iterations or 0 for rec in trace.records)
 
+    @pytest.mark.parametrize("limit", [[], ["--max-iters", "7"]])
+    def test_backward_em_counts_step_routes(self, tmp_path, capsys, limit):
+        # The route counts are read from the trace's columns; they must be
+        # the records' own, and cover every iterate after the first.
+        path = write_z(tmp_path, capsys)
+        argv = ["capacity", "--channel", str(path), "--algorithm", "backward-em", *limit]
+        code = EXIT_ITERATION_LIMIT if limit else EXIT_OK
+        payload = run_json(capsys, argv, expected_code=code)
+        max_iters = int(limit[1]) if limit else 100000
+        _, trace = solve_backward_em(load_channel(path.read_bytes()), max_iters=max_iters)
+        routes = [rec.step_status for rec in trace.records]
+        assert payload["iterations"] == len(trace) == min(max_iters, len(trace))
+        assert payload["exact_steps"] == routes.count("exact") > 0
+        assert payload["fallback_steps"] == routes.count("fallback")
+        assert payload["exact_steps"] + payload["fallback_steps"] == len(trace) - 1
+        assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records)
+        arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
+        assert not {"inner_sweeps", "exact_steps", "fallback_steps", "clamped_steps"} & arimoto.keys()
+
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])
         captured = capsys.readouterr()

@@ -1,13 +1,22 @@
 """The columnar solver trace: what a solve builds, and what reading its records builds.
 
 Counts, not timings: a solve keeps its trace as columns and builds no
-TraceRecord, and no Distribution per sweep beyond what a step hands out.
+TraceRecord, and no Distribution or family member per sweep, only the
+start and the optimal input.
 """
 
 import numpy as np
 import pytest
 
-from chancap import Distribution, TraceRecord, solve_arimoto, solve_backward_em
+from chancap import (
+    BackwardFamilyMember,
+    Distribution,
+    TraceRecord,
+    arimoto,
+    backward_em,
+    solve_arimoto,
+    solve_backward_em,
+)
 from support import random_channel
 
 
@@ -49,14 +58,34 @@ def test_arimoto_solve_builds_no_record(built):
     assert built["TraceRecord"] == 0
 
 
-def test_backward_solve_builds_at_most_two_distributions_per_outer_step(built):
+def test_backward_solve_builds_no_member_and_reuses_each_exact_marginal(built, monkeypatch):
+    # The m-steps build no member and no Distribution, and a sweep after an
+    # exact step takes its output marginal from the m-step's last inner
+    # evaluation, so the solve makes at most two marginal passes per record.
+    members = marginals = 0
+    member_init, marginal = BackwardFamilyMember.__init__, arimoto._marginal
+
+    def counting_member_init(self, *args):
+        nonlocal members
+        members += 1
+        member_init(self, *args)
+
+    def counting_marginal(*args):
+        nonlocal marginals
+        marginals += 1
+        return marginal(*args)
+
+    monkeypatch.setattr(BackwardFamilyMember, "__init__", counting_member_init)
+    monkeypatch.setattr(arimoto, "_marginal", counting_marginal)
+    monkeypatch.setattr(backward_em, "_marginal", counting_marginal)
     ch = r16()
     result, trace = solve_backward_em(ch, tol=1e-9)
     assert result.iterations == len(trace) == 1053
-    # Each exact step's member (its output factor and induced input); the
-    # induced input is the next step's base, not validated again.
-    assert built["Distribution"] <= 2 * result.iterations
+    # The start and the optimal input.
+    assert built["Distribution"] <= 2
     assert built["TraceRecord"] == 0
+    assert members == 0
+    assert marginals <= 2 * result.iterations
 
 
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
