@@ -38,7 +38,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import Channel, _check_interior_input, _divergences, _marginal, per_input_divergences
+from .channel import (
+    Channel, _check_channel, _check_interior_input, _divergences, _marginal, per_input_divergences,
+)
 from .errors import _check_limit, _check_real
 from .numeric import _tilt, ordered_sum
 from .probability import Distribution, _normalized
@@ -205,16 +207,6 @@ def _lifted(q: np.ndarray) -> np.ndarray:
     return _normalized(weights / ordered_sum(weights))
 
 
-def _multiplicative(q: Distribution, d: np.ndarray) -> Distribution:
-    """_reweighted for a Distribution: the update may leave q at the boundary; see _lift."""
-    return Distribution(_reweighted(q.weights, d)[0])
-
-
-def _lift(q: Distribution) -> Distribution:
-    """_lifted for a Distribution that is not interior."""
-    return Distribution(_lifted(q.weights))
-
-
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """One multiplicative reweighting of the input law.
 
@@ -222,8 +214,8 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """
     _check_interior_input(q, ch)
     d = _sweep(q.weights, ch)[1]
-    stepped = _multiplicative(q, d)
-    return stepped if stepped.is_interior else _lift(stepped)
+    stepped, interior = _reweighted(q.weights, d)
+    return Distribution(stepped if interior else _lifted(stepped))
 
 
 def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
@@ -272,6 +264,7 @@ def _iterate(
     initial: Distribution | None,
     stepper: Stepper,
 ) -> tuple[CapacityResult, IterationTrace]:
+    _check_channel(ch)
     _check_real("tolerance", tol)
     _check_limit("max_iters", max_iters)
     start = Distribution.uniform(ch.num_inputs) if initial is None else initial

@@ -27,10 +27,14 @@ freeze the output factor at the current output marginal.  That
 approximation is exactly one multiplicative capacity sweep (see
 arimoto_step), which is what ties the backward alternation to the classical
 iteration: solve_backward_em's fallback is the multiplicative update the
-classical solver steps with.  Its exact step runs on raw arrays end to end:
-the converged induced input is the next iterate itself, and the output
-marginal the last inner step computed at it is the next outer sweep's, so
-no member is built unless a caller reads the m-step's solution.
+classical solver steps with.
+
+The exact m-step's loop, _inner_solve, runs on raw arrays and checks
+nothing.  exact_backward_m_step is its public form: it checks its
+arguments and builds the member the loop converged to.  solve_backward_em
+calls the loop directly, because its iterate is already a checked raw
+array and it needs no member, only the next iterate and its output
+marginal.
 """
 
 from __future__ import annotations
@@ -91,51 +95,19 @@ class MStepStatus(str, enum.Enum):
     NOT_CONVERGED_FALLBACK = "not_converged_fallback"
 
 
-class _Converged(NamedTuple):
-    """The raw arrays of a converged exact m-step, from which its member is built.
-
-    base is the base input (a Distribution, or the solver's raw iterate),
-    factor the output factor r, induced the induced input q[r] and
-    log_norm its log normalizer; marginal is the output marginal of
-    induced, checked, and interior says whether induced is all positive.
-    """
-
-    base: Distribution | np.ndarray
-    factor: np.ndarray
-    induced: np.ndarray
-    log_norm: float
-    marginal: np.ndarray
-    interior: bool
-
-
+@dataclass(frozen=True)
 class MStepOutcome:
     """Result of attempting the exact backward m-step.
 
     solution is None exactly when status says the fixed point was not
     reached; residual is the last max-norm defect of the fixed-point
-    condition either way.  exact_backward_m_step builds the solution, a
-    BackwardFamilyMember and its three Distributions, on the first read of
-    solution and caches it; the solver reads only the raw arrays it is
-    built from.
+    condition either way.
     """
 
-    __slots__ = ("_solution", "_converged", "residual", "inner_iterations", "status")
-
-    def __init__(self, solution, residual, inner_iterations, status, *, _converged=None):
-        self._solution: BackwardFamilyMember | None = solution
-        self._converged: _Converged | None = _converged
-        self.residual: float = residual
-        self.inner_iterations: int = inner_iterations
-        self.status: MStepStatus = status
-
-    @property
-    def solution(self) -> BackwardFamilyMember | None:
-        if self._solution is None and self._converged is not None:
-            base, factor, induced, log_norm = self._converged[:4]
-            if not isinstance(base, Distribution):
-                base = Distribution(base)
-            self._solution = BackwardFamilyMember(base, Distribution(factor), Distribution(induced), log_norm)
-        return self._solution
+    solution: BackwardFamilyMember | None
+    residual: float
+    inner_iterations: int
+    status: MStepStatus
 
 
 @dataclass(frozen=True)
@@ -218,13 +190,68 @@ def _check_inner_parameters(inner_tol: float, max_inner: int) -> None:
     _check_limit("max_inner", max_inner)
 
 
+class _InnerSolve(NamedTuple):
+    """Where _inner_solve stopped.
+
+    residual is the last max-norm defect of the fixed-point condition and
+    sweeps the inner steps taken.  The other fields are set only when the
+    fixed point was reached: factor is the output factor r, induced the
+    induced input q[r] and log_norm its log normalizer; marginal is the
+    output marginal of induced, and interior says whether induced is all
+    positive.  Every array has passed probability._normalized.
+    """
+
+    residual: float
+    sweeps: int
+    factor: np.ndarray | None = None
+    induced: np.ndarray | None = None
+    log_norm: float | None = None
+    marginal: np.ndarray | None = None
+    interior: bool = False
+
+
+def _inner_solve(
+    q: np.ndarray, r: np.ndarray, d: np.ndarray, ch: Channel, inner_tol: float, max_inner: int
+) -> _InnerSolve:
+    """The exact m-step on raw arrays, checking nothing; see exact_backward_m_step.
+
+    q is an interior base input, r its output marginal and d the per-input
+    divergences from r, as _sweep returns them, and inner_tol and max_inner
+    are usable settings.
+    """
+    log_base = np.log(q)
+    newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
+    residual = np.inf
+    for sweep in range(max_inner + 1):
+        weights, log_norm = _tilt(log_base, d)
+        smallest = weights.min()
+        induced = _normalized(weights, smallest=smallest)
+        mapped = _normalized(_marginal(induced, ch))
+        residual = float(np.abs(mapped - r).max())
+        if residual <= inner_tol:
+            return _InnerSolve(residual, sweep, r, induced, log_norm, mapped, bool(smallest > 0.0))
+        if sweep == max_inner:
+            break
+        r_next = _newton_step(induced, r, mapped, ch) if newton else None
+        if r_next is None:
+            r_next = (1.0 - _DAMPING) * r + _DAMPING * mapped
+            if (r_next == 0.0).any():
+                # The sweep is heading for the boundary of the output
+                # simplex; the closed forms above stop being finite there.
+                break
+            r_next = _normalized(r_next)
+        # Past these tests r has no zero entry, so the unchecked kernel
+        # applies.
+        r = r_next
+        d = _divergences(ch, r)
+    return _InnerSolve(residual, min(sweep, max_inner))
+
+
 def exact_backward_m_step(
     base_input: Distribution,
     ch: Channel,
     inner_tol: float = 1e-10,
     max_inner: int = 10000,
-    *,
-    _outer_sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MStepOutcome:
     """Best-effort solve of the backward fixed-point condition.
 
@@ -269,57 +296,22 @@ def exact_backward_m_step(
     along an eigenvalue -s of the Jacobian (s in [0, 1]) by 1 - 0.8 * (1 + s),
     which lies in [-0.6, 0.2].
 
-    The outcome's solution, the member and its three Distributions, is
-    built on its first read.  The solver's stepper never reads it: it takes
-    the raw induced input as the next iterate and the output marginal of
-    that input, which the last inner step has computed, as the next outer
-    sweep's r_q.
-
-    _outer_sweep is the pair of raw arrays (output marginal of base_input,
-    per-input divergences from it) when the caller has just computed them,
-    as the solver's iteration has; the first inner step then starts from
-    them.  That caller is solve_backward_em, which has checked the inner
-    settings once and whose iteration keeps its iterate interior.  With
-    _outer_sweep, base_input is that iterate as a raw weight array, and the
-    argument checks are skipped.
+    This function checks its arguments, runs the loop on raw arrays and
+    builds the member from the arrays it converged to.  solve_backward_em
+    runs the same loop, _inner_solve, without this wrapper: its iterate is
+    already a checked raw array with its output marginal and divergences
+    computed, and it needs no member, only the induced input and its
+    output marginal.
     """
-    if _outer_sweep is None:
-        _check_interior_input(base_input, ch)
-        _check_inner_parameters(inner_tol, max_inner)
-        base = base_input.weights
-        r, d = _sweep(base, ch)[:2]
-    else:
-        base = base_input
-        r, d = _outer_sweep
-
-    # The loop runs on raw arrays, and log q_t is taken once.
-    log_base = np.log(base)
-    newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
-    residual = np.inf
-    for sweep in range(max_inner + 1):
-        weights, log_norm = _tilt(log_base, d)
-        smallest = weights.min()
-        induced = _normalized(weights, smallest=smallest)
-        mapped = _normalized(_marginal(induced, ch))
-        residual = float(np.abs(mapped - r).max())
-        if residual <= inner_tol:
-            converged = _Converged(base_input, r, induced, log_norm, mapped, bool(smallest > 0.0))
-            return MStepOutcome(None, residual, sweep, MStepStatus.EXACT_CONVERGED, _converged=converged)
-        if sweep == max_inner:
-            break
-        r_next = _newton_step(induced, r, mapped, ch) if newton else None
-        if r_next is None:
-            r_next = (1.0 - _DAMPING) * r + _DAMPING * mapped
-            if (r_next == 0.0).any():
-                # The sweep is heading for the boundary of the output
-                # simplex; the closed forms above stop being finite there.
-                break
-            r_next = _normalized(r_next)
-        # Past these tests r has no zero entry, so the unchecked kernel
-        # applies.
-        r = r_next
-        d = _divergences(ch, r)
-    return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
+    _check_interior_input(base_input, ch)
+    _check_inner_parameters(inner_tol, max_inner)
+    q = base_input.weights
+    inner = _inner_solve(q, *_sweep(q, ch)[:2], ch, inner_tol, max_inner)
+    if inner.induced is None:
+        return MStepOutcome(None, inner.residual, inner.sweeps, MStepStatus.NOT_CONVERGED_FALLBACK)
+    factor, induced = Distribution(inner.factor), Distribution(inner.induced)
+    member = BackwardFamilyMember(base_input, factor, induced, inner.log_norm)
+    return MStepOutcome(member, inner.residual, inner.sweeps, MStepStatus.EXACT_CONVERGED)
 
 
 def approximate_m_step(base_input: Distribution, ch: Channel) -> Distribution:
@@ -409,15 +401,17 @@ def solve_backward_em(
     Each outer iteration attempts the exact backward m-step and falls back to
     the approximate step when the inner solve does not converge; the trace
     records which route produced every iterate ("exact" or "fallback")
-    together with the inner residual reached and the inner steps taken.  The
-    m-step starts from the output marginal and divergences the iteration has
-    already computed at q_t, and the approximate step is the multiplicative
-    tilt of those divergences, so neither costs a further pass over the
-    channel.  An exact step hands on its induced input as a raw array
-    together with that input's output marginal, which its last inner step
-    computed, so the next outer sweep computes only the divergences; it
-    builds no member or Distribution.  A clamped iterate gets a fresh
-    marginal.  Per outer step the solve thus makes about two marginal
+    together with the inner residual reached and the inner steps taken.
+
+    Each step runs exact_backward_m_step's loop, _inner_solve, on the raw
+    iterate, starting from the output marginal and divergences the
+    iteration has already computed there.  The fallback is the
+    multiplicative tilt of those divergences, so it costs no further pass
+    over the channel.  An exact step's induced input, a raw array, is the
+    next iterate, and the output marginal its last inner step computed is
+    the next sweep's, so the next sweep computes only the divergences and
+    the solver builds no member or Distribution.  A clamped iterate gets a
+    fresh marginal.  Per outer step the solve thus makes about two marginal
     passes, two divergence passes and one Newton solve.
 
     The inner solve takes Newton steps, about one per outer step, on
@@ -426,20 +420,14 @@ def solve_backward_em(
     exact_backward_m_step).  inner_tol and max_inner bound that solve.
     """
 
-    # Checked once here: the m-steps the iteration calls skip their checks,
-    # and a run that converges at its first record never takes a step.
+    # Checked here, before the first record: a run that converges there
+    # never takes a step, and _inner_solve checks nothing.
     _check_inner_parameters(inner_tol, max_inner)
 
     def stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
-        # Called by its module-level name, so a wrapper installed there sees
-        # every m-step.
-        outcome = exact_backward_m_step(q, ch, inner_tol, max_inner, _outer_sweep=(r, d))
-        converged = outcome._converged
-        if converged is not None:
-            return Step(
-                converged.induced, converged.interior, "exact",
-                outcome.residual, outcome.inner_iterations, converged.marginal,
-            )
-        return Step(*_reweighted(q, d), "fallback", outcome.residual, outcome.inner_iterations)
+        inner = _inner_solve(q, r, d, ch, inner_tol, max_inner)
+        if inner.induced is None:
+            return Step(*_reweighted(q, d), "fallback", inner.residual, inner.sweeps)
+        return Step(inner.induced, inner.interior, "exact", inner.residual, inner.sweeps, inner.marginal)
 
     return _iterate(ch, tol, max_iters, initial, stepper)

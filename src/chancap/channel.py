@@ -175,14 +175,13 @@ def save_channel(ch: Channel) -> bytes:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
+    """The text of bytes, text or a readable stream of either; ParseError for anything else."""
+    data = source.read() if callable(getattr(source, "read", None)) else source
     if isinstance(data, bytes):
         return data.decode("utf-8")
-    return data
+    if isinstance(data, str):
+        return data
+    raise ParseError(f"channel source must be bytes, text or a readable stream, not {type(source).__name__}")
 
 
 def _third_quote(text: str) -> bool:
@@ -263,8 +262,18 @@ def load_channel(source, format: str = "json") -> Channel:
 # channel operations
 # ---------------------------------------------------------------------------
 
+def _check_channel(ch: Channel) -> None:
+    """Raise InvalidDistribution unless ch is a Channel, not a bare matrix or anything else."""
+    if not isinstance(ch, Channel):
+        raise InvalidDistribution(f"channel must be a Channel, got {type(ch).__name__}")
+
+
 def _check_input_size(q: Distribution, ch: Channel) -> None:
-    """Raise DimensionMismatch unless q is a law over the channel inputs."""
+    """InvalidDistribution unless q is a Distribution and ch a Channel, and
+    DimensionMismatch unless q is a law over the channel inputs."""
+    _check_channel(ch)
+    if not isinstance(q, Distribution):
+        raise InvalidDistribution(f"input law must be a Distribution, got {type(q).__name__}")
     if q.alphabet_size != ch.num_inputs:
         raise DimensionMismatch(
             f"input distribution has {q.alphabet_size} symbols, channel has {ch.num_inputs}"
@@ -326,6 +335,7 @@ def per_input_divergences(
     _divergences from the channel's cached row negentropies, so each call
     makes one pass over P.
     """
+    _check_channel(ch)
     r = _real_array(reference, "reference")
     if r.shape != (ch.num_outputs,):
         raise DimensionMismatch(

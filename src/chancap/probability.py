@@ -12,20 +12,16 @@ Conventions used throughout:
 
 Trust boundary: validate on the way in, trust internally.  Every vector
 that arrives from outside the package is validated by the constructor,
-which copies it, and every public function checks its arguments.  Inside
-the solver loops vectors stay raw arrays: each one the package computes
-(an output marginal, an inner-loop blend, an induced input) goes through
-_normalized, the constructor's own check, which takes no copy and decides
-in one sum and one minimum.  Solver iterates stay raw arrays until a
-trace record or a result is handed out: the trace stores their weights,
-and a record's Distribution is built on the first read of the records.
-The backward solver's m-step hands on the raw induced input it checked as
-the next iterate, with the checked output marginal of that input as the
-next sweep's; a family member and its Distributions are built only when a
-caller reads the outcome's solution.  A Distribution is otherwise built
-only where one is handed out, as a public result.  The solver loops call
-the channel kernel (channel._marginal and channel._divergences) the same
-way, past its checking wrappers.
+which copies it, and every public function checks the types and sizes of
+its arguments.  Inside the solver loops vectors stay raw arrays: each one
+the package computes (an output marginal, an inner-loop blend, an induced
+input) goes through _normalized, the constructor's own check, which takes
+no copy and decides in one sum and one minimum.  The private functions
+those loops call, the channel kernel (channel._marginal and
+channel._divergences) and the backward m-step's loop, check nothing; the
+public functions that share them check first.  A Distribution is built
+only where one is handed out: a public result, a family member, or a trace
+record on the first read of the records.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .channel import Channel, output_marginal, per_input_divergences
+from .channel import Channel, _check_channel, output_marginal, per_input_divergences
 from .errors import ParameterOutOfRange, TooManyInputs, _check_real
 from .numeric import ordered_dot, ordered_sum_along
 from .probability import Distribution
@@ -67,6 +67,7 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
     channels with at most 4 inputs are accepted, and the grid must stay below
     five million points.
     """
+    _check_channel(ch)
     n = ch.num_inputs
     if n > 4:
         raise TooManyInputs(f"exhaustive search supports at most 4 inputs, got {n}")

@@ -23,7 +23,7 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import _lift, _multiplicative
+from chancap.arimoto import _lifted, _reweighted
 from support import random_channel, random_interior
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
@@ -75,17 +75,17 @@ class TestStep:
     @settings(max_examples=200)
     def test_update_ignores_constant_divergence_shifts(self, shift):
         rng = np.random.default_rng(77)
-        q = Distribution(rng.dirichlet(np.ones(5)))
+        q = rng.dirichlet(np.ones(5))
         d = rng.uniform(0.0, 3.0, size=5)
-        base = _multiplicative(q, d).weights
-        shifted = _multiplicative(q, d + shift).weights
+        base = _reweighted(q, d)[0]
+        shifted = _reweighted(q, d + shift)[0]
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
     def test_underflow_clamp_keeps_iterate_interior(self):
-        q = Distribution(np.array([1e-300, 1.0 - 1e-300]))
-        stepped = _multiplicative(q, np.array([0.0, 800.0]))
-        assert not stepped.is_interior
-        fresh = _lift(stepped).weights
+        q = np.array([1e-300, 1.0 - 1e-300])
+        stepped, interior = _reweighted(q, np.array([0.0, 800.0]))
+        assert not interior and stepped.min() == 0.0
+        fresh = _lifted(stepped)
         assert np.all(fresh > 0.0)
         assert abs(float(np.sum(fresh)) - 1.0) <= 1e-12
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chancap import (
-    BackwardFamilyMember,
     Channel,
     DimensionMismatch,
     Distribution,
@@ -335,8 +334,8 @@ class TestSolver:
             solve_backward_em(bsc(0.1), **settings)
 
     def test_inner_parameters_are_checked_once_per_solve(self, monkeypatch):
-        # The solver checks its inner settings once; the m-steps it calls
-        # skip the check, and a standalone m-step still makes it.
+        # The solver checks its inner settings once; its inner solves
+        # check nothing, and a standalone m-step still makes the check.
         calls = []
         check = backward_em._check_inner_parameters
 
@@ -388,76 +387,37 @@ class TestSolver:
         assert exact > 0
 
     def test_exact_steps_hand_the_member_input_through(self, monkeypatch):
-        # The next iterate of an exact step is the m-step's own raw induced
-        # input, not a copy validated again: the array the step computed is
-        # the recorded iterate and the next m-step's base, and its bits are
-        # those of the member's induced input.
-        outcomes, bases = [], []
-        m_step = backward_em.exact_backward_m_step
+        # The next iterate of an exact step is the inner solve's own raw
+        # induced input, not a copy validated again: the array the solve
+        # computed is the recorded iterate and the next solve's base.
+        solves, bases = [], []
+        inner_solve = backward_em._inner_solve
 
-        def recording(base_input, *args, **kwargs):
-            bases.append(base_input)
-            outcomes.append(m_step(base_input, *args, **kwargs))
-            return outcomes[-1]
+        def recording(q, *args):
+            bases.append(q)
+            solves.append(inner_solve(q, *args))
+            return solves[-1]
 
-        monkeypatch.setattr(backward_em, "exact_backward_m_step", recording)
+        monkeypatch.setattr(backward_em, "_inner_solve", recording)
         rng = np.random.default_rng(64)
         handed = passed_on = 0
         for _ in range(3):
             ch = random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-            outcomes.clear()
+            solves.clear()
             bases.clear()
             _, trace = solve_backward_em(ch, tol=1e-7)
             # The iterates as the solver recorded them, before the records
             # are built from them.
             iterates = list(trace._inputs)
-            assert len(outcomes) == len(trace) - 1
-            for k, (rec, outcome) in enumerate(zip(trace.records[1:], outcomes)):
+            assert len(solves) == len(trace) - 1
+            for k, (rec, solve) in enumerate(zip(trace.records[1:], solves)):
                 if rec.step_status == "exact" and not rec.clamped:
-                    assert iterates[k + 1] is outcome._converged.induced
-                    induced = outcome.solution.induced_input
-                    assert iterates[k + 1].tobytes() == induced.weights.tobytes()
+                    assert iterates[k + 1] is solve.induced
                     handed += 1
                     if k + 1 < len(bases):
                         assert bases[k + 1] is iterates[k + 1]
                         passed_on += 1
         assert handed > 0 and passed_on > 0
-
-    def test_solver_outcome_builds_its_member_on_first_read(self, monkeypatch):
-        # On the solver's path an m-step builds no member; the first read of
-        # solution builds it, later reads return it, and it is the member a
-        # standalone m-step on the same iterate gives, bit for bit.
-        members = []
-        init = BackwardFamilyMember.__init__
-
-        def counting(self, *args):
-            members.append(self)
-            init(self, *args)
-
-        outcomes, bases = [], []
-        m_step = backward_em.exact_backward_m_step
-
-        def recording(base_input, *args, **kwargs):
-            bases.append(base_input)
-            outcomes.append(m_step(base_input, *args, **kwargs))
-            return outcomes[-1]
-
-        monkeypatch.setattr(BackwardFamilyMember, "__init__", counting)
-        monkeypatch.setattr(backward_em, "exact_backward_m_step", recording)
-        ch = random_channel(np.random.default_rng(71), 5, 4)
-        solve_backward_em(ch, tol=1e-7)
-        assert len(outcomes) > 2 and not members
-        for base, outcome in zip(bases, outcomes):
-            assert outcome.status is MStepStatus.EXACT_CONVERGED
-            solution = outcome.solution
-            assert members == [solution]
-            assert outcome.solution is solution and len(members) == 1
-            want = m_step(Distribution(base), ch).solution
-            for field in ("base_input", "output_factor", "induced_input"):
-                got_weights = getattr(solution, field).weights
-                assert got_weights.tobytes() == getattr(want, field).weights.tobytes()
-            assert solution.log_normalizer == want.log_normalizer
-            members.clear()
 
     @pytest.mark.parametrize(
         "case",

@@ -187,6 +187,11 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_channel(doc, fmt)
 
+    @pytest.mark.parametrize("source", [None, 3, [b"0.5,0.5"]], ids=["none", "int", "list"])
+    def test_a_source_that_is_not_text_is_a_parse_error(self, source):
+        with pytest.raises(ParseError):
+            load_channel(source, "csv")
+
     def test_stream_input(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_bytes(save_channel(z_channel(0.25)))

@@ -18,6 +18,7 @@ from chancap import (
     Channel,
     DimensionMismatch,
     Distribution,
+    InvalidDistribution,
     ProductPoint,
     RowNotStochastic,
     arimoto_step,
@@ -36,6 +37,7 @@ from chancap import (
 )
 from chancap.channel import _divergences, _marginal
 from chancap.numeric import ordered_dot, ordered_sum, ordered_sum_along
+from chancap.verify import brute_force_capacity
 from support import random_channel, random_interior
 
 
@@ -184,6 +186,34 @@ class TestInputSize:
         ch = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
         with pytest.raises(DimensionMismatch):
             call(Distribution.uniform(3), ch)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ch: solve_arimoto(ch, initial=np.array([0.5, 0.5])),
+            lambda ch: solve_backward_em(ch, initial=[0.5, 0.5]),
+            lambda ch: exact_backward_m_step(np.array([0.5, 0.5]), ch),
+            lambda ch: capacity_bracket([0.5, 0.5], ch),
+            lambda ch: circumcenter_check(np.array([0.5, 0.5]), ch),
+            lambda ch: converse_check(ch, [0.5, 0.5]),
+            lambda ch: arimoto_step(Distribution.uniform(2), ch.matrix),
+            lambda ch: output_marginal(Distribution.uniform(2), ch.matrix),
+            lambda ch: solve_arimoto(np.eye(2)),
+            lambda ch: solve_backward_em(ch.matrix),
+            lambda ch: per_input_divergences(ch.matrix, np.array([0.5, 0.5])),
+            lambda ch: brute_force_capacity(ch.matrix, 0.1),
+        ],
+        ids=[
+            "solve_arimoto-initial", "solve_backward_em-initial", "exact_backward_m_step", "capacity_bracket",
+            "circumcenter_check", "converse_check", "arimoto_step-channel", "output_marginal-channel",
+            "solve_arimoto-channel", "solve_backward_em-channel", "per_input_divergences", "brute_force_capacity",
+        ],
+    )
+    def test_every_entry_point_rejects_a_wrong_argument_type(self, call):
+        # An array where a Distribution or a Channel belongs is a typed
+        # error, not an AttributeError from deep inside the call.
+        with pytest.raises(InvalidDistribution):
+            call(Channel(np.array([[0.9, 0.1], [0.2, 0.8]])))
 
 
 class TestValidation:
