@@ -20,13 +20,18 @@ All updates run in log space so that extreme divergences cannot overflow;
 a weight that still underflows is clamped to the smallest positive normal
 float and the iterate renormalized, flagged on the trace record.
 
-The iteration runs on raw weight arrays and stores its trace as columns:
-each sweep appends its bounds, divergences, input weights, clamp flag and
-step details to one list per field.  The TraceRecords, and the Distribution
-of each recorded iterate, are built only when IterationTrace.records is
-first read; len(trace) builds nothing.  A stepper that has already
-computed the output marginal of the iterate it returns hands it on in its
-Step, and the next sweep does not compute it again.
+The iteration is one generator, _run, over raw weight arrays: it yields
+each iterate with its divergences, bounds, clamp flag and the Step that made
+it.  Both solvers are deterministic maps from one iterate to the next, so
+the trace keeps only each iterate's scalars (bounds, clamp flag, route,
+inner residual and inner count) as columns, about 100 bytes per iterate,
+and no array.  The first read of IterationTrace.records runs _run again from
+the same start, checks every replayed scalar against the kept one bit for
+bit, and builds the TraceRecords, with each iterate's divergences and
+Distribution, from the replay; len(trace) and the columns build nothing.  A
+stepper that has already computed the output marginal of the iterate it
+returns hands it on in its Step, and the next sweep does not compute it
+again.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,8 +82,9 @@ class TraceRecord:
     step_status, inner_residual and inner_iterations describe the step that
     produced this iterate; they are populated only by solvers whose step has
     an inner loop.  clamped marks an iterate that needed the underflow clamp
-    when it was produced.  Records are built from a trace's columns on the
-    first read of IterationTrace.records.
+    when it was produced.  Records are built on the first read of
+    IterationTrace.records, from a replay of the run checked against the
+    trace's columns.
     """
 
     iteration: int
@@ -101,46 +108,51 @@ class TraceRecord:
 
 
 class IterationTrace:
-    """The full bracket history of one solver run, stored as columns.
+    """The full bracket history of one solver run, stored as scalar columns.
 
-    The solver hands over one list per TraceRecord field, one entry per
-    iteration: the bounds, the divergences, the raw input weights, the clamp
-    flags and each step's route, inner residual and inner count.  records
-    builds the TraceRecords, each with a Distribution of its input weights,
-    on first access and caches them; len builds nothing.  Inside the package
-    the columns are read directly: the CLI writes its trace CSV from them.
+    The solver hands over one list per scalar TraceRecord field, one entry
+    per iteration: the bounds, the clamp flags and each step's route, inner
+    residual and inner count, and replay, a callable that restarts the run
+    (arimoto._run) from the same start weights, channel and stepper.  No
+    divergences or input weights are kept.  records replays the run for
+    len(trace) iterates on first access, raises AssertionError if a
+    replayed scalar differs from the kept one in any bit, builds the
+    TraceRecords, each with its divergences and a Distribution of its input
+    weights, caches them and drops replay; len builds nothing.  Inside the
+    package the columns are read directly: the CLI writes its trace CSV from
+    them.
     """
 
-    __slots__ = (
-        "_lower", "_upper", "_divergences", "_inputs", "_clamped", "_routes", "_residuals", "_inner",
-        "_records",
-    )
+    __slots__ = ("_lower", "_upper", "_clamped", "_routes", "_residuals", "_inner", "_replay", "_records")
 
-    def __init__(self, lower, upper, divergences, inputs, clamped, routes, residuals, inner):
+    def __init__(self, lower, upper, clamped, routes, residuals, inner, replay):
         self._lower: list[float] = lower
         self._upper: list[float] = upper
-        self._divergences: list[np.ndarray] = divergences
-        self._inputs: list[np.ndarray] | None = inputs
         self._clamped: list[bool] = clamped
         self._routes: list[str | None] = routes
         self._residuals: list[float | None] = residuals
         self._inner: list[int | None] = inner
+        self._replay: Callable[[], Iterator[tuple]] | None = replay
         self._records: tuple[TraceRecord, ...] | None = None
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         if self._records is None:
-            columns = zip(
-                self._lower, self._upper, self._divergences, self._inputs,
-                self._clamped, self._routes, self._residuals, self._inner,
-            )
-            self._records = tuple(
-                TraceRecord(iteration, lower, upper, d, Distribution(q), clamped, route, residual, inner)
-                for iteration, (lower, upper, d, q, clamped, route, residual, inner) in enumerate(columns, 1)
-            )
-            # Each Distribution holds its own copy of the weights, and
-            # nothing reads this column once the records exist.
-            self._inputs = None
+            kept = zip(self._lower, self._upper, self._clamped, self._routes, self._residuals, self._inner)
+            # kept comes first, so zip stops without asking the replay for
+            # one more iterate, which would take one more step.
+            pairs = enumerate(zip(kept, self._replay()), 1)
+            records = []
+            for iteration, (row, (q, d, lower, upper, clamped, step)) in pairs:
+                replayed = (lower, upper, clamped, step.route, step.residual, step.inner)
+                # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+                if repr(replayed) != repr(row):
+                    raise AssertionError(
+                        f"iteration {iteration}: the replay gives {replayed!r}, the trace kept {row!r}"
+                    )
+                records.append(TraceRecord(iteration, lower, upper, d, Distribution(q), *replayed[2:]))
+            self._records = tuple(records)
+            self._replay = None
         return self._records
 
     def __len__(self):
@@ -240,10 +252,10 @@ class Step(NamedTuple):
     the step's route, last inner residual and inner sweep count, None for a
     step with no inner loop.  marginal is the output marginal of iterate,
     computed by _marginal and checked by _normalized exactly as _sweep
-    would, when the stepper has it; None otherwise.  _iterate lifts an
+    would, when the stepper has it; None otherwise.  _run lifts an
     iterate that is not interior, which drops its marginal, hands any other
-    marginal to the next _sweep, and records the rest on the next trace
-    record.
+    marginal to the next _sweep, and yields the rest with the next
+    iterate.
     """
 
     iterate: np.ndarray
@@ -255,6 +267,30 @@ class Step(NamedTuple):
 
 
 Stepper = Callable[[np.ndarray, np.ndarray, np.ndarray], Step]
+
+
+def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
+    """The iteration from the raw start weights q: one (q, d, lower, upper,
+    clamped, step) per iterate, without end.
+
+    d, lower and upper are _sweep's at q; clamped says whether q needed the
+    underflow clamp, and step is the Step that made q (Step(q, True) for
+    the start).  The next step is taken only when the next iterate is
+    asked for.  This is the only loop body: _iterate runs it once to stop
+    and keep the trace's scalars, and IterationTrace.records runs it again
+    for the arrays.
+    """
+    step = Step(q, True)
+    clamped = False
+    while True:
+        r, d, lower, upper = _sweep(q, ch, step.marginal)
+        yield q, d, lower, upper, clamped, step
+        step = stepper(q, r, d)
+        clamped = not step.interior
+        if clamped:
+            # The lifted iterate is a new array, with a marginal of its own.
+            step = step._replace(iterate=_lifted(step.iterate), marginal=None)
+        q = step.iterate
 
 
 def _iterate(
@@ -270,16 +306,11 @@ def _iterate(
     start = Distribution.uniform(ch.num_inputs) if initial is None else initial
     _check_interior_input(start, ch)
 
-    # The trace's columns, one entry per iteration; q is a raw weight array.
-    lowers, uppers, divergences, inputs = [], [], [], []
-    clamps, routes, residuals, inners = [], [], [], []
-    q = start.weights
+    # The trace's columns, one entry per iteration.
+    lowers, uppers, clamps, routes, residuals, inners = [], [], [], [], [], []
     previous = -math.inf
-    step = Step(q, True)
-    clamped = False
     termination = Termination.MAX_ITERATIONS
-    for iteration in range(1, max_iters + 1):
-        r, d, lower, upper = _sweep(q, ch, step.marginal)
+    for iteration, (q, _, lower, upper, clamped, step) in enumerate(_run(ch, start.weights, stepper), 1):
         # Brackets are ordered and mutual information never falls, up to a
         # 1e-12 rounding slack; a NaN bound fails the comparison too.
         if not previous - 1e-12 <= lower <= upper:
@@ -290,8 +321,6 @@ def _iterate(
         previous = lower
         lowers.append(lower)
         uppers.append(upper)
-        divergences.append(d)
-        inputs.append(q)
         clamps.append(clamped)
         routes.append(step.route)
         residuals.append(step.residual)
@@ -301,12 +330,6 @@ def _iterate(
             break
         if iteration == max_iters:
             break
-        step = stepper(q, r, d)
-        clamped = not step.interior
-        if clamped:
-            # The lifted iterate is a new array, with a marginal of its own.
-            step = step._replace(iterate=_lifted(step.iterate), marginal=None)
-        q = step.iterate
 
     result = CapacityResult(
         capacity=0.5 * (lower + upper),
@@ -315,7 +338,9 @@ def _iterate(
         iterations=len(lowers),
         termination=termination,
     )
-    return result, IterationTrace(lowers, uppers, divergences, inputs, clamps, routes, residuals, inners)
+    # start's weights are read-only, so the replay starts where this run did.
+    replay = partial(_run, ch, start.weights, stepper)
+    return result, IterationTrace(lowers, uppers, clamps, routes, residuals, inners, replay)
 
 
 def _arimoto_stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
@@ -332,6 +357,7 @@ def solve_arimoto(
 
     Starts from the uniform input unless an interior initial law is given.
     The divergence vector of each iterate is computed once and reused for the
-    update, the bracket, and the trace record.
+    update and the bracket; the trace recomputes it when its records are
+    first read.
     """
     return _iterate(ch, tol, max_iters, initial, _arimoto_stepper)

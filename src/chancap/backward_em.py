@@ -54,7 +54,9 @@ from .channel import (
     output_marginal,
     per_input_divergences,
 )
-from .errors import DimensionMismatch, InvalidDistribution, _check_limit, _check_probability, _check_real
+from .errors import (
+    DimensionMismatch, InvalidDistribution, _check_limit, _check_probability, _check_real, _check_type,
+)
 from .numeric import _tilt, logsumexp
 from .probability import Distribution, _normalized
 
@@ -138,6 +140,7 @@ def backward_e_member(
     the support of the output factor.
     """
     _check_interior_input(base_input, ch)
+    _check_type("output factor", output_factor, Distribution)
     d = per_input_divergences(ch, output_factor.weights)
     induced, log_norm = _tilt(np.log(base_input.weights), d)
     return BackwardFamilyMember(base_input, output_factor, Distribution(induced), log_norm)
@@ -347,6 +350,7 @@ def geometric_mixture_check(
     """
     _check_interior_input(base_input, ch)
     for r in (r1, r2):
+        _check_type("output factor", r, Distribution)
         if r.alphabet_size != ch.num_outputs:
             raise DimensionMismatch(
                 f"output factor has {r.alphabet_size} symbols, channel has {ch.num_outputs}"

@@ -45,6 +45,7 @@ from .errors import (
     RowNotStochastic,
     _check_limit,
     _check_probability,
+    _check_type,
 )
 from .numeric import ordered_sum_along
 from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution, _normalized, _real_array
@@ -264,16 +265,14 @@ def load_channel(source, format: str = "json") -> Channel:
 
 def _check_channel(ch: Channel) -> None:
     """Raise InvalidDistribution unless ch is a Channel, not a bare matrix or anything else."""
-    if not isinstance(ch, Channel):
-        raise InvalidDistribution(f"channel must be a Channel, got {type(ch).__name__}")
+    _check_type("channel", ch, Channel)
 
 
 def _check_input_size(q: Distribution, ch: Channel) -> None:
     """InvalidDistribution unless q is a Distribution and ch a Channel, and
     DimensionMismatch unless q is a law over the channel inputs."""
     _check_channel(ch)
-    if not isinstance(q, Distribution):
-        raise InvalidDistribution(f"input law must be a Distribution, got {type(q).__name__}")
+    _check_type("input law", q, Distribution)
     if q.alphabet_size != ch.num_inputs:
         raise DimensionMismatch(
             f"input distribution has {q.alphabet_size} symbols, channel has {ch.num_inputs}"

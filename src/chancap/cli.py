@@ -65,17 +65,17 @@ def _read_input_distribution(path: str) -> Distribution:
 
 
 def _write_trace(path: str, trace: IterationTrace) -> None:
-    # Written from the trace's columns, so no TraceRecord is built.  As on a
-    # record, mutual_info is the lower bound and gap is upper - lower.
-    lines = [_TRACE_HEADER]
+    # Written from the trace's columns, so no TraceRecord is built, one row
+    # at a time as it is formatted.  As on a record, mutual_info is the
+    # lower bound and gap is upper - lower.
     rows = zip(trace._lower, trace._upper, trace._routes, trace._residuals)
-    for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
-        residual = "" if residual is None else repr(residual)
-        lines.append(
-            f"{iteration},{lower!r},{lower!r},{upper!r},{upper - lower!r},{route or ''},{residual}"
-        )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_TRACE_HEADER + "\n")
+        for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
+            residual = "" if residual is None else repr(residual)
+            fh.write(
+                f"{iteration},{lower!r},{lower!r},{upper!r},{upper - lower!r},{route or ''},{residual}\n"
+            )
 
 
 def _scale(nats: float, units: str) -> float:

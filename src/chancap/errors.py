@@ -88,6 +88,12 @@ def _check_real(name: str, value, positive: bool = True) -> None:
         raise ParameterOutOfRange(f"{name} must be a real number{allowed}, got {value!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise InvalidDistribution unless value is a kind, not a bare array or anything else."""
+    if not isinstance(value, kind):
+        raise InvalidDistribution(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_probability(name: str, value) -> None:
     """Raise ParameterOutOfRange unless value is a real number in [0, 1]."""
     _check_real(name, value, positive=False)

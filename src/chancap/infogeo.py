@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, _check_interior_input, per_input_divergences
+from .errors import _check_type
 from .numeric import _tilt
 from .probability import Distribution, JointDistribution, marginals
 
@@ -62,7 +63,9 @@ def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:
     carry mass wherever some channel row does (else some d(x) is infinite and
     AbsoluteContinuityViolation is raised).
     """
+    _check_type("product point", point, ProductPoint)
     q = point.input_factor
     _check_interior_input(q, ch)
+    _check_type("output factor", point.output_factor, Distribution)
     d = per_input_divergences(ch, point.output_factor.weights)
     return Distribution(_tilt(np.log(q.weights), -d)[0])

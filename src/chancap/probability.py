@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution, _check_limit
+from .errors import (
+    AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution, _check_limit, _check_type,
+)
 from .numeric import ordered_sum, ordered_sum_along
 
 __all__ = [
@@ -171,6 +173,8 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     Raises AbsoluteContinuityViolation when q gives zero mass to a symbol p
     uses, and DimensionMismatch when the alphabets differ.
     """
+    _check_type("distribution", p, Distribution)
+    _check_type("distribution", q, Distribution)
     if p.alphabet_size != q.alphabet_size:
         raise DimensionMismatch(
             f"alphabets differ: {p.alphabet_size} vs {q.alphabet_size}"
@@ -180,6 +184,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 def marginals(p: JointDistribution) -> tuple[Distribution, Distribution]:
     """Input and output marginals of a joint distribution."""
+    _check_type("joint distribution", p, JointDistribution)
     input_marginal = ordered_sum_along(p.weights, axis=1)
     output_marginal = ordered_sum_along(p.weights, axis=0)
     return Distribution(input_marginal), Distribution(output_marginal)

@@ -33,29 +33,31 @@ __all__ = [
 _MAX_GRID_POINTS = 5_000_000
 
 
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to write total as an ordered sum of `parts` (at least two)
+    non-negative integers, one per row of a float array, in lexicographic
+    order."""
+    head = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, -1).T
+    spent = np.add.reduce(head, axis=1)
+    keep = spent <= total
+    return np.column_stack([head[keep], total - spent[keep]]).astype(float)
+
+
 def _grid_blocks(n: int, steps: int):
     """Integer compositions of `steps` into n parts, lexicographic order.
 
-    Yields 2-D blocks with the final two coordinates vectorized, so the whole
-    grid is enumerated in a handful of numpy arrays.
+    Yields 2-D blocks, one per value of the first coordinate with every later
+    coordinate vectorized; with at most two parts the whole grid is one
+    block.
     """
     if n == 1:
         yield np.array([[steps]], dtype=float)
-        return
-
-    def rec(prefix: list[int], budget: int):
-        if len(prefix) == n - 2:
-            k = np.arange(budget + 1, dtype=float)
-            block = np.empty((budget + 1, n))
-            block[:, : n - 2] = prefix
-            block[:, n - 2] = k
-            block[:, n - 1] = budget - k
-            yield block
-            return
-        for v in range(budget + 1):
-            yield from rec(prefix + [v], budget - v)
-
-    yield from rec([], steps)
+    elif n == 2:
+        yield _compositions(steps, 2)
+    else:
+        for first in range(steps + 1):
+            rest = _compositions(steps - first, n - 1)
+            yield np.column_stack([np.full(len(rest), float(first)), rest])
 
 
 def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribution]:

@@ -28,8 +28,12 @@ from chancap import (
     converse_check,
     e_project_to_channel,
     exact_backward_m_step,
+    geometric_mixture_check,
     joint,
     kl_divergence,
+    m_project_to_independence,
+    marginals,
+    mutual_information,
     output_marginal,
     per_input_divergences,
     solve_arimoto,
@@ -202,11 +206,26 @@ class TestInputSize:
             lambda ch: solve_backward_em(ch.matrix),
             lambda ch: per_input_divergences(ch.matrix, np.array([0.5, 0.5])),
             lambda ch: brute_force_capacity(ch.matrix, 0.1),
+            lambda ch: backward_e_member(Distribution.uniform(2), np.array([0.5, 0.5]), ch),
+            lambda ch: geometric_mixture_check(
+                Distribution.uniform(2), np.array([0.5, 0.5]), Distribution.uniform(2), 0.5, ch
+            ),
+            lambda ch: e_project_to_channel((Distribution.uniform(2), Distribution.uniform(2)), ch),
+            lambda ch: e_project_to_channel(ProductPoint(Distribution.uniform(2), np.array([0.5, 0.5])), ch),
+            lambda ch: kl_divergence(np.array([0.5, 0.5]), Distribution.uniform(2)),
+            lambda ch: kl_divergence(Distribution.uniform(2), np.array([0.5, 0.5])),
+            lambda ch: m_project_to_independence(np.full((2, 2), 0.25)),
+            lambda ch: marginals(np.full((2, 2), 0.25)),
+            lambda ch: mutual_information(np.full((2, 2), 0.25)),
         ],
         ids=[
             "solve_arimoto-initial", "solve_backward_em-initial", "exact_backward_m_step", "capacity_bracket",
             "circumcenter_check", "converse_check", "arimoto_step-channel", "output_marginal-channel",
             "solve_arimoto-channel", "solve_backward_em-channel", "per_input_divergences", "brute_force_capacity",
+            "backward_e_member", "geometric_mixture_check", "e_project_to_channel-tuple",
+            "e_project_to_channel-array-output-factor",
+            "kl_divergence-first", "kl_divergence-second", "m_project_to_independence", "marginals",
+            "mutual_information",
         ],
     )
     def test_every_entry_point_rejects_a_wrong_argument_type(self, call):

@@ -1,5 +1,7 @@
 """Independent verification layer: grid search, circumcenter test, converse."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
+from chancap.verify import _grid_blocks
 from support import random_channel
 
 BSC01_CAPACITY = np.log(2.0) + 0.9 * np.log(0.9) + 0.1 * np.log(0.1)
@@ -61,6 +64,18 @@ class TestBruteForce:
             # coordinate, and information is Lipschitz on the simplex away
             # from the corners, so the grid cannot undershoot by much.
             assert value >= result.bracket.lower - 0.05
+
+    @pytest.mark.parametrize("n, steps", [(1, 10), (2, 100), (3, 60), (4, 24)])
+    def test_grid_blocks_are_the_lexicographic_grid(self, n, steps):
+        # Bit for bit the grid a plain enumeration gives, in its order, so
+        # the first-point tie rule sees the points in the same sequence.
+        expected = [p for p in itertools.product(range(steps + 1), repeat=n) if sum(p) == steps]
+        blocks = list(_grid_blocks(n, steps))
+        assert np.concatenate(blocks).tobytes() == np.array(expected, dtype=float).tobytes()
+        if n > 2:
+            # One block per first coordinate, every later one vectorized.
+            assert [b[0, 0] for b in blocks] == list(range(steps + 1))
+            assert all((b[:, 0] == b[0, 0]).all() for b in blocks)
 
     def test_rejects_more_than_four_inputs(self):
         with pytest.raises(TooManyInputs):
