@@ -19,15 +19,16 @@ channel point.  Exactly, that means solving the fixed-point condition
     sum_x q[r](x) p(y|x) = r(y)   for all y,
 
 which exact_backward_m_step solves by Newton's method started at the output
-marginal of q_t, with a damped fixed-point sweep on channels with many
-outputs and wherever a Newton step is unusable.  Existence and uniqueness of
-a solution are not guaranteed in general, so non-convergence is a reported
-status rather than an error, and the caller falls back to approximate_m_step:
-freeze the output factor at the current output marginal.  That
-approximation is exactly one multiplicative capacity sweep (see
-arimoto_step), which is what ties the backward alternation to the classical
-iteration: solve_backward_em's fallback is the multiplicative update the
-classical solver steps with.
+marginal of q_t (a damped fixed-point sweep on channels with many outputs).
+For every interior q_t the condition has exactly one solution: its induced
+input is the maximizer of the strictly concave I(q) - D(q || q_t), since
+dI/dq(x) = d_{r_q}(x) - 1.  Non-convergence is therefore numerical only (a
+rejected inner step, or the step limit), a reported status rather than an
+error, and the caller falls back to approximate_m_step: freeze the output
+factor at the current output marginal.  That approximation is exactly one
+multiplicative capacity sweep (see arimoto_step), which is what ties the
+backward alternation to the classical iteration: solve_backward_em's
+fallback is the multiplicative update the classical solver steps with.
 
 The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
@@ -55,7 +56,7 @@ from .channel import (
     per_input_divergences,
 )
 from .errors import (
-    DimensionMismatch, InvalidDistribution, _check_limit, _check_probability, _check_real, _check_type,
+    DimensionMismatch, InvalidDistribution, _check_limit, _check_probability, _check_type,
 )
 from .numeric import _tilt, logsumexp
 from .probability import Distribution, _normalized
@@ -146,36 +147,42 @@ def backward_e_member(
     return BackwardFamilyMember(base_input, output_factor, Distribution(induced), log_norm)
 
 
-# The damping of every inner step that is not a Newton step.  It keeps each
-# error factor 1 - 0.8 * (1 + s) of that step in [-0.6, 0.2]; see
-# exact_backward_m_step.
+# The damping of every inner step on a channel wider than
+# _NEWTON_MAX_OUTPUTS.  It keeps each error factor 1 - 0.8 * (1 + s) of
+# that step in [-0.6, 0.2]; see exact_backward_m_step.
 _DAMPING = 0.8
 # The most outputs a channel may have for its inner steps to be Newton's;
 # see exact_backward_m_step, and CHANGES.md for the measurement.
 _NEWTON_MAX_OUTPUTS = 32
+# The max-norm residual of T(r) = r at which the exact m-step has converged.
+_INNER_TOL = 1e-10
 
 
-def _newton_step(q: np.ndarray, r: np.ndarray, t: np.ndarray, ch: Channel) -> np.ndarray | None:
-    """Newton's next output factor for T(r) = r, checked, or None where it is unusable.
+def _inner_step(q: np.ndarray, r: np.ndarray, t: np.ndarray, ch: Channel) -> np.ndarray | None:
+    """The next output factor for T(r) = r, checked, or None where it is unusable.
 
-    q is the induced input at r and t = T(r).  With B = diag(sqrt q)(P - 1 t^T),
-    B^T B is the covariance Cov_q(P), and the step solves the symmetric
-    positive definite system (diag(r) + B^T B) u = t - r for the relative
-    correction u.  None when the solve fails or r + r*u is not an interior
-    weight vector that probability._normalized accepts.
+    q is the induced input at r and t = T(r).  Up to _NEWTON_MAX_OUTPUTS
+    outputs the step is Newton's: with B = diag(sqrt q)(P - 1 t^T), B^T B
+    is the covariance Cov_q(P), and the step solves the symmetric positive
+    definite system (diag(r) + B^T B) u = t - r for the relative correction
+    u and moves to r + r*u.  Wider channels take the damped blend.  None
+    when the solve fails or the step is not an interior weight vector that
+    probability._normalized accepts.
     """
-    b = np.sqrt(q)[:, None] * (ch.matrix - t)
-    # einsum without optimize reduces in its own loops, not through BLAS.
-    system = np.einsum("xy,xz->yz", b, b)
-    # diag(r) added through a view of the diagonal: adding it whole would
-    # add an exact 0.0 to every other entry.
-    diagonal = system.reshape(-1)[:: ch.num_outputs + 1]
-    diagonal += r
-    try:
-        u = np.linalg.solve(system, t - r)
-    except np.linalg.LinAlgError:
-        return None
-    r_next = r + r * u
+    if ch.num_outputs <= _NEWTON_MAX_OUTPUTS:
+        b = np.sqrt(q)[:, None] * (ch.matrix - t)
+        # einsum without optimize reduces in its own loops, not through BLAS.
+        system = np.einsum("xy,xz->yz", b, b)
+        # diag(r) added through a view of the diagonal: adding it whole would
+        # add an exact 0.0 to every other entry.
+        diagonal = system.reshape(-1)[:: ch.num_outputs + 1]
+        diagonal += r
+        try:
+            r_next = r + r * np.linalg.solve(system, t - r)
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        r_next = (1.0 - _DAMPING) * r + _DAMPING * t
     smallest = r_next.min()
     # A NaN entry fails this test; an infinite one, or a sum too far from
     # one, fails the check.
@@ -185,12 +192,6 @@ def _newton_step(q: np.ndarray, r: np.ndarray, t: np.ndarray, ch: Channel) -> np
         return _normalized(r_next, smallest=smallest)
     except InvalidDistribution:
         return None
-
-
-def _check_inner_parameters(inner_tol: float, max_inner: int) -> None:
-    """Raise ParameterOutOfRange unless the exact m-step's settings are usable."""
-    _check_real("inner_tol", inner_tol)
-    _check_limit("max_inner", max_inner)
 
 
 class _InnerSolve(NamedTuple):
@@ -213,49 +214,32 @@ class _InnerSolve(NamedTuple):
     interior: bool = False
 
 
-def _inner_solve(
-    q: np.ndarray, r: np.ndarray, d: np.ndarray, ch: Channel, inner_tol: float, max_inner: int
-) -> _InnerSolve:
+def _inner_solve(q: np.ndarray, r: np.ndarray, d: np.ndarray, ch: Channel, max_inner: int) -> _InnerSolve:
     """The exact m-step on raw arrays, checking nothing; see exact_backward_m_step.
 
     q is an interior base input, r its output marginal and d the per-input
-    divergences from r, as _sweep returns them, and inner_tol and max_inner
-    are usable settings.
+    divergences from r, as _sweep returns them, and max_inner is a usable
+    limit.
     """
     log_base = np.log(q)
-    newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
-    residual = np.inf
     for sweep in range(max_inner + 1):
         weights, log_norm = _tilt(log_base, d)
         smallest = weights.min()
         induced = _normalized(weights, smallest=smallest)
         mapped = _normalized(_marginal(induced, ch))
         residual = float(np.abs(mapped - r).max())
-        if residual <= inner_tol:
+        if residual <= _INNER_TOL:
             return _InnerSolve(residual, sweep, r, induced, log_norm, mapped, bool(smallest > 0.0))
-        if sweep == max_inner:
+        r = _inner_step(induced, r, mapped, ch) if sweep < max_inner else None
+        if r is None:
             break
-        r_next = _newton_step(induced, r, mapped, ch) if newton else None
-        if r_next is None:
-            r_next = (1.0 - _DAMPING) * r + _DAMPING * mapped
-            if (r_next == 0.0).any():
-                # The sweep is heading for the boundary of the output
-                # simplex; the closed forms above stop being finite there.
-                break
-            r_next = _normalized(r_next)
-        # Past these tests r has no zero entry, so the unchecked kernel
-        # applies.
-        r = r_next
+        # _inner_step's check leaves r no zero entry, so the unchecked
+        # kernel applies.
         d = _divergences(ch, r)
-    return _InnerSolve(residual, min(sweep, max_inner))
+    return _InnerSolve(residual, sweep)
 
 
-def exact_backward_m_step(
-    base_input: Distribution,
-    ch: Channel,
-    inner_tol: float = 1e-10,
-    max_inner: int = 10000,
-) -> MStepOutcome:
+def exact_backward_m_step(base_input: Distribution, ch: Channel, max_inner: int = 10000) -> MStepOutcome:
     """Best-effort solve of the backward fixed-point condition.
 
     The condition is T(r) = r, where
@@ -265,10 +249,10 @@ def exact_backward_m_step(
     and q[r] is the induced input of the member at r.  Starting from r_0 =
     output marginal of q_t, each inner step evaluates t = T(r_k) and moves
     to r_{k+1}.  Success means the max-norm residual |T(r) - r| fell to
-    inner_tol; the member at that r is the step's solution and its induced
-    input is the next iterate.  Failure to converge within max_inner steps
-    (or an output factor underflowing to the boundary) is reported via the
-    status, never raised.
+    _INNER_TOL (1e-10); the member at that r is the step's solution and its
+    induced input is the next iterate.  Failure to converge within
+    max_inner steps, or a step that _inner_step rejects, ends the m-step
+    and is reported via the status, never raised.
 
     The step is Newton's.  The Jacobian of T at r is -C diag(1/r), with C =
     Cov_{q[r]}(P) the covariance over inputs x of the rows P(.|x).  Newton
@@ -282,22 +266,21 @@ def exact_backward_m_step(
     at most diag(r); away from it diag(r) alone keeps the system
     nonsingular.  C has the constant vector in its kernel, so sum_y r*u = 0
     and the step keeps r on the simplex.  On the benchmark's backward-em
-    channels Newton takes 1.06 inner steps per outer step where the damped
-    sweep below took 4.16, with the same outer steps, and a 6x2 channel
-    whose spectrum the damped sweep contracts slowly takes 0.82 where it
-    took 4.80.
+    channels Newton takes 1.06 inner steps per outer step where a damped
+    sweep took 4.16, with the same outer steps, and a 6x2 channel whose
+    spectrum the damped sweep contracts slowly takes 0.82 where it took
+    4.80.
 
     Forming C costs m kernel passes on a channel with m outputs, and the
     solve is m x m, so channels with more than _NEWTON_MAX_OUTPUTS (32)
-    outputs keep the damped sweep
+    outputs take the damped sweep
 
         r_{k+1} = (1 - _DAMPING) * r_k + _DAMPING * t,    _DAMPING = 0.8,
 
-    for every step.  The damped sweep is also the safeguard: a step takes it
-    when the Newton solve fails or r + r*u has an entry <= 0, a non-finite
-    entry or a sum the Distribution check rejects.  It multiplies the error
-    along an eigenvalue -s of the Jacobian (s in [0, 1]) by 1 - 0.8 * (1 + s),
-    which lies in [-0.6, 0.2].
+    instead.  It multiplies the error along an eigenvalue -s of the
+    Jacobian (s in [0, 1]) by 1 - 0.8 * (1 + s), which lies in [-0.6, 0.2].
+    Either step is rejected when the Newton solve fails or r_{k+1} has an
+    entry <= 0, a non-finite entry or a sum the Distribution check rejects.
 
     This function checks its arguments, runs the loop on raw arrays and
     builds the member from the arrays it converged to.  solve_backward_em
@@ -307,9 +290,9 @@ def exact_backward_m_step(
     output marginal.
     """
     _check_interior_input(base_input, ch)
-    _check_inner_parameters(inner_tol, max_inner)
+    _check_limit("max_inner", max_inner)
     q = base_input.weights
-    inner = _inner_solve(q, *_sweep(q, ch)[:2], ch, inner_tol, max_inner)
+    inner = _inner_solve(q, *_sweep(q, ch)[:2], ch, max_inner)
     if inner.induced is None:
         return MStepOutcome(None, inner.residual, inner.sweeps, MStepStatus.NOT_CONVERGED_FALLBACK)
     factor, induced = Distribution(inner.factor), Distribution(inner.induced)
@@ -395,7 +378,6 @@ def solve_backward_em(
     ch: Channel,
     tol: float = 1e-9,
     max_iters: int = 100000,
-    inner_tol: float = 1e-10,
     max_inner: int = 10000,
     initial: Distribution | None = None,
 ) -> tuple[CapacityResult, IterationTrace]:
@@ -418,18 +400,15 @@ def solve_backward_em(
     fresh marginal.  Per outer step the solve thus makes about two marginal
     passes, two divergence passes and one Newton solve.
 
-    The inner solve takes Newton steps, about one per outer step, on
-    channels with at most 32 outputs; wider channels, and any Newton step
-    that would leave the simplex, take a damped sweep instead (see
-    exact_backward_m_step).  inner_tol and max_inner bound that solve.
+    max_inner bounds the inner solve (see exact_backward_m_step).
     """
 
     # Checked here, before the first record: a run that converges there
     # never takes a step, and _inner_solve checks nothing.
-    _check_inner_parameters(inner_tol, max_inner)
+    _check_limit("max_inner", max_inner)
 
     def stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
-        inner = _inner_solve(q, r, d, ch, inner_tol, max_inner)
+        inner = _inner_solve(q, r, d, ch, max_inner)
         if inner.induced is None:
             return Step(*_reweighted(q, d), "fallback", inner.residual, inner.sweeps)
         return Step(inner.induced, inner.interior, "exact", inner.residual, inner.sweeps, inner.marginal)

@@ -100,11 +100,15 @@ class Channel:
             m[off] = m[off] / totals[off, None]
 
         # Label counts are checked against the matrix as given, before any
-        # column is dropped.
+        # column is dropped.  A string is not a label list: tuple() would
+        # split it into characters.
         for kind, size in (("input", m.shape[0]), ("output", m.shape[1])):
             field = f"{kind}_labels"
-            if getattr(self, field) is not None:
-                labels = tuple(str(s) for s in getattr(self, field))
+            given = getattr(self, field)
+            if given is not None:
+                if not isinstance(given, (list, tuple)):
+                    raise InvalidDistribution(f"{kind} labels must be a list or tuple, not {type(given).__name__}")
+                labels = tuple(str(s) for s in given)
                 if len(labels) != size:
                     raise DimensionMismatch(f"{len(labels)} {kind} labels for {size} {kind}s")
                 object.__setattr__(self, field, labels)
@@ -203,6 +207,8 @@ def _json_numbers(rows: list, what: str, scan: bool = True) -> np.ndarray:
         return np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
         raise ParseError(f"{what} entries must all be numbers") from None
+    except OverflowError:  # an integer too large for a float
+        raise ParseError(f"{what} entries must be within the float range") from None
 
 
 def load_channel(source, format: str = "json") -> Channel:

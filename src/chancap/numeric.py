@@ -15,7 +15,7 @@ along the contiguous last axis and strictly row after row along axis 0 of a
 contractions group as its inner loops do.
 
 Two exceptions remain, both deterministic for a fixed build.  The Newton
-step of the exact backward m-step (see backward_em._newton_step), on
+step of the exact backward m-step (see backward_em._inner_step), on
 channels of at most 32 outputs, solves a system of at most 32x32 with
 np.linalg.solve (LAPACK); verify.brute_force_capacity forms its grid
 product with @ on channels of at most 4 inputs.  Results stay bit-identical

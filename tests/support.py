@@ -17,7 +17,7 @@ from chancap import (
     backward_e_member,
     output_marginal,
 )
-from chancap.backward_em import _DAMPING
+from chancap.backward_em import _DAMPING, _INNER_TOL, _NEWTON_MAX_OUTPUTS
 
 
 def random_channel(rng: np.random.Generator, n_in: int, n_out: int, alpha: float = 1.0) -> Channel:
@@ -37,42 +37,32 @@ def newton_output_factor(q: np.ndarray, r: np.ndarray, t: np.ndarray, matrix: np
     return r + r * u
 
 
-def reference_m_step(base, ch, inner_tol=1e-10, max_inner=10000, newton=True, routes=None):
+def reference_m_step(base, ch, max_inner=10000):
     """The exact m-step written from the public member and marginal.
 
     Each inner step builds a validated member and marginal; the library's
     loop runs the same arithmetic on raw arrays and must match it bit for
-    bit.  With newton, a step is Newton's unless its solve fails or its
-    output factor is not an interior Distribution, and then the damped
-    blend; without, every step is the damped blend.  routes, a list, gets
-    "newton" or "damped" appended for each step taken.
+    bit.  A step is Newton's up to the cap on outputs and the damped blend
+    past it; a step whose solve fails or whose output factor is not an
+    interior Distribution ends the m-step.
     """
     r = output_marginal(base, ch)
-    residual = np.inf
     for sweep in range(max_inner + 1):
         member = backward_e_member(base, r, ch)
         mapped = output_marginal(member.induced_input, ch)
         residual = float(np.max(np.abs(mapped.weights - r.weights)))
-        if residual <= inner_tol:
+        if residual <= _INNER_TOL:
             return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
         if sweep == max_inner:
             break
-        step = None
-        if newton:
-            try:
-                step = Distribution(
-                    newton_output_factor(member.induced_input.weights, r.weights, mapped.weights, ch.matrix)
-                )
-            except (np.linalg.LinAlgError, InvalidDistribution):
-                pass
-            if step is not None and not step.is_interior:
-                step = None
-        if routes is not None:
-            routes.append("damped" if step is None else "newton")
-        if step is None:
-            blended = (1.0 - _DAMPING) * r.weights + _DAMPING * mapped.weights
-            if np.any(blended == 0.0):
-                break
-            step = Distribution(blended)
-        r = step
-    return MStepOutcome(None, residual, min(sweep, max_inner), MStepStatus.NOT_CONVERGED_FALLBACK)
+        try:
+            if ch.num_outputs <= _NEWTON_MAX_OUTPUTS:
+                step = newton_output_factor(member.induced_input.weights, r.weights, mapped.weights, ch.matrix)
+            else:
+                step = (1.0 - _DAMPING) * r.weights + _DAMPING * mapped.weights
+            r = Distribution(step)
+        except (np.linalg.LinAlgError, InvalidDistribution):
+            break
+        if not r.is_interior:
+            break
+    return MStepOutcome(None, residual, sweep, MStepStatus.NOT_CONVERGED_FALLBACK)

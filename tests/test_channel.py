@@ -90,6 +90,15 @@ class TestConstruction:
             with pytest.raises(DimensionMismatch):
                 Channel(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]), output_labels=labels)
 
+    @pytest.mark.parametrize("labels", [5, "ab", np.array(["a", "b"])], ids=["int", "str", "array"])
+    def test_labels_must_be_a_list_or_tuple(self, labels):
+        # An int used to raise a bare TypeError, and "ab" to be split into
+        # ("a", "b").
+        for field in ("input_labels", "output_labels"):
+            with pytest.raises(InvalidDistribution):
+                Channel(np.eye(2), **{field: labels})
+        assert Channel(np.eye(2), input_labels=["a", "b"]).input_labels == ("a", "b")
+
     def test_row_accessor(self):
         ch = bec(0.3)
         assert isinstance(ch.row(0), Distribution)
@@ -149,6 +158,9 @@ class TestSerialization:
             b'{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
             b'{"matrix": [[0.5, 0.5], [0.1, "0.9"]]}',
             b'{"input_labels": ["a", "b"], "matrix": [["0.5", 0.5], [0.1, 0.9]]}',
+            # float() of this integer raises OverflowError, which used to
+            # escape as it was.
+            pytest.param(b'{"matrix": [[' + b"1" * 400 + b", 0.5], [0.5, 0.5]]}", id="huge-integer"),
         ],
     )
     def test_non_numeric_entries(self, doc):

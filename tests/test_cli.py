@@ -191,6 +191,8 @@ class TestCapacity:
             '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "input_labels": 5}',
             '{"matrix": [[true, false], [false, true]]}',
             '{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
+            # An integer beyond the float range used to end in a traceback.
+            pytest.param('{"matrix": [[%s, 0.5], [0.5, 0.5]]}' % ("1" * 400), id="huge-integer"),
         ],
     )
     def test_non_numeric_channel_is_bad_input(self, tmp_path, capsys, doc):
@@ -265,7 +267,15 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "doc",
-        ['[{"a": 1}, 0.5]', "[true, false]", '["0.5", "0.5"]', '{"weights": [0.5, "0.5"]}', "[0.5,", "5"],
+        [
+            '[{"a": 1}, 0.5]',
+            "[true, false]",
+            '["0.5", "0.5"]',
+            '{"weights": [0.5, "0.5"]}',
+            "[0.5,",
+            "5",
+            pytest.param("[%s, 0.5]" % ("1" * 400), id="huge-integer"),
+        ],
     )
     def test_non_numeric_input_law_is_bad_input(self, tmp_path, capsys, doc):
         # load_channel's rule for matrix entries applies to the weights too,

@@ -1,4 +1,4 @@
-"""The exact m-step's Newton inner solve: its safeguard, its sweep counts and its determinism."""
+"""The exact m-step's Newton inner solve: its rejected steps, its sweep counts and its determinism."""
 
 import os
 import subprocess
@@ -13,6 +13,8 @@ from chancap import (
     Distribution,
     MStepOutcome,
     MStepStatus,
+    Termination,
+    arimoto_step,
     backward_e_member,
     exact_backward_m_step,
     output_marginal,
@@ -27,7 +29,7 @@ LEAVING_BASE = Distribution(np.array([1.0 - 2e-6, 1e-6, 1e-6]))
 
 
 class TestSafeguard:
-    def test_newton_iterate_leaving_the_simplex_takes_the_damped_step(self):
+    def test_newton_iterate_leaving_the_simplex_ends_the_m_step(self):
         base, ch = LEAVING_BASE, LEAVING_CHANNEL
         r = output_marginal(base, ch)
         member = backward_e_member(base, r, ch)
@@ -35,27 +37,31 @@ class TestSafeguard:
         first = newton_output_factor(member.induced_input.weights, r.weights, mapped.weights, ch.matrix)
         assert first.min() < 0.0
 
-        routes = []
-        want = reference_m_step(base, ch, routes=routes)
-        assert routes[0] == "damped" and "newton" in routes
+        want = reference_m_step(base, ch)
         got = exact_backward_m_step(base, ch)
         assert isinstance(got, MStepOutcome)
-        assert got.status is want.status is MStepStatus.EXACT_CONVERGED
-        assert (got.residual, got.inner_iterations) == (want.residual, want.inner_iterations)
-        assert np.array_equal(got.solution.output_factor.weights, want.solution.output_factor.weights)
-        assert np.array_equal(got.solution.induced_input.weights, want.solution.induced_input.weights)
+        assert got.status is want.status is MStepStatus.NOT_CONVERGED_FALLBACK
+        assert got.solution is None
+        assert (got.residual, got.inner_iterations) == (want.residual, 0)
 
     def test_solver_runs_through_the_safeguarded_step(self):
+        # The rejected Newton step hands the first outer step to the
+        # multiplicative fallback; the exact steps take over after it.
         result, trace = solve_backward_em(LEAVING_CHANNEL, initial=LEAVING_BASE, tol=1e-9)
+        assert result.termination is Termination.CONVERGED
         assert result.bracket.upper - result.bracket.lower <= 1e-9
-        assert trace.records[1].step_status == "exact"
+        first = trace.records[1]
+        assert (first.step_status, first.inner_iterations) == ("fallback", 0)
+        expected = arimoto_step(LEAVING_BASE, LEAVING_CHANNEL).weights
+        assert np.array_equal(first.input_distribution.weights, expected)
+        assert all(rec.step_status == "exact" for rec in trace.records[2:])
 
     @pytest.mark.parametrize("failure", ["singular", "inf", "nan", "sum"])
-    def test_unusable_newton_steps_take_the_damped_step(self, monkeypatch, failure):
+    def test_unusable_newton_steps_end_the_m_step(self, monkeypatch, failure):
         # No system here is singular and no iterate non-finite, so the
         # solve is replaced by one that fails, or whose every step is
-        # infinite, NaN or sums to 2: each step must then be the damped
-        # blend, bit for bit.
+        # infinite, NaN or sums to 2: the first step is then rejected and
+        # the m-step ends there, as the reference loop's does.
         def unusable(a, b):
             if failure == "singular":
                 raise np.linalg.LinAlgError("singular matrix")
@@ -64,13 +70,24 @@ class TestSafeguard:
         rng = np.random.default_rng(67)
         ch = random_channel(rng, 5, 4)
         base = Distribution(rng.dirichlet(np.ones(5)))
-        want = reference_m_step(base, ch, newton=False)
         monkeypatch.setattr(np.linalg, "solve", unusable)
+        want = reference_m_step(base, ch)
         got = exact_backward_m_step(base, ch)
         assert isinstance(got, MStepOutcome)
-        assert got.status is want.status is MStepStatus.EXACT_CONVERGED
-        assert (got.residual, got.inner_iterations) == (want.residual, want.inner_iterations)
-        assert np.array_equal(got.solution.induced_input.weights, want.solution.induced_input.weights)
+        assert got.status is want.status is MStepStatus.NOT_CONVERGED_FALLBACK
+        assert got.solution is None
+        assert (got.residual, got.inner_iterations) == (want.residual, 0)
+
+
+def test_exact_step_reaches_its_fixed_point_with_the_default_settings():
+    # The fixed point exists and is unique for every interior base input,
+    # so with the default inner settings no step of criterion 04's solves
+    # should fall back.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n, m = int(rng.integers(2, 17)), int(rng.integers(2, 17))
+        _, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40)
+        assert all(rec.step_status == "exact" for rec in trace.records[1:])
 
 
 def test_two_output_channel_needs_at_most_one_inner_sweep_per_step():

@@ -10,7 +10,7 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   case at its benchmark tolerance (slow32 under backward-em at 1e-6, where
   it takes seconds rather than minutes);
 * solve_backward_em on the backward-em corpus at max_inner=2, which takes
-  the fallback route on most steps;
+  the fallback route on a few steps (14 of 2,247 at seed 1);
 * both solvers on a channel whose first step underflows and is clamped;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
   exact_backward_m_step calls (default and max_inner=2) on seeded random
