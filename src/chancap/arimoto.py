@@ -22,16 +22,19 @@ float and the iterate renormalized, flagged on the trace record.
 
 The iteration is one generator, _run, over raw weight arrays: it yields
 each iterate with its divergences, bounds, clamp flag and the Step that made
-it.  Both solvers are deterministic maps from one iterate to the next, so
-the trace keeps only each iterate's scalars (bounds, clamp flag, route,
-inner residual and inner count) as columns, about 100 bytes per iterate,
-and no array.  The first read of IterationTrace.records runs _run again from
-the same start, checks every replayed scalar against the kept one bit for
-bit, and builds the TraceRecords, with each iterate's divergences and
-Distribution, from the replay; len(trace) and the columns build nothing.  A
-stepper that has already computed the output marginal of the iterate it
-returns hands it on in its Step, and the next sweep does not compute it
-again.
+it.  Both solvers are deterministic maps from one iterate, and the Step
+that made it, to the next, so the trace keeps only each iterate's scalars
+(bounds, clamp flag, route, inner residual, inner count and step size) as
+columns, about 100 bytes per iterate, and no array.  The first read of
+IterationTrace.records runs _run again from the same start, checks every
+replayed scalar against the kept one bit for bit, and builds the
+TraceRecords, with each iterate's divergences and Distribution, from the
+replay; len(trace) and the columns build nothing.  A stepper that has
+already swept the iterate it returns hands the sweep on in
+its Step, and the loop does not sweep it again.  A stepper with state of
+its own (the backward solver's step size) keeps it on its Step: _run hands
+each stepper the Step that made the current iterate, so a replay, which
+starts from the same Step, takes the same steps.
 """
 
 from __future__ import annotations
@@ -79,12 +82,12 @@ class Bracket(NamedTuple):
 class TraceRecord:
     """State of the solver at one iteration, before stepping.
 
-    step_status, inner_residual and inner_iterations describe the step that
-    produced this iterate; they are populated only by solvers whose step has
-    an inner loop.  clamped marks an iterate that needed the underflow clamp
-    when it was produced.  Records are built on the first read of
-    IterationTrace.records, from a replay of the run checked against the
-    trace's columns.
+    step_status, inner_residual, inner_iterations and step_size describe
+    the step that produced this iterate; they are populated only by solvers
+    whose step has an inner loop.  clamped marks an iterate that needed the
+    underflow clamp when it was produced.  Records are built on the first
+    read of IterationTrace.records, from a replay of the run checked
+    against the trace's columns.
     """
 
     iteration: int
@@ -96,6 +99,7 @@ class TraceRecord:
     step_status: str | None = None
     inner_residual: float | None = None
     inner_iterations: int | None = None
+    step_size: float | None = None
 
     @property
     def mutual_info(self) -> float:
@@ -112,39 +116,45 @@ class IterationTrace:
 
     The solver hands over one list per scalar TraceRecord field, one entry
     per iteration: the bounds, the clamp flags and each step's route, inner
-    residual and inner count, and replay, a callable that restarts the run
-    (arimoto._run) from the same start weights, channel and stepper.  No
-    divergences or input weights are kept.  records replays the run for
-    len(trace) iterates on first access, raises AssertionError if a
-    replayed scalar differs from the kept one in any bit, builds the
-    TraceRecords, each with its divergences and a Distribution of its input
-    weights, caches them and drops replay; len builds nothing.  Inside the
-    package the columns are read directly: the CLI writes its trace CSV from
-    them.
+    residual, inner count and step size, and replay, a callable that
+    restarts the run (arimoto._run) from the same start weights, channel
+    and stepper.  No divergences or input weights are kept.  records
+    replays the run for len(trace) iterates on first access, raises
+    AssertionError if a replayed scalar differs from the kept one in any
+    bit, builds the TraceRecords, each with its divergences and a
+    Distribution of its input weights, caches them and drops replay; len
+    builds nothing.  Inside the package the columns are read directly: the
+    CLI writes its trace CSV from them.
     """
 
-    __slots__ = ("_lower", "_upper", "_clamped", "_routes", "_residuals", "_inner", "_replay", "_records")
+    __slots__ = (
+        "_lower", "_upper", "_clamped", "_routes", "_residuals", "_inner", "_step_sizes", "_replay", "_records",
+    )
 
-    def __init__(self, lower, upper, clamped, routes, residuals, inner, replay):
+    def __init__(self, lower, upper, clamped, routes, residuals, inner, step_sizes, replay):
         self._lower: list[float] = lower
         self._upper: list[float] = upper
         self._clamped: list[bool] = clamped
         self._routes: list[str | None] = routes
         self._residuals: list[float | None] = residuals
         self._inner: list[int | None] = inner
+        self._step_sizes: list[float | None] = step_sizes
         self._replay: Callable[[], Iterator[tuple]] | None = replay
         self._records: tuple[TraceRecord, ...] | None = None
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         if self._records is None:
-            kept = zip(self._lower, self._upper, self._clamped, self._routes, self._residuals, self._inner)
+            kept = zip(
+                self._lower, self._upper, self._clamped, self._routes, self._residuals, self._inner,
+                self._step_sizes,
+            )
             # kept comes first, so zip stops without asking the replay for
             # one more iterate, which would take one more step.
             pairs = enumerate(zip(kept, self._replay()), 1)
             records = []
             for iteration, (row, (q, d, lower, upper, clamped, step)) in pairs:
-                replayed = (lower, upper, clamped, step.route, step.residual, step.inner)
+                replayed = (lower, upper, clamped, step.route, step.residual, step.inner, step.step_size)
                 # repr tells every float apart bit for bit, -0.0 from 0.0 too.
                 if repr(replayed) != repr(row):
                     raise AssertionError(
@@ -245,17 +255,16 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
 class Step(NamedTuple):
     """What a stepper returns: the next iterate, and how the step made it.
 
-    A stepper maps the current iterate q, its output marginal r_q and its
-    divergences d, all raw arrays, to a Step.  iterate is a raw weight array
-    the stepper has passed through probability._normalized, and interior
-    says whether every weight is positive.  route, residual and inner are
-    the step's route, last inner residual and inner sweep count, None for a
-    step with no inner loop.  marginal is the output marginal of iterate,
-    computed by _marginal and checked by _normalized exactly as _sweep
-    would, when the stepper has it; None otherwise.  _run lifts an
-    iterate that is not interior, which drops its marginal, hands any other
-    marginal to the next _sweep, and yields the rest with the next
-    iterate.
+    A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
+    upper) at q and the Step that made q to a Step.  iterate is a raw weight
+    array the stepper has passed through probability._normalized, and
+    interior says whether every weight is positive.  route, residual, inner
+    and step_size are the step's route, last inner residual, inner sweep
+    count and step size, None for a step with no inner loop.  sweep is
+    _sweep's tuple at iterate when the stepper has computed it, None
+    otherwise.  _run lifts an iterate that is not interior, which drops its
+    sweep, takes any other sweep as the next iterate's, and yields the rest
+    with the next iterate.
     """
 
     iterate: np.ndarray
@@ -263,10 +272,11 @@ class Step(NamedTuple):
     route: str | None = None
     residual: float | None = None
     inner: int | None = None
-    marginal: np.ndarray | None = None
+    sweep: tuple | None = None
+    step_size: float | None = None
 
 
-Stepper = Callable[[np.ndarray, np.ndarray, np.ndarray], Step]
+Stepper = Callable[[np.ndarray, tuple, Step], Step]
 
 
 def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
@@ -275,21 +285,21 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
 
     d, lower and upper are _sweep's at q; clamped says whether q needed the
     underflow clamp, and step is the Step that made q (Step(q, True) for
-    the start).  The next step is taken only when the next iterate is
-    asked for.  This is the only loop body: _iterate runs it once to stop
-    and keep the trace's scalars, and IterationTrace.records runs it again
-    for the arrays.
+    the start), which the stepper is handed with q.  The next step is
+    taken only when the next iterate is asked for.  This is the only loop
+    body: _iterate runs it once to stop and keep the trace's scalars, and
+    IterationTrace.records runs it again for the arrays.
     """
     step = Step(q, True)
     clamped = False
     while True:
-        r, d, lower, upper = _sweep(q, ch, step.marginal)
+        _, d, lower, upper = sweep = _sweep(q, ch) if step.sweep is None else step.sweep
         yield q, d, lower, upper, clamped, step
-        step = stepper(q, r, d)
+        step = stepper(q, sweep, step)
         clamped = not step.interior
         if clamped:
-            # The lifted iterate is a new array, with a marginal of its own.
-            step = step._replace(iterate=_lifted(step.iterate), marginal=None)
+            # The lifted iterate is a new array, with a sweep of its own.
+            step = step._replace(iterate=_lifted(step.iterate), sweep=None)
         q = step.iterate
 
 
@@ -307,7 +317,7 @@ def _iterate(
     _check_interior_input(start, ch)
 
     # The trace's columns, one entry per iteration.
-    lowers, uppers, clamps, routes, residuals, inners = [], [], [], [], [], []
+    lowers, uppers, clamps, routes, residuals, inners, step_sizes = [], [], [], [], [], [], []
     previous = -math.inf
     termination = Termination.MAX_ITERATIONS
     for iteration, (q, _, lower, upper, clamped, step) in enumerate(_run(ch, start.weights, stepper), 1):
@@ -325,6 +335,7 @@ def _iterate(
         routes.append(step.route)
         residuals.append(step.residual)
         inners.append(step.inner)
+        step_sizes.append(step.step_size)
         if upper - lower <= tol:
             termination = Termination.CONVERGED
             break
@@ -340,11 +351,11 @@ def _iterate(
     )
     # start's weights are read-only, so the replay starts where this run did.
     replay = partial(_run, ch, start.weights, stepper)
-    return result, IterationTrace(lowers, uppers, clamps, routes, residuals, inners, replay)
+    return result, IterationTrace(lowers, uppers, clamps, routes, residuals, inners, step_sizes, replay)
 
 
-def _arimoto_stepper(q: np.ndarray, r: np.ndarray, d: np.ndarray) -> Step:
-    return Step(*_reweighted(q, d))
+def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
+    return Step(*_reweighted(q, sweep[1]))
 
 
 def solve_arimoto(

@@ -107,6 +107,8 @@ def cmd_capacity(args) -> int:
         payload["exact_steps"] = trace._routes.count("exact")
         payload["fallback_steps"] = trace._routes.count("fallback")
         payload["clamped_steps"] = sum(trace._clamped)
+        # The largest step size any step took; null when no step was taken.
+        payload["max_step_size"] = max(filter(None, trace._step_sizes), default=None)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 

@@ -359,7 +359,7 @@ class TestSolver:
         channels.append(random_channel(np.random.default_rng(69), 3, _NEWTON_MAX_OUTPUTS + 1))
         exact = 0
         for ch in channels:
-            _, trace = solve_backward_em(ch, tol=1e-7)
+            _, trace = solve_backward_em(ch, tol=1e-7, step_size=1.0)
             for before, after in zip(trace.records, trace.records[1:]):
                 assert after.step_status == "exact"
                 outcome = exact_backward_m_step(before.input_distribution, ch)
@@ -374,7 +374,9 @@ class TestSolver:
     def test_exact_steps_hand_the_member_input_through(self, monkeypatch):
         # The next iterate of an exact step is the inner solve's own raw
         # induced input, not a copy validated again: the array the solve
-        # computed is the next solve's base, and the recorded iterate.
+        # computed is the next solve's base, and the recorded iterate.  A
+        # rejected candidate is solved again from the same base, so the
+        # step's accepted solve is the last of the solves on its base.
         solves, bases = [], []
         inner_solve = backward_em._inner_solve
 
@@ -393,15 +395,19 @@ class TestSolver:
             _, trace = solve_backward_em(ch, tol=1e-7)
             # The calls of the solve itself: reading the records replays the
             # run, which calls the patched loop again.
-            run_solves, run_bases = list(solves), list(bases)
-            assert len(run_solves) == len(trace) - 1
-            for k, solve in enumerate(run_solves[:-1]):
+            steps = []
+            for base, solve in zip(list(bases), list(solves)):
+                if not steps or steps[-1][0] is not base:
+                    steps.append((base, []))
+                steps[-1][1].append(solve)
+            assert len(steps) == len(trace) - 1
+            for k, (_, tried) in enumerate(steps[:-1]):
                 if trace._routes[k + 1] == "exact" and not trace._clamped[k + 1]:
-                    assert run_bases[k + 1] is solve.induced
+                    assert steps[k + 1][0] is tried[-1].point.induced
                     handed += 1
-            for rec, solve in zip(trace.records[1:], run_solves):
+            for rec, (_, tried) in zip(trace.records[1:], steps):
                 if rec.step_status == "exact" and not rec.clamped:
-                    assert rec.input_distribution.weights.tobytes() == solve.induced.tobytes()
+                    assert rec.input_distribution.weights.tobytes() == tried[-1].point.induced.tobytes()
         assert handed > 0
 
     @pytest.mark.parametrize(
@@ -444,14 +450,14 @@ class TestSolver:
         assert clamped == (case == "clamp")
 
     def test_newton_takes_about_one_inner_sweep_per_step(self):
-        # A count, not a timing: Newton's inner solve converges
-        # quadratically.  On this corpus it takes 1.28 inner sweeps per
-        # outer step, where the damped sweep at 0.8 took 7.21.
+        # A count, not a timing, at the paper's step size: Newton's inner
+        # solve converges quadratically.  On this corpus it takes 1.28 inner
+        # sweeps per outer step, where the damped sweep at 0.8 took 7.21.
         rng = np.random.default_rng(63)
         outer = inner = 0
         for _ in range(10):
             ch = random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-            _, trace = solve_backward_em(ch, tol=1e-6)
+            _, trace = solve_backward_em(ch, tol=1e-6, step_size=1.0)
             assert all(rec.step_status == "exact" for rec in trace.records[1:])
             outer += len(trace) - 1
             inner += sum(rec.inner_iterations for rec in trace.records[1:])

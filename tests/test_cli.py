@@ -163,8 +163,10 @@ class TestCapacity:
         assert payload["fallback_steps"] == routes.count("fallback")
         assert payload["exact_steps"] + payload["fallback_steps"] == len(trace) - 1
         assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records)
+        assert payload["max_step_size"] == max(rec.step_size for rec in trace.records[1:]) > 1.0
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
-        assert not {"inner_sweeps", "exact_steps", "fallback_steps", "clamped_steps"} & arimoto.keys()
+        keys = {"inner_sweeps", "exact_steps", "fallback_steps", "clamped_steps", "max_step_size"}
+        assert not keys & arimoto.keys()
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])

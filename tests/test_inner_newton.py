@@ -1,4 +1,4 @@
-"""The exact m-step's Newton inner solve: its rejected steps, its sweep counts and its determinism."""
+"""The exact m-step's Newton inner solve: its halved and rejected steps, its sweep counts and its determinism."""
 
 import os
 import subprocess
@@ -14,7 +14,6 @@ from chancap import (
     MStepOutcome,
     MStepStatus,
     Termination,
-    arimoto_step,
     backward_e_member,
     exact_backward_m_step,
     output_marginal,
@@ -23,13 +22,15 @@ from chancap import (
 from support import newton_output_factor, random_channel, reference_m_step
 
 # Three inputs, the last two almost unused: the first Newton iterate at this
-# base input has a negative entry.
+# base input has a negative entry, and halving the step brings it inside.
 LEAVING_CHANNEL = Channel(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.9, 0.1]]))
 LEAVING_BASE = Distribution(np.array([1.0 - 2e-6, 1e-6, 1e-6]))
 
 
 class TestSafeguard:
-    def test_newton_iterate_leaving_the_simplex_ends_the_m_step(self):
+    def test_newton_iterate_leaving_the_simplex_is_halved_back_inside(self):
+        # The full Newton step leaves the simplex; halved, it comes back
+        # inside, and the m-step reaches its fixed point as the reference does.
         base, ch = LEAVING_BASE, LEAVING_CHANNEL
         r = output_marginal(base, ch)
         member = backward_e_member(base, r, ch)
@@ -40,21 +41,24 @@ class TestSafeguard:
         want = reference_m_step(base, ch)
         got = exact_backward_m_step(base, ch)
         assert isinstance(got, MStepOutcome)
-        assert got.status is want.status is MStepStatus.NOT_CONVERGED_FALLBACK
-        assert got.solution is None
-        assert (got.residual, got.inner_iterations) == (want.residual, 0)
+        assert got.status is want.status is MStepStatus.EXACT_CONVERGED
+        assert (got.residual, got.inner_iterations) == (want.residual, want.inner_iterations)
+        assert got.inner_iterations > 1
+        assert np.array_equal(got.solution.induced_input.weights, want.solution.induced_input.weights)
 
     def test_solver_runs_through_the_safeguarded_step(self):
-        # The rejected Newton step hands the first outer step to the
-        # multiplicative fallback; the exact steps take over after it.
-        result, trace = solve_backward_em(LEAVING_CHANNEL, initial=LEAVING_BASE, tol=1e-9)
-        assert result.termination is Termination.CONVERGED
-        assert result.bracket.upper - result.bracket.lower <= 1e-9
-        first = trace.records[1]
-        assert (first.step_status, first.inner_iterations) == ("fallback", 0)
-        expected = arimoto_step(LEAVING_BASE, LEAVING_CHANNEL).weights
-        assert np.array_equal(first.input_distribution.weights, expected)
-        assert all(rec.step_status == "exact" for rec in trace.records[2:])
+        # The first outer step is the m-step above, at step size 1 under
+        # either rule: its halved Newton steps reach the fixed point, so
+        # every step is exact.
+        expected = exact_backward_m_step(LEAVING_BASE, LEAVING_CHANNEL).solution.induced_input.weights
+        for step_size in (1.0, None):
+            result, trace = solve_backward_em(LEAVING_CHANNEL, initial=LEAVING_BASE, tol=1e-9, step_size=step_size)
+            assert result.termination is Termination.CONVERGED
+            assert result.bracket.upper - result.bracket.lower <= 1e-9
+            first = trace.records[1]
+            assert (first.step_status, first.step_size) == ("exact", 1.0)
+            assert np.array_equal(first.input_distribution.weights, expected)
+            assert all(rec.step_status == "exact" for rec in trace.records[2:])
 
     @pytest.mark.parametrize("failure", ["singular", "inf", "nan", "sum"])
     def test_unusable_newton_steps_end_the_m_step(self, monkeypatch, failure):
@@ -82,22 +86,25 @@ class TestSafeguard:
 def test_exact_step_reaches_its_fixed_point_with_the_default_settings():
     # The fixed point exists and is unique for every interior base input,
     # so with the default inner settings no step of criterion 04's solves
-    # should fall back.
+    # at the paper's step size should fall back.  (The adaptive rule falls
+    # back near the rounding floor, where it rejects candidates whose lower
+    # bound falls by an ulp.)
     rng = np.random.default_rng(41)
     for _ in range(200):
         n, m = int(rng.integers(2, 17)), int(rng.integers(2, 17))
-        _, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40)
+        _, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40, step_size=1.0)
         assert all(rec.step_status == "exact" for rec in trace.records[1:])
 
 
 def test_two_output_channel_needs_at_most_one_inner_sweep_per_step():
     # The 6x2 channel among these draws sat near the eigenvalue where damping
     # 0.8 contracts worst: 4.80 inner sweeps per outer step, against 3.34 at
-    # damping 0.5.  Newton's rate does not depend on the spectrum.
+    # damping 0.5.  Newton's rate at the paper's step size does not depend
+    # on the spectrum.
     rng = np.random.default_rng(65)
     channels = [random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9))) for _ in range(10)]
     ch = next(ch for ch in channels if ch.matrix.shape == (6, 2))
-    _, trace = solve_backward_em(ch, tol=1e-9)
+    _, trace = solve_backward_em(ch, tol=1e-9, step_size=1.0)
     steps = trace.records[1:]
     assert all(rec.step_status == "exact" for rec in steps)
     assert sum(rec.inner_iterations for rec in steps) <= 1.0 * len(steps)

@@ -204,6 +204,7 @@ class TestInputSize:
             lambda ch: output_marginal(Distribution.uniform(2), ch.matrix),
             lambda ch: solve_arimoto(np.eye(2)),
             lambda ch: solve_backward_em(ch.matrix),
+            lambda ch: solve_backward_em(ch.matrix, step_size=2.0),
             lambda ch: per_input_divergences(ch.matrix, np.array([0.5, 0.5])),
             lambda ch: brute_force_capacity(ch.matrix, 0.1),
             lambda ch: backward_e_member(Distribution.uniform(2), np.array([0.5, 0.5]), ch),
@@ -221,7 +222,8 @@ class TestInputSize:
         ids=[
             "solve_arimoto-initial", "solve_backward_em-initial", "exact_backward_m_step", "capacity_bracket",
             "circumcenter_check", "converse_check", "arimoto_step-channel", "output_marginal-channel",
-            "solve_arimoto-channel", "solve_backward_em-channel", "per_input_divergences", "brute_force_capacity",
+            "solve_arimoto-channel", "solve_backward_em-channel", "solve_backward_em-channel-step_size",
+            "per_input_divergences", "brute_force_capacity",
             "backward_e_member", "geometric_mixture_check", "e_project_to_channel-tuple",
             "e_project_to_channel-array-output-factor",
             "kl_divergence-first", "kl_divergence-second", "m_project_to_independence", "marginals",

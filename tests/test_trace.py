@@ -8,6 +8,7 @@ the run on their first read.
 
 import gc
 import math
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -22,16 +23,12 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
-from support import random_channel
+from support import pinned_squares, random_channel
 
 
 def r16():
-    """The benchmark's r16 channel, unrelabelled: the third of the successive
-    default_rng(1) flat-Dirichlet squares at 4, 8 and 16 inputs."""
-    rng = np.random.default_rng(1)
-    for n in (4, 8):
-        random_channel(rng, n, n)
-    return random_channel(rng, 16, 16)
+    """The benchmark's r16 channel, unrelabelled."""
+    return pinned_squares()["r16"]
 
 
 @pytest.fixture
@@ -66,7 +63,8 @@ def test_arimoto_solve_builds_no_record(built):
 def test_backward_solve_builds_no_member_and_reuses_each_exact_marginal(built, monkeypatch):
     # The m-steps build no member and no Distribution, and a sweep after an
     # exact step takes its output marginal from the m-step's last inner
-    # evaluation, so the solve makes at most two marginal passes per record.
+    # evaluation, so at the paper's step size, about one inner step per
+    # record, the solve makes at most two marginal passes per record.
     members = marginals = 0
     member_init, marginal = BackwardFamilyMember.__init__, arimoto._marginal
 
@@ -84,7 +82,7 @@ def test_backward_solve_builds_no_member_and_reuses_each_exact_marginal(built, m
     monkeypatch.setattr(arimoto, "_marginal", counting_marginal)
     monkeypatch.setattr(backward_em, "_marginal", counting_marginal)
     ch = r16()
-    result, trace = solve_backward_em(ch, tol=1e-9)
+    result, trace = solve_backward_em(ch, tol=1e-9, step_size=1.0)
     assert result.iterations == len(trace) == 1053
     # The start and the optimal input.
     assert built["Distribution"] <= 2
@@ -113,7 +111,11 @@ def test_a_trace_retains_no_array_per_record(solve, inputs):
     # Kept per iterate: two float bounds, a clamp flag, a route, a residual
     # and an inner count, about 100-130 B with the list slots.  A column of
     # divergences and one of input weights took about 600 B per record at
-    # 16 inputs and 1,390 B at 64.
+    # 16 inputs and 1,390 B at 64.  The backward solver runs at the paper's
+    # step size, which takes over 1,000 records on r16 (the 64-output
+    # channel keeps it anyway).
+    if solve is solve_backward_em:
+        solve = partial(solve, step_size=1.0)
     if inputs == 16:
         ch, tol = r16(), 1e-9
     else:

@@ -8,10 +8,12 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * every trace record of solve_arimoto and solve_backward_em on the
   small-tight, large-loose and backward-em corpora at the given seed, each
   case at its benchmark tolerance (slow32 under backward-em at 1e-6, where
-  it takes seconds rather than minutes);
+  the paper's step size takes seconds rather than minutes);
 * solve_backward_em on the backward-em corpus at max_inner=2, which takes
-  the fallback route on a few steps (14 of 2,247 at seed 1);
+  the fallback route on a few steps;
 * both solvers on a channel whose first step underflows and is clamped;
+* every solve_backward_em run above again at step_size=1.0, the paper's
+  iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
   exact_backward_m_step calls (default and max_inner=2) on seeded random
   channels.
@@ -20,9 +22,13 @@ A trace record contributes its bounds, divergences, input weights, clamp
 flag, step route, inner residual and inner iteration count.  The script
 prints the number of hashed items and the SHA-256 over all of them; equal
 lines from two checkouts mean the change left every number unchanged.  It
-then prints the same for three groups of those items: the solve_arimoto
-traces, the solve_backward_em traces and the direct calls, so a change
-meant to touch one solver can show the other's numbers unchanged.
+then prints the same for four groups of those items: the solve_arimoto
+traces, the solve_backward_em traces at the default step size, the direct
+calls, and the solve_backward_em traces at step_size=1.0, so a change
+meant to touch one solver can show the other's numbers unchanged.  The
+step_size=1.0 group hashes the same labels and record fields as the
+default group, so its line can be compared with a default-group line of a
+checkout whose default step size was 1.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ CORPORA = ("small-tight", "large-loose", "backward-em")
 INNER_SETTINGS = ({}, {"max_inner": 2})
 
 
-GROUPS = ("arimoto", "backward", "direct")
+GROUPS = ("arimoto", "backward", "direct", "step_size=1.0")
 
 
 def encode(v) -> bytes:
@@ -111,11 +117,16 @@ def solver_runs(h: Hasher, seed: int) -> None:
             case_tol = case.tol or tol
             h.trace("arimoto", f"{workload}/{case.name}/arimoto", solve_arimoto(ch, tol=case_tol))
             backward_tol = max(case_tol, 1e-6) if case.name == "slow32" else case_tol
-            h.trace("backward", f"{workload}/{case.name}/backward", solve_backward_em(ch, tol=backward_tol))
+            backward_runs(h, f"{workload}/{case.name}/backward", ch, tol=backward_tol)
             if workload == "backward-em":
                 for settings in INNER_SETTINGS[1:]:
-                    label = f"{workload}/{case.name}/{settings}"
-                    h.trace("backward", label, solve_backward_em(ch, tol=tol, **settings))
+                    backward_runs(h, f"{workload}/{case.name}/{settings}", ch, tol=tol, **settings)
+
+
+def backward_runs(h: Hasher, label: str, ch: Channel, **settings) -> None:
+    """solve_backward_em at the default step size, then at step_size=1.0."""
+    h.trace("backward", label, solve_backward_em(ch, **settings))
+    h.trace("step_size=1.0", label, solve_backward_em(ch, step_size=1.0, **settings))
 
 
 def clamp_runs(h: Hasher) -> None:
@@ -124,7 +135,7 @@ def clamp_runs(h: Hasher) -> None:
     ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     h.trace("arimoto", "clamp/arimoto", solve_arimoto(ch, initial=start))
-    h.trace("backward", "clamp/backward", solve_backward_em(ch, initial=start))
+    backward_runs(h, "clamp/backward", ch, initial=start)
 
 
 def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
