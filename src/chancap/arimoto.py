@@ -200,13 +200,13 @@ def _sweep(
     """
     if r is None:
         r = _marginal(q, ch)
-        smallest = r.min()
+        smallest = np.minimum.reduce(r)
         r = _normalized(r, smallest=smallest)
     else:
-        smallest = r.min()
+        smallest = np.minimum.reduce(r)
     d = _divergences(ch, r) if smallest > 0.0 else per_input_divergences(ch, r)
     lower = float(np.add.reduce(q * d))
-    return r, d, lower, max(lower, float(d.max()))
+    return r, d, lower, max(lower, float(np.maximum.reduce(d)))
 
 
 def _reweighted(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -218,7 +218,7 @@ def _reweighted(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, bool]:
     probability._normalized checks, and _lifted repairs such weights.
     """
     weights = _tilt(np.log(q), d)[0]
-    smallest = weights.min()
+    smallest = np.minimum.reduce(weights)
     return _normalized(weights, smallest=smallest), bool(smallest > 0.0)
 
 

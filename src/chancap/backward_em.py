@@ -85,7 +85,7 @@ from .channel import (
 from .errors import (
     DimensionMismatch, InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_type,
 )
-from .numeric import _tilt, logsumexp
+from .numeric import _contract, _tilt, logsumexp
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -214,16 +214,18 @@ def _point(log_base: np.ndarray, r: np.ndarray, d: np.ndarray, step_size: float,
     multiply, so the paper's step keeps its arithmetic and its log
     normalizer.
     """
-    weights, log_norm = _tilt(log_base, d if step_size == 1.0 else step_size * (d - d.max()))
-    smallest = weights.min()
+    shifted = d if step_size == 1.0 else step_size * (d - np.maximum.reduce(d))
+    weights, log_norm = _tilt(log_base, shifted)
+    smallest = np.minimum.reduce(weights)
     induced = _normalized(weights, smallest=smallest)
     mapped = _normalized(_marginal(induced, ch))
-    return _Point(r, induced, log_norm, mapped, float(np.abs(mapped - r).max()), bool(smallest > 0.0))
+    residual = float(np.maximum.reduce(np.abs(mapped - r)))
+    return _Point(r, induced, log_norm, mapped, residual, bool(smallest > 0.0))
 
 
 def _checked(r: np.ndarray) -> np.ndarray | None:
     """r checked by probability._normalized, or None unless it is an interior weight vector."""
-    smallest = r.min()
+    smallest = np.minimum.reduce(r)
     # A NaN entry fails this test; an infinite one, or a sum too far from
     # one, fails the check.
     if not smallest > 0.0:
@@ -256,8 +258,8 @@ def _inner_step(point: _Point, log_base: np.ndarray, step_size: float, ch: Chann
         # _checked leaves r_next no zero entry, so the unchecked kernel applies.
         return _point(log_base, r_next, _divergences(ch, r_next), step_size, ch)
     b = np.sqrt(q)[:, None] * (ch.matrix - t)
-    # einsum without optimize reduces in its own loops, not through BLAS.
-    system = np.einsum("xy,xz->yz", b, b)
+    # The contraction reduces in its own loops, not through BLAS.
+    system = _contract("xy,xz->yz", b, b)
     if step_size != 1.0:
         system *= step_size
     # diag(r) added through a view of the diagonal: adding it whole would

@@ -12,9 +12,11 @@ This module is also the kernel every solver and check shares.  A sweep is
     r = q P,    d(x) = negH(x) - sum_y P(y|x) log r(y),
 
 where negH(x) = sum_y P(y|x) log P(y|x) is the row negentropy, computed
-once per channel on first use and cached.  Both steps are one np.einsum
-contraction with the C-contiguous channel matrix, which builds no n x m
-temporary and does not go through BLAS (see numeric).
+once per channel on first use and cached.  Both steps are one contraction
+with the C-contiguous channel matrix through numeric._contract, numpy's
+c_einsum called directly: the very function np.einsum without optimize
+calls, so the bits are np.einsum's, without its Python-level dispatch.  It
+builds no n x m temporary and does not go through BLAS (see numeric).
 The private _marginal and _divergences are the kernel itself and check
 nothing; the solver loops call them on raw arrays, each marginal checked by
 probability._normalized.  The public output_marginal and
@@ -47,7 +49,7 @@ from .errors import (
     _check_probability,
     _check_type,
 )
-from .numeric import ordered_sum_along
+from .numeric import _contract, ordered_sum_along
 from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution, _normalized, _real_array
 
 __all__ = [
@@ -304,9 +306,9 @@ def joint(q: Distribution, ch: Channel) -> JointDistribution:
 
 def _marginal(weights: np.ndarray, ch: Channel) -> np.ndarray:
     """The raw output weights sum_x q(x) p(y|x) of raw input weights."""
-    # einsum without optimize adds q(x) P(x, .) row after row, in its own
-    # loops: no n x m temporary and no BLAS.
-    return np.einsum("x,xy->y", weights, ch.matrix)
+    # The contraction adds q(x) P(x, .) row after row, in its own loops: no
+    # n x m temporary and no BLAS.
+    return _contract("x,xy->y", weights, ch.matrix)
 
 
 def output_marginal(q: Distribution, ch: Channel) -> Distribution:
@@ -321,9 +323,11 @@ def _divergences(ch: Channel, r: np.ndarray) -> np.ndarray:
     The kernel negH(x) - sum_y P(y|x) log r(y), floored at 0 against rounding.
     Nothing is checked: r must have the channel's width and be positive.
     """
-    # One contraction over each C-contiguous row, in einsum's own loops: no
-    # n x m temporary and no BLAS.
-    return np.maximum(ch.row_negentropy - np.einsum("xy,y->x", ch.matrix, np.log(r)), 0.0)
+    # One contraction over each C-contiguous row, in c_einsum's own loops:
+    # no n x m temporary and no BLAS.
+    d = ch.row_negentropy - _contract("xy,y->x", ch.matrix, np.log(r))
+    np.maximum(d, 0.0, out=d)
+    return d
 
 
 def per_input_divergences(

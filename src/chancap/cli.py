@@ -100,13 +100,16 @@ def cmd_capacity(args) -> int:
         "termination": result.termination.value,
         "optimal_input": [float(w) for w in result.optimal_input.weights],
         "units": args.units,
+        # upper - lower taken in nats, then scaled: the stopping test's gap.
+        "gap": _scale(result.bracket.upper - result.bracket.lower, args.units),
+        # The iterates that needed the underflow clamp, from the trace's column.
+        "clamped_steps": sum(trace._clamped),
     }
     if args.algorithm == "backward-em":
         payload["inner_sweeps"] = sum(inner or 0 for inner in trace._inner)
         # How each iterate after the first was made, from the same columns.
         payload["exact_steps"] = trace._routes.count("exact")
         payload["fallback_steps"] = trace._routes.count("fallback")
-        payload["clamped_steps"] = sum(trace._clamped)
         # The largest step size any step took; null when no step was taken.
         payload["max_step_size"] = max(filter(None, trace._step_sizes), default=None)
     print(json.dumps(payload, indent=2))

@@ -1,18 +1,27 @@
 """Deterministic floating point reductions.
 
-Every reduction in the package is np.add.reduce or np.einsum without
-optimize, over C-contiguous operands, and never BLAS, whose thread splits
-can change rounding.  The helpers here normalize layout with
-np.ascontiguousarray before reducing; the channel kernel contracts the
-C-ordered channel matrix with np.einsum, which without optimize reduces in
-its own loops and builds no n x m temporary.  For a fixed numpy build the
-result is then a pure function of the operand values and shape: repeated
-evaluation is bit-identical, and so is evaluation of the same values behind
-a different layout (a strided or Fortran-ordered view) or at a different
-alignment.  The grouping itself is numpy's: np.add.reduce sums pairwise
-along the contiguous last axis and strictly row after row along axis 0 of a
-2-D array; einsum's "x,xy->y" adds row after row too, and its row
-contractions group as its inner loops do.
+Every reduction in the package is np.add.reduce or _contract, over
+C-contiguous operands, and never BLAS, whose thread splits can change
+rounding.  _contract is numpy's c_einsum, the C function that np.einsum
+without optimize hands its operands to unchanged (numpy/_core/einsumfunc.py:
+"if optimize is False: return c_einsum(*operands)"); calling it directly
+skips the array-function dispatcher and the Python wrapper and computes
+the same bits.  The helpers here normalize layout with np.ascontiguousarray
+before reducing; the channel kernel contracts the C-ordered channel matrix
+with _contract, which reduces in its own loops and builds no n x m
+temporary.  For a fixed numpy build the result is then a pure function of
+the operand values and shape: repeated evaluation is bit-identical, and so
+is evaluation of the same values behind a different layout (a strided or
+Fortran-ordered view) or at a different alignment.  The grouping itself is
+numpy's: np.add.reduce sums pairwise along the contiguous last axis and
+strictly row after row along axis 0 of a 2-D array; the contraction
+"x,xy->y" adds row after row too, and its row contractions group as its
+inner loops do.
+
+The hot minima and maxima call np.minimum.reduce and np.maximum.reduce,
+the ufunc reductions that ndarray.min and ndarray.max reach through
+numpy's Python-level _methods module; a minimum or maximum is exact, so
+skipping that frame changes no bit either.
 
 Two exceptions remain, both deterministic for a fixed build.  The Newton
 step of the exact backward m-step (see backward_em._inner_step), on
@@ -28,6 +37,12 @@ All public quantities in the package are float64 nats.
 from __future__ import annotations
 
 import numpy as np
+
+# c_einsum moved from numpy.core to numpy._core in numpy 2.0.
+if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+    from numpy._core.multiarray import c_einsum as _contract
+else:
+    from numpy.core.multiarray import c_einsum as _contract
 
 __all__ = ["ordered_sum", "ordered_sum_along", "ordered_dot", "logsumexp"]
 
@@ -64,7 +79,7 @@ def logsumexp(values: np.ndarray) -> float:
     a = np.asarray(values, dtype=float).ravel()
     if a.size == 0:
         raise ValueError("logsumexp of an empty array")
-    m = float(a.max())
+    m = float(np.maximum.reduce(a))
     return m + float(np.log(ordered_sum(np.exp(a - m))))
 
 
@@ -78,6 +93,6 @@ def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, f
     empty-input guard, which a fresh non-empty 1-D sum does not need.
     """
     logits = log_weights + exponents
-    m = float(logits.max())
+    m = float(np.maximum.reduce(logits))
     log_norm = m + float(np.log(float(np.add.reduce(np.exp(logits - m)))))
     return np.exp(logits - log_norm), log_norm

@@ -54,7 +54,7 @@ def _normalized(a: np.ndarray, what: str = "distribution", smallest: float | Non
     """Check a C-contiguous float weight array the caller owns, without a copy.
 
     One sum and one minimum decide; a NaN or infinite entry makes the sum
-    non-finite, so it cannot pass.  smallest is a.min() when the caller has
+    non-finite, so it cannot pass.  smallest is a's minimum when the caller has
     already taken it.  A failing array is scanned again so that the first
     broken rule raises: finite, then non-negative, then the sum.  The sum is
     ordered_sum's, taken without its layout normalization, which a
@@ -63,7 +63,7 @@ def _normalized(a: np.ndarray, what: str = "distribution", smallest: float | Non
     total = float(np.add.reduce(a, axis=None))
     deviation = abs(total - 1.0)
     if smallest is None:
-        smallest = a.min()
+        smallest = np.minimum.reduce(a, axis=None)
     if not (deviation <= _SUM_REJECT and smallest >= 0.0):
         if not np.isfinite(a).all():
             raise InvalidDistribution(f"{what} entries must be finite")
@@ -120,7 +120,7 @@ class Distribution:
     @property
     def is_interior(self) -> bool:
         """True when every symbol has strictly positive mass."""
-        return bool((self.weights > 0.0).all())
+        return bool(np.minimum.reduce(self.weights) > 0.0)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":

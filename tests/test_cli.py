@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chancap import load_channel, save_channel, solve_arimoto, solve_backward_em
+from chancap import Channel, load_channel, save_channel, solve_arimoto, solve_backward_em
 from chancap.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -165,8 +165,37 @@ class TestCapacity:
         assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records)
         assert payload["max_step_size"] == max(rec.step_size for rec in trace.records[1:]) > 1.0
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
-        keys = {"inner_sweeps", "exact_steps", "fallback_steps", "clamped_steps", "max_step_size"}
+        keys = {"inner_sweeps", "exact_steps", "fallback_steps", "max_step_size"}
         assert not keys & arimoto.keys()
+        assert arimoto["clamped_steps"] == 0
+
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
+    def test_reports_the_bracket_gap(self, tmp_path, capsys, algorithm, units):
+        path = write_bsc(tmp_path, capsys)
+        argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--units", units, "--tol", "1e-6"]
+        payload = run_json(capsys, argv)
+        solve = solve_arimoto if algorithm == "arimoto" else solve_backward_em
+        result, _ = solve(load_channel(path.read_bytes()), tol=1e-6)
+        gap = result.bracket.upper - result.bracket.lower
+        # Taken in nats, as the stopping test takes it, then scaled.
+        assert payload["gap"] == (gap / np.log(2.0) if units == "bits" else gap)
+        assert payload["gap"] == pytest.approx(payload["upper"] - payload["lower"], abs=1e-15)
+        assert 0.0 <= gap <= 1e-6
+
+    @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
+    def test_counts_clamped_steps(self, tmp_path, capsys, algorithm):
+        # A noiseless 10-symbol channel plus a useless input, whose weight
+        # shrinks about tenfold per sweep: to a 1e-300 gap it underflows
+        # once, and the shared loop lifts it back.
+        path = tmp_path / "clamp.json"
+        ch = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
+        path.write_bytes(save_channel(ch))
+        argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--tol", "1e-300"]
+        payload = run_json(capsys, argv)
+        solve = solve_arimoto if algorithm == "arimoto" else solve_backward_em
+        _, trace = solve(ch, tol=1e-300)
+        assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records) == 1
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])

@@ -8,7 +8,9 @@ and its determinism contract, and the solvers' unchecked path against the
 public one, bit for bit and error for error.
 """
 
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +42,9 @@ from chancap import (
     solve_backward_em,
 )
 from chancap.channel import _divergences, _marginal
-from chancap.numeric import ordered_dot, ordered_sum, ordered_sum_along
+from chancap.numeric import _contract, ordered_dot, ordered_sum, ordered_sum_along
 from chancap.verify import brute_force_capacity
-from support import random_channel, random_interior
+from support import pinned_squares, random_channel, random_interior
 
 
 def sparse_channel(rng: np.random.Generator, n_in: int, n_out: int) -> Channel:
@@ -58,6 +60,34 @@ def sparse_channel(rng: np.random.Generator, n_in: int, n_out: int) -> Channel:
 
 # The unit roundoff of float64.
 _U = 2.0**-53
+
+LAYOUTS = ("C", "strided", "fortran", "offset", "unaligned")
+
+
+def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """A fresh array equal to values, entry for entry, behind the named memory layout.
+
+    "strided" takes every other element of each row of a twice-as-wide
+    buffer; "offset" starts one element (8 bytes) into a buffer, where
+    vector loops peel differently; "unaligned" starts one byte in, so no
+    float sits on an 8-byte boundary.
+    """
+    if layout == "C":
+        return np.array(values, order="C")
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        wide = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+        placed = wide[..., ::2]
+    elif layout == "offset":
+        placed = np.empty(values.size + 1)[1:].reshape(values.shape)
+    elif layout == "unaligned":
+        placed = np.empty(values.nbytes + 1, dtype=np.uint8)[1:].view(np.float64).reshape(values.shape)
+        assert not placed.flags.aligned
+    else:
+        raise ValueError(layout)
+    placed[...] = values
+    return placed
 
 
 def exact_divergences(matrix: np.ndarray, r: np.ndarray) -> list[Decimal]:
@@ -296,18 +326,15 @@ class TestDeterminism:
 
     def test_kernel_bits_do_not_depend_on_alignment(self):
         # The constructor copies the matrix into a fresh array, so the test
-        # places it itself: once at the start of a buffer and once one
-        # element (8 bytes) in, where vector loops peel differently.
+        # places it itself: once in a fresh array and once one element
+        # (8 bytes) into a buffer, where vector loops peel differently.
         rng = np.random.default_rng(41)
         n, m = 257, 253
         values = rng.dirichlet(np.ones(m), size=n)
         q = random_interior(rng, n).weights
-        matrix_buffer, weight_buffer = np.empty(n * m + 1), np.empty(n + 1)
         results = []
-        for offset in (0, 1):
-            matrix = matrix_buffer[offset : offset + n * m].reshape(n, m)
-            weights = weight_buffer[offset : offset + n]
-            matrix[...], weights[...] = values, q
+        for layout in ("C", "offset"):
+            matrix, weights = laid_out(values, layout), laid_out(q, layout)
             ch = Channel(values)
             object.__setattr__(ch, "matrix", matrix)
             r = _marginal(weights, ch)
@@ -322,6 +349,67 @@ class TestDeterminism:
             )
         for at_start, one_in in zip(*results):
             assert np.array_equal(at_start, one_in)
+
+
+class TestContract:
+    """numeric._contract is the c_einsum np.einsum calls without optimize, so it must give its bits."""
+
+    def test_is_the_function_np_einsum_dispatches_to(self):
+        # np.einsum's implementation calls the c_einsum of its own module's
+        # globals when optimize is False: numpy._core.einsumfunc on numpy
+        # 2.x, numpy.core.einsumfunc on 1.x.
+        assert _contract is np.einsum._implementation.__globals__["c_einsum"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bit_equal_to_np_einsum_for_the_kernel_subscripts(self, layout):
+        rng = np.random.default_rng(43)
+        n, m = 37, 29
+        matrix = rng.dirichlet(np.full(m, 0.3), size=n)
+        q = rng.dirichlet(np.ones(n))
+        log_r = np.log(rng.dirichlet(np.ones(m)))
+        b = np.sqrt(q)[:, None] * (matrix - rng.dirichlet(np.ones(m)))
+        for subscripts, operands in (
+            ("x,xy->y", (q, matrix)),
+            ("xy,y->x", (matrix, log_r)),
+            ("xy,xz->yz", (b, b)),
+        ):
+            placed = [laid_out(a, layout) for a in operands]
+            if subscripts == "xy,xz->yz":
+                placed[1] = placed[0]  # the Newton system contracts one array with itself
+            got, expected = _contract(subscripts, *placed), np.einsum(subscripts, *placed)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (subscripts, layout)
+
+    @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
+    def test_a_solve_makes_no_python_level_call_into_numpy_wrappers(self, solve):
+        # The sweep's contractions call c_einsum and its minima and maxima
+        # the ufunc reductions directly, so no frame of np.einsum's wrapper
+        # or of ndarray.min/max's _methods module runs, on any call of the
+        # solve.  Deterministic: this counts calls, it times nothing.
+        wrappers = {
+            ("numpy", package, module) for package in ("_core", "core") for module in ("_methods.py", "einsumfunc.py")
+        }
+        landed, sweeps = [], 0
+
+        def profile(frame, event, arg):
+            nonlocal sweeps
+            if event != "call":
+                return
+            path = Path(frame.f_code.co_filename)
+            if path.parts[-3:] in wrappers:
+                landed.append((path.name, frame.f_code.co_name, frame.f_back.f_code.co_name))
+            elif frame.f_code.co_name == "_sweep" and path.name == "arimoto.py":
+                sweeps += 1
+
+        ch = pinned_squares()["r8"]
+        sys.setprofile(profile)
+        try:
+            result, _ = solve(ch, tol=1e-9)
+        finally:
+            sys.setprofile(None)
+        # The profile saw the package's own calls: the sweeps, and enough of them.
+        assert result.iterations > 20 and sweeps > 20
+        assert landed == []
 
 
 class TestTrustBoundary:

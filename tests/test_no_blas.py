@@ -1,12 +1,16 @@
-"""No reduction in the package goes through BLAS.
+"""No reduction in the package goes through BLAS or np.einsum's wrapper.
 
 BLAS splits a product across threads and blocks it by CPU, so its rounding
 can change with the thread count and the machine; the package's results
-must not.  Every reduction is np.add.reduce or np.einsum without optimize
-(see chancap.numeric).  This test reads the package source and fails on any
-spelling that reaches BLAS: the @ operator, np.dot, matmul, tensordot,
-inner, vdot, an ndarray's .dot method, and an einsum call that passes
-optimize, which may hand the contraction to BLAS.
+must not.  Every reduction is np.add.reduce or numeric._contract, numpy's
+c_einsum called directly (see chancap.numeric).  This test reads the
+package source and fails on any spelling that reaches BLAS: the @
+operator, np.dot, matmul, tensordot, inner, vdot, an ndarray's .dot
+method, and an einsum call that passes optimize, which may hand the
+contraction to BLAS.  It fails on np.einsum and numpy.einsum too, called
+or imported: without optimize they reach the same c_einsum through a
+Python-level dispatcher and wrapper that cost a small kernel call about a
+third of its time, so _contract is the package's one contraction spelling.
 """
 
 import ast
@@ -15,6 +19,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chancap"
 
 BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "vdot"}
+# Spelled through numpy, these reach c_einsum only through its Python wrapper.
+WRAPPED_NAMES = {"einsum"}
 NUMPY_MODULES = {"np", "numpy", "linalg"}
 
 # (module, enclosing function, source) of each allowed site.  The exhaustive
@@ -33,9 +39,10 @@ def _uses_blas(node: ast.AST) -> bool:
         owner = node.value
         while isinstance(owner, ast.Attribute):
             owner = owner.value
-        return node.attr in BLAS_NAMES and isinstance(owner, ast.Name) and owner.id in NUMPY_MODULES
+        flagged = BLAS_NAMES | WRAPPED_NAMES
+        return node.attr in flagged and isinstance(owner, ast.Name) and owner.id in NUMPY_MODULES
     if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
-        return any(alias.name in BLAS_NAMES for alias in node.names)
+        return any(alias.name in BLAS_NAMES | WRAPPED_NAMES for alias in node.names)
     if isinstance(node, ast.Call):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -83,11 +90,16 @@ def test_each_blas_spelling_is_caught(tmp_path):
         "from numpy import vdot",
         "np.einsum('xy,y->x', a, b, optimize=True)",
         "np.einsum('xy,y->x', a, b, optimize=False)",
+        "einsum('xy,y->x', a, b, optimize=True)",
+        "np.einsum('xy,y->x', a, b)",
+        "numpy.einsum('x,xy->y', a, b)",
+        "contract = np.einsum",
+        "from numpy import einsum",
     ]
     for number, spelling in enumerate(spellings):
         path = tmp_path / f"m{number}.py"
         path.write_text(f"def f(a, b):\n    {spelling}\n")
         assert blas_sites(path), spelling
     path = tmp_path / "fine.py"
-    path.write_text("def f(a, b, step):\n    return np.einsum('xy,y->x', a, b), step.inner, a * b\n")
+    path.write_text("def f(a, b, step):\n    return _contract('xy,y->x', a, b), step.inner, a * b\n")
     assert blas_sites(path) == set()
