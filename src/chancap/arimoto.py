@@ -69,11 +69,15 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 
 class Termination(str, enum.Enum):
+    """Why a solver stopped: the bracket gap reached tol, or max_iters ran out."""
+
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
 
 
 class Bracket(NamedTuple):
+    """Lower and upper bounds on capacity in nats, lower <= upper."""
+
     lower: float
     upper: float
 

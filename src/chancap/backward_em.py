@@ -121,6 +121,9 @@ class BackwardFamilyMember:
 
 
 class MStepStatus(str, enum.Enum):
+    """Whether the exact m-step's inner loop reached its fixed point or gave up,
+    leaving the caller to fall back to the approximate step."""
+
     EXACT_CONVERGED = "exact_converged"
     NOT_CONVERGED_FALLBACK = "not_converged_fallback"
 

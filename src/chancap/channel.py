@@ -66,7 +66,6 @@ __all__ = [
     "identity_channel",
     "uniform_rows",
     "canonical",
-    "CANONICAL_KINDS",
 ]
 
 
@@ -415,7 +414,30 @@ def uniform_rows(n: int, m: int) -> Channel:
     return Channel(np.full((n, m), 1.0 / m))
 
 
-CANONICAL_KINDS = ("bsc", "bec", "z", "typewriter", "identity", "uniform")
+# Each canonical kind's constructor and the types of its parameters, in
+# order: canonical dispatches on it and the CLI parses --param with it.
+_CANONICAL = {
+    "bsc": (bsc, (float,)),
+    "bec": (bec, (float,)),
+    "z": (z_channel, (float,)),
+    "typewriter": (noisy_typewriter, (int,)),
+    "identity": (identity_channel, (int,)),
+    "uniform": (uniform_rows, (int, int)),
+}
+CANONICAL_KINDS = tuple(_CANONICAL)
+
+
+def _canonical_entry(kind: str, count: int) -> tuple:
+    """The constructor and parameter types of a kind given count parameters.
+
+    ParameterOutOfRange for an unknown kind or a wrong parameter count.
+    """
+    if kind not in CANONICAL_KINDS:
+        raise ParameterOutOfRange(f"unknown channel kind {kind!r} (known: {', '.join(CANONICAL_KINDS)})")
+    build, types = _CANONICAL[kind]
+    if count != len(types):
+        raise ParameterOutOfRange(f"bad parameters for {kind!r}: {len(types)} expected, got {count}")
+    return build, types
 
 
 def canonical(kind: str, *params) -> Channel:
@@ -423,19 +445,5 @@ def canonical(kind: str, *params) -> Channel:
 
     Kinds: bsc(p), bec(eps), z(p), typewriter(n), identity(n), uniform(n, m).
     """
-    try:
-        if kind == "bsc":
-            return bsc(*params)
-        if kind == "bec":
-            return bec(*params)
-        if kind == "z":
-            return z_channel(*params)
-        if kind == "typewriter":
-            return noisy_typewriter(*params)
-        if kind == "identity":
-            return identity_channel(*params)
-        if kind == "uniform":
-            return uniform_rows(*params)
-    except TypeError as exc:
-        raise ParameterOutOfRange(f"bad parameters for {kind!r}: {exc}") from None
-    raise ParameterOutOfRange(f"unknown channel kind {kind!r} (known: {', '.join(CANONICAL_KINDS)})")
+    build, _ = _canonical_entry(kind, len(params))
+    return build(*params)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .arimoto import CapacityResult, IterationTrace, Termination, solve_arimoto
 from .backward_em import solve_backward_em
-from .channel import CANONICAL_KINDS, Channel, _json_numbers, canonical, load_channel, save_channel
-from .errors import ParameterOutOfRange, ParseError
+from .channel import CANONICAL_KINDS, Channel, _canonical_entry, _json_numbers, load_channel, save_channel
+from .errors import ParseError
 from .probability import Distribution
 from .verify import brute_force_capacity, circumcenter_check, converse_check
 
@@ -201,17 +201,9 @@ def cmd_compare(args) -> int:
 
 def cmd_generate(args) -> int:
     kind = args.kind
-    raw = args.param
-    if kind == "uniform":
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ParameterOutOfRange('uniform takes --param "N,M" (inputs,outputs)')
-        params = [int(parts[0]), int(parts[1])]
-    elif kind in ("identity", "typewriter"):
-        params = [int(raw)]
-    else:
-        params = [float(raw)]
-    ch = canonical(kind, *params)
+    parts = args.param.split(",")
+    build, types = _canonical_entry(kind, len(parts))
+    ch = build(*(convert(part) for convert, part in zip(types, parts)))
     with open(args.out, "wb") as fh:
         fh.write(save_channel(ch))
     print(f"wrote {kind} channel ({ch.num_inputs}x{ch.num_outputs}) to {args.out}")

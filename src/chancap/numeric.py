@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidDistribution
+
 # c_einsum moved from numpy.core to numpy._core in numpy 2.0.
 if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
     from numpy._core.multiarray import c_einsum as _contract
@@ -74,11 +76,11 @@ def logsumexp(values: np.ndarray) -> float:
     The largest entry is factored out before exponentiating, which keeps the
     arguments of exp in [large negative, 0] and makes the result invariant
     (to rounding) under adding a constant to every entry.  Inputs must be
-    finite and non-empty.
+    finite; an empty one raises InvalidDistribution.
     """
     a = np.asarray(values, dtype=float).ravel()
     if a.size == 0:
-        raise ValueError("logsumexp of an empty array")
+        raise InvalidDistribution("logsumexp of an empty array")
     m = float(np.maximum.reduce(a))
     return m + float(np.log(ordered_sum(np.exp(a - m))))
 

@@ -136,10 +136,12 @@ def circumcenter_check(
     optimal output law (that common value being capacity), and every
     unsupported input is at no more than that divergence.  Boundary inputs
     whose divergences are infinite are reported as failures rather than
-    raised.
+    raised.  support_threshold must be a real number in [0, 1).
     """
     _check_real("tolerance", tol)
     _check_real("support_threshold", support_threshold, positive=False)
+    if not 0.0 <= support_threshold < 1.0:
+        raise ParameterOutOfRange(f"support_threshold must be in [0, 1), got {support_threshold!r}")
     d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
     support = q.weights > support_threshold
     # Inputs with no mass contribute nothing to the weighted mean even when

@@ -15,9 +15,27 @@ from chancap import (
     MStepOutcome,
     MStepStatus,
     backward_e_member,
+    bec,
+    bsc,
+    identity_channel,
+    noisy_typewriter,
     output_marginal,
+    uniform_rows,
+    z_channel,
 )
 from chancap.backward_em import _DAMPING, _INNER_TOL, _MAX_HALVINGS, _NEWTON_MAX_OUTPUTS
+
+
+# One example per canonical kind: its constructor, the parameters and the
+# CLI's --param text for them.
+CANONICAL_EXAMPLES = {
+    "bsc": (bsc, (0.2,), "0.2"),
+    "bec": (bec, (0.3,), "0.3"),
+    "z": (z_channel, (0.4,), "0.4"),
+    "typewriter": (noisy_typewriter, (5,), "5"),
+    "identity": (identity_channel, (3,), "3"),
+    "uniform": (uniform_rows, (2, 4), "2,4"),
+}
 
 
 def random_channel(rng: np.random.Generator, n_in: int, n_out: int, alpha: float = 1.0) -> Channel:

@@ -1,5 +1,6 @@
 """Channel construction, serialization, and canonical families."""
 
+import io
 import math
 
 import numpy as np
@@ -30,7 +31,8 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from support import random_channel, random_interior
+from chancap.channel import CANONICAL_KINDS
+from support import CANONICAL_EXAMPLES, random_channel, random_interior
 
 
 class TestConstruction:
@@ -204,6 +206,16 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_channel(source, "csv")
 
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [('{"matrix": [[0.75, 0.25], [0.0, 1.0]]}', "json"), ("0.75,0.25\n0,1\n", "csv")],
+        ids=["json", "csv"],
+    )
+    @pytest.mark.parametrize("source", [str, io.StringIO], ids=["str", "text-stream"])
+    def test_text_input(self, text, fmt, source):
+        ch = load_channel(source(text), fmt)
+        assert np.array_equal(ch.matrix, [[0.75, 0.25], [0.0, 1.0]])
+
     def test_stream_input(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_bytes(save_channel(z_channel(0.25)))
@@ -326,6 +338,21 @@ class TestCanonical:
         with pytest.raises(ParameterOutOfRange, match="^typewriter needs at least 2 symbols, got 1$"):
             noisy_typewriter(np.int64(1))
         assert noisy_typewriter(np.int64(3)).num_inputs == 3
+
+    def test_every_kind_has_an_example(self):
+        assert set(CANONICAL_EXAMPLES) == set(CANONICAL_KINDS)
+
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    def test_each_kind_is_its_constructor(self, kind):
+        build, params, _ = CANONICAL_EXAMPLES[kind]
+        assert np.array_equal(canonical(kind, *params).matrix, build(*params).matrix)
+        with pytest.raises(ParameterOutOfRange, match="^bad parameters"):
+            canonical(kind, *params, 1)
+
+    @pytest.mark.parametrize("kind", [["bsc"], None, 1], ids=["list", "none", "int"])
+    def test_a_kind_that_is_not_a_name_is_unknown(self, kind):
+        with pytest.raises(ParameterOutOfRange, match="^unknown channel kind"):
+            canonical(kind, 0.1)
 
     def test_dispatch(self):
         assert np.array_equal(canonical("bsc", 0.2).matrix, bsc(0.2).matrix)

@@ -14,7 +14,8 @@ from chancap.cli import (
     _TRACE_HEADER,
     main,
 )
-from support import random_channel
+from chancap.channel import CANONICAL_KINDS
+from support import CANONICAL_EXAMPLES, random_channel
 
 BSC01_BITS = 0.5310044064107188
 Z05_BITS = np.log2(1.25)
@@ -333,6 +334,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert "skipped" in out
 
+    def test_underflowing_output_marginal_fails(self, tmp_path, capsys):
+        # Output 1's marginal, 0.5 * 5e-324, underflows to 0 while input 1
+        # keeps mass there: its divergence is infinite, a failed check.
+        channel_path = tmp_path / "ch.json"
+        channel_path.write_bytes(save_channel(Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))))
+        law_path = tmp_path / "law.json"
+        law_path.write_text("[1.0, 5e-324]")
+        code = main(["verify", "--channel", str(channel_path), "--input", str(law_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_CHECK_FAILED
+        assert "capacity estimate: inf nats" in out
+        assert "converse certificate: not applicable" in out
+        assert "verdict: FAIL" in out
+
     def test_rejects_law_of_wrong_length(self, tmp_path, capsys):
         channel_path = write_z(tmp_path, capsys)
         law_path = tmp_path / "bad.json"
@@ -372,6 +387,24 @@ class TestCompare:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    def test_each_kind_loads_back_as_its_constructor(self, tmp_path, capsys, kind):
+        build, params, text = CANONICAL_EXAMPLES[kind]
+        path = tmp_path / f"{kind}.json"
+        code = main(["generate", "--kind", kind, "--param", text, "--out", str(path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert np.array_equal(load_channel(path.read_bytes()).matrix, build(*params).matrix)
+
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    def test_each_kind_rejects_a_wrong_param_count(self, tmp_path, capsys, kind):
+        path = tmp_path / "x.json"
+        text = CANONICAL_EXAMPLES[kind][2] + ",1"
+        code = main(["generate", "--kind", kind, "--param", text, "--out", str(path)])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: bad parameters")
+        assert not path.exists()
+
     def test_uniform_takes_a_size_pair(self, tmp_path, capsys):
         path = tmp_path / "uniform.json"
         code = main(["generate", "--kind", "uniform", "--param", "2,3", "--out", str(path)])

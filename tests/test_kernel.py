@@ -42,7 +42,7 @@ from chancap import (
     solve_backward_em,
 )
 from chancap.channel import _divergences, _marginal
-from chancap.numeric import _contract, ordered_dot, ordered_sum, ordered_sum_along
+from chancap.numeric import _contract, logsumexp, ordered_dot, ordered_sum, ordered_sum_along
 from chancap.verify import brute_force_capacity
 from support import pinned_squares, random_channel, random_interior
 
@@ -410,6 +410,13 @@ class TestContract:
         # The profile saw the package's own calls: the sweeps, and enough of them.
         assert result.iterations > 20 and sweeps > 20
         assert landed == []
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("values", [[], np.array([]), np.empty((0, 3))], ids=["list", "1-d", "2-d"])
+    def test_an_empty_input_is_a_typed_error(self, values):
+        with pytest.raises(InvalidDistribution, match="^logsumexp of an empty array$"):
+            logsumexp(values)
 
 
 class TestTrustBoundary:

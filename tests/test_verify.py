@@ -24,6 +24,9 @@ from support import random_channel
 
 BSC01_CAPACITY = np.log(2.0) + 0.9 * np.log(0.9) + 0.1 * np.log(0.1)
 Z05_CAPACITY = np.log(1.25)
+# An interior law whose output marginal underflows to (1, 0).
+UNDERFLOW_CHANNEL = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
+UNDERFLOW_LAW = Distribution(np.array([1.0, 5e-324]))
 
 
 class TestBruteForce:
@@ -135,6 +138,28 @@ class TestCircumcenter:
         with pytest.raises(ParameterOutOfRange):
             circumcenter_check(Distribution.uniform(2), z_channel(0.5), support_threshold="1e-7")
 
+    @pytest.mark.parametrize(
+        "threshold",
+        [float("nan"), float("inf"), float("-inf"), -1e-9, 1.0],
+        ids=["nan", "inf", "-inf", "negative", "one"],
+    )
+    def test_rejects_a_support_threshold_outside_the_unit_interval(self, threshold):
+        # These used to make the support empty or whole and run the check anyway.
+        with pytest.raises(ParameterOutOfRange, match="^support_threshold must be in"):
+            circumcenter_check(Distribution.uniform(2), z_channel(0.5), support_threshold=threshold)
+
+    def test_zero_support_threshold_is_allowed(self):
+        report = circumcenter_check(Distribution.uniform(2), bsc(0.1), support_threshold=0.0)
+        assert report.passed and report.support.all()
+
+    def test_underflowing_output_marginal_fails_cleanly(self):
+        # Output 1's marginal, 0.5 * 5e-324, underflows to 0 while input 1
+        # keeps mass there: its divergence is infinite, a failure, not an error.
+        report = circumcenter_check(UNDERFLOW_LAW, UNDERFLOW_CHANNEL)
+        assert not report.passed
+        assert report.capacity_estimate == np.inf
+        assert report.max_support_deviation == np.inf and report.max_off_support_excess == np.inf
+
     def test_infinite_divergence_off_support_fails_cleanly(self):
         # All mass on the first input of a noiseless channel: the unused
         # input sits at infinite divergence, which is a failure, not an
@@ -172,6 +197,9 @@ class TestConverse:
 
     def test_declines_on_infinite_divergence(self):
         assert converse_check(identity_channel(2), Distribution(np.array([1.0, 0.0]))) is None
+
+    def test_declines_when_the_output_marginal_underflows(self):
+        assert converse_check(UNDERFLOW_CHANNEL, UNDERFLOW_LAW) is None
 
     def test_rejects_nan_tolerance(self):
         # A NaN tolerance used to certify a value below capacity here.

@@ -1,6 +1,7 @@
 """Hash the solvers' arithmetic, so that two checkouts can be compared bit for bit.
 
     python3 tools/trace_hash.py --seed 1
+    python3 tools/trace_hash.py --seed 1 --against HEAD~1
 
 Run it from anywhere; it imports the chancap of its own checkout (src/) and
 the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
@@ -29,14 +30,24 @@ meant to touch one solver can show the other's numbers unchanged.  The
 step_size=1.0 group hashes the same labels and record fields as the
 default group, so its line can be compared with a default-group line of a
 checkout whose default step size was 1.
+
+--against REV extracts REV's src/ with git archive into a temporary
+directory, next to copies of this script and of perfbench/corpus.py, and
+hashes it there in a second interpreter, so both sides run the same script
+on the same corpus.  It prints both sets of lines, then whether the two
+match, for the total and for each group, and exits with status 1 when any
+line differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import shutil
 import struct
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,18 +166,44 @@ def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
                 h.item("direct", member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
 
 
-def main() -> None:
+def hash_lines(seed: int) -> list[str]:
+    """The total line and one line per group."""
+    h = Hasher()
+    solver_runs(h, seed)
+    clamp_runs(h)
+    direct_steps(h, seed)
+    lines = [f"seed {seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}"]
+    return lines + [f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}" for name in GROUPS]
+
+
+def against(seed: int, rev: str) -> int:
+    """Print this checkout's lines and REV's, then whether each pair matches."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        for part in ("tools/trace_hash.py", "perfbench/corpus.py"):
+            (Path(tmp) / part).parent.mkdir()
+            shutil.copy(ROOT / part, Path(tmp) / part)
+        command = [sys.executable, str(Path(tmp) / "tools" / "trace_hash.py"), "--seed", str(seed)]
+        theirs = subprocess.run(command, check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines()
+    ours = hash_lines(seed)
+    print("this checkout:", *ours, f"{rev}:", *theirs, sep="\n")
+    print("match:")
+    for mine, other in zip(ours, theirs):
+        print(f"  {mine.split(':')[0].strip()}: {'yes' if mine == other else 'NO'}")
+    return 0 if ours == theirs else 1
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="corpus and random-channel seed")
+    parser.add_argument("--against", metavar="REV", help="also hash REV's src/ and compare the two")
     args = parser.parse_args()
-    h = Hasher()
-    solver_runs(h, args.seed)
-    clamp_runs(h)
-    direct_steps(h, args.seed)
-    print(f"seed {args.seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}")
-    for name in GROUPS:
-        print(f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}")
+    if args.against:
+        return against(args.seed, args.against)
+    print(*hash_lines(args.seed), sep="\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
