@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,7 +82,8 @@ from .channel import (
     per_input_divergences,
 )
 from .errors import (
-    DimensionMismatch, InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_type,
+    DimensionMismatch, InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real,
+    _check_type,
 )
 from .numeric import _contract, _tilt, logsumexp
 from .probability import Distribution, _normalized
@@ -437,29 +437,24 @@ def geometric_mixture_check(
 
     m1 = backward_e_member(base_input, r1, ch)
     m2 = backward_e_member(base_input, r2, ch)
+    # Every member's joint is the product q[r] x r, so the mixture of two
+    # joints is the product of the factors' mixtures: normalized, it is
+    # (normalized q1^w q2^(1-w)) x r_3, and its log mass is the sum of the
+    # two factor mixtures' log masses.  Its deviation from q3 x r_3 is
+    # max_x |mixed input - q3(x)| * max_y r_3(y).  No n x m array is built.
     with np.errstate(divide="ignore"):
+        log_mix_input = weight * np.log(m1.induced_input.weights) + (1.0 - weight) * np.log(
+            m2.induced_input.weights
+        )
         log_mix_factor = weight * np.log(r1.weights) + (1.0 - weight) * np.log(r2.weights)
-    r3 = Distribution(np.exp(log_mix_factor - logsumexp(log_mix_factor)))
+    input_mass, factor_mass = logsumexp(log_mix_input), logsumexp(log_mix_factor)
+    r3 = Distribution(np.exp(log_mix_factor - factor_mass))
     m3 = backward_e_member(base_input, r3, ch)
 
-    with np.errstate(divide="ignore"):
-        log_mixture = weight * np.log(m1.product_weights()) + (1.0 - weight) * np.log(
-            m2.product_weights()
-        )
-    log_mixture_mass = logsumexp(log_mixture)
-    mixture = np.exp(log_mixture - log_mixture_mass)
-    max_deviation = float(np.max(np.abs(mixture - m3.product_weights())))
-
-    normalizer_gap = abs(
-        float(
-            np.expm1(
-                log_mixture_mass
-                + weight * m1.log_normalizer
-                + (1.0 - weight) * m2.log_normalizer
-                - m3.log_normalizer
-            )
-        )
-    )
+    input_deviation = np.max(np.abs(np.exp(log_mix_input - input_mass) - m3.induced_input.weights))
+    max_deviation = float(input_deviation * np.max(r3.weights))
+    log_defect = input_mass + factor_mass + weight * m1.log_normalizer + (1.0 - weight) * m2.log_normalizer
+    normalizer_gap = abs(float(np.expm1(log_defect - m3.log_normalizer)))
     return GeometricMixtureResult(m3, max_deviation, normalizer_gap)
 
 
@@ -472,15 +467,15 @@ _CHEAP_INNER = 2
 _MAX_STEP_SIZE = 2.0**40
 
 
-def _check_step_size(step_size, ch: Channel) -> None:
-    """Raise unless step_size is None or a positive finite real number
-    (not a bool) that the channel's inner step can take."""
+def _check_step_size(step_size, newton: bool) -> None:
+    """Raise ParameterOutOfRange unless step_size is None or a step size the
+    inner step can take, newton saying whether it is Newton's; see errors."""
     if step_size is None:
         return
-    if isinstance(step_size, bool) or not (isinstance(step_size, numbers.Real) and 0.0 < step_size < math.inf):
-        raise ParameterOutOfRange(f"step_size must be None or a positive finite real number, got {step_size!r}")
-    _check_channel(ch)
-    if step_size != 1.0 and ch.num_outputs > _NEWTON_MAX_OUTPUTS:
+    _check_real("step_size", step_size)
+    if step_size == math.inf:
+        raise ParameterOutOfRange(f"step_size must be finite, got {step_size!r}")
+    if step_size != 1.0 and not newton:
         raise ParameterOutOfRange(
             f"step_size must be 1 on a channel with more than {_NEWTON_MAX_OUTPUTS} outputs, got {step_size!r}"
         )
@@ -515,14 +510,14 @@ def solve_backward_em(
     candidate's solve is not counted.
 
     step_size=1.0 is the paper's iteration, exact_backward_m_step's step,
-    and any positive finite step_size fixes lambda.  The default, None,
-    adapts it (see the module docstring): lambda starts at 1 and doubles
-    after an exact step of at most two inner steps; a failed inner solve,
-    or a candidate whose lower bound falls below the current one, is
-    rejected and retried from the same iterate at a quarter of lambda, and
-    at lambda = 1 the step falls back instead.  A channel with more than
-    _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1, and a fixed
-    step_size other than 1 raises ParameterOutOfRange there.  On
+    and any other step_size in its domain (see errors) fixes lambda.  The
+    default, None, adapts it (see the module docstring): lambda starts at 1
+    and doubles after an exact step of at most two inner steps; a failed
+    inner solve, or a candidate whose lower bound falls below the current
+    one, is rejected and retried from the same iterate at a quarter of
+    lambda, and at lambda = 1 the step falls back instead.  A channel
+    with more than _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1, and
+    a fixed step_size other than 1 raises ParameterOutOfRange there.  On
     perfbench's pinned r8 and r16 the default takes about 30 outer steps
     to a gap of 1e-9 where lambda = 1 takes about 1,000.
 
@@ -548,15 +543,16 @@ def solve_backward_em(
 
     # Checked here, before the first record: a run that converges there
     # never takes a step, and _inner_solve checks nothing.
+    _check_channel(ch)
+    newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
     _check_limit("max_inner", max_inner)
-    _check_step_size(step_size, ch)
-    fixed = None if step_size is None else float(step_size)
+    _check_step_size(step_size, newton)
+    adaptive = step_size is None and newton
+    fixed = 1.0 if step_size is None else float(step_size)
 
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
         r, d, lower, _ = sweep
-        # ch.num_outputs is read here, after _iterate has checked the channel.
-        adaptive = fixed is None and ch.num_outputs <= _NEWTON_MAX_OUTPUTS
-        size = _adapted(previous) if adaptive else 1.0 if fixed is None else fixed
+        size = _adapted(previous) if adaptive else fixed
         while True:
             inner = _inner_solve(q, r, d, ch, max_inner, size)
             point = inner.point

@@ -155,7 +155,10 @@ class Channel:
         return self.matrix.shape[1]
 
     def row(self, x: int) -> Distribution:
-        """The output distribution of input symbol x."""
+        """The output distribution of input symbol x, an integer in [0, num_inputs)."""
+        _check_limit("input symbol", x, minimum=0)
+        if x >= self.num_inputs:
+            raise ParameterOutOfRange(f"input symbol must be below {self.num_inputs}, got {x!r}")
         return Distribution(self.matrix[x])
 
     def __repr__(self):
@@ -172,6 +175,7 @@ def save_channel(ch: Channel) -> bytes:
     Floats are written with repr precision, so load_channel(save_channel(ch))
     reproduces the matrix bit for bit.
     """
+    _check_channel(ch)
     doc: dict = {"matrix": [[float(v) for v in row] for row in ch.matrix]}
     if ch.input_labels is not None:
         doc["input_labels"] = list(ch.input_labels)
@@ -391,26 +395,20 @@ def z_channel(p: float) -> Channel:
 
 def noisy_typewriter(n: int) -> Channel:
     """Each of n symbols maps to itself or its cyclic successor, half and half."""
-    _check_limit("typewriter size", n, minimum=None)
-    if n < 2:
-        raise ParameterOutOfRange(f"typewriter needs at least 2 symbols, got {n}")
+    _check_limit("typewriter size", n, minimum=2)
     return Channel(0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1)))
 
 
 def identity_channel(n: int) -> Channel:
     """A noiseless channel on n symbols."""
-    _check_limit("identity channel size", n, minimum=None)
-    if n < 1:
-        raise ParameterOutOfRange(f"identity channel needs at least 1 symbol, got {n}")
+    _check_limit("identity channel size", n)
     return Channel(np.eye(n))
 
 
 def uniform_rows(n: int, m: int) -> Channel:
     """The useless channel: every input induces the uniform output law."""
-    _check_limit("input count", n, minimum=None)
-    _check_limit("output count", m, minimum=None)
-    if n < 1 or m < 1:
-        raise ParameterOutOfRange(f"uniform channel needs positive dimensions, got {n}x{m}")
+    _check_limit("input count", n)
+    _check_limit("output count", m)
     return Channel(np.full((n, m), 1.0 / m))
 
 

@@ -2,12 +2,25 @@
 
 Every error raised on bad input derives from ChancapError and from ValueError,
 so callers can catch either the package hierarchy or the builtin they expect.
+
+A numeric parameter's domain is decided by one of three checks, each of
+which raises ParameterOutOfRange and refuses a bool, which would otherwise
+run as 0 or 1:
+
+* _check_real: a positive real number (a tolerance, grid_step, step_size);
+* _check_probability: a real number in [0, 1] (a canonical channel's
+  probability, the mixture weight, support_threshold);
+* _check_limit: an integer of at least a minimum, 1 unless given (an
+  iteration limit, a size; 2 for the typewriter, 0 for an input symbol).
+
+Four domains add one bound on top of their check, at the call site:
+support_threshold must be below 1, grid_step at most 0.1, step_size finite,
+and an input symbol below the channel's input count.
 """
 
 from __future__ import annotations
 
 import numbers
-import operator
 
 __all__ = [
     "ChancapError",
@@ -75,17 +88,20 @@ class DroppedOutputColumnWarning(UserWarning):
     """An all-zero output column was removed during channel construction."""
 
 
-def _check_real(name: str, value, positive: bool = True) -> None:
+def _is_number(value, kind: type) -> bool:
+    """True when value is an instance of kind, numbers.Real or numbers.Integral, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value) -> None:
     """Raise ParameterOutOfRange unless value is a positive real number.
 
     `not 0 < value` rejects NaN too, which would never stop an iteration; a
     string or None would otherwise reach a comparison and raise a bare
-    TypeError.  positive=False checks the type only, for a caller with its
-    own range and message.
+    TypeError.
     """
-    if not (isinstance(value, numbers.Real) and (not positive or 0.0 < value)):
-        allowed = " positive" if positive else ""
-        raise ParameterOutOfRange(f"{name} must be a real number{allowed}, got {value!r}")
+    if not (_is_number(value, numbers.Real) and 0.0 < value):
+        raise ParameterOutOfRange(f"{name} must be a positive real number, got {value!r}")
 
 
 def _check_type(name: str, value, kind: type) -> None:
@@ -96,21 +112,18 @@ def _check_type(name: str, value, kind: type) -> None:
 
 def _check_probability(name: str, value) -> None:
     """Raise ParameterOutOfRange unless value is a real number in [0, 1]."""
-    _check_real(name, value, positive=False)
-    if not 0.0 <= value <= 1.0:
+    if not (_is_number(value, numbers.Real) and 0.0 <= value <= 1.0):
         raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _check_limit(name: str, value, minimum: int | None = 1) -> None:
+def _check_limit(name: str, value, minimum: int = 1) -> None:
     """Raise ParameterOutOfRange unless value is an integer of at least minimum.
 
     Any numpy or Python integer type passes; a float, even a whole one, does
     not, since range() would reject it with a bare TypeError and int() would
-    truncate it.  minimum=None checks the type only, as positive=False does above.
+    truncate it.
     """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and value < minimum:
+    if not _is_number(value, numbers.Integral):
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
         raise ParameterOutOfRange(f"{name} must be at least {minimum}, got {value!r}")

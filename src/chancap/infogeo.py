@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProductPoint:
-    """A product law stored by its two factors.
+    """A product law stored by its two factors, each a Distribution.
 
     The expanded matrix is never stored; materialize it on demand with
     to_joint() when a computation genuinely needs all n*m entries.
@@ -38,6 +38,10 @@ class ProductPoint:
 
     input_factor: Distribution
     output_factor: Distribution
+
+    def __post_init__(self):
+        _check_type("input factor", self.input_factor, Distribution)
+        _check_type("output factor", self.output_factor, Distribution)
 
     def to_joint(self) -> JointDistribution:
         return JointDistribution(
@@ -66,6 +70,5 @@ def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:
     _check_type("product point", point, ProductPoint)
     q = point.input_factor
     _check_interior_input(q, ch)
-    _check_type("output factor", point.output_factor, Distribution)
     d = per_input_divergences(ch, point.output_factor.weights)
     return Distribution(_tilt(np.log(q.weights), -d)[0])

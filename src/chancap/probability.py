@@ -124,9 +124,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        _check_limit("alphabet size", n, minimum=None)
-        if n < 1:
-            raise InvalidDistribution("alphabet size must be positive")
+        _check_limit("alphabet size", n)
         return cls(np.full(n, 1.0 / n))
 
     def __repr__(self):

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .channel import Channel, _check_channel, output_marginal, per_input_divergences
-from .errors import ParameterOutOfRange, TooManyInputs, _check_real
+from .errors import ParameterOutOfRange, TooManyInputs, _check_probability, _check_real
 from .numeric import ordered_dot, ordered_sum_along
 from .probability import Distribution
 
@@ -73,8 +73,8 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
     n = ch.num_inputs
     if n > 4:
         raise TooManyInputs(f"exhaustive search supports at most 4 inputs, got {n}")
-    _check_real("grid_step", grid_step, positive=False)
-    if not 0.0 < grid_step <= 0.1:
+    _check_real("grid_step", grid_step)
+    if grid_step > 0.1:
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step!r}")
     steps = round(1.0 / grid_step)
     if comb(steps + n - 1, n - 1) > _MAX_GRID_POINTS:
@@ -139,8 +139,8 @@ def circumcenter_check(
     raised.  support_threshold must be a real number in [0, 1).
     """
     _check_real("tolerance", tol)
-    _check_real("support_threshold", support_threshold, positive=False)
-    if not 0.0 <= support_threshold < 1.0:
+    _check_probability("support_threshold", support_threshold)
+    if support_threshold == 1.0:
         raise ParameterOutOfRange(f"support_threshold must be in [0, 1), got {support_threshold!r}")
     d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
     support = q.weights > support_threshold

@@ -335,7 +335,10 @@ class TestCanonical:
         # Values rejected before keep their messages.
         with pytest.raises(ParameterOutOfRange, match=r"^crossover probability must be in \[0, 1\], got 1.5$"):
             bsc(1.5)
-        with pytest.raises(ParameterOutOfRange, match="^typewriter needs at least 2 symbols, got 1$"):
+        # Sizes are checked by the shared integer rule, with its message.
+        with pytest.raises(ParameterOutOfRange, match="^typewriter size must be at least 2, got 1$"):
+            noisy_typewriter(1)
+        with pytest.raises(ParameterOutOfRange, match="^typewriter size must be at least 2, got "):
             noisy_typewriter(np.int64(1))
         assert noisy_typewriter(np.int64(3)).num_inputs == 3
 

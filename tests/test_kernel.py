@@ -21,25 +21,34 @@ from chancap import (
     DimensionMismatch,
     Distribution,
     InvalidDistribution,
+    ParameterOutOfRange,
     ProductPoint,
     RowNotStochastic,
     arimoto_step,
     backward_e_member,
+    bec,
+    bsc,
+    canonical,
     capacity_bracket,
     circumcenter_check,
     converse_check,
     e_project_to_channel,
     exact_backward_m_step,
     geometric_mixture_check,
+    identity_channel,
     joint,
     kl_divergence,
     m_project_to_independence,
     marginals,
     mutual_information,
+    noisy_typewriter,
     output_marginal,
     per_input_divergences,
+    save_channel,
     solve_arimoto,
     solve_backward_em,
+    uniform_rows,
+    z_channel,
 )
 from chancap.channel import _divergences, _marginal
 from chancap.numeric import _contract, logsumexp, ordered_dot, ordered_sum, ordered_sum_along
@@ -248,6 +257,9 @@ class TestInputSize:
             lambda ch: m_project_to_independence(np.full((2, 2), 0.25)),
             lambda ch: marginals(np.full((2, 2), 0.25)),
             lambda ch: mutual_information(np.full((2, 2), 0.25)),
+            lambda ch: save_channel(None),
+            lambda ch: save_channel(ch.matrix),
+            lambda ch: ProductPoint(Distribution.uniform(2), None).to_joint(),
         ],
         ids=[
             "solve_arimoto-initial", "solve_backward_em-initial", "exact_backward_m_step", "capacity_bracket",
@@ -257,7 +269,7 @@ class TestInputSize:
             "backward_e_member", "geometric_mixture_check", "e_project_to_channel-tuple",
             "e_project_to_channel-array-output-factor",
             "kl_divergence-first", "kl_divergence-second", "m_project_to_independence", "marginals",
-            "mutual_information",
+            "mutual_information", "save_channel-none", "save_channel-array", "ProductPoint-none",
         ],
     )
     def test_every_entry_point_rejects_a_wrong_argument_type(self, call):
@@ -265,6 +277,48 @@ class TestInputSize:
         # error, not an AttributeError from deep inside the call.
         with pytest.raises(InvalidDistribution):
             call(Channel(np.array([[0.9, 0.1], [0.2, 0.8]])))
+
+    @pytest.mark.parametrize("x", [2, 5, -1, "a", 1.0, None, True])
+    def test_row_rejects_anything_but_an_input_symbol(self, x):
+        # These used to raise a bare IndexError, or, for -1, return the last row.
+        with pytest.raises(ParameterOutOfRange):
+            Channel(np.array([[0.9, 0.1], [0.2, 0.8]])).row(x)
+
+
+# Every numeric parameter, called with a bool b in its place.
+_NUMERIC_PARAMETERS = {
+    "solve_arimoto-tol": lambda ch, q, b: solve_arimoto(ch, tol=b),
+    "solve_backward_em-tol": lambda ch, q, b: solve_backward_em(ch, tol=b),
+    "circumcenter_check-tol": lambda ch, q, b: circumcenter_check(q, ch, tol=b),
+    "converse_check-tol": lambda ch, q, b: converse_check(ch, q, tol=b),
+    "solve_arimoto-max_iters": lambda ch, q, b: solve_arimoto(ch, max_iters=b),
+    "solve_backward_em-max_iters": lambda ch, q, b: solve_backward_em(ch, max_iters=b),
+    "solve_backward_em-max_inner": lambda ch, q, b: solve_backward_em(ch, max_inner=b),
+    "solve_backward_em-step_size": lambda ch, q, b: solve_backward_em(ch, step_size=b),
+    "exact_backward_m_step-max_inner": lambda ch, q, b: exact_backward_m_step(q, ch, max_inner=b),
+    "bsc": lambda ch, q, b: bsc(b),
+    "bec": lambda ch, q, b: bec(b),
+    "z_channel": lambda ch, q, b: z_channel(b),
+    "noisy_typewriter": lambda ch, q, b: noisy_typewriter(b),
+    "identity_channel": lambda ch, q, b: identity_channel(b),
+    "uniform_rows-inputs": lambda ch, q, b: uniform_rows(b, 2),
+    "uniform_rows-outputs": lambda ch, q, b: uniform_rows(2, b),
+    "canonical-uniform": lambda ch, q, b: canonical("uniform", b, b),
+    "Distribution.uniform": lambda ch, q, b: Distribution.uniform(b),
+    "geometric_mixture_check-weight": lambda ch, q, b: geometric_mixture_check(q, q, q, b, ch),
+    "circumcenter_check-support_threshold": lambda ch, q, b: circumcenter_check(q, ch, support_threshold=b),
+    "brute_force_capacity-grid_step": lambda ch, q, b: brute_force_capacity(ch, b),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("call", _NUMERIC_PARAMETERS.values(), ids=_NUMERIC_PARAMETERS.keys())
+def test_every_numeric_parameter_rejects_a_bool(call, flag):
+    # A bool used to run as 1 or 0 in most of these, and to raise a bare
+    # TypeError from numpy in the sizes.
+    ch = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    with pytest.raises(ParameterOutOfRange):
+        call(ch, Distribution.uniform(2), flag)
 
 
 class TestValidation:

@@ -65,7 +65,8 @@ class TestConstruction:
         u = Distribution.uniform(4)
         assert u.alphabet_size == 4
         assert np.array_equal(u.weights, np.full(4, 0.25))
-        with pytest.raises(InvalidDistribution, match="^alphabet size must be positive$"):
+        # A size is a parameter, so a size below 1 is out of range.
+        with pytest.raises(ParameterOutOfRange, match="^alphabet size must be at least 1, got 0$"):
             Distribution.uniform(0)
         # A non-integer size used to raise a bare TypeError from np.full.
         with pytest.raises(ParameterOutOfRange):

@@ -161,3 +161,27 @@ def test_step_size_is_checked_before_the_first_record(step_size):
     # bsc(0.1) converges at its first record, so no step ever runs.
     with pytest.raises(ParameterOutOfRange):
         solve_backward_em(bsc(0.1), step_size=step_size)
+
+
+def _stall_cases() -> dict:
+    squares = pinned_squares()
+    return {
+        "r8-1e-13": (squares["r8"], 1e-13),
+        "r16-1e-13": (squares["r16"], 1e-13),
+        "slow32-1e-11": (squares["r32"], 1e-11),
+        "random16-1e-12": (random_channel(np.random.default_rng(3), 16, 16), 1e-12),
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: at tight tolerances the adaptive step stalls, ending as "
+    "MAX_ITERATIONS with a final gap above one it passed",
+)
+@pytest.mark.parametrize("case", list(_stall_cases()))
+def test_the_default_reaches_a_tight_tolerance_within_200_outer_steps(case):
+    # Each run passes a record whose gap is 10 to 400 times narrower than
+    # the one it ends at after 200 steps (below tol for all but slow32).
+    ch, tol = _stall_cases()[case]
+    result, _ = solve_backward_em(ch, tol=tol, max_iters=200)
+    assert result.termination is Termination.CONVERGED
