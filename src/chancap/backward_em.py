@@ -51,8 +51,9 @@ quarter of lambda (never below 1); at lambda = 1 it falls back to the
 multiplicative step instead.  Each step's lambda is kept on its Step, so a
 replay of the trace takes the same steps.  Channels with more than
 _NEWTON_MAX_OUTPUTS outputs keep lambda = 1: their damped inner blend
-diverges above lambda of about 1.5.  step_size=1.0 runs the paper's
-iteration, and exact_backward_m_step is always the lambda = 1 step.
+diverges above lambda of about 1.5.  step_size=1.0, the only other step
+size, runs the paper's iteration, and exact_backward_m_step is always the
+lambda = 1 step.
 
 The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
@@ -65,7 +66,6 @@ marginal.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,8 +82,7 @@ from .channel import (
     per_input_divergences,
 )
 from .errors import (
-    DimensionMismatch, InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real,
-    _check_type,
+    InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real, _check_type,
 )
 from .numeric import _contract, _tilt, logsumexp
 from .probability import Distribution, _normalized
@@ -263,8 +262,8 @@ def _inner_step(point: _Point, log_base: np.ndarray, step_size: float, ch: Chann
     b = np.sqrt(q)[:, None] * (ch.matrix - t)
     # The contraction reduces in its own loops, not through BLAS.
     system = _contract("xy,xz->yz", b, b)
-    if step_size != 1.0:
-        system *= step_size
+    # Exact at step size 1, so the paper's step keeps its bits.
+    system *= step_size
     # diag(r) added through a view of the diagonal: adding it whole would
     # add an exact 0.0 to every other entry.
     diagonal = system.reshape(-1)[:: ch.num_outputs + 1]
@@ -304,7 +303,7 @@ def _inner_solve(
 
     q is an interior base input, r its output marginal and d the per-input
     divergences from r, as _sweep returns them, max_inner is a usable limit
-    and step_size a positive finite float.
+    and step_size at least 1 and at most _MAX_STEP_SIZE.
     """
     log_base = np.log(q)
     point = _point(log_base, r, d, step_size, ch)
@@ -420,23 +419,15 @@ def geometric_mixture_check(
     with logN_i the members' log normalizers; normalizer_gap is the relative
     defect of that identity.  Both quantities are reported, not asserted.
     """
-    _check_interior_input(base_input, ch)
-    for r in (r1, r2):
-        _check_type("output factor", r, Distribution)
-        if r.alphabet_size != ch.num_outputs:
-            raise DimensionMismatch(
-                f"output factor has {r.alphabet_size} symbols, channel has {ch.num_outputs}"
-            )
+    # Each member checks its arguments.
+    m1 = backward_e_member(base_input, r1, ch)
+    m2 = backward_e_member(base_input, r2, ch)
     _check_probability("mixture weight", weight)
-
     if weight == 0.0 or weight == 1.0:
         # Endpoint mixtures are the endpoint members themselves; both
         # reported quantities are identically zero.
-        member = backward_e_member(base_input, r1 if weight == 1.0 else r2, ch)
-        return GeometricMixtureResult(member, 0.0, 0.0)
+        return GeometricMixtureResult(m1 if weight == 1.0 else m2, 0.0, 0.0)
 
-    m1 = backward_e_member(base_input, r1, ch)
-    m2 = backward_e_member(base_input, r2, ch)
     # Every member's joint is the product q[r] x r, so the mixture of two
     # joints is the product of the factors' mixtures: normalized, it is
     # (normalized q1^w q2^(1-w)) x r_3, and its log mass is the sum of the
@@ -467,20 +458,6 @@ _CHEAP_INNER = 2
 _MAX_STEP_SIZE = 2.0**40
 
 
-def _check_step_size(step_size, newton: bool) -> None:
-    """Raise ParameterOutOfRange unless step_size is None or a step size the
-    inner step can take, newton saying whether it is Newton's; see errors."""
-    if step_size is None:
-        return
-    _check_real("step_size", step_size)
-    if step_size == math.inf:
-        raise ParameterOutOfRange(f"step_size must be finite, got {step_size!r}")
-    if step_size != 1.0 and not newton:
-        raise ParameterOutOfRange(
-            f"step_size must be 1 on a channel with more than {_NEWTON_MAX_OUTPUTS} outputs, got {step_size!r}"
-        )
-
-
 def _adapted(previous: Step) -> float:
     """The adaptive rule's first step size for the step after previous."""
     if previous.step_size is None:
@@ -509,17 +486,17 @@ def solve_backward_em(
     the step size, all of the inner solve that made it: a rejected
     candidate's solve is not counted.
 
-    step_size=1.0 is the paper's iteration, exact_backward_m_step's step,
-    and any other step_size in its domain (see errors) fixes lambda.  The
-    default, None, adapts it (see the module docstring): lambda starts at 1
-    and doubles after an exact step of at most two inner steps; a failed
-    inner solve, or a candidate whose lower bound falls below the current
-    one, is rejected and retried from the same iterate at a quarter of
-    lambda, and at lambda = 1 the step falls back instead.  A channel
-    with more than _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1, and
-    a fixed step_size other than 1 raises ParameterOutOfRange there.  On
-    perfbench's pinned r8 and r16 the default takes about 30 outer steps
-    to a gap of 1e-9 where lambda = 1 takes about 1,000.
+    step_size has two values.  1.0 is the paper's iteration,
+    exact_backward_m_step's step, on every step.  The default, None, adapts
+    lambda (see the module docstring): lambda starts at 1 and doubles after
+    an exact step of at most two inner steps; a failed inner solve, or a
+    candidate whose lower bound falls below the current one, is rejected
+    and retried from the same iterate at a quarter of lambda, and at
+    lambda = 1 the step falls back instead.  A channel with more than
+    _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1.  Any other step_size
+    raises ParameterOutOfRange.  On perfbench's pinned r8 and r16 the
+    default takes about 30 outer steps to a gap of 1e-9 where lambda = 1
+    takes about 1,000.
 
     Each step runs exact_backward_m_step's loop, _inner_solve, on the raw
     iterate, starting from the output marginal and divergences the
@@ -544,15 +521,16 @@ def solve_backward_em(
     # Checked here, before the first record: a run that converges there
     # never takes a step, and _inner_solve checks nothing.
     _check_channel(ch)
-    newton = ch.num_outputs <= _NEWTON_MAX_OUTPUTS
     _check_limit("max_inner", max_inner)
-    _check_step_size(step_size, newton)
-    adaptive = step_size is None and newton
-    fixed = 1.0 if step_size is None else float(step_size)
+    if step_size is not None:
+        _check_real("step_size", step_size)
+        if step_size != 1.0:
+            raise ParameterOutOfRange(f"step_size must be None or 1, got {step_size!r}")
+    adaptive = step_size is None and ch.num_outputs <= _NEWTON_MAX_OUTPUTS
 
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
         r, d, lower, _ = sweep
-        size = _adapted(previous) if adaptive else fixed
+        size = _adapted(previous) if adaptive else 1.0
         while True:
             inner = _inner_solve(q, r, d, ch, max_inner, size)
             point = inner.point
@@ -560,7 +538,8 @@ def solve_backward_em(
                 swept = _sweep(point.induced, ch, point.marginal) if point.interior else None
                 if not adaptive or swept is None or swept[2] >= lower:
                     return Step(point.induced, point.interior, "exact", inner.residual, inner.sweeps, swept, size)
-            if not adaptive or size == 1.0:
+            # A run that does not adapt always has size 1.
+            if size == 1.0:
                 return Step(*_reweighted(q, d), "fallback", inner.residual, inner.sweeps, None, size)
             size = max(0.25 * size, 1.0)
 

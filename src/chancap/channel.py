@@ -229,6 +229,8 @@ def load_channel(source, format: str = "json") -> Channel:
         text = _as_text(source)
     except UnicodeDecodeError as exc:
         raise ParseError(f"channel file is not valid UTF-8: {exc}") from None
+    if not (isinstance(format, str) and format in ("json", "csv")):
+        raise ParseError(f"unknown channel format {format!r}")
     if format == "json":
         try:
             doc = json.loads(text)
@@ -253,21 +255,20 @@ def load_channel(source, format: str = "json") -> Channel:
         # a third '"'.  A plain numeric document stops at these searches.
         scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
         return Channel(_json_numbers(matrix, '"matrix"', scan), *labels)
-    if format == "csv":
-        rows = []
-        try:
-            for line in csv.reader(io.StringIO(text)):
-                if not line:
-                    continue
-                rows.append([float(cell) for cell in line])
-        except (csv.Error, ValueError) as exc:
-            raise ParseError(f"invalid CSV: {exc}") from None
-        if not rows:
-            raise ParseError("CSV channel file is empty")
-        if len({len(r) for r in rows}) > 1:
-            raise ParseError("CSV rows have unequal lengths")
-        return Channel(np.asarray(rows, dtype=float))
-    raise ParseError(f"unknown channel format {format!r}")
+    # format is "csv".
+    rows = []
+    try:
+        for line in csv.reader(io.StringIO(text)):
+            if not line:
+                continue
+            rows.append([float(cell) for cell in line])
+    except (csv.Error, ValueError) as exc:
+        raise ParseError(f"invalid CSV: {exc}") from None
+    if not rows:
+        raise ParseError("CSV channel file is empty")
+    if len({len(r) for r in rows}) > 1:
+        raise ParseError("CSV rows have unequal lengths")
+    return Channel(np.asarray(rows, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +354,7 @@ def per_input_divergences(
         raise DimensionMismatch(
             f"reference has shape {r.shape}, channel has {ch.num_outputs} outputs"
         )
-    if infinite not in ("raise", "inf"):
+    if not (isinstance(infinite, str) and infinite in ("raise", "inf")):
         raise ParameterOutOfRange(f"infinite must be 'raise' or 'inf', got {infinite!r}")
     r = _normalized(r, "reference")
     positive = r > 0.0
@@ -430,7 +431,7 @@ def _canonical_entry(kind: str, count: int) -> tuple:
 
     ParameterOutOfRange for an unknown kind or a wrong parameter count.
     """
-    if kind not in CANONICAL_KINDS:
+    if not (isinstance(kind, str) and kind in CANONICAL_KINDS):
         raise ParameterOutOfRange(f"unknown channel kind {kind!r} (known: {', '.join(CANONICAL_KINDS)})")
     build, types = _CANONICAL[kind]
     if count != len(types):

@@ -14,8 +14,9 @@ run as 0 or 1:
   iteration limit, a size; 2 for the typewriter, 0 for an input symbol).
 
 Four domains add one bound on top of their check, at the call site:
-support_threshold must be below 1, grid_step at most 0.1, step_size finite,
-and an input symbol below the channel's input count.
+support_threshold must be below 1, grid_step at most 0.1, step_size 1 (or
+None, which skips the check), and an input symbol below the channel's
+input count.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ and its determinism contract, and the solvers' unchecked path against the
 public one, bit for bit and error for error.
 """
 
+import inspect
+import math
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -15,15 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chancap
 from chancap import (
     AbsoluteContinuityViolation,
+    ChancapError,
     Channel,
     DimensionMismatch,
     Distribution,
     InvalidDistribution,
+    JointDistribution,
     ParameterOutOfRange,
     ProductPoint,
     RowNotStochastic,
+    approximate_m_step,
     arimoto_step,
     backward_e_member,
     bec,
@@ -38,6 +44,7 @@ from chancap import (
     identity_channel,
     joint,
     kl_divergence,
+    load_channel,
     m_project_to_independence,
     marginals,
     mutual_information,
@@ -319,6 +326,88 @@ def test_every_numeric_parameter_rejects_a_bool(call, flag):
     ch = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
     with pytest.raises(ParameterOutOfRange):
         call(ch, Distribution.uniform(2), flag)
+
+
+_CH = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+_Q = Distribution.uniform(2)
+# Each public function, constructor and method, with a valid value for
+# every parameter; the test below gives each parameter in turn each of
+# _ODD_VALUES.
+_PROBED = {
+    "approximate_m_step": (approximate_m_step, {"base_input": _Q, "ch": _CH}),
+    "arimoto_step": (arimoto_step, {"q": _Q, "ch": _CH}),
+    "backward_e_member": (backward_e_member, {"base_input": _Q, "output_factor": _Q, "ch": _CH}),
+    "bec": (bec, {"eps": 0.1}),
+    "brute_force_capacity": (brute_force_capacity, {"ch": _CH, "grid_step": 0.1}),
+    "bsc": (bsc, {"p": 0.1}),
+    "canonical": (lambda kind, param: canonical(kind, param), {"kind": "bsc", "param": 0.1}),
+    "capacity_bracket": (capacity_bracket, {"q": _Q, "ch": _CH}),
+    "circumcenter_check": (
+        circumcenter_check, {"q": _Q, "ch": _CH, "support_threshold": 1e-7, "tol": 1e-6}
+    ),
+    "converse_check": (converse_check, {"ch": _CH, "q": _Q, "tol": 1e-6}),
+    "e_project_to_channel": (e_project_to_channel, {"point": ProductPoint(_Q, _Q), "ch": _CH}),
+    "exact_backward_m_step": (exact_backward_m_step, {"base_input": _Q, "ch": _CH, "max_inner": 100}),
+    "geometric_mixture_check": (
+        geometric_mixture_check, {"base_input": _Q, "r1": _Q, "r2": _Q, "weight": 0.5, "ch": _CH}
+    ),
+    "identity_channel": (identity_channel, {"n": 2}),
+    "joint": (joint, {"q": _Q, "ch": _CH}),
+    "kl_divergence": (kl_divergence, {"p": _Q, "q": _Q}),
+    "load_channel": (load_channel, {"source": b'{"matrix": [[0.9, 0.1], [0.2, 0.8]]}', "format": "json"}),
+    "m_project_to_independence": (m_project_to_independence, {"p": joint(_Q, _CH)}),
+    "marginals": (marginals, {"p": joint(_Q, _CH)}),
+    "mutual_information": (mutual_information, {"p": joint(_Q, _CH)}),
+    "noisy_typewriter": (noisy_typewriter, {"n": 3}),
+    "output_marginal": (output_marginal, {"q": _Q, "ch": _CH}),
+    "per_input_divergences": (
+        per_input_divergences, {"ch": _CH, "reference": np.array([0.5, 0.5]), "infinite": "raise"}
+    ),
+    "save_channel": (save_channel, {"ch": _CH}),
+    "solve_arimoto": (solve_arimoto, {"ch": _CH, "tol": 1e-6, "max_iters": 100, "initial": _Q}),
+    "solve_backward_em": (
+        solve_backward_em,
+        {"ch": _CH, "tol": 1e-6, "max_iters": 100, "max_inner": 100, "initial": _Q, "step_size": 1.0},
+    ),
+    "uniform_rows": (uniform_rows, {"n": 2, "m": 2}),
+    "z_channel": (z_channel, {"p": 0.1}),
+    "Channel": (Channel, {"matrix": _CH.matrix, "input_labels": ("a", "b"), "output_labels": ("c", "d")}),
+    "Channel.row": (_CH.row, {"x": 0}),
+    "Distribution": (Distribution, {"weights": np.array([0.5, 0.5])}),
+    "Distribution.uniform": (Distribution.uniform, {"n": 2}),
+    "JointDistribution": (JointDistribution, {"weights": np.full((2, 2), 0.25)}),
+    "ProductPoint": (ProductPoint, {"input_factor": _Q, "output_factor": _Q}),
+}
+_ODD_VALUES = (
+    None, True, "x", np.array([0.5, 0.5]), np.array(["bsc"]), [[0.5], [0.5, 0.5]], -1, math.nan, 2.5
+)
+
+
+def test_the_probe_covers_every_public_function():
+    functions = {
+        name for name in chancap.__all__
+        if callable(getattr(chancap, name)) and not isinstance(getattr(chancap, name), type)
+    }
+    assert functions <= _PROBED.keys()
+
+
+@pytest.mark.parametrize("name", _PROBED)
+def test_every_parameter_given_an_odd_value_returns_or_raises_a_typed_error(name):
+    # A string option handed an array used to raise numpy's bare ValueError
+    # ("truth value of an array ... is ambiguous"), or a bare TypeError
+    # (unhashable type) from canonical.
+    call, valid = _PROBED[name]
+    assert valid.keys() == inspect.signature(call).parameters.keys()
+    escaped = []
+    for parameter in valid:
+        for value in _ODD_VALUES:
+            try:
+                call(**{**valid, parameter: value})
+            except ChancapError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{parameter}={value!r}: {type(exc).__name__}: {exc}")
+    assert escaped == []
 
 
 class TestValidation:

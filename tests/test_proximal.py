@@ -1,4 +1,4 @@
-"""The backward solver's step size: the adaptive proximal rule, and the paper's fixed step.
+"""The backward solver's two step sizes: the adaptive proximal rule, and the paper's step.
 
 An exact backward step at step size lambda moves from q_t to the maximizer
 of I(q) - D(q || q_t) / lambda.  step_size=1.0 is the paper's iteration;
@@ -144,23 +144,28 @@ def test_channels_wider_than_the_cap_keep_the_paper_step_size():
         solve_backward_em(ch, step_size=2.0)
 
 
-def test_a_fixed_step_size_is_taken_on_every_step():
-    # lambda = 16 takes about a sixteenth of the paper's 1,053 outer steps on r16.
-    ch = pinned_squares()["r16"]
-    result, trace = solve_backward_em(ch, tol=1e-9, step_size=16)
-    assert result.termination is Termination.CONVERGED
-    assert result.iterations <= 100
-    assert trace._step_sizes[1:] == [16.0] * (len(trace) - 1)
-    assert set(trace._routes[1:]) == {"exact"}
-
-
 @pytest.mark.parametrize(
-    "step_size", [True, False, "2", 2j, math.nan, math.inf, -math.inf, 0, 0.0, -1.0]
+    "step_size",
+    [True, False, "2", 2j, math.nan, math.inf, -math.inf, 0, 0.0, -1.0, 2.0, 16, 0.5,
+     pytest.param(np.float64(2.0), id="np.float64(2.0)")],
 )
 def test_step_size_is_checked_before_the_first_record(step_size):
-    # bsc(0.1) converges at its first record, so no step ever runs.
+    # bsc(0.1) converges at its first record, so no step ever runs.  Only
+    # None and 1 are step sizes.
     with pytest.raises(ParameterOutOfRange):
         solve_backward_em(bsc(0.1), step_size=step_size)
+
+
+def test_every_spelling_of_the_paper_step_size_takes_the_same_steps():
+    ch = pinned_squares()["r4"]
+    columns = ("_lower", "_upper", "_clamped", "_routes", "_residuals", "_inner", "_step_sizes")
+    _, paper = solve_backward_em(ch, tol=1e-7, step_size=1.0)
+    for spelling in (1, np.float64(1.0)):
+        _, trace = solve_backward_em(ch, tol=1e-7, step_size=spelling)
+        for column in columns:
+            # Bit for bit: a float's repr round-trips, and -0.0 keeps its sign.
+            assert repr(getattr(trace, column)) == repr(getattr(paper, column))
+    assert paper._step_sizes[1:] == [1.0] * (len(paper) - 1)
 
 
 def _stall_cases() -> dict:
