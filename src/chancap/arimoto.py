@@ -21,11 +21,12 @@ a weight that still underflows is clamped to the smallest positive normal
 float and the iterate renormalized, flagged on the trace record.
 
 The iteration is one generator, _run, over raw weight arrays: it yields
-each iterate with its divergences, bounds, clamp flag and the Step that made
-it.  Both solvers are deterministic maps from one iterate, and the Step
-that made it, to the next, so the trace keeps only each iterate's scalars
-(bounds, clamp flag, route, inner residual, inner count and step size) as
-columns, about 100 bytes per iterate, and no array.  The first read of
+each iterate with its divergences, bounds and the Step that made it, whose
+interior flag is false exactly when the iterate was clamped.  Both solvers
+are deterministic maps from one iterate, and the Step that made it, to the
+next, so the trace keeps only each iterate's scalars (bounds, clamp flag,
+route, inner residual, inner count and step size) as columns, about 100
+bytes per iterate, and no array.  The first read of
 IterationTrace.records runs _run again from the same start, checks every
 replayed scalar against the kept one bit for bit, and builds the
 TraceRecords, with each iterate's divergences and Distribution, from the
@@ -157,8 +158,8 @@ class IterationTrace:
             # one more iterate, which would take one more step.
             pairs = enumerate(zip(kept, self._replay()), 1)
             records = []
-            for iteration, (row, (q, d, lower, upper, clamped, step)) in pairs:
-                replayed = (lower, upper, clamped, step.route, step.residual, step.inner, step.step_size)
+            for iteration, (row, (q, d, lower, upper, step)) in pairs:
+                replayed = (lower, upper, not step.interior, step.route, step.residual, step.inner, step.step_size)
                 # repr tells every float apart bit for bit, -0.0 from 0.0 too.
                 if repr(replayed) != repr(row):
                     raise AssertionError(
@@ -266,9 +267,10 @@ class Step(NamedTuple):
     and step_size are the step's route, last inner residual, inner sweep
     count and step size, None for a step with no inner loop.  sweep is
     _sweep's tuple at iterate when the stepper has computed it, None
-    otherwise.  _run lifts an iterate that is not interior, which drops its
-    sweep, takes any other sweep as the next iterate's, and yields the rest
-    with the next iterate.
+    otherwise.  _run lifts an iterate that is not interior and drops its
+    sweep; the lifted Step keeps interior=False, which is the trace's clamp
+    flag.  Any other sweep becomes the next iterate's.  _run yields each
+    Step with the iterate it made.
     """
 
     iterate: np.ndarray
@@ -285,23 +287,22 @@ Stepper = Callable[[np.ndarray, tuple, Step], Step]
 
 def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
     """The iteration from the raw start weights q: one (q, d, lower, upper,
-    clamped, step) per iterate, without end.
+    step) per iterate, without end.
 
-    d, lower and upper are _sweep's at q; clamped says whether q needed the
-    underflow clamp, and step is the Step that made q (Step(q, True) for
-    the start), which the stepper is handed with q.  The next step is
-    taken only when the next iterate is asked for.  This is the only loop
-    body: _iterate runs it once to stop and keep the trace's scalars, and
-    IterationTrace.records runs it again for the arrays.
+    d, lower and upper are _sweep's at q, and step is the Step that made q
+    (Step(q, True) for the start), which the stepper is handed with q.  q
+    needed the underflow clamp exactly when step is not interior: a lifted
+    step keeps interior=False.  The next step is taken only when the next
+    iterate is asked for.  This is the only loop body: _iterate runs it
+    once to stop and keep the trace's scalars, and IterationTrace.records
+    runs it again for the arrays.
     """
     step = Step(q, True)
-    clamped = False
     while True:
         _, d, lower, upper = sweep = _sweep(q, ch) if step.sweep is None else step.sweep
-        yield q, d, lower, upper, clamped, step
+        yield q, d, lower, upper, step
         step = stepper(q, sweep, step)
-        clamped = not step.interior
-        if clamped:
+        if not step.interior:
             # The lifted iterate is a new array, with a sweep of its own.
             step = step._replace(iterate=_lifted(step.iterate), sweep=None)
         q = step.iterate
@@ -324,7 +325,7 @@ def _iterate(
     lowers, uppers, clamps, routes, residuals, inners, step_sizes = [], [], [], [], [], [], []
     previous = -math.inf
     termination = Termination.MAX_ITERATIONS
-    for iteration, (q, _, lower, upper, clamped, step) in enumerate(_run(ch, start.weights, stepper), 1):
+    for iteration, (q, _, lower, upper, step) in enumerate(_run(ch, start.weights, stepper), 1):
         # Brackets are ordered and mutual information never falls, up to a
         # 1e-12 rounding slack; a NaN bound fails the comparison too.
         if not previous - 1e-12 <= lower <= upper:
@@ -335,7 +336,7 @@ def _iterate(
         previous = lower
         lowers.append(lower)
         uppers.append(upper)
-        clamps.append(clamped)
+        clamps.append(not step.interior)
         routes.append(step.route)
         residuals.append(step.residual)
         inners.append(step.inner)

@@ -225,40 +225,39 @@ def _point(log_base: np.ndarray, r: np.ndarray, d: np.ndarray, step_size: float,
     return _Point(r, induced, log_norm, mapped, residual, bool(smallest > 0.0))
 
 
-def _checked(r: np.ndarray) -> np.ndarray | None:
-    """r checked by probability._normalized, or None unless it is an interior weight vector."""
+def _trial(log_base: np.ndarray, r: np.ndarray, step_size: float, ch: Channel) -> _Point | None:
+    """T at r, or None unless r is an interior weight vector that probability._normalized accepts."""
     smallest = np.minimum.reduce(r)
     # A NaN entry fails this test; an infinite one, or a sum too far from
     # one, fails the check.
     if not smallest > 0.0:
         return None
     try:
-        return _normalized(r, smallest=smallest)
+        r = _normalized(r, smallest=smallest)
     except InvalidDistribution:
         return None
+    # r has no zero entry, so the unchecked kernel applies.
+    return _point(log_base, r, _divergences(ch, r), step_size, ch)
 
 
 def _inner_step(point: _Point, log_base: np.ndarray, step_size: float, ch: Channel) -> _Point | None:
     """T at the next output factor for T(r) = r, or None where no usable step is found.
 
-    Up to _NEWTON_MAX_OUTPUTS outputs the step is Newton's: with q the
-    induced input at r, t = T(r) and B = diag(sqrt q)(P - 1 t^T), B^T B is
-    the covariance Cov_q(P), and the step solves the symmetric positive
-    definite system (diag(r) + lambda B^T B) u = t - r for the relative
-    correction u.  The step r*u is halved, at most _MAX_HALVINGS times,
-    until r + r*u is an interior weight vector that probability._normalized
-    accepts and whose residual is below the one at r; the evaluation of
-    that trial is the next point, so a full step does no extra work.
-    Wider channels take the damped blend once, accepted when it is usable.
-    None when the solve fails or no trial passes.
+    Every trial output factor goes through _trial, which evaluates T there
+    or refuses the trial.  Up to _NEWTON_MAX_OUTPUTS outputs the step is
+    Newton's: with q the induced input at r, t = T(r) and B = diag(sqrt
+    q)(P - 1 t^T), B^T B is the covariance Cov_q(P), and the step solves
+    the symmetric positive definite system (diag(r) + lambda B^T B) u = t -
+    r for the relative correction u.  The step r*u is halved, at most
+    _MAX_HALVINGS times, until _trial accepts r + r*u with a residual below
+    the one at r; the evaluation of that trial is the next point, so a
+    full step does no extra work.  Wider channels have one trial, the
+    damped blend, and return what _trial makes of it.  None when the solve
+    fails or no trial passes.
     """
     q, r, t = point.induced, point.factor, point.marginal
     if ch.num_outputs > _NEWTON_MAX_OUTPUTS:
-        r_next = _checked((1.0 - _DAMPING) * r + _DAMPING * t)
-        if r_next is None:
-            return None
-        # _checked leaves r_next no zero entry, so the unchecked kernel applies.
-        return _point(log_base, r_next, _divergences(ch, r_next), step_size, ch)
+        return _trial(log_base, (1.0 - _DAMPING) * r + _DAMPING * t, step_size, ch)
     b = np.sqrt(q)[:, None] * (ch.matrix - t)
     # The contraction reduces in its own loops, not through BLAS.
     system = _contract("xy,xz->yz", b, b)
@@ -273,12 +272,10 @@ def _inner_step(point: _Point, log_base: np.ndarray, step_size: float, ch: Chann
     except np.linalg.LinAlgError:
         return None
     for _ in range(_MAX_HALVINGS + 1):
-        r_next = _checked(r + step)
-        if r_next is not None:
-            trial = _point(log_base, r_next, _divergences(ch, r_next), step_size, ch)
-            # A NaN residual fails this test too.
-            if trial.residual < point.residual:
-                return trial
+        trial = _trial(log_base, r + step, step_size, ch)
+        # A NaN residual fails this test too.
+        if trial is not None and trial.residual < point.residual:
+            return trial
         step = 0.5 * step
     return None
 
@@ -358,12 +355,14 @@ def exact_backward_m_step(base_input: Distribution, ch: Channel, max_inner: int 
     instead.  It multiplies the error along an eigenvalue -s of the
     Jacobian (s in [0, 1]) by 1 - 0.8 * (1 + s), which lies in [-0.6, 0.2].
 
-    An iterate r_{k+1} is usable when it has no entry <= 0, no non-finite
-    entry and a sum the Distribution check accepts.  A Newton step r*u is
-    halved, at most _MAX_HALVINGS (10) times, until r + r*u is usable and
-    its residual is below the one at r_k; a full step that passes is the
-    undamped Newton step.  The damped step is taken when it is usable.
-    The m-step ends when the Newton solve fails or no trial passes.
+    Every trial iterate r_{k+1}, Newton's or damped, meets one rule: it is
+    usable when it has no entry <= 0, no non-finite entry and a sum the
+    Distribution check accepts, and only a usable trial is evaluated.  A
+    Newton step r*u is halved, at most _MAX_HALVINGS (10) times, until r +
+    r*u is usable and its residual is below the one at r_k; a full step
+    that passes is the undamped Newton step.  The damped step is one
+    trial, taken when it is usable.  The m-step ends when the Newton solve
+    fails or no trial passes.
 
     This is the step at step size 1.  At a step size lambda, which
     solve_backward_em takes, the tilt is by lambda * d_r and the system is

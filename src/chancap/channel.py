@@ -201,7 +201,7 @@ def _third_quote(text: str) -> bool:
 
 
 def _json_numbers(rows: list, what: str, scan: bool = True) -> np.ndarray:
-    """Parsed JSON rows as a float array; ParseError unless every entry is a number.
+    """Parsed rows as a float array; ParseError unless every entry is a number.
 
     np.asarray would read true/false as 1.0/0.0 and "0.5" as 0.5, hence the
     scan, which a caller may skip when the text shows no such entry exists.
@@ -238,37 +238,32 @@ def load_channel(source, format: str = "json") -> Channel:
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or "matrix" not in doc:
             raise ParseError('JSON channel must be an object with a "matrix" key')
-        matrix = doc["matrix"]
-        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+        rows, what = doc["matrix"], "matrix"
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError('"matrix" must be a list of rows')
-        if len({len(r) for r in matrix}) > 1:
-            raise ParseError("matrix rows have unequal lengths")
-        labels = []
-        for key in ("input_labels", "output_labels"):
-            value = doc.get(key)
-            if value is not None and not isinstance(value, list):
-                raise ParseError(f'"{key}" must be a list')
-            labels.append(tuple(value) if value is not None else None)
         # The per-entry scan runs only when a one-character search (memchr)
         # finds what a bad entry needs: a true/false token holds a "u" or an
         # "l", which no JSON number or "matrix" key does, and a string entry
         # a third '"'.  A plain numeric document stops at these searches.
         scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
-        return Channel(_json_numbers(matrix, '"matrix"', scan), *labels)
-    # format is "csv".
-    rows = []
-    try:
-        for line in csv.reader(io.StringIO(text)):
-            if not line:
-                continue
-            rows.append([float(cell) for cell in line])
-    except (csv.Error, ValueError) as exc:
-        raise ParseError(f"invalid CSV: {exc}") from None
-    if not rows:
-        raise ParseError("CSV channel file is empty")
+    else:
+        # A CSV document has no labels, and its cells are floats already.
+        doc, what, scan = {}, "CSV", False
+        try:
+            rows = [[float(cell) for cell in line] for line in csv.reader(io.StringIO(text)) if line]
+        except (csv.Error, ValueError) as exc:
+            raise ParseError(f"invalid CSV: {exc}") from None
+        if not rows:
+            raise ParseError("CSV channel file is empty")
     if len({len(r) for r in rows}) > 1:
-        raise ParseError("CSV rows have unequal lengths")
-    return Channel(np.asarray(rows, dtype=float))
+        raise ParseError(f"{what} rows have unequal lengths")
+    labels = []
+    for key in ("input_labels", "output_labels"):
+        value = doc.get(key)
+        if value is not None and not isinstance(value, list):
+            raise ParseError(f'"{key}" must be a list')
+        labels.append(tuple(value) if value is not None else None)
+    return Channel(_json_numbers(rows, '"matrix"', scan), *labels)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +358,7 @@ def per_input_divergences(
     zero = r == 0.0
     # No output column is all zero, so some row has mass where r has none.
     bad_rows = (ch.matrix[:, zero] > 0.0).any(axis=1)
-    if infinite == "raise" and bad_rows.any():
+    if infinite == "raise":
         raise AbsoluteContinuityViolation(
             f"row {int(np.flatnonzero(bad_rows)[0])} has mass outside the reference support"
         )

@@ -14,7 +14,7 @@ capacity outright when every input does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -60,6 +60,11 @@ def _grid_blocks(n: int, steps: int):
             yield np.column_stack([np.full(len(rest), float(first)), rest])
 
 
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """a log a entrywise, with 0 log 0 = 0; the log never sees a zero."""
+    return np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+
+
 def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribution]:
     """Exhaustive capacity estimate over a simplex grid of pitch grid_step.
 
@@ -76,26 +81,25 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
     _check_real("grid_step", grid_step)
     if grid_step > 0.1:
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step!r}")
-    steps = round(1.0 / grid_step)
+    # A pitch below 1 / (the largest float) has no finite reciprocal, so no grid.
+    scale = 1.0 / float(grid_step)
+    if not isfinite(scale):
+        raise ParameterOutOfRange(f"grid_step {grid_step!r} is too small: 1 / grid_step overflows")
+    steps = round(scale)
     if comb(steps + n - 1, n - 1) > _MAX_GRID_POINTS:
         raise ParameterOutOfRange(
             f"grid_step {grid_step!r} with {n} inputs exceeds {_MAX_GRID_POINTS} points"
         )
 
     m = ch.matrix
-    with np.errstate(divide="ignore"):
-        row_terms = np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
-    row_negentropy = ordered_sum_along(row_terms, axis=1)
+    row_negentropy = ordered_sum_along(_xlogx(m), axis=1)
 
     best_value = -np.inf
     best_point: np.ndarray | None = None
     for block in _grid_blocks(n, steps):
         q_block = block / steps
-        marg = q_block @ m
-        with np.errstate(divide="ignore"):
-            out_terms = np.where(marg > 0.0, marg * np.log(np.where(marg > 0.0, marg, 1.0)), 0.0)
         info = ordered_sum_along(q_block * row_negentropy[None, :], axis=1) - ordered_sum_along(
-            out_terms, axis=1
+            _xlogx(q_block @ m), axis=1
         )
         info = np.maximum(info, 0.0)
         idx = int(np.argmax(info))
@@ -103,6 +107,11 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
             best_value = float(info[idx])
             best_point = q_block[idx]
     return best_value, Distribution(best_point)
+
+
+def _divergences_at(q: Distribution, ch: Channel) -> np.ndarray:
+    """Every input's divergence from the output marginal of q, +inf where it is infinite."""
+    return per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
 
 
 @dataclass(frozen=True)
@@ -142,23 +151,16 @@ def circumcenter_check(
     _check_probability("support_threshold", support_threshold)
     if support_threshold == 1.0:
         raise ParameterOutOfRange(f"support_threshold must be in [0, 1), got {support_threshold!r}")
-    d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
+    d = _divergences_at(q, ch)
     support = q.weights > support_threshold
     # Inputs with no mass contribute nothing to the weighted mean even when
-    # their divergence is infinite, so mask them out before the dot product.
-    masked = np.where(q.weights > 0.0, d, 0.0)
-    estimate = ordered_dot(q.weights, masked) if np.all(np.isfinite(masked)) else np.inf
-
+    # their divergence is infinite, so mask them out before the dot product;
+    # an infinite divergence at an input with mass makes the estimate inf.
+    estimate = ordered_dot(q.weights, np.where(q.weights > 0.0, d, 0.0))
+    support_deviation = off_excess = np.inf
     if np.isfinite(estimate):
-        support_deviation = (
-            float(np.max(np.abs(d[support] - estimate))) if np.any(support) else 0.0
-        )
-        off = ~support
-        off_excess = float(np.max(d[off] - estimate)) if np.any(off) else -np.inf
-        off_excess = max(off_excess, 0.0) if np.any(off) else 0.0
-    else:
-        support_deviation = np.inf
-        off_excess = np.inf
+        support_deviation = float(np.max(np.abs(d[support] - estimate), initial=0.0))
+        off_excess = float(np.max(d[~support] - estimate, initial=0.0))
     passed = bool(np.isfinite(estimate) and support_deviation <= tol and off_excess <= tol)
     return CircumcenterReport(
         passed=passed,
@@ -182,12 +184,12 @@ def converse_check(ch: Channel, q: Distribution, tol: float = 1e-6) -> float | N
     failure to certify, since optima supported on a strict subset of inputs
     never satisfy the all-inputs hypothesis.
     """
-    # With a NaN tolerance `spread > tol` would be false, certifying any law.
+    # With a NaN tolerance `high - low > tol` would be false, certifying any law.
     _check_real("tolerance", tol)
-    d = per_input_divergences(ch, output_marginal(q, ch).weights, infinite="inf")
+    d = _divergences_at(q, ch)
     if not np.all(np.isfinite(d)):
         return None
-    spread = float(np.max(d) - np.min(d))
-    if spread > tol:
+    high, low = float(np.max(d)), float(np.min(d))
+    if high - low > tol:
         return None
-    return 0.5 * (float(np.max(d)) + float(np.min(d)))
+    return 0.5 * (high + low)

@@ -23,7 +23,8 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import _lifted, _reweighted
+from chancap.arimoto import Step, _iterate, _lifted, _reweighted
+from chancap.probability import _normalized
 from support import random_channel, random_interior
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
@@ -182,6 +183,16 @@ class TestSolve:
         assert not trace.records[0].clamped
         assert trace.records[1].clamped
         assert all(rec.input_distribution.is_interior for rec in trace)
+
+    def test_a_falling_lower_bound_fails_the_bracket_check(self):
+        # No solver's step lowers the mutual information, so a stepper that
+        # always jumps to a worse law than the uniform start stands in for
+        # a faulty one: the loop stops at the second iterate.
+        def stepper(q, sweep, previous):
+            return Step(_normalized(np.array([0.95, 0.05])), True)
+
+        with pytest.raises(AssertionError, match=r"^iteration 2: bracket \(.*\) is unordered or below the previous"):
+            _iterate(z_channel(0.5), 1e-9, 10, None, stepper)
 
     def test_deterministic_across_runs(self):
         first, _ = solve_arimoto(z_channel(0.4))

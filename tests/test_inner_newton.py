@@ -19,6 +19,8 @@ from chancap import (
     output_marginal,
     solve_backward_em,
 )
+import chancap.backward_em
+import support
 from support import newton_output_factor, random_channel, reference_m_step
 
 # Three inputs, the last two almost unused: the first Newton iterate at this
@@ -60,21 +62,29 @@ class TestSafeguard:
             assert np.array_equal(first.input_distribution.weights, expected)
             assert all(rec.step_status == "exact" for rec in trace.records[2:])
 
-    @pytest.mark.parametrize("failure", ["singular", "inf", "nan", "sum"])
+    @pytest.mark.parametrize("failure", ["singular", "inf", "nan", "sum", "wide-blend"])
     def test_unusable_newton_steps_end_the_m_step(self, monkeypatch, failure):
         # No system here is singular and no iterate non-finite, so the
         # solve is replaced by one that fails, or whose every step is
         # infinite, NaN or sums to 2: the first step is then rejected and
-        # the m-step ends there, as the reference loop's does.
+        # the m-step ends there, as the reference loop's does.  A channel
+        # wider than the Newton cap takes one damped blend instead; at a
+        # damping of 50 the blend -49 r + 50 T(r) has a negative entry, so
+        # its one trial is refused and the m-step ends there too.
         def unusable(a, b):
             if failure == "singular":
                 raise np.linalg.LinAlgError("singular matrix")
             return np.full(len(b), {"inf": np.inf, "nan": np.nan, "sum": 1.0}[failure])
 
         rng = np.random.default_rng(67)
-        ch = random_channel(rng, 5, 4)
-        base = Distribution(rng.dirichlet(np.ones(5)))
-        monkeypatch.setattr(np.linalg, "solve", unusable)
+        if failure == "wide-blend":
+            ch = random_channel(rng, 4, 33)
+            for module in (chancap.backward_em, support):
+                monkeypatch.setattr(module, "_DAMPING", 50.0)
+        else:
+            ch = random_channel(rng, 5, 4)
+            monkeypatch.setattr(np.linalg, "solve", unusable)
+        base = Distribution(rng.dirichlet(np.ones(ch.num_inputs)))
         want = reference_m_step(base, ch)
         got = exact_backward_m_step(base, ch)
         assert isinstance(got, MStepOutcome)

@@ -378,8 +378,11 @@ _PROBED = {
     "JointDistribution": (JointDistribution, {"weights": np.full((2, 2), 0.25)}),
     "ProductPoint": (ProductPoint, {"input_factor": _Q, "output_factor": _Q}),
 }
+# 5e-324 and 1e308 are the smallest and about the largest floats: a
+# subnormal grid_step used to raise a bare OverflowError.
 _ODD_VALUES = (
-    None, True, "x", np.array([0.5, 0.5]), np.array(["bsc"]), [[0.5], [0.5, 0.5]], -1, math.nan, 2.5
+    None, True, "x", np.array([0.5, 0.5]), np.array(["bsc"]), [[0.5], [0.5, 0.5]], -1, math.nan, 2.5,
+    math.inf, 5e-324, 1e308,
 )
 
 

@@ -85,9 +85,13 @@ class TestBruteForce:
             brute_force_capacity(uniform_rows(5, 2), grid_step=0.1)
 
     def test_rejects_bad_grid_step(self):
-        for step in (0.0, -0.01, 0.2, "0.1", None):
-            with pytest.raises(ParameterOutOfRange):
-                brute_force_capacity(bsc(0.1), grid_step=step)
+        # A grid_step without a finite reciprocal (5e-324, 1e-310) used to
+        # raise a bare OverflowError from round(1 / grid_step), on a
+        # one-input channel too.
+        for ch in (bsc(0.1), Channel(np.array([[0.3, 0.7]]))):
+            for step in (0.0, -0.01, 0.2, "0.1", None, 5e-324, 1e-310, np.float64(5e-324)):
+                with pytest.raises(ParameterOutOfRange):
+                    brute_force_capacity(ch, grid_step=step)
 
     def test_rejects_oversized_grids(self):
         with pytest.raises(ParameterOutOfRange):
