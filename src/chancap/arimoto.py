@@ -25,14 +25,16 @@ each iterate with its divergences, bounds and the Step that made it, whose
 interior flag is false exactly when the iterate was clamped.  Both solvers
 are deterministic maps from one iterate, and the Step that made it, to the
 next, so the trace keeps only each iterate's scalars (bounds, clamp flag,
-route, inner residual, inner count and step size) as columns, about 100
-bytes per iterate, and no array.  The first read of
-IterationTrace.records runs _run again from the same start, checks every
-replayed scalar against the kept one bit for bit, and builds the
-TraceRecords, with each iterate's divergences and Distribution, from the
-replay; len(trace) and the columns build nothing.  A stepper that has
-already swept the iterate it returns hands the sweep on in
-its Step, and the loop does not sweep it again.  A stepper with state of
+route, inner residual, inner count and step size), and no array: _row
+spells them once, _COLUMNS names them by the TraceRecord fields they fill,
+and one flat list keeps one row per iterate, about 110 bytes per iterate
+(130 for the backward solver).  The first read of IterationTrace.records
+runs _run again from the same start, checks every replayed row against
+the kept one bit for bit, and builds the TraceRecords, with each iterate's
+divergences and Distribution, from the replay; len(trace) and
+IterationTrace._column build nothing.  A stepper that has already swept
+the iterate it returns hands the sweep on in its Step, and the loop does
+not sweep it again.  A stepper with state of
 its own (the backward solver's step size) keeps it on its Step: _run hands
 each stepper the Step that made the current iterate, so a replay, which
 starts from the same Step, takes the same steps.
@@ -116,62 +118,71 @@ class TraceRecord:
         return self.upper_bound - self.lower_bound
 
 
-class IterationTrace:
-    """The full bracket history of one solver run, stored as scalar columns.
+# The scalars the trace keeps of each iterate, named by the TraceRecord
+# fields they fill, in the order _row gives them.
+_COLUMNS = (
+    "lower_bound", "upper_bound", "clamped", "step_status", "inner_residual", "inner_iterations", "step_size",
+)
 
-    The solver hands over one list per scalar TraceRecord field, one entry
-    per iteration: the bounds, the clamp flags and each step's route, inner
-    residual, inner count and step size, and replay, a callable that
-    restarts the run (arimoto._run) from the same start weights, channel
-    and stepper.  No divergences or input weights are kept.  records
-    replays the run for len(trace) iterates on first access, raises
-    AssertionError if a replayed scalar differs from the kept one in any
-    bit, builds the TraceRecords, each with its divergences and a
-    Distribution of its input weights, caches them and drops replay; len
-    builds nothing.  Inside the package the columns are read directly: the
-    CLI writes its trace CSV from them.
+
+def _row(lower: float, upper: float, step: Step) -> tuple:
+    """The trace's row for one iterate of _run: its bounds and the Step that
+    made it, one entry per name in _COLUMNS.
+
+    _iterate keeps it and IterationTrace.records checks the replay against
+    it; the clamp flag is not step.interior.
+    """
+    return lower, upper, not step.interior, step.route, step.residual, step.inner, step.step_size
+
+
+class IterationTrace:
+    """The full bracket history of one solver run, stored as one flat list of scalars.
+
+    The solver hands over kept, the _row of each iteration one after
+    another, and replay, a callable that restarts the run (arimoto._run)
+    from the same start weights, channel and stepper.  No divergences or
+    input weights are kept.  records replays the run for len(trace)
+    iterates on first access, raises AssertionError if a replayed row
+    differs from the kept one in any bit, builds the TraceRecords, each
+    with its divergences and a Distribution of its input weights, caches
+    them and drops replay; len builds nothing.  Inside the package a column
+    is read by its TraceRecord field name with _column: the CLI writes its
+    trace CSV from them.
     """
 
-    __slots__ = (
-        "_lower", "_upper", "_clamped", "_routes", "_residuals", "_inner", "_step_sizes", "_replay", "_records",
-    )
+    __slots__ = ("_kept", "_replay", "_records")
 
-    def __init__(self, lower, upper, clamped, routes, residuals, inner, step_sizes, replay):
-        self._lower: list[float] = lower
-        self._upper: list[float] = upper
-        self._clamped: list[bool] = clamped
-        self._routes: list[str | None] = routes
-        self._residuals: list[float | None] = residuals
-        self._inner: list[int | None] = inner
-        self._step_sizes: list[float | None] = step_sizes
+    def __init__(self, kept, replay):
+        self._kept: list = kept
         self._replay: Callable[[], Iterator[tuple]] | None = replay
         self._records: tuple[TraceRecord, ...] | None = None
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         if self._records is None:
-            kept = zip(
-                self._lower, self._upper, self._clamped, self._routes, self._residuals, self._inner,
-                self._step_sizes,
-            )
-            # kept comes first, so zip stops without asking the replay for
-            # one more iterate, which would take one more step.
-            pairs = enumerate(zip(kept, self._replay()), 1)
+            # kept's rows come first, so zip stops without asking the replay
+            # for one more iterate, which would take one more step.
+            rows = zip(*[iter(self._kept)] * len(_COLUMNS))
             records = []
-            for iteration, (row, (q, d, lower, upper, step)) in pairs:
-                replayed = (lower, upper, not step.interior, step.route, step.residual, step.inner, step.step_size)
+            for iteration, (row, (q, d, lower, upper, step)) in enumerate(zip(rows, self._replay()), 1):
+                replayed = _row(lower, upper, step)
                 # repr tells every float apart bit for bit, -0.0 from 0.0 too.
                 if repr(replayed) != repr(row):
                     raise AssertionError(
                         f"iteration {iteration}: the replay gives {replayed!r}, the trace kept {row!r}"
                     )
-                records.append(TraceRecord(iteration, lower, upper, d, Distribution(q), *replayed[2:]))
+                fields = dict(zip(_COLUMNS, replayed), per_input_divergence=d, input_distribution=Distribution(q))
+                records.append(TraceRecord(iteration, **fields))
             self._records = tuple(records)
             self._replay = None
         return self._records
 
+    def _column(self, name: str) -> list:
+        """The kept entries of the TraceRecord field name, one per iteration."""
+        return self._kept[_COLUMNS.index(name)::len(_COLUMNS)]
+
     def __len__(self):
-        return len(self._lower)
+        return len(self._kept) // len(_COLUMNS)
 
     def __iter__(self):
         return iter(self.records)
@@ -265,12 +276,14 @@ class Step(NamedTuple):
     array the stepper has passed through probability._normalized, and
     interior says whether every weight is positive.  route, residual, inner
     and step_size are the step's route, last inner residual, inner sweep
-    count and step size, None for a step with no inner loop.  sweep is
-    _sweep's tuple at iterate when the stepper has computed it, None
-    otherwise.  _run lifts an iterate that is not interior and drops its
-    sweep; the lifted Step keeps interior=False, which is the trace's clamp
-    flag.  Any other sweep becomes the next iterate's.  _run yields each
-    Step with the iterate it made.
+    count and step size, None for a step with no inner loop; the trace
+    keeps them, through _row, as step_status, inner_residual,
+    inner_iterations and step_size.  sweep is _sweep's tuple at iterate
+    when the stepper has computed it, None otherwise.  _run lifts an
+    iterate that is not interior and drops its sweep; the lifted Step keeps
+    interior=False, and not interior is the trace's clamp flag.  Any other
+    sweep becomes the next iterate's.  _run yields each Step with the
+    iterate it made.
     """
 
     iterate: np.ndarray
@@ -321,8 +334,8 @@ def _iterate(
     start = Distribution.uniform(ch.num_inputs) if initial is None else initial
     _check_interior_input(start, ch)
 
-    # The trace's columns, one entry per iteration.
-    lowers, uppers, clamps, routes, residuals, inners, step_sizes = [], [], [], [], [], [], []
+    # The trace's rows, one after another.
+    kept = []
     previous = -math.inf
     termination = Termination.MAX_ITERATIONS
     for iteration, (q, _, lower, upper, step) in enumerate(_run(ch, start.weights, stepper), 1):
@@ -334,13 +347,7 @@ def _iterate(
                 f"or below the previous lower bound {previous!r}"
             )
         previous = lower
-        lowers.append(lower)
-        uppers.append(upper)
-        clamps.append(not step.interior)
-        routes.append(step.route)
-        residuals.append(step.residual)
-        inners.append(step.inner)
-        step_sizes.append(step.step_size)
+        kept.extend(_row(lower, upper, step))
         if upper - lower <= tol:
             termination = Termination.CONVERGED
             break
@@ -351,12 +358,12 @@ def _iterate(
         capacity=0.5 * (lower + upper),
         bracket=Bracket(lower, upper),
         optimal_input=Distribution(q),
-        iterations=len(lowers),
+        iterations=iteration,
         termination=termination,
     )
     # start's weights are read-only, so the replay starts where this run did.
     replay = partial(_run, ch, start.weights, stepper)
-    return result, IterationTrace(lowers, uppers, clamps, routes, residuals, inners, step_sizes, replay)
+    return result, IterationTrace(kept, replay)
 
 
 def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:

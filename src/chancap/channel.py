@@ -48,6 +48,7 @@ from .errors import (
     _check_limit,
     _check_probability,
     _check_type,
+    _sized,
 )
 from .numeric import _contract, ordered_sum_along
 from .probability import _SUM_KEEP, _SUM_REJECT, Distribution, JointDistribution, _normalized, _real_array
@@ -392,20 +393,21 @@ def z_channel(p: float) -> Channel:
 def noisy_typewriter(n: int) -> Channel:
     """Each of n symbols maps to itself or its cyclic successor, half and half."""
     _check_limit("typewriter size", n, minimum=2)
-    return Channel(0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1)))
+    eye = _sized(np.eye, n)
+    return Channel(0.5 * (eye + np.roll(eye, 1, axis=1)))
 
 
 def identity_channel(n: int) -> Channel:
     """A noiseless channel on n symbols."""
     _check_limit("identity channel size", n)
-    return Channel(np.eye(n))
+    return Channel(_sized(np.eye, n))
 
 
 def uniform_rows(n: int, m: int) -> Channel:
     """The useless channel: every input induces the uniform output law."""
     _check_limit("input count", n)
     _check_limit("output count", m)
-    return Channel(np.full((n, m), 1.0 / m))
+    return Channel(_sized(np.full, (n, m), 1.0 / m))
 
 
 # Each canonical kind's constructor and the types of its parameters, in

@@ -65,10 +65,11 @@ def _read_input_distribution(path: str) -> Distribution:
 
 
 def _write_trace(path: str, trace: IterationTrace) -> None:
-    # Written from the trace's columns, so no TraceRecord is built, one row
-    # at a time as it is formatted.  As on a record, mutual_info is the
-    # lower bound and gap is upper - lower.
-    rows = zip(trace._lower, trace._upper, trace._routes, trace._residuals)
+    # Written from the trace's kept columns, read by their TraceRecord
+    # names, so no TraceRecord is built, one row at a time as it is
+    # formatted.  As on a record, mutual_info is the lower bound and gap is
+    # upper - lower.
+    rows = zip(*map(trace._column, ("lower_bound", "upper_bound", "step_status", "inner_residual")))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + "\n")
         for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
@@ -103,15 +104,15 @@ def cmd_capacity(args) -> int:
         # upper - lower taken in nats, then scaled: the stopping test's gap.
         "gap": _scale(result.bracket.upper - result.bracket.lower, args.units),
         # The iterates that needed the underflow clamp, from the trace's column.
-        "clamped_steps": sum(trace._clamped),
+        "clamped_steps": sum(trace._column("clamped")),
     }
     if args.algorithm == "backward-em":
-        payload["inner_sweeps"] = sum(inner or 0 for inner in trace._inner)
+        payload["inner_sweeps"] = sum(inner or 0 for inner in trace._column("inner_iterations"))
         # How each iterate after the first was made, from the same columns.
-        payload["exact_steps"] = trace._routes.count("exact")
-        payload["fallback_steps"] = trace._routes.count("fallback")
+        payload["exact_steps"] = trace._column("step_status").count("exact")
+        payload["fallback_steps"] = trace._column("step_status").count("fallback")
         # The largest step size any step took; null when no step was taken.
-        payload["max_step_size"] = max(filter(None, trace._step_sizes), default=None)
+        payload["max_step_size"] = max(filter(None, trace._column("step_size")), default=None)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 

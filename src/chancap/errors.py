@@ -16,7 +16,8 @@ run as 0 or 1:
 Four domains add one bound on top of their check, at the call site:
 support_threshold must be below 1, grid_step at most 0.1, step_size 1 (or
 None, which skips the check), and an input symbol below the channel's
-input count.
+input count.  A size has no upper bound of its own: _sized raises
+ParameterOutOfRange where numpy refuses the array the size asks for.
 """
 
 from __future__ import annotations
@@ -128,3 +129,16 @@ def _check_limit(name: str, value, minimum: int = 1) -> None:
         raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ParameterOutOfRange(f"{name} must be at least {minimum}, got {value!r}")
+
+
+def _sized(build, shape, *args):
+    """build(shape, *args), a numpy array constructor, with numpy's refusal
+    of a shape too large for any array raised as ParameterOutOfRange.
+
+    numpy refuses such a shape ("array is too big", "Maximum allowed
+    dimension exceeded") before it allocates, so the bound is numpy's own.
+    """
+    try:
+        return build(shape, *args)
+    except ValueError as exc:
+        raise ParameterOutOfRange(f"no array of shape {shape!r} can be built: {exc}") from None

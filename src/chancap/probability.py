@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution, _check_limit, _check_type,
+    AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution, _check_limit, _check_type, _sized,
 )
 from .numeric import ordered_sum, ordered_sum_along
 
@@ -125,7 +125,7 @@ class Distribution:
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
         _check_limit("alphabet size", n)
-        return cls(np.full(n, 1.0 / n))
+        return cls(_sized(np.full, n, 1.0 / n))
 
     def __repr__(self):
         return f"Distribution({np.array2string(self.weights, separator=', ')})"

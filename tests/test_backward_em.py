@@ -401,8 +401,9 @@ class TestSolver:
                     steps.append((base, []))
                 steps[-1][1].append(solve)
             assert len(steps) == len(trace) - 1
+            routes, clamped = trace._column("step_status"), trace._column("clamped")
             for k, (_, tried) in enumerate(steps[:-1]):
-                if trace._routes[k + 1] == "exact" and not trace._clamped[k + 1]:
+                if routes[k + 1] == "exact" and not clamped[k + 1]:
                     assert steps[k + 1][0] is tried[-1].point.induced
                     handed += 1
             for rec, (_, tried) in zip(trace.records[1:], steps):

@@ -36,6 +36,9 @@ from support import CANONICAL_EXAMPLES, random_channel, random_interior
 
 
 class TestConstruction:
+    def test_repr_gives_the_shape(self):
+        assert repr(uniform_rows(3, 5)) == "Channel(3x5)"
+
     def test_rows_are_validated(self):
         with pytest.raises(RowNotStochastic) as exc:
             Channel(np.array([[0.5, 0.3], [0.5, 0.5]]))

@@ -379,10 +379,13 @@ _PROBED = {
     "ProductPoint": (ProductPoint, {"input_factor": _Q, "output_factor": _Q}),
 }
 # 5e-324 and 1e308 are the smallest and about the largest floats: a
-# subnormal grid_step used to raise a bare OverflowError.
+# subnormal grid_step used to raise a bare OverflowError.  2**62 and 2**63
+# are sizes numpy refuses before it allocates ("array is too big", "Maximum
+# allowed dimension exceeded"), which the size constructors used to raise
+# bare; a size numpy accepts is never probed, as it may allocate.
 _ODD_VALUES = (
     None, True, "x", np.array([0.5, 0.5]), np.array(["bsc"]), [[0.5], [0.5, 0.5]], -1, math.nan, 2.5,
-    math.inf, 5e-324, 1e308,
+    math.inf, 5e-324, 1e308, 2**62, 2**63,
 )
 
 

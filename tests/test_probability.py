@@ -216,6 +216,11 @@ class TestKLDivergence:
 
 
 class TestMarginals:
+    def test_joint_gives_its_shape(self):
+        p = JointDistribution(np.full((2, 3), 1.0 / 6.0))
+        assert p.shape == (2, 3)
+        assert repr(p) == "JointDistribution(shape=(2, 3))"
+
     def test_diagonal_joint_has_exact_marginals(self):
         p = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
         q, r = marginals(p)

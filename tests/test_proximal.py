@@ -19,6 +19,7 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
+from chancap.arimoto import _COLUMNS
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
 from support import pinned_squares, random_channel, reference_m_step
 
@@ -38,11 +39,11 @@ def test_criterion_04_design_never_descends():
     for _ in range(200):
         n, m = int(rng.integers(2, 17)), int(rng.integers(2, 17))
         _, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40, max_inner=300)
-        lowers = trace._lower
+        lowers, routes, clamped = map(trace._column, ("lower_bound", "step_status", "clamped"))
         for k in range(1, len(trace)):
             steps += 1
             descents += lowers[k] < lowers[k - 1] - 1e-12
-            if trace._routes[k] == "exact" and not trace._clamped[k]:
+            if routes[k] == "exact" and not clamped[k]:
                 assert lowers[k] >= lowers[k - 1]
     assert steps > 5000
     assert descents == 0
@@ -71,7 +72,7 @@ def test_step_size_follows_the_adaptive_rule():
     doubled = quartered = 0
     for ch in channels:
         _, trace = solve_backward_em(ch, tol=1e-12, max_iters=60)
-        sizes, routes, inner = trace._step_sizes, trace._routes, trace._inner
+        sizes, routes, inner = map(trace._column, ("step_size", "step_status", "inner_iterations"))
         assert sizes[0] is None
         previous = (None, None, None)
         for k in range(1, len(trace)):
@@ -121,12 +122,13 @@ def test_records_replay_an_adaptive_run():
     # takes the same steps; the lambda column is compared like the others.
     ch = pinned_squares()["r16"]
     _, trace = solve_backward_em(ch, tol=1e-9)
-    sizes = list(trace._step_sizes)
+    sizes = trace._column("step_size")
     records = trace.records
     assert [rec.step_size for rec in records] == sizes
     assert sizes[0] is None and max(sizes[1:]) > 1000.0
     _, tampered = solve_backward_em(ch, tol=1e-9)
-    tampered._step_sizes[3] *= 2.0
+    # The step size of iteration 4, in the kept list of rows.
+    tampered._kept[3 * len(_COLUMNS) + _COLUMNS.index("step_size")] *= 2.0
     with pytest.raises(AssertionError, match="iteration 4"):
         tampered.records
 
@@ -138,8 +140,8 @@ def test_channels_wider_than_the_cap_keep_the_paper_step_size():
     _, paper = solve_backward_em(ch, step_size=1.0)
     assert len(adaptive) > 2
     assert [rec.step_size for rec in adaptive.records[1:]] == [1.0] * (len(adaptive) - 1)
-    for column in ("_lower", "_upper", "_routes", "_residuals", "_inner", "_step_sizes"):
-        assert getattr(adaptive, column) == getattr(paper, column)
+    for column in ("lower_bound", "upper_bound", "step_status", "inner_residual", "inner_iterations", "step_size"):
+        assert adaptive._column(column) == paper._column(column)
     with pytest.raises(ParameterOutOfRange):
         solve_backward_em(ch, step_size=2.0)
 
@@ -158,14 +160,13 @@ def test_step_size_is_checked_before_the_first_record(step_size):
 
 def test_every_spelling_of_the_paper_step_size_takes_the_same_steps():
     ch = pinned_squares()["r4"]
-    columns = ("_lower", "_upper", "_clamped", "_routes", "_residuals", "_inner", "_step_sizes")
     _, paper = solve_backward_em(ch, tol=1e-7, step_size=1.0)
     for spelling in (1, np.float64(1.0)):
         _, trace = solve_backward_em(ch, tol=1e-7, step_size=spelling)
-        for column in columns:
+        for column in _COLUMNS:
             # Bit for bit: a float's repr round-trips, and -0.0 keeps its sign.
-            assert repr(getattr(trace, column)) == repr(getattr(paper, column))
-    assert paper._step_sizes[1:] == [1.0] * (len(paper) - 1)
+            assert repr(trace._column(column)) == repr(paper._column(column))
+    assert paper._column("step_size")[1:] == [1.0] * (len(paper) - 1)
 
 
 def _stall_cases() -> dict:

@@ -1,9 +1,9 @@
-"""The columnar solver trace: what a solve builds and keeps, and what reading its records builds.
+"""The solver trace: what a solve builds and keeps, and what reading its records builds.
 
-Counts and bytes, not timings: a solve keeps its trace as scalar columns
-and builds no TraceRecord, and no Distribution or family member per sweep,
-only the start and the optimal input; the records are rebuilt by replaying
-the run on their first read.
+Counts and bytes, not timings: a solve keeps its trace as one flat list of
+scalar rows and builds no TraceRecord, and no Distribution or family
+member per sweep, only the start and the optimal input; the records are
+rebuilt by replaying the run on their first read.
 """
 
 import gc
@@ -16,6 +16,7 @@ import pytest
 
 from chancap import (
     BackwardFamilyMember,
+    Channel,
     Distribution,
     TraceRecord,
     arimoto,
@@ -23,6 +24,7 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
+from chancap.arimoto import _COLUMNS
 from support import pinned_squares, random_channel
 
 
@@ -108,12 +110,13 @@ def test_records_are_built_once_on_first_read(built, solve):
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 @pytest.mark.parametrize("inputs", [16, 64])
 def test_a_trace_retains_no_array_per_record(solve, inputs):
-    # Kept per iterate: two float bounds, a clamp flag, a route, a residual
-    # and an inner count, about 100-130 B with the list slots.  A column of
-    # divergences and one of input weights took about 600 B per record at
-    # 16 inputs and 1,390 B at 64.  The backward solver runs at the paper's
-    # step size, which takes over 1,000 records on r16 (the 64-output
-    # channel keeps it anyway).
+    # Kept per iterate: one row of two float bounds, a clamp flag, a route,
+    # a residual, an inner count and a step size in one flat list, about
+    # 110 B (Arimoto) and 130 B (backward) on r16 with the list slots.  A
+    # column of divergences and one of input weights took about 600 B per
+    # record at 16 inputs and 1,390 B at 64.  The backward solver runs at
+    # the paper's step size, which takes over 1,000 records on r16 (the
+    # 64-output channel keeps it anyway).
     if solve is solve_backward_em:
         solve = partial(solve, step_size=1.0)
     if inputs == 16:
@@ -139,6 +142,30 @@ def test_a_trace_retains_no_array_per_record(solve, inputs):
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
     _, trace = solve(r16(), tol=1e-6)
-    trace._upper[3] = math.nextafter(trace._upper[3], math.inf)
+    # The upper bound of iteration 4, in the kept list of rows.
+    k = 3 * len(_COLUMNS) + _COLUMNS.index("upper_bound")
+    trace._kept[k] = math.nextafter(trace._kept[k], math.inf)
     with pytest.raises(AssertionError, match="iteration 4"):
         trace.records
+
+
+@pytest.mark.parametrize("case", ["arimoto-clamped", "backward-clamped", "backward-max-inner-2"])
+def test_the_kept_columns_are_the_records_fields(case):
+    # Each column the trace keeps reads, bit for bit, as the TraceRecord
+    # field it is named by.  The last input of the clamp channel starts at
+    # the smallest subnormal; its first reweighting underflows to zero and
+    # is lifted back.  At max_inner=2 some backward steps fall back.
+    clamp_channel = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
+    start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+    _, trace = {
+        "arimoto-clamped": lambda: solve_arimoto(clamp_channel, initial=start),
+        "backward-clamped": lambda: solve_backward_em(clamp_channel, initial=start),
+        "backward-max-inner-2": lambda: solve_backward_em(r16(), max_inner=2),
+    }[case]()
+    columns = {name: trace._column(name) for name in _COLUMNS}
+    for name, column in columns.items():
+        assert repr(column) == repr([getattr(rec, name) for rec in trace.records]), name
+    if case.endswith("clamped"):
+        assert True in columns["clamped"]
+    else:
+        assert "fallback" in columns["step_status"]

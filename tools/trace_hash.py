@@ -17,19 +17,26 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
   exact_backward_m_step calls (default and max_inner=2) on seeded random
-  channels.
+  channels;
+* a fixed list of chancap.cli.main(argv) calls, run in-process in a
+  temporary directory: generate, capacity, verify and compare on channel
+  files it writes, and on malformed ones.
 
 A trace record contributes its bounds, divergences, input weights, clamp
-flag, step route, inner residual and inner iteration count.  The script
+flag, step route, inner residual, inner iteration count and step size.  A
+CLI call contributes its label and exit code, its stdout and stderr with
+the temporary directory's path replaced by <tmp>, each warning it raised as
+its category and message (not the source path and line the default
+warning text carries), and the bytes of every file it wrote.  The script
 prints the number of hashed items and the SHA-256 over all of them; equal
-lines from two checkouts mean the change left every number unchanged.  It
-then prints the same for four groups of those items: the solve_arimoto
-traces, the solve_backward_em traces at the default step size, the direct
-calls, and the solve_backward_em traces at step_size=1.0, so a change
-meant to touch one solver can show the other's numbers unchanged.  The
-step_size=1.0 group hashes the same labels and record fields as the
-default group, so its line can be compared with a default-group line of a
-checkout whose default step size was 1.
+lines from two checkouts mean the change left every number and every CLI
+byte unchanged.  It then prints the same for five groups of those items:
+the solve_arimoto traces, the solve_backward_em traces at the default step
+size, the direct calls, the solve_backward_em traces at step_size=1.0 and
+the CLI calls, so a change meant to touch one solver can show the other's
+numbers unchanged.  The step_size=1.0 group hashes the same labels and
+record fields as the default group, so its line can be compared with a
+default-group line of a checkout whose default step size was 1.
 
 --against REV extracts REV's src/ with git archive into a temporary
 directory, next to copies of this script and of perfbench/corpus.py, and
@@ -42,12 +49,15 @@ line differs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,23 +76,64 @@ from chancap import (  # noqa: E402
     solve_backward_em,
 )
 from chancap.backward_em import approximate_m_step, exact_backward_m_step  # noqa: E402
+from chancap.cli import main as cli_main  # noqa: E402
 
 CORPORA = ("small-tight", "large-loose", "backward-em")
 # Inner settings each backward run or direct m-step is repeated with.
 INNER_SETTINGS = ({}, {"max_inner": 2})
 
 
-GROUPS = ("arimoto", "backward", "direct", "step_size=1.0")
+GROUPS = ("arimoto", "backward", "direct", "step_size=1.0", "cli")
+
+# The files the CLI calls read, written into the temporary directory first.
+CLI_FILES = {
+    "q.json": b"[0.5, 0.5]",
+    "boundary.json": b"[0.5, 0.5, 0.0]",
+    "skew.csv": b"0.7,0.2,0.1\n0.1,0.8,0.1\n0.3,0.3,0.4\n",
+    "zero-column.json": b'{"matrix": [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]]}',
+    "ragged.json": b'{"matrix": [[0.5, 0.5], [1.0]]}',
+    "true.json": b'{"matrix": [[true, 0], [0, 1]]}',
+    "string.json": b'{"matrix": [["0.5", 0.5], [0.5, 0.5]]}',
+    "no-matrix.json": b'{"rows": [[1.0]]}',
+    "empty.csv": b"",
+    "latin1.csv": b"0.5,0.5\n0.2,0.8\xe9\n",
+}
+# Each CLI call: a label and its argv, with {tmp} for the temporary directory.
+CLI_CALLS = (
+    *((f"generate {kind}", f"generate --kind {kind} --param {param} --out {{tmp}}/{kind}.json")
+      for kind, param in (("bsc", "0.1"), ("bec", "0.2"), ("z", "0.3"), ("typewriter", "5"),
+                          ("identity", "3"), ("uniform", "3,4"))),
+    ("generate with a wrong --param count", "generate --kind uniform --param 3 --out {tmp}/bad.json"),
+    ("capacity arimoto bits json", "capacity --channel {tmp}/z.json --trace {tmp}/z-arimoto.csv"),
+    ("capacity backward nats json",
+     "capacity --channel {tmp}/z.json --algorithm backward-em --units nats --trace {tmp}/z-backward.csv"),
+    ("capacity arimoto nats csv",
+     "capacity --channel {tmp}/skew.csv --format csv --units nats --trace {tmp}/skew-arimoto.csv"),
+    ("capacity backward bits csv",
+     "capacity --channel {tmp}/skew.csv --format csv --algorithm backward-em --trace {tmp}/skew-backward.csv"),
+    ("capacity at the iteration limit", "capacity --channel {tmp}/skew.csv --format csv --max-iters 3"),
+    ("capacity with a dropped column", "capacity --channel {tmp}/zero-column.json"),
+    ("verify an input file", "verify --channel {tmp}/bsc.json --input {tmp}/q.json"),
+    ("verify a boundary input law", "verify --channel {tmp}/identity.json --input {tmp}/boundary.json"),
+    ("verify a fresh solve", "verify --channel {tmp}/z.json"),
+    ("verify more than 4 inputs", "verify --channel {tmp}/typewriter.json"),
+    ("compare", "compare --channel {tmp}/skew.csv --format csv --trace-prefix {tmp}/compare"),
+    *((f"capacity on {name}", f"capacity --channel {{tmp}}/{name} --format {name.rsplit('.', 1)[1]}")
+      for name in ("ragged.json", "true.json", "string.json", "no-matrix.json", "empty.csv", "latin1.csv")),
+    ("capacity on a missing file", "capacity --channel {tmp}/missing.json"),
+)
 
 
 def encode(v) -> bytes:
-    """One float, int, str, bool, None or float array, tagged by kind."""
+    """One float, int, str, bytes, bool, None or float array, tagged by kind."""
     if v is None:
         return b"N"
     if isinstance(v, (bool, np.bool_)):
         return b"T" if v else b"F"
     if isinstance(v, str):
         return b"S" + v.encode() + b"\0"
+    if isinstance(v, bytes):
+        return b"B" + struct.pack("<q", len(v)) + v
     if isinstance(v, np.ndarray):
         return b"A" + struct.pack("<q", v.size) + np.ascontiguousarray(v, dtype="<f8").tobytes()
     if isinstance(v, (int, np.integer)):
@@ -117,6 +168,7 @@ class Hasher:
                 rec.step_status,
                 rec.inner_residual,
                 rec.inner_iterations,
+                rec.step_size,
             )
 
 
@@ -166,12 +218,33 @@ def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
                 h.item("direct", member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
 
 
+def cli_runs(h: Hasher) -> None:
+    """Each of CLI_CALLS through chancap.cli.main, in order, in one temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in CLI_FILES.items():
+            Path(tmp, name).write_bytes(data)
+        for label, argv in CLI_CALLS:
+            before = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli_main([part.format(tmp=tmp) for part in argv.split()])
+            h.item("cli", label, code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>"))
+            for warning in caught:
+                h.item("cli", warning.category.__name__, str(warning.message))
+            for path in sorted(Path(tmp).iterdir()):
+                if before.get(path.name) != path.read_bytes():
+                    h.item("cli", path.name, path.read_bytes())
+
+
 def hash_lines(seed: int) -> list[str]:
     """The total line and one line per group."""
     h = Hasher()
     solver_runs(h, seed)
     clamp_runs(h)
     direct_steps(h, seed)
+    cli_runs(h)
     lines = [f"seed {seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}"]
     return lines + [f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}" for name in GROUPS]
 
