@@ -25,12 +25,12 @@ each iterate with its divergences, bounds and the Step that made it, whose
 interior flag is false exactly when the iterate was clamped.  Both solvers
 are deterministic maps from one iterate, and the Step that made it, to the
 next, so the trace keeps only each iterate's scalars (bounds, clamp flag,
-route, inner residual, inner count and step size), and no array: _row
-spells them once, _COLUMNS names them by the TraceRecord fields they fill,
-and one flat list keeps one row per iterate, about 110 bytes per iterate
-(130 for the backward solver).  The first read of IterationTrace.records
-runs _run again from the same start, checks every replayed row against
-the kept one bit for bit, and builds the TraceRecords, with each iterate's
+route, inner residual, inner count, step size and rejected candidates),
+and no array: _row spells them once, _COLUMNS names them by the
+TraceRecord fields they fill, and one flat list keeps one row per iterate,
+about 120 bytes per iterate (145 for the backward solver).  The first
+read of IterationTrace.records runs _run again from the same start,
+checks every replayed row against the kept one bit for bit, and builds the TraceRecords, with each iterate's
 divergences and Distribution, from the replay; len(trace) and
 IterationTrace._column build nothing.  A stepper that has already swept
 the iterate it returns hands the sweep on in its Step, and the loop does
@@ -89,10 +89,10 @@ class Bracket(NamedTuple):
 class TraceRecord:
     """State of the solver at one iteration, before stepping.
 
-    step_status, inner_residual, inner_iterations and step_size describe
-    the step that produced this iterate; they are populated only by solvers
-    whose step has an inner loop.  clamped marks an iterate that needed the
-    underflow clamp when it was produced.  Records are built on the first
+    step_status, inner_residual, inner_iterations, step_size and
+    rejected_candidates describe the step that produced this iterate; they
+    are populated only by solvers whose step has an inner loop.  clamped
+    marks an iterate that needed the underflow clamp when it was produced.  Records are built on the first
     read of IterationTrace.records, from a replay of the run checked
     against the trace's columns.
     """
@@ -107,6 +107,7 @@ class TraceRecord:
     inner_residual: float | None = None
     inner_iterations: int | None = None
     step_size: float | None = None
+    rejected_candidates: int | None = None
 
     @property
     def mutual_info(self) -> float:
@@ -122,6 +123,7 @@ class TraceRecord:
 # fields they fill, in the order _row gives them.
 _COLUMNS = (
     "lower_bound", "upper_bound", "clamped", "step_status", "inner_residual", "inner_iterations", "step_size",
+    "rejected_candidates",
 )
 
 
@@ -132,7 +134,7 @@ def _row(lower: float, upper: float, step: Step) -> tuple:
     _iterate keeps it and IterationTrace.records checks the replay against
     it; the clamp flag is not step.interior.
     """
-    return lower, upper, not step.interior, step.route, step.residual, step.inner, step.step_size
+    return lower, upper, not step.interior, step.route, step.residual, step.inner, step.step_size, step.rejected
 
 
 class IterationTrace:
@@ -274,12 +276,13 @@ class Step(NamedTuple):
     A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
     upper) at q and the Step that made q to a Step.  iterate is a raw weight
     array the stepper has passed through probability._normalized, and
-    interior says whether every weight is positive.  route, residual, inner
-    and step_size are the step's route, last inner residual, inner sweep
-    count and step size, None for a step with no inner loop; the trace
-    keeps them, through _row, as step_status, inner_residual,
-    inner_iterations and step_size.  sweep is _sweep's tuple at iterate
-    when the stepper has computed it, None otherwise.  _run lifts an
+    interior says whether every weight is positive.  route, residual,
+    inner, step_size and rejected are the step's route, last inner
+    residual, inner sweep count, step size and the candidates it rejected
+    before its last inner solve, None for a step with no inner loop; the
+    trace keeps them, through _row, as step_status, inner_residual,
+    inner_iterations, step_size and rejected_candidates.  sweep is _sweep's
+    tuple at iterate when the stepper has computed it, None otherwise.  _run lifts an
     iterate that is not interior and drops its sweep; the lifted Step keeps
     interior=False, and not interior is the trace's clamp flag.  Any other
     sweep becomes the next iterate's.  _run yields each Step with the
@@ -293,6 +296,7 @@ class Step(NamedTuple):
     inner: int | None = None
     sweep: tuple | None = None
     step_size: float | None = None
+    rejected: int | None = None
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]

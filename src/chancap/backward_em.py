@@ -42,18 +42,25 @@ is the maximizer of I(q) - D(q || q_t) / lambda, so I(q_{t+1}) >= I(q_t) for
 every lambda > 0, and lambda = 1 is the paper's step above.  A larger
 lambda moves further: as lambda grows, the step's target tends to the
 capacity-achieving input itself, and its inner solve gets harder.
-solve_backward_em
-adapts lambda by default: it starts at 1 and doubles after an exact step
-whose inner solve took at most two steps (never past _MAX_STEP_SIZE); a
+
+The inner solve at step size lambda stops at a residual of _INNER_TOL /
+lambda.  The tilt multiplies the divergences, and with them the error a
+residual leaves in the step, by lambda, and inexact proximal-point steps
+converge when the inner error shrinks as the step size grows (Rockafellar,
+"Monotone operators and the proximal point algorithm", SIAM J. Control
+Optim. 14(5), 1976; for Bregman steps, Eckstein, Math. Program. 83, 1998).
+At lambda = 1 it is the paper's tolerance.  solve_backward_em adapts lambda
+by default: it starts at 1 and doubles after an exact step whose inner
+solve took at most _CHEAP_INNER (3) steps (never past _MAX_STEP_SIZE); a
 step whose inner solve fails, or whose candidate has a lower bound below
 the current one, is rejected and taken again from the same iterate at a
 quarter of lambda (never below 1); at lambda = 1 it falls back to the
-multiplicative step instead.  Each step's lambda is kept on its Step, so a
-replay of the trace takes the same steps.  Channels with more than
-_NEWTON_MAX_OUTPUTS outputs keep lambda = 1: their damped inner blend
-diverges above lambda of about 1.5.  step_size=1.0, the only other step
-size, runs the paper's iteration, and exact_backward_m_step is always the
-lambda = 1 step.
+multiplicative step instead.  Each step's lambda is kept on its Step, so
+a replay of the trace takes the same steps, and so is the number of
+candidates it rejected.  Channels with more than _NEWTON_MAX_OUTPUTS
+outputs keep lambda = 1: their damped inner blend diverges above lambda of
+about 1.5.  step_size=1.0, the only other step size, runs the paper's
+iteration, and exact_backward_m_step is always the lambda = 1 step.
 
 The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
@@ -84,7 +91,7 @@ from .channel import (
 from .errors import (
     InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real, _check_type,
 )
-from .numeric import _contract, _tilt, logsumexp
+from .numeric import _contract, _solve, _tilt, logsumexp
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -268,7 +275,7 @@ def _inner_step(point: _Point, log_base: np.ndarray, step_size: float, ch: Chann
     diagonal = system.reshape(-1)[:: ch.num_outputs + 1]
     diagonal += r
     try:
-        step = r * np.linalg.solve(system, t - r)
+        step = r * _solve(system, t - r)
     except np.linalg.LinAlgError:
         return None
     for _ in range(_MAX_HALVINGS + 1):
@@ -300,12 +307,14 @@ def _inner_solve(
 
     q is an interior base input, r its output marginal and d the per-input
     divergences from r, as _sweep returns them, max_inner is a usable limit
-    and step_size at least 1 and at most _MAX_STEP_SIZE.
+    and step_size at least 1 and at most _MAX_STEP_SIZE.  The solve has
+    converged at a residual of _INNER_TOL / step_size, which is _INNER_TOL
+    itself at step size 1.
     """
     log_base = np.log(q)
     point = _point(log_base, r, d, step_size, ch)
     for sweep in range(max_inner + 1):
-        if point.residual <= _INNER_TOL:
+        if point.residual <= _INNER_TOL / step_size:
             return _InnerSolve(point.residual, sweep, point)
         following = _inner_step(point, log_base, step_size, ch) if sweep < max_inner else None
         if following is None:
@@ -365,8 +374,9 @@ def exact_backward_m_step(base_input: Distribution, ch: Channel, max_inner: int 
     fails or no trial passes.
 
     This is the step at step size 1.  At a step size lambda, which
-    solve_backward_em takes, the tilt is by lambda * d_r and the system is
-    (diag(r) + lambda C) u = t - r.
+    solve_backward_em takes, the tilt is by lambda * d_r, the system is
+    (diag(r) + lambda C) u = t - r and the m-step has converged at a
+    residual of _INNER_TOL / lambda.
 
     This function checks its arguments, runs the loop on raw arrays and
     builds the member from the arrays it converged to.  solve_backward_em
@@ -449,11 +459,13 @@ def geometric_mixture_check(
 
 
 # The adaptive rule's step size doubles after an exact step whose inner
-# solve took at most _CHEAP_INNER steps, and never passes _MAX_STEP_SIZE,
-# which keeps it finite however long a run lasts.  (At the pinned squares'
-# 1e-9 gap it reaches 2**8-2**16; the inner solve rarely converges much
-# past 2**30.)
-_CHEAP_INNER = 2
+# solve took at most _CHEAP_INNER steps: from the warm start, Newton
+# usually needs 3 to reach the scaled tolerance.  It never passes
+# _MAX_STEP_SIZE, which keeps it finite however long a run lasts.  (On the
+# pinned squares it reaches 2**9-2**12, at a gap of 1e-9 or 1e-13 alike:
+# further up, the scaled tolerance nears the rounding floor and rejected
+# candidates hold it back.)
+_CHEAP_INNER = 3
 _MAX_STEP_SIZE = 2.0**40
 
 
@@ -482,20 +494,22 @@ def solve_backward_em(
     the approximate step when the inner solve does not converge; the trace
     records which route produced every iterate ("exact" or "fallback")
     together with the inner residual reached, the inner steps taken and
-    the step size, all of the inner solve that made it: a rejected
-    candidate's solve is not counted.
+    the step size, all of the inner solve that made it, and the number of
+    candidates the step rejected before it, whose inner steps are not
+    counted.
 
     step_size has two values.  1.0 is the paper's iteration,
     exact_backward_m_step's step, on every step.  The default, None, adapts
-    lambda (see the module docstring): lambda starts at 1 and doubles after
-    an exact step of at most two inner steps; a failed inner solve, or a
-    candidate whose lower bound falls below the current one, is rejected
-    and retried from the same iterate at a quarter of lambda, and at
-    lambda = 1 the step falls back instead.  A channel with more than
-    _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1.  Any other step_size
-    raises ParameterOutOfRange.  On perfbench's pinned r8 and r16 the
-    default takes about 30 outer steps to a gap of 1e-9 where lambda = 1
-    takes about 1,000.
+    lambda (see the module docstring): each inner solve stops at a residual
+    of 1e-10 / lambda; lambda starts at 1 and doubles after an exact step
+    of at most three inner steps; a failed inner solve, or a candidate
+    whose lower bound falls below the current one, is rejected and retried
+    from the same iterate at a quarter of lambda, and at lambda = 1 the
+    step falls back instead.  A channel with more than _NEWTON_MAX_OUTPUTS
+    (32) outputs keeps lambda = 1.  Any other step_size raises
+    ParameterOutOfRange.  On perfbench's pinned r8 and r16 the default
+    takes 17 outer steps to a gap of 1e-9, and 22 and 21 to 1e-13, where
+    lambda = 1 takes about 1,000 to 1e-9.
 
     Each step runs exact_backward_m_step's loop, _inner_solve, on the raw
     iterate, starting from the output marginal and divergences the
@@ -510,9 +524,9 @@ def solve_backward_em(
     k + 1 marginal passes, k + 1 divergence passes and k covariances and
     m x m Newton solves; a halved trial adds one marginal and one
     divergence pass, and a rejected candidate repeats the step.  k is
-    about 1 at lambda = 1 and about 2.5 under the adaptive rule on the
+    about 1 at lambda = 1 and about 3 under the adaptive rule on the
     pinned squares, so an adaptive step costs about twice a paper step,
-    and the adaptive rule takes about 30 times fewer.
+    and the adaptive rule takes about 60 times fewer.
 
     max_inner bounds each inner solve (see exact_backward_m_step).
     """
@@ -530,16 +544,20 @@ def solve_backward_em(
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
         r, d, lower, _ = sweep
         size = _adapted(previous) if adaptive else 1.0
+        rejected = 0
         while True:
             inner = _inner_solve(q, r, d, ch, max_inner, size)
             point = inner.point
             if point is not None:
                 swept = _sweep(point.induced, ch, point.marginal) if point.interior else None
                 if not adaptive or swept is None or swept[2] >= lower:
-                    return Step(point.induced, point.interior, "exact", inner.residual, inner.sweeps, swept, size)
+                    return Step(
+                        point.induced, point.interior, "exact", inner.residual, inner.sweeps, swept, size, rejected
+                    )
             # A run that does not adapt always has size 1.
             if size == 1.0:
-                return Step(*_reweighted(q, d), "fallback", inner.residual, inner.sweeps, None, size)
+                return Step(*_reweighted(q, d), "fallback", inner.residual, inner.sweeps, None, size, rejected)
             size = max(0.25 * size, 1.0)
+            rejected += 1
 
     return _iterate(ch, tol, max_iters, initial, stepper)

@@ -407,7 +407,10 @@ def uniform_rows(n: int, m: int) -> Channel:
     """The useless channel: every input induces the uniform output law."""
     _check_limit("input count", n)
     _check_limit("output count", m)
-    return Channel(_sized(np.full, (n, m), 1.0 / m))
+    # Sized before 1.0 / m is taken, which overflows for a size no array can have.
+    matrix = _sized(np.empty, (n, m))
+    matrix.fill(1.0 / m)
+    return Channel(matrix)
 
 
 # Each canonical kind's constructor and the types of its parameters, in

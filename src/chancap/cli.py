@@ -113,6 +113,8 @@ def cmd_capacity(args) -> int:
         payload["fallback_steps"] = trace._column("step_status").count("fallback")
         # The largest step size any step took; null when no step was taken.
         payload["max_step_size"] = max(filter(None, trace._column("step_size")), default=None)
+        # The candidates the adaptive rule rejected and retried at a smaller step size.
+        payload["rejected_candidates"] = sum(filter(None, trace._column("rejected_candidates")))
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 

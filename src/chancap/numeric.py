@@ -26,10 +26,13 @@ skipping that frame changes no bit either.
 Two exceptions remain, both deterministic for a fixed build.  The Newton
 step of the exact backward m-step (see backward_em._inner_step), on
 channels of at most 32 outputs, solves a system of at most 32x32 with
-np.linalg.solve (LAPACK); verify.brute_force_capacity forms its grid
-product with @ on channels of at most 4 inputs.  Results stay bit-identical
-across runs and across BLAS thread counts; the tests check this at 1 and 2
-threads.
+_solve: LAPACK's gesv through numpy's solve1 gufunc, in the error state
+np.linalg.solve gives it, so that a singular system raises LinAlgError.
+np.linalg.solve calls that gufunc for a 1-D right-hand side; calling it
+directly skips about 14 Python-level calls of its wrapper and computes the
+same bits.  verify.brute_force_capacity forms its grid product with @ on
+channels of at most 4 inputs.  Results stay bit-identical across runs and
+across BLAS thread counts; the tests check this at 1 and 2 threads.
 
 All public quantities in the package are float64 nats.
 """
@@ -40,11 +43,13 @@ import numpy as np
 
 from .errors import InvalidDistribution
 
-# c_einsum moved from numpy.core to numpy._core in numpy 2.0.
+# c_einsum moved from numpy.core to numpy._core in numpy 2.0; solve1 is in
+# numpy.linalg._umath_linalg on 1.24 and 2.x alike.
 if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
     from numpy._core.multiarray import c_einsum as _contract
 else:
     from numpy.core.multiarray import c_einsum as _contract
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 __all__ = ["ordered_sum", "ordered_sum_along", "ordered_dot", "logsumexp"]
 
@@ -98,3 +103,17 @@ def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, f
     m = float(np.maximum.reduce(logits))
     log_norm = m + float(np.log(float(np.add.reduce(np.exp(logits - m)))))
     return np.exp(logits - log_norm), log_norm
+
+
+def _singular(error: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float64 square a and 1-D b, through its gufunc.
+
+    The error state is np.linalg.solve's: solve1 flags a singular system
+    as "invalid", which raises LinAlgError, and ignores every other flag.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _solve1(a, b)

@@ -125,7 +125,10 @@ class Distribution:
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
         _check_limit("alphabet size", n)
-        return cls(_sized(np.full, n, 1.0 / n))
+        # Sized before 1.0 / n is taken, which overflows for a size no array can have.
+        weights = _sized(np.empty, n)
+        weights.fill(1.0 / n)
+        return cls(weights)
 
     def __repr__(self):
         return f"Distribution({np.array2string(self.weights, separator=', ')})"

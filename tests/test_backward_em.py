@@ -448,7 +448,10 @@ class TestSolver:
                 clamped |= rec.clamped
         assert "exact" in routes
         assert ("fallback" in routes) == (case == "fallback")
-        assert clamped == (case == "clamp")
+        # The random case's 8x7 channel clamps too, at record 15 with a step
+        # size of 2048: one of its inputs has zero optimal weight, and that
+        # long a step underflows it.
+        assert clamped == (case in ("clamp", "random"))
 
     def test_newton_takes_about_one_inner_sweep_per_step(self):
         # A count, not a timing, at the paper's step size: Newton's inner

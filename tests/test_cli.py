@@ -15,7 +15,7 @@ from chancap.cli import (
     main,
 )
 from chancap.channel import CANONICAL_KINDS
-from support import CANONICAL_EXAMPLES, random_channel
+from support import CANONICAL_EXAMPLES, pinned_squares, random_channel
 
 BSC01_BITS = 0.5310044064107188
 Z05_BITS = np.log2(1.25)
@@ -165,10 +165,23 @@ class TestCapacity:
         assert payload["exact_steps"] + payload["fallback_steps"] == len(trace) - 1
         assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records)
         assert payload["max_step_size"] == max(rec.step_size for rec in trace.records[1:]) > 1.0
+        assert payload["rejected_candidates"] == sum(rec.rejected_candidates for rec in trace.records[1:])
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
-        keys = {"inner_sweeps", "exact_steps", "fallback_steps", "max_step_size"}
+        keys = {"inner_sweeps", "exact_steps", "fallback_steps", "max_step_size", "rejected_candidates"}
         assert not keys & arimoto.keys()
         assert arimoto["clamped_steps"] == 0
+
+    def test_backward_em_counts_rejected_candidates(self, tmp_path, capsys):
+        # The z channel's steps reject none; the pinned r8's step at a step
+        # size of 4096 rejects one candidate and retries at 1024.
+        path = tmp_path / "r8.json"
+        ch = pinned_squares()["r8"]
+        path.write_bytes(save_channel(ch))
+        payload = run_json(capsys, ["capacity", "--channel", str(path), "--algorithm", "backward-em"])
+        _, trace = solve_backward_em(ch)
+        rejected = trace._column("rejected_candidates")
+        assert payload["rejected_candidates"] == sum(rejected[1:]) == 1
+        assert payload["iterations"] == len(trace) == 17
 
     @pytest.mark.parametrize("units", ["bits", "nats"])
     @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])

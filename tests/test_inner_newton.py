@@ -65,16 +65,21 @@ class TestSafeguard:
     @pytest.mark.parametrize("failure", ["singular", "inf", "nan", "sum", "wide-blend"])
     def test_unusable_newton_steps_end_the_m_step(self, monkeypatch, failure):
         # No system here is singular and no iterate non-finite, so the
-        # solve is replaced by one that fails, or whose every step is
-        # infinite, NaN or sums to 2: the first step is then rejected and
-        # the m-step ends there, as the reference loop's does.  A channel
-        # wider than the Newton cap takes one damped blend instead; at a
-        # damping of 50 the blend -49 r + 50 T(r) has a negative entry, so
-        # its one trial is refused and the m-step ends there too.
-        def unusable(a, b):
-            if failure == "singular":
-                raise np.linalg.LinAlgError("singular matrix")
-            return np.full(len(b), {"inf": np.inf, "nan": np.nan, "sum": 1.0}[failure])
+        # library's solve, and the np.linalg.solve of the reference loop,
+        # are replaced by ones that solve a zero system, or whose every step
+        # is infinite, NaN or sums to 2: the first step is then rejected and
+        # the m-step ends there, as the reference loop's does.  The zero
+        # system goes to the real solve, whose singular error the m-step
+        # must take without a RuntimeWarning, which fails the suite.  A
+        # channel wider than the Newton cap takes one damped blend instead;
+        # at a damping of 50 the blend -49 r + 50 T(r) has a negative entry,
+        # so its one trial is refused and the m-step ends there too.
+        def unusable(solve):
+            def solved(a, b):
+                if failure == "singular":
+                    return solve(np.zeros_like(a), b)
+                return np.full(len(b), {"inf": np.inf, "nan": np.nan, "sum": 1.0}[failure])
+            return solved
 
         rng = np.random.default_rng(67)
         if failure == "wide-blend":
@@ -83,7 +88,8 @@ class TestSafeguard:
                 monkeypatch.setattr(module, "_DAMPING", 50.0)
         else:
             ch = random_channel(rng, 5, 4)
-            monkeypatch.setattr(np.linalg, "solve", unusable)
+            monkeypatch.setattr(chancap.backward_em, "_solve", unusable(chancap.backward_em._solve))
+            monkeypatch.setattr(np.linalg, "solve", unusable(np.linalg.solve))
         base = Distribution(rng.dirichlet(np.ones(ch.num_inputs)))
         want = reference_m_step(base, ch)
         got = exact_backward_m_step(base, ch)

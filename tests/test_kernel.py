@@ -58,7 +58,7 @@ from chancap import (
     z_channel,
 )
 from chancap.channel import _divergences, _marginal
-from chancap.numeric import _contract, logsumexp, ordered_dot, ordered_sum, ordered_sum_along
+from chancap.numeric import _contract, _solve, _solve1, logsumexp, ordered_dot, ordered_sum, ordered_sum_along
 from chancap.verify import brute_force_capacity
 from support import pinned_squares, random_channel, random_interior
 
@@ -382,10 +382,11 @@ _PROBED = {
 # subnormal grid_step used to raise a bare OverflowError.  2**62 and 2**63
 # are sizes numpy refuses before it allocates ("array is too big", "Maximum
 # allowed dimension exceeded"), which the size constructors used to raise
-# bare; a size numpy accepts is never probed, as it may allocate.
+# bare; a size numpy accepts is never probed, as it may allocate.  10**400
+# is a size too large for a float: 1.0 / 10**400 raises OverflowError.
 _ODD_VALUES = (
     None, True, "x", np.array([0.5, 0.5]), np.array(["bsc"]), [[0.5], [0.5, 0.5]], -1, math.nan, 2.5,
-    math.inf, 5e-324, 1e308, 2**62, 2**63,
+    math.inf, 5e-324, 1e308, 2**62, 2**63, 10**400,
 )
 
 
@@ -529,15 +530,33 @@ class TestContract:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (subscripts, layout)
 
+    def test_solve_is_the_gufunc_np_linalg_solve_calls(self):
+        # np.linalg.solve hands a 1-D right-hand side to its module's
+        # _umath_linalg.solve1, on numpy 1.x and 2.x alike.
+        assert _solve1 is np.linalg.solve._implementation.__globals__["_umath_linalg"].solve1
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_solve_gives_np_linalg_solve_bits_and_its_singular_error(self, layout):
+        rng = np.random.default_rng(44)
+        for m in (2, 8, 32):
+            b = rng.standard_normal((m + 3, m))
+            system = laid_out(b.T @ b + np.diag(rng.dirichlet(np.ones(m))), layout)
+            rhs = laid_out(rng.standard_normal(m), layout)
+            assert _solve(system, rhs).tobytes() == np.linalg.solve(system, rhs).tobytes()
+        # A singular system raises, and warns nothing: a RuntimeWarning fails the suite.
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.zeros((3, 3)), np.ones(3))
+
     @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
     def test_a_solve_makes_no_python_level_call_into_numpy_wrappers(self, solve):
-        # The sweep's contractions call c_einsum and its minima and maxima
-        # the ufunc reductions directly, so no frame of np.einsum's wrapper
-        # or of ndarray.min/max's _methods module runs, on any call of the
+        # The sweep's contractions call c_einsum, its minima and maxima the
+        # ufunc reductions and the Newton step the solve1 gufunc directly,
+        # so no frame of np.einsum's wrapper, of ndarray.min/max's _methods
+        # module or of np.linalg.solve's module runs, on any call of the
         # solve.  Deterministic: this counts calls, it times nothing.
         wrappers = {
             ("numpy", package, module) for package in ("_core", "core") for module in ("_methods.py", "einsumfunc.py")
-        }
+        } | {("numpy", "linalg", module) for module in ("_linalg.py", "linalg.py")}
         landed, sweeps = [], 0
 
         def profile(frame, event, arg):
@@ -551,9 +570,12 @@ class TestContract:
                 sweeps += 1
 
         ch = pinned_squares()["r8"]
+        # The backward solver reaches 1e-9 on r8 in 17 records; at 1e-13 it
+        # takes 22, each with its Newton solves.
+        settings = {"tol": 1e-9} if solve is solve_arimoto else {"tol": 1e-13, "max_iters": 200}
         sys.setprofile(profile)
         try:
-            result, _ = solve(ch, tol=1e-9)
+            result, _ = solve(ch, **settings)
         finally:
             sys.setprofile(None)
         # The profile saw the package's own calls: the sweeps, and enough of them.

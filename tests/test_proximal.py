@@ -3,7 +3,7 @@
 An exact backward step at step size lambda moves from q_t to the maximizer
 of I(q) - D(q || q_t) / lambda.  step_size=1.0 is the paper's iteration;
 the default adapts lambda, which cuts the outer steps to a 1e-9 gap from
-about 1,000 to about 30 on perfbench's pinned squares.
+about 1,000 to 17 on perfbench's pinned r8 and r16.
 """
 
 import math
@@ -65,15 +65,17 @@ def test_pinned_squares_reach_1e_9_in_at_most_100_outer_steps(name):
 
 
 def test_step_size_follows_the_adaptive_rule():
-    # lambda starts at 1 and doubles after an exact step of at most two inner
-    # steps, up to its cap; a rejected candidate quarters it, never below 1,
-    # and only a step at lambda = 1 falls back.
+    # lambda starts at 1 and doubles after an exact step of at most three
+    # inner steps, up to its cap; each rejected candidate quarters it, never
+    # below 1, and only a step at lambda = 1 falls back.
     channels = [*random_channels(70, 8), pinned_squares()["r16"], bsc(0.3)]
     doubled = quartered = 0
     for ch in channels:
         _, trace = solve_backward_em(ch, tol=1e-12, max_iters=60)
-        sizes, routes, inner = map(trace._column, ("step_size", "step_status", "inner_iterations"))
-        assert sizes[0] is None
+        sizes, routes, inner, rejected = map(
+            trace._column, ("step_size", "step_status", "inner_iterations", "rejected_candidates")
+        )
+        assert sizes[0] is None and rejected[0] is None
         previous = (None, None, None)
         for k in range(1, len(trace)):
             size, route, count = previous
@@ -83,11 +85,11 @@ def test_step_size_follows_the_adaptive_rule():
                 start = min(2.0 * size, _MAX_STEP_SIZE)
             else:
                 start = size
-            assert sizes[k] in {max(start / 4**j, 1.0) for j in range(40)}
+            assert sizes[k] == max(start / 4 ** rejected[k], 1.0)
             if routes[k] == "fallback":
                 assert sizes[k] == 1.0
             doubled += size is not None and sizes[k] == 2.0 * size
-            quartered += sizes[k] < start
+            quartered += rejected[k]
             previous = (sizes[k], routes[k], inner[k])
     assert doubled > 0 and quartered > 0
 
@@ -103,7 +105,7 @@ def test_paper_step_size_takes_the_reference_steps():
             _, trace = solve_backward_em(ch, tol=1e-7, step_size=1.0, **settings)
             for before, after in zip(trace.records, trace.records[1:]):
                 want = reference_m_step(before.input_distribution, ch, **settings)
-                assert after.step_size == 1.0
+                assert (after.step_size, after.rejected_candidates) == (1.0, 0)
                 assert (after.inner_residual, after.inner_iterations) == (want.residual, want.inner_iterations)
                 if want.solution is None:
                     expected = arimoto_step(before.input_distribution, ch).weights
@@ -169,25 +171,35 @@ def test_every_spelling_of_the_paper_step_size_takes_the_same_steps():
     assert paper._column("step_size")[1:] == [1.0] * (len(paper) - 1)
 
 
-def _stall_cases() -> dict:
+def _tight_cases() -> dict:
     squares = pinned_squares()
     return {
         "r8-1e-13": (squares["r8"], 1e-13),
         "r16-1e-13": (squares["r16"], 1e-13),
         "slow32-1e-11": (squares["r32"], 1e-11),
+        "slow32-1e-13": (squares["r32"], 1e-13),
         "random16-1e-12": (random_channel(np.random.default_rng(3), 16, 16), 1e-12),
     }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: at tight tolerances the adaptive step stalls, ending as "
-    "MAX_ITERATIONS with a final gap above one it passed",
-)
-@pytest.mark.parametrize("case", list(_stall_cases()))
+@pytest.mark.parametrize("case", list(_tight_cases()))
 def test_the_default_reaches_a_tight_tolerance_within_200_outer_steps(case):
-    # Each run passes a record whose gap is 10 to 400 times narrower than
-    # the one it ends at after 200 steps (below tol for all but slow32).
-    ch, tol = _stall_cases()[case]
-    result, _ = solve_backward_em(ch, tol=tol, max_iters=200)
+    # An inner tolerance of 1e-10 at every step size left each of these at
+    # MAX_ITERATIONS after 200 steps, with a final gap 10 to 400 times wider
+    # than one it had passed.  The tolerance 1e-10 / lambda takes r8 and r16
+    # there in 22 and 21 records, the random 16x16 in 27 and slow32 in 81
+    # and 139, with no fallback.
+    ch, tol = _tight_cases()[case]
+    result, trace = solve_backward_em(ch, tol=tol, max_iters=200)
     assert result.termination is Termination.CONVERGED
+    assert "fallback" not in trace._column("step_status")
+
+
+@pytest.mark.parametrize("name", ["r8", "r16"])
+def test_the_default_reaches_1e_9_on_the_pinned_squares_within_20_records(name):
+    # Doubling lambda after inner solves of at most three Newton steps, each
+    # to a tolerance of 1e-10 / lambda, takes 17 records on either; doubling
+    # after two at a fixed 1e-10 took 31 and 30.
+    result, _ = solve_backward_em(pinned_squares()[name], tol=1e-9)
+    assert result.termination is Termination.CONVERGED
+    assert result.iterations <= 20

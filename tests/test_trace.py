@@ -111,8 +111,9 @@ def test_records_are_built_once_on_first_read(built, solve):
 @pytest.mark.parametrize("inputs", [16, 64])
 def test_a_trace_retains_no_array_per_record(solve, inputs):
     # Kept per iterate: one row of two float bounds, a clamp flag, a route,
-    # a residual, an inner count and a step size in one flat list, about
-    # 110 B (Arimoto) and 130 B (backward) on r16 with the list slots.  A
+    # a residual, an inner count, a step size and a count of rejected
+    # candidates in one flat list, about 121 B (Arimoto) and 145 B
+    # (backward) on r16 with the list slots.  A
     # column of divergences and one of input weights took about 600 B per
     # record at 16 inputs and 1,390 B at 64.  The backward solver runs at
     # the paper's step size, which takes over 1,000 records on r16 (the

@@ -23,8 +23,9 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   files it writes, and on malformed ones.
 
 A trace record contributes its bounds, divergences, input weights, clamp
-flag, step route, inner residual, inner iteration count and step size.  A
-CLI call contributes its label and exit code, its stdout and stderr with
+flag, step route, inner residual, inner iteration count and step size, and
+its count of rejected candidates when that is not 0 or None.  A CLI call
+contributes its label and exit code, its stdout and stderr with
 the temporary directory's path replaced by <tmp>, each warning it raised as
 its category and message (not the source path and line the default
 warning text carries), and the bytes of every file it wrote.  The script
@@ -169,6 +170,10 @@ class Hasher:
                 rec.inner_residual,
                 rec.inner_iterations,
                 rec.step_size,
+                # Only when nonzero: a run that rejects no candidate hashes
+                # as it did before the trace had the column, so a checkout
+                # without it can be compared.
+                *filter(None, [getattr(rec, "rejected_candidates", None)]),
             )
 
 
