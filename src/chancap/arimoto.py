@@ -16,9 +16,31 @@ divergence achievable by any output law, and r_q is one candidate).  The
 solver stops when the bracket gap falls below the tolerance and reports the
 bracket midpoint as capacity.
 
-All updates run in log space so that extreme divergences cannot overflow;
-a weight that still underflows is clamped to the smallest positive normal
-float and the iterate renormalized, flagged on the trace record.
+All updates run in log space so that extreme divergences cannot overflow.
+The state of the iteration is the log-weights log q, in which the update
+is a shift (Arimoto's step is affine in these natural coordinates):
+
+    log q'(x) = log q(x) + d(x) - log sum_x' q(x') exp(d(x')),
+
+and q' is exp(log q').  The stepper takes log q from the Step that made q
+and hands log q' on in the Step it returns, so np.log runs on the start
+weights only.  A weight whose log falls below that of the smallest
+subnormal float is an exact 0 in q', while its log stays finite and keeps
+evolving: the input regains weight if its divergence rises.  No weight is
+rebuilt from the log of its own rounding, which would keep it in the
+subnormal range, where the channel kernel's products run many times
+slower; and no Arimoto iterate is clamped.  A zero weight adds nothing to
+the output marginal.  Were every row that reaches some output at weight 0,
+that marginal entry would be 0 and the checking per_input_divergences
+raises AbsoluteContinuityViolation, never a wrong bracket.  Near an
+optimum this cannot happen: by the Kuhn-Tucker conditions every input has
+D(p(.|x) || r*) <= C, finite, so r*(y) > 0 for every output y that some
+row reaches.
+
+The backward solver's iterates are weights, not log-weights: one with a
+weight that underflowed is clamped to the smallest positive normal float
+and renormalized, flagged on the trace record.  The public arimoto_step,
+which promises an interior law, lifts its result the same way.
 
 The iteration is one generator, _run, over raw weight arrays: it yields
 each iterate with its divergences, bounds and the Step that made it, whose
@@ -34,9 +56,9 @@ checks every replayed row against the kept one bit for bit, and builds the Trace
 divergences and Distribution, from the replay; len(trace) and
 IterationTrace._column build nothing.  A stepper that has already swept
 the iterate it returns hands the sweep on in its Step, and the loop does
-not sweep it again.  A stepper with state of
-its own (the backward solver's step size) keeps it on its Step: _run hands
-each stepper the Step that made the current iterate, so a replay, which
+not sweep it again.  A stepper with state of its own (the Arimoto step's
+log-weights, the backward solver's step size) keeps it on its Step: _run
+hands each stepper the Step that made the current iterate, so a replay, which
 starts from the same Step, takes the same steps.
 """
 
@@ -54,7 +76,7 @@ from .channel import (
     Channel, _check_channel, _check_interior_input, _divergences, _marginal, per_input_divergences,
 )
 from .errors import _check_limit, _check_real
-from .numeric import _tilt, ordered_sum
+from .numeric import _log_tilt, _tilt, ordered_sum
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -92,7 +114,9 @@ class TraceRecord:
     step_status, inner_residual, inner_iterations, step_size and
     rejected_candidates describe the step that produced this iterate; they
     are populated only by solvers whose step has an inner loop.  clamped
-    marks an iterate that needed the underflow clamp when it was produced.  Records are built on the first
+    marks a backward-solver iterate that needed the underflow clamp when it
+    was produced; an Arimoto iterate, whose state is its log-weights, is
+    never clamped.  Records are built on the first
     read of IterationTrace.records, from a replay of the run checked
     against the trace's columns.
     """
@@ -230,8 +254,10 @@ def _sweep(
 def _reweighted(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, bool]:
     """Raw weights q reweighted by exp(d) and checked, and whether they are all positive.
 
-    The multiplicative update.  The exponent is invariant under shifting all
-    divergences by a constant, which the normalization absorbs.  A weight
+    The multiplicative update from weights, for the public arimoto_step and
+    the backward solver's fallback; solve_arimoto carries log-weights
+    instead (see _arimoto_stepper).  The exponent is invariant under
+    shifting all divergences by a constant, which the normalization absorbs.  A weight
     may underflow to 0; the positivity test reuses the minimum that
     probability._normalized checks, and _lifted repairs such weights.
     """
@@ -275,15 +301,20 @@ class Step(NamedTuple):
 
     A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
     upper) at q and the Step that made q to a Step.  iterate is a raw weight
-    array the stepper has passed through probability._normalized, and
-    interior says whether every weight is positive.  route, residual,
+    array the stepper has passed through probability._normalized.
+    log_weights is the iterate's log-weights when the stepper carries them
+    (the Arimoto step), of which iterate is the rounding: an entry below
+    the log of the smallest subnormal is an exact 0 in iterate and a finite
+    number here.  interior says whether the iterate is an interior law:
+    every weight positive, or every log-weight finite.  route, residual,
     inner, step_size and rejected are the step's route, last inner
     residual, inner sweep count, step size and the candidates it rejected
     before its last inner solve, None for a step with no inner loop; the
     trace keeps them, through _row, as step_status, inner_residual,
     inner_iterations, step_size and rejected_candidates.  sweep is _sweep's
-    tuple at iterate when the stepper has computed it, None otherwise.  _run lifts an
-    iterate that is not interior and drops its sweep; the lifted Step keeps
+    tuple at iterate when the stepper has computed it, None otherwise.
+    _run lifts an iterate that is not interior, which only the backward
+    solver makes, and drops its sweep; the lifted Step keeps
     interior=False, and not interior is the trace's clamp flag.  Any other
     sweep becomes the next iterate's.  _run yields each Step with the
     iterate it made.
@@ -297,6 +328,7 @@ class Step(NamedTuple):
     sweep: tuple | None = None
     step_size: float | None = None
     rejected: int | None = None
+    log_weights: np.ndarray | None = None
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]
@@ -307,10 +339,12 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
     step) per iterate, without end.
 
     d, lower and upper are _sweep's at q, and step is the Step that made q
-    (Step(q, True) for the start), which the stepper is handed with q.  q
-    needed the underflow clamp exactly when step is not interior: a lifted
-    step keeps interior=False.  The next step is taken only when the next
-    iterate is asked for.  This is the only loop body: _iterate runs it
+    (Step(q, True) for the start, which carries no log-weights), which the
+    stepper is handed with q.  q may hold exact zeros where the stepper
+    carries log-weights.  A backward-solver iterate needed the underflow
+    clamp exactly when step is not interior: a lifted step keeps
+    interior=False.  The next step is taken only when the next iterate is
+    asked for.  This is the only loop body: _iterate runs it
     once to stop and keep the trace's scalars, and IterationTrace.records
     runs it again for the arrays.
     """
@@ -371,7 +405,11 @@ def _iterate(
 
 
 def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
-    return Step(*_reweighted(q, sweep[1]))
+    """The multiplicative update of the log-weights previous carries, or of
+    log q at the start: log q' = log q + d - log Z, and q' = exp(log q')."""
+    log_q = np.log(q) if previous.log_weights is None else previous.log_weights
+    log_weights = _log_tilt(log_q, sweep[1])[0]
+    return Step(_normalized(np.exp(log_weights)), True, log_weights=log_weights)
 
 
 def solve_arimoto(
@@ -383,8 +421,10 @@ def solve_arimoto(
     """Iterate multiplicative sweeps until the bracket gap is at most tol.
 
     Starts from the uniform input unless an interior initial law is given.
-    The divergence vector of each iterate is computed once and reused for the
-    update and the bracket; the trace recomputes it when its records are
-    first read.
+    The iterates, and optimal_input, may hold exact zeros at inputs whose
+    weight underflowed (see the module docstring); a warm start from
+    optimal_input needs an interior law.  The divergence vector of each
+    iterate is computed once and reused for the update and the bracket; the
+    trace recomputes it when its records are first read.
     """
     return _iterate(ch, tol, max_iters, initial, _arimoto_stepper)

@@ -30,8 +30,10 @@ _solve: LAPACK's gesv through numpy's solve1 gufunc, in the error state
 np.linalg.solve gives it, so that a singular system raises LinAlgError.
 np.linalg.solve calls that gufunc for a 1-D right-hand side; calling it
 directly skips about 14 Python-level calls of its wrapper and computes the
-same bits.  verify.brute_force_capacity forms its grid product with @ on
-channels of at most 4 inputs.  Results stay bit-identical across runs and
+same bits.  c_einsum and solve1 are private names; on a numpy without them
+_contract is np.einsum and _solve np.linalg.solve, with the same bits.
+verify.brute_force_capacity forms its grid product with @ on channels of
+at most 4 inputs.  Results stay bit-identical across runs and
 across BLAS thread counts; the tests check this at 1 and 2 threads.
 
 All public quantities in the package are float64 nats.
@@ -44,12 +46,20 @@ import numpy as np
 from .errors import InvalidDistribution
 
 # c_einsum moved from numpy.core to numpy._core in numpy 2.0; solve1 is in
-# numpy.linalg._umath_linalg on 1.24 and 2.x alike.
-if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-    from numpy._core.multiarray import c_einsum as _contract
-else:
-    from numpy.core.multiarray import c_einsum as _contract
-from numpy.linalg._umath_linalg import solve1 as _solve1
+# numpy.linalg._umath_linalg on 1.24 and 2.x alike.  Both are private: a
+# numpy that moves either one gets the public function that wraps it,
+# which computes the same bits a few microseconds slower.
+try:
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        from numpy._core.multiarray import c_einsum as _contract
+    else:
+        from numpy.core.multiarray import c_einsum as _contract
+except ImportError:
+    _contract = np.einsum
+try:
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:
+    _solve1 = None
 
 __all__ = ["ordered_sum", "ordered_sum_along", "ordered_dot", "logsumexp"]
 
@@ -90,19 +100,31 @@ def logsumexp(values: np.ndarray) -> float:
     return m + float(np.log(ordered_sum(np.exp(a - m))))
 
 
-def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(log w + e - L) and L = logsumexp(log w + e), given log w and e.
+def _log_tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, float]:
+    """log w + e - L and L = logsumexp(log w + e), given log w and e.
 
-    Every multiplicative reweighting in the package: the Arimoto step and the
-    backward member tilt by +d, the e-projection by -d.  Entries may
-    underflow to 0.  The log-sum-exp is logsumexp's, inline: the same
-    operations in the same order, without its layout normalization and
-    empty-input guard, which a fresh non-empty 1-D sum does not need.
+    The multiplicative reweighting in the natural coordinates log w, where
+    it is a shift: the Arimoto step carries its iterate's log-weights from
+    one step to the next this way (see arimoto._arimoto_stepper), and _tilt
+    takes exp of the result.  The log-sum-exp is logsumexp's, inline: the
+    same operations in the same order, without its layout normalization
+    and empty-input guard, which a fresh non-empty 1-D sum does not need.
     """
     logits = log_weights + exponents
     m = float(np.maximum.reduce(logits))
     log_norm = m + float(np.log(float(np.add.reduce(np.exp(logits - m)))))
-    return np.exp(logits - log_norm), log_norm
+    return logits - log_norm, log_norm
+
+
+def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(log w + e - L) and L = logsumexp(log w + e), given log w and e.
+
+    The reweightings that start from weights: the public Arimoto step and
+    the backward solver's fallback, family members and inner points tilt
+    by +d, the e-projection by -d.  Entries may underflow to 0.
+    """
+    tilted, log_norm = _log_tilt(log_weights, exponents)
+    return np.exp(tilted), log_norm
 
 
 def _singular(error: str, flag: int) -> None:
@@ -114,6 +136,9 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The error state is np.linalg.solve's: solve1 flags a singular system
     as "invalid", which raises LinAlgError, and ignores every other flag.
+    Without solve1 it is np.linalg.solve itself.
     """
+    if _solve1 is None:
+        return np.linalg.solve(a, b)
     with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         return _solve1(a, b)

@@ -23,9 +23,10 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import Step, _iterate, _lifted, _reweighted
+from chancap.arimoto import Step, _arimoto_stepper, _iterate, _lifted, _reweighted, _run
+from chancap.numeric import logsumexp
 from chancap.probability import _normalized
-from support import random_channel, random_interior
+from support import pinned_squares, random_channel, random_interior
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
 
@@ -89,6 +90,32 @@ class TestStep:
         fresh = _lifted(stepped)
         assert np.all(fresh > 0.0)
         assert abs(float(np.sum(fresh)) - 1.0) <= 1e-12
+
+    def test_the_solver_step_carries_log_weights_past_underflow(self):
+        # The third input's log-weight lies far below log(tiny): its weight
+        # is an exact 0, and the step moves its log like any other.
+        log_q = np.array([math.log(0.5), math.log(0.5), -800.0])
+        q = _normalized(np.exp(log_q))
+        assert math.log(np.finfo(float).tiny) > log_q[2] and q[2] == 0.0
+        d = np.array([0.1, 0.2, 0.3])
+        step = _arimoto_stepper(q, (None, d, None, None), Step(q, True, log_weights=log_q))
+        logits = log_q + d
+        assert np.array_equal(step.log_weights, logits - logsumexp(logits))
+        assert step.iterate[2] == 0.0 and np.isfinite(step.log_weights).all()
+        assert np.array_equal(step.iterate, np.exp(step.log_weights))
+        assert step.interior
+        # Its divergence rises far above the others': the input regains weight.
+        again = _arimoto_stepper(step.iterate, (None, np.array([0.0, 0.0, 900.0]), None, None), step)
+        assert again.iterate[2] > 0.5
+        assert np.array_equal(again.iterate, np.exp(again.log_weights))
+
+    def test_the_solver_step_starts_from_the_log_of_the_weights(self):
+        q = _normalized(np.array([0.2, 0.3, 0.5]))
+        d = np.array([0.4, 0.1, 0.0])
+        step = _arimoto_stepper(q, (None, d, None, None), Step(q, True))
+        logits = np.log(q) + d
+        assert np.array_equal(step.log_weights, logits - logsumexp(logits))
+        assert np.array_equal(step.iterate, _reweighted(q, d)[0])
 
 
 class TestBracket:
@@ -173,7 +200,39 @@ class TestSolve:
         result, _ = solve_backward_em(z_channel(0.5), max_inner=np.int32(50))
         assert result.termination is Termination.CONVERGED
 
-    @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
+    def test_an_underflowing_weight_is_an_exact_zero_and_never_clamped(self):
+        # The last input starts at the smallest subnormal; its first
+        # reweighting underflows to 0, and the Arimoto iteration, whose state
+        # is the log-weights, keeps the zero and lifts nothing.
+        ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
+        start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+        result, trace = solve_arimoto(ch, initial=start)
+        assert not any(trace._column("clamped"))
+        assert trace.records[1].input_distribution.weights[4] == 0.0
+        assert result.optimal_input.weights[4] == 0.0
+        assert result.termination is Termination.CONVERGED
+        assert result.capacity == pytest.approx(math.log(4.0), abs=1e-9)
+
+    def test_few_iterates_carry_subnormal_weights(self):
+        # Along the pinned slow32 to 1e-7, weights rebuilt from the log of
+        # their own rounding kept 39,084 subnormal entries over 8,827 of its
+        # 11,357 iterates; carried log-weights drop below the subnormals to
+        # an exact 0 (2,852 entries with numpy 2.4).  The bound leaves room
+        # for other numpy builds' einsum rounding.
+        ch = pinned_squares()["r32"]
+        tiny = np.finfo(float).tiny
+        subnormal = 0
+        for iteration, (q, _, lower, upper, step) in enumerate(
+            _run(ch, Distribution.uniform(32).weights, _arimoto_stepper), 1
+        ):
+            subnormal += int(np.count_nonzero((q > 0.0) & (q < tiny)))
+            assert step.interior
+            if upper - lower <= 1e-7 or iteration == 20000:
+                break
+        assert upper - lower <= 1e-7
+        assert subnormal <= 39084 // 10
+
+    @pytest.mark.parametrize("solve", [solve_backward_em])
     def test_underflowing_iterate_is_clamped_and_flagged(self, solve):
         # The last input starts at the smallest subnormal; its first
         # reweighting underflows to 0 and the shared iteration lifts it back.

@@ -150,23 +150,28 @@ def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
         trace.records
 
 
-@pytest.mark.parametrize("case", ["arimoto-clamped", "backward-clamped", "backward-max-inner-2"])
+@pytest.mark.parametrize("case", ["arimoto-underflow", "backward-clamped", "backward-max-inner-2"])
 def test_the_kept_columns_are_the_records_fields(case):
     # Each column the trace keeps reads, bit for bit, as the TraceRecord
     # field it is named by.  The last input of the clamp channel starts at
-    # the smallest subnormal; its first reweighting underflows to zero and
-    # is lifted back.  At max_inner=2 some backward steps fall back.
+    # the smallest subnormal; its first reweighting underflows to zero.
+    # The backward solver lifts it back; the Arimoto iteration, whose state
+    # is the log-weights, keeps the zero and clamps nothing.  At
+    # max_inner=2 some backward steps fall back.
     clamp_channel = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     _, trace = {
-        "arimoto-clamped": lambda: solve_arimoto(clamp_channel, initial=start),
+        "arimoto-underflow": lambda: solve_arimoto(clamp_channel, initial=start),
         "backward-clamped": lambda: solve_backward_em(clamp_channel, initial=start),
         "backward-max-inner-2": lambda: solve_backward_em(r16(), max_inner=2),
     }[case]()
     columns = {name: trace._column(name) for name in _COLUMNS}
     for name, column in columns.items():
         assert repr(column) == repr([getattr(rec, name) for rec in trace.records]), name
-    if case.endswith("clamped"):
+    if case == "arimoto-underflow":
+        assert not any(columns["clamped"])
+        assert trace.records[-1].input_distribution.weights[4] == 0.0
+    elif case == "backward-clamped":
         assert True in columns["clamped"]
     else:
         assert "fallback" in columns["step_status"]

@@ -12,7 +12,12 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   the paper's step size takes seconds rather than minutes);
 * solve_backward_em on the backward-em corpus at max_inner=2, which takes
   the fallback route on a few steps;
-* both solvers on a channel whose first step underflows and is clamped;
+* both solvers on a channel whose first step underflows a weight, which
+  the backward solver lifts and flags as clamped and solve_arimoto, whose
+  state is the log-weights, keeps as an exact 0; and solve_arimoto on a
+  noiseless 10-symbol channel plus a useless input to a gap of 1e-300,
+  stopped at 400 sweeps: the useless weight reaches an exact 0 at sweep
+  324, and the gap rests at its one-ulp floor;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
@@ -199,11 +204,13 @@ def backward_runs(h: Hasher, label: str, ch: Channel, **settings) -> None:
 
 def clamp_runs(h: Hasher) -> None:
     # The last input starts at the smallest subnormal; its first reweighting
-    # underflows to zero and is lifted back.
+    # underflows to zero, which the backward solver lifts back.
     ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     h.trace("arimoto", "clamp/arimoto", solve_arimoto(ch, initial=start))
     backward_runs(h, "clamp/backward", ch, initial=start)
+    useless = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
+    h.trace("arimoto", "underflow/arimoto", solve_arimoto(useless, tol=1e-300, max_iters=400))
 
 
 def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
