@@ -24,42 +24,43 @@ is a shift (Arimoto's step is affine in these natural coordinates):
 
 and q' is exp(log q').  The stepper takes log q from the Step that made q
 and hands log q' on in the Step it returns, so np.log runs on the start
-weights only.  A weight whose log falls below that of the smallest
-subnormal float is an exact 0 in q', while its log stays finite and keeps
-evolving: the input regains weight if its divergence rises.  No weight is
-rebuilt from the log of its own rounding, which would keep it in the
-subnormal range, where the channel kernel's products run many times
-slower; and no Arimoto iterate is clamped.  A zero weight adds nothing to
-the output marginal.  Were every row that reaches some output at weight 0,
+weights only, for the start's Step.  A weight whose log falls below that
+of the smallest subnormal float is an exact 0 in q', while its log stays
+finite and keeps evolving: the input regains weight if its divergence
+rises.  No weight is rebuilt from the log of its own rounding, which would
+keep it in the subnormal range, where the channel kernel's products run
+many times slower; and no iterate is clamped.  A zero weight adds nothing
+to the output marginal.  Were every row that reaches some output at weight 0,
 that marginal entry would be 0 and the checking per_input_divergences
 raises AbsoluteContinuityViolation, never a wrong bracket.  Near an
 optimum this cannot happen: by the Kuhn-Tucker conditions every input has
 D(p(.|x) || r*) <= C, finite, so r*(y) > 0 for every output y that some
 row reaches.
 
-The backward solver's iterates are weights, not log-weights: one with a
-weight that underflowed is clamped to the smallest positive normal float
-and renormalized, flagged on the trace record.  The public arimoto_step,
-which promises an interior law, lifts its result the same way.
+The backward solver carries log-weights the same way: its exact step
+tilts log q by the step size times the divergences from a solved output
+factor, and its fallback is this step.  So in both solvers an underflowed
+weight is an exact 0 whose log keeps evolving.  Only the public
+arimoto_step, which promises an interior law, lifts such a weight of its
+result to the smallest positive normal float and renormalizes.
 
 The iteration is one generator, _run, over raw weight arrays: it yields
-each iterate with its divergences, bounds and the Step that made it, whose
-interior flag is false exactly when the iterate was clamped.  Both solvers
-are deterministic maps from one iterate, and the Step that made it, to the
-next, so the trace keeps only each iterate's scalars (bounds, clamp flag,
+each iterate with its divergences, bounds and the Step that made it.  Both
+solvers are deterministic maps from one iterate, and the Step that made
+it, to the next, so the trace keeps only each iterate's scalars (bounds,
 route, inner residual, inner count, step size and rejected candidates),
 and no array: _row spells them once, _COLUMNS names them by the
 TraceRecord fields they fill, and one flat list keeps one row per iterate,
-about 120 bytes per iterate (145 for the backward solver).  The first
+about 110 bytes per iterate (130 for the backward solver).  The first
 read of IterationTrace.records runs _run again from the same start,
-checks every replayed row against the kept one bit for bit, and builds the TraceRecords, with each iterate's
-divergences and Distribution, from the replay; len(trace) and
-IterationTrace._column build nothing.  A stepper that has already swept
-the iterate it returns hands the sweep on in its Step, and the loop does
-not sweep it again.  A stepper with state of its own (the Arimoto step's
-log-weights, the backward solver's step size) keeps it on its Step: _run
-hands each stepper the Step that made the current iterate, so a replay, which
-starts from the same Step, takes the same steps.
+checks every replayed row against the kept one bit for bit, and builds the
+TraceRecords, with each iterate's divergences and Distribution, from the
+replay; len(trace) and IterationTrace._column build nothing.  A stepper
+that has already swept the iterate it returns hands the sweep on in its
+Step, and the loop does not sweep it again.  A stepper's own state (the
+log-weights, the backward solver's step size) lives on its Step: _run
+hands each stepper the Step that made the current iterate, so a replay,
+which starts from the same Step, takes the same steps.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .channel import (
     Channel, _check_channel, _check_interior_input, _divergences, _marginal, per_input_divergences,
 )
 from .errors import _check_limit, _check_real
-from .numeric import _log_tilt, _tilt, ordered_sum
+from .numeric import _log_tilt, ordered_sum
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -114,11 +115,11 @@ class TraceRecord:
     step_status, inner_residual, inner_iterations, step_size and
     rejected_candidates describe the step that produced this iterate; they
     are populated only by solvers whose step has an inner loop.  clamped
-    marks a backward-solver iterate that needed the underflow clamp when it
-    was produced; an Arimoto iterate, whose state is its log-weights, is
-    never clamped.  Records are built on the first
-    read of IterationTrace.records, from a replay of the run checked
-    against the trace's columns.
+    is always False: both solvers carry log-weights, so no iterate is
+    clamped; the field stays for the callers that read it, perfbench's
+    traced run among them.  Records are built on the first read of
+    IterationTrace.records, from a replay of the run checked against the
+    trace's columns.
     """
 
     iteration: int
@@ -146,7 +147,7 @@ class TraceRecord:
 # The scalars the trace keeps of each iterate, named by the TraceRecord
 # fields they fill, in the order _row gives them.
 _COLUMNS = (
-    "lower_bound", "upper_bound", "clamped", "step_status", "inner_residual", "inner_iterations", "step_size",
+    "lower_bound", "upper_bound", "step_status", "inner_residual", "inner_iterations", "step_size",
     "rejected_candidates",
 )
 
@@ -156,9 +157,9 @@ def _row(lower: float, upper: float, step: Step) -> tuple:
     made it, one entry per name in _COLUMNS.
 
     _iterate keeps it and IterationTrace.records checks the replay against
-    it; the clamp flag is not step.interior.
+    it.
     """
-    return lower, upper, not step.interior, step.route, step.residual, step.inner, step.step_size, step.rejected
+    return lower, upper, step.route, step.residual, step.inner, step.step_size, step.rejected
 
 
 class IterationTrace:
@@ -251,21 +252,6 @@ def _sweep(
     return r, d, lower, max(lower, float(np.maximum.reduce(d)))
 
 
-def _reweighted(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Raw weights q reweighted by exp(d) and checked, and whether they are all positive.
-
-    The multiplicative update from weights, for the public arimoto_step and
-    the backward solver's fallback; solve_arimoto carries log-weights
-    instead (see _arimoto_stepper).  The exponent is invariant under
-    shifting all divergences by a constant, which the normalization absorbs.  A weight
-    may underflow to 0; the positivity test reuses the minimum that
-    probability._normalized checks, and _lifted repairs such weights.
-    """
-    weights = _tilt(np.log(q), d)[0]
-    smallest = np.minimum.reduce(weights)
-    return _normalized(weights, smallest=smallest), bool(smallest > 0.0)
-
-
 def _lifted(q: np.ndarray) -> np.ndarray:
     """Raw weights q with underflowed entries lifted to the smallest positive
     normal float, renormalized and checked again."""
@@ -276,12 +262,13 @@ def _lifted(q: np.ndarray) -> np.ndarray:
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """One multiplicative reweighting of the input law.
 
-    Requires an interior q, and returns an interior law.
+    Requires an interior q, and returns an interior law: the solvers' step
+    from the log of q's weights, with any weight that underflowed lifted.
     """
     _check_interior_input(q, ch)
-    d = _sweep(q.weights, ch)[1]
-    stepped, interior = _reweighted(q.weights, d)
-    return Distribution(stepped if interior else _lifted(stepped))
+    start = Step(q.weights, np.log(q.weights))
+    stepped = _arimoto_stepper(q.weights, _sweep(q.weights, ch), start).iterate
+    return Distribution(stepped if np.minimum.reduce(stepped) > 0.0 else _lifted(stepped))
 
 
 def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
@@ -302,33 +289,28 @@ class Step(NamedTuple):
     A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
     upper) at q and the Step that made q to a Step.  iterate is a raw weight
     array the stepper has passed through probability._normalized.
-    log_weights is the iterate's log-weights when the stepper carries them
-    (the Arimoto step), of which iterate is the rounding: an entry below
-    the log of the smallest subnormal is an exact 0 in iterate and a finite
-    number here.  interior says whether the iterate is an interior law:
-    every weight positive, or every log-weight finite.  route, residual,
-    inner, step_size and rejected are the step's route, last inner
-    residual, inner sweep count, step size and the candidates it rejected
-    before its last inner solve, None for a step with no inner loop; the
-    trace keeps them, through _row, as step_status, inner_residual,
-    inner_iterations, step_size and rejected_candidates.  sweep is _sweep's
-    tuple at iterate when the stepper has computed it, None otherwise.
-    _run lifts an iterate that is not interior, which only the backward
-    solver makes, and drops its sweep; the lifted Step keeps
-    interior=False, and not interior is the trace's clamp flag.  Any other
-    sweep becomes the next iterate's.  _run yields each Step with the
-    iterate it made.
+    log_weights is the iterate's log-weights, of which iterate is the
+    rounding: an entry below the log of the smallest subnormal is an exact
+    0 in iterate and a finite number here.  The start's Step carries np.log
+    of the start weights; a stepper steps from the log-weights it is handed
+    and returns its iterate's.  route, residual, inner, step_size and
+    rejected are the step's route, last inner residual, inner sweep count,
+    step size and the candidates it rejected before its last inner solve,
+    None for a step with no inner loop; the trace keeps them, through _row,
+    as step_status, inner_residual, inner_iterations, step_size and
+    rejected_candidates.  sweep is _sweep's tuple at iterate when the
+    stepper has computed it, None otherwise, and becomes the next
+    iterate's.  _run yields each Step with the iterate it made.
     """
 
     iterate: np.ndarray
-    interior: bool
+    log_weights: np.ndarray
     route: str | None = None
     residual: float | None = None
     inner: int | None = None
     sweep: tuple | None = None
     step_size: float | None = None
     rejected: int | None = None
-    log_weights: np.ndarray | None = None
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]
@@ -339,23 +321,18 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
     step) per iterate, without end.
 
     d, lower and upper are _sweep's at q, and step is the Step that made q
-    (Step(q, True) for the start, which carries no log-weights), which the
-    stepper is handed with q.  q may hold exact zeros where the stepper
-    carries log-weights.  A backward-solver iterate needed the underflow
-    clamp exactly when step is not interior: a lifted step keeps
-    interior=False.  The next step is taken only when the next iterate is
-    asked for.  This is the only loop body: _iterate runs it
-    once to stop and keep the trace's scalars, and IterationTrace.records
-    runs it again for the arrays.
+    (for the start, one that carries np.log(q) and nothing else), which the
+    stepper is handed with q.  q may hold exact zeros, at weights whose
+    log-weights fell below the subnormal range.  The next step is taken
+    only when the next iterate is asked for.  This is the only loop body:
+    _iterate runs it once to stop and keep the trace's scalars, and
+    IterationTrace.records runs it again for the arrays.
     """
-    step = Step(q, True)
+    step = Step(q, np.log(q))
     while True:
         _, d, lower, upper = sweep = _sweep(q, ch) if step.sweep is None else step.sweep
         yield q, d, lower, upper, step
         step = stepper(q, sweep, step)
-        if not step.interior:
-            # The lifted iterate is a new array, with a sweep of its own.
-            step = step._replace(iterate=_lifted(step.iterate), sweep=None)
         q = step.iterate
 
 
@@ -405,11 +382,10 @@ def _iterate(
 
 
 def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
-    """The multiplicative update of the log-weights previous carries, or of
-    log q at the start: log q' = log q + d - log Z, and q' = exp(log q')."""
-    log_q = np.log(q) if previous.log_weights is None else previous.log_weights
-    log_weights = _log_tilt(log_q, sweep[1])[0]
-    return Step(_normalized(np.exp(log_weights)), True, log_weights=log_weights)
+    """The multiplicative update of the log-weights log q that previous
+    carries: log q' = log q + d - log Z, and q' = exp(log q')."""
+    log_weights = _log_tilt(previous.log_weights, sweep[1])[0]
+    return Step(_normalized(np.exp(log_weights)), log_weights)
 
 
 def solve_arimoto(

@@ -51,9 +51,13 @@ converge when the inner error shrinks as the step size grows (Rockafellar,
 Optim. 14(5), 1976; for Bregman steps, Eckstein, Math. Program. 83, 1998).
 At lambda = 1 it is the paper's tolerance.  solve_backward_em adapts lambda
 by default: it starts at 1 and doubles after an exact step whose inner
-solve took at most _CHEAP_INNER (3) steps (never past _MAX_STEP_SIZE); a
-step whose inner solve fails, or whose candidate has a lower bound below
-the current one, is rejected and taken again from the same iterate at a
+solve took at most _CHEAP_INNER (3) steps (never past _MAX_STEP_SIZE).
+An exact candidate is accepted when its lower bound does not fall below
+the current one, or when its bracket gap is narrower than the current
+one: at the rounding floor a candidate that narrows the gap may carry a
+lower bound one ulp lower, and rejecting it would quarter lambda for
+nothing.  A step whose inner solve fails, or whose candidate passes
+neither test, is rejected and taken again from the same iterate at a
 quarter of lambda (never below 1); at lambda = 1 it falls back to the
 multiplicative step instead.  Each step's lambda is kept on its Step, so
 a replay of the trace takes the same steps, and so is the number of
@@ -66,8 +70,11 @@ The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
 arguments and builds the member the loop converged to.  solve_backward_em
 calls the loop directly, because its iterate is already a checked raw
-array and it needs no member, only the next iterate and its output
-marginal.
+array and it needs no member, only the next iterate, its log-weights and
+its output marginal.  Like solve_arimoto, it carries the log-weights
+log q_t from step to step: the loop tilts them, not the log of the
+rounded weights, so a weight that underflows is an exact 0 whose log
+keeps evolving, and no iterate is clamped.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, Step, _iterate, _reweighted, _sweep
+from .arimoto import CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep
 from .channel import (
     Channel,
     _check_channel,
@@ -91,7 +98,7 @@ from .channel import (
 from .errors import (
     InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real, _check_type,
 )
-from .numeric import _contract, _solve, _tilt, logsumexp
+from .numeric import _contract, _log_tilt, _solve, _tilt, logsumexp
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -199,18 +206,19 @@ _MAX_HALVINGS = 10
 class _Point(NamedTuple):
     """The fixed-point map evaluated at one output factor r.
 
-    induced is the induced input q[r] at step size lambda, log_norm its log
-    normalizer, marginal its output marginal T(r), residual the max-norm
-    of T(r) - r and interior whether induced is all positive.  Every array
-    has passed probability._normalized.
+    induced is the induced input q[r] at step size lambda, log_induced its
+    log-weights, of which induced is the rounding, log_norm its log
+    normalizer, marginal its output marginal T(r) and residual the max-norm
+    of T(r) - r.  induced, marginal and factor have passed
+    probability._normalized.
     """
 
     factor: np.ndarray
     induced: np.ndarray
+    log_induced: np.ndarray
     log_norm: float
     marginal: np.ndarray
     residual: float
-    interior: bool
 
 
 def _point(log_base: np.ndarray, r: np.ndarray, d: np.ndarray, step_size: float, ch: Channel) -> _Point:
@@ -224,12 +232,11 @@ def _point(log_base: np.ndarray, r: np.ndarray, d: np.ndarray, step_size: float,
     normalizer.
     """
     shifted = d if step_size == 1.0 else step_size * (d - np.maximum.reduce(d))
-    weights, log_norm = _tilt(log_base, shifted)
-    smallest = np.minimum.reduce(weights)
-    induced = _normalized(weights, smallest=smallest)
+    log_induced, log_norm = _log_tilt(log_base, shifted)
+    induced = _normalized(np.exp(log_induced))
     mapped = _normalized(_marginal(induced, ch))
     residual = float(np.maximum.reduce(np.abs(mapped - r)))
-    return _Point(r, induced, log_norm, mapped, residual, bool(smallest > 0.0))
+    return _Point(r, induced, log_induced, log_norm, mapped, residual)
 
 
 def _trial(log_base: np.ndarray, r: np.ndarray, step_size: float, ch: Channel) -> _Point | None:
@@ -301,17 +308,16 @@ class _InnerSolve(NamedTuple):
 
 
 def _inner_solve(
-    q: np.ndarray, r: np.ndarray, d: np.ndarray, ch: Channel, max_inner: int, step_size: float = 1.0
+    log_base: np.ndarray, r: np.ndarray, d: np.ndarray, ch: Channel, max_inner: int, step_size: float = 1.0
 ) -> _InnerSolve:
     """The exact m-step at a step size on raw arrays, checking nothing; see exact_backward_m_step.
 
-    q is an interior base input, r its output marginal and d the per-input
-    divergences from r, as _sweep returns them, max_inner is a usable limit
-    and step_size at least 1 and at most _MAX_STEP_SIZE.  The solve has
-    converged at a residual of _INNER_TOL / step_size, which is _INNER_TOL
-    itself at step size 1.
+    log_base is the finite log-weights log q_t of the base input, r its
+    output marginal and d the per-input divergences from r, as _sweep
+    returns them, max_inner is a usable limit and step_size at least 1 and
+    at most _MAX_STEP_SIZE.  The solve has converged at a residual of
+    _INNER_TOL / step_size, which is _INNER_TOL itself at step size 1.
     """
-    log_base = np.log(q)
     point = _point(log_base, r, d, step_size, ch)
     for sweep in range(max_inner + 1):
         if point.residual <= _INNER_TOL / step_size:
@@ -388,7 +394,7 @@ def exact_backward_m_step(base_input: Distribution, ch: Channel, max_inner: int 
     _check_interior_input(base_input, ch)
     _check_limit("max_inner", max_inner)
     q = base_input.weights
-    inner = _inner_solve(q, *_sweep(q, ch)[:2], ch, max_inner)
+    inner = _inner_solve(np.log(q), *_sweep(q, ch)[:2], ch, max_inner)
     point = inner.point
     if point is None:
         return MStepOutcome(None, inner.residual, inner.sweeps, MStepStatus.NOT_CONVERGED_FALLBACK)
@@ -502,31 +508,34 @@ def solve_backward_em(
     exact_backward_m_step's step, on every step.  The default, None, adapts
     lambda (see the module docstring): each inner solve stops at a residual
     of 1e-10 / lambda; lambda starts at 1 and doubles after an exact step
-    of at most three inner steps; a failed inner solve, or a candidate
-    whose lower bound falls below the current one, is rejected and retried
-    from the same iterate at a quarter of lambda, and at lambda = 1 the
-    step falls back instead.  A channel with more than _NEWTON_MAX_OUTPUTS
-    (32) outputs keeps lambda = 1.  Any other step_size raises
-    ParameterOutOfRange.  On perfbench's pinned r8 and r16 the default
-    takes 17 outer steps to a gap of 1e-9, and 22 and 21 to 1e-13, where
-    lambda = 1 takes about 1,000 to 1e-9.
+    of at most three inner steps; a candidate is accepted when its lower
+    bound does not fall or its bracket gap is narrower than the current
+    one; a failed inner solve, or any other candidate, is rejected and
+    retried from the same iterate at a quarter of lambda, and at lambda = 1
+    the step falls back instead.  A channel with more than
+    _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1.  Any other step_size
+    raises ParameterOutOfRange.  On perfbench's pinned r8 and r16 the
+    default takes 17 outer steps to a gap of 1e-9, and 19 and 20 to 1e-13,
+    where lambda = 1 takes about 1,000 to 1e-9.
 
-    Each step runs exact_backward_m_step's loop, _inner_solve, on the raw
-    iterate, starting from the output marginal and divergences the
-    iteration has already computed there.  The fallback is the
-    multiplicative tilt of those divergences, so it costs no further pass
-    over the channel.  An exact step's induced input, a raw array, is the
-    candidate iterate; the output marginal its last inner step computed
+    Each step runs exact_backward_m_step's loop, _inner_solve, on the
+    log-weights of the iterate that the previous Step carries (np.log of
+    the start weights at the first step, as exact_backward_m_step takes
+    them), starting from the output marginal and divergences the iteration
+    has already computed there.  The fallback is solve_arimoto's step, the
+    multiplicative tilt of those log-weights by those divergences, so it
+    costs no further pass over the channel.  An exact step's induced input,
+    a raw array, is the candidate iterate, and its log-weights are the ones
+    the step hands on; the output marginal its last inner step computed
     gives the candidate's divergences and bounds in one divergence pass,
     and an accepted candidate hands them to the next iteration, so the
-    solver builds no member or Distribution.  A clamped iterate gets a
-    fresh sweep.  An outer step whose inner solve takes k steps thus makes
-    k + 1 marginal passes, k + 1 divergence passes and k covariances and
-    m x m Newton solves; a halved trial adds one marginal and one
-    divergence pass, and a rejected candidate repeats the step.  k is
-    about 1 at lambda = 1 and about 3 under the adaptive rule on the
-    pinned squares, so an adaptive step costs about twice a paper step,
-    and the adaptive rule takes about 60 times fewer.
+    solver builds no member or Distribution.  An outer step whose inner
+    solve takes k steps thus makes k + 1 marginal passes, k + 1 divergence
+    passes and k covariances and m x m Newton solves; a halved trial adds
+    one marginal and one divergence pass, and a rejected candidate repeats
+    the step.  k is about 1 at lambda = 1 and about 3 under the adaptive
+    rule on the pinned squares, so an adaptive step costs about twice a
+    paper step, and the adaptive rule takes about 60 times fewer.
 
     max_inner bounds each inner solve (see exact_backward_m_step).
     """
@@ -542,21 +551,23 @@ def solve_backward_em(
     adaptive = step_size is None and ch.num_outputs <= _NEWTON_MAX_OUTPUTS
 
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
-        r, d, lower, _ = sweep
+        r, d, lower, upper = sweep
         size = _adapted(previous) if adaptive else 1.0
         rejected = 0
         while True:
-            inner = _inner_solve(q, r, d, ch, max_inner, size)
+            inner = _inner_solve(previous.log_weights, r, d, ch, max_inner, size)
             point = inner.point
             if point is not None:
-                swept = _sweep(point.induced, ch, point.marginal) if point.interior else None
-                if not adaptive or swept is None or swept[2] >= lower:
+                swept = _sweep(point.induced, ch, point.marginal)
+                if not adaptive or swept[2] >= lower or swept[3] - swept[2] < upper - lower:
                     return Step(
-                        point.induced, point.interior, "exact", inner.residual, inner.sweeps, swept, size, rejected
+                        point.induced, point.log_induced, "exact", inner.residual, inner.sweeps, swept, size, rejected
                     )
             # A run that does not adapt always has size 1.
             if size == 1.0:
-                return Step(*_reweighted(q, d), "fallback", inner.residual, inner.sweeps, None, size, rejected)
+                return _arimoto_stepper(q, sweep, previous)._replace(
+                    route="fallback", residual=inner.residual, inner=inner.sweeps, step_size=size, rejected=rejected
+                )
             size = max(0.25 * size, 1.0)
             rejected += 1
 

@@ -103,8 +103,9 @@ def cmd_capacity(args) -> int:
         "units": args.units,
         # upper - lower taken in nats, then scaled: the stopping test's gap.
         "gap": _scale(result.bracket.upper - result.bracket.lower, args.units),
-        # The iterates that needed the underflow clamp, from the trace's column.
-        "clamped_steps": sum(trace._column("clamped")),
+        # Always 0: both solvers carry log-weights and clamp no iterate.  The
+        # key stays, as every capacity key does.
+        "clamped_steps": 0,
     }
     if args.algorithm == "backward-em":
         payload["inner_sweeps"] = sum(inner or 0 for inner in trace._column("inner_iterations"))

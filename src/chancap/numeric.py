@@ -104,11 +104,12 @@ def _log_tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarra
     """log w + e - L and L = logsumexp(log w + e), given log w and e.
 
     The multiplicative reweighting in the natural coordinates log w, where
-    it is a shift: the Arimoto step carries its iterate's log-weights from
-    one step to the next this way (see arimoto._arimoto_stepper), and _tilt
-    takes exp of the result.  The log-sum-exp is logsumexp's, inline: the
-    same operations in the same order, without its layout normalization
-    and empty-input guard, which a fresh non-empty 1-D sum does not need.
+    it is a shift: both solvers carry their iterate's log-weights from one
+    step to the next this way (see arimoto._arimoto_stepper and
+    backward_em._point), and _tilt takes exp of the result.  The
+    log-sum-exp is logsumexp's, inline: the same operations in the same
+    order, without its layout normalization and empty-input guard, which a
+    fresh non-empty 1-D sum does not need.
     """
     logits = log_weights + exponents
     m = float(np.maximum.reduce(logits))
@@ -119,9 +120,9 @@ def _log_tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarra
 def _tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(log w + e - L) and L = logsumexp(log w + e), given log w and e.
 
-    The reweightings that start from weights: the public Arimoto step and
-    the backward solver's fallback, family members and inner points tilt
-    by +d, the e-projection by -d.  Entries may underflow to 0.
+    The reweightings that start from weights and keep no log-weights:
+    family members tilt by +d, the e-projection by -d.  Entries may
+    underflow to 0.
     """
     tilted, log_norm = _log_tilt(log_weights, exponents)
     return np.exp(tilted), log_norm

@@ -6,24 +6,28 @@ its own seed.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from chancap import (
+    BackwardFamilyMember,
     Channel,
     Distribution,
     InvalidDistribution,
     MStepOutcome,
     MStepStatus,
-    backward_e_member,
     bec,
     bsc,
     identity_channel,
     noisy_typewriter,
     output_marginal,
+    per_input_divergences,
     uniform_rows,
     z_channel,
 )
 from chancap.backward_em import _DAMPING, _INNER_TOL, _MAX_HALVINGS, _NEWTON_MAX_OUTPUTS
+from chancap.numeric import logsumexp
 
 
 # One example per canonical kind: its constructor, the parameters and the
@@ -66,9 +70,30 @@ def newton_output_factor(q: np.ndarray, r: np.ndarray, t: np.ndarray, matrix: np
     return r + newton_step(q, r, t, matrix)
 
 
-def _at(base, r, ch):
-    """The member at output factor r, its output marginal and the max-norm residual."""
-    member = backward_e_member(base, r, ch)
+def replayed(trace) -> list:
+    """(q, d, lower, upper, step) for each of the trace's iterates, from a replay of its run.
+
+    step is the arimoto.Step that made q, with the log-weights it carries:
+    np.log(q) for the first.  Reading trace.records drops the replay, so
+    call this first.
+    """
+    return list(itertools.islice(trace._replay(), len(trace)))
+
+
+def tilt(log_base: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """log q + d - log Z and log Z = logsumexp(log q + d), from log q: the
+    multiplicative step in log-weights, and the induced input of a family
+    member, written with numpy and numeric's public logsumexp."""
+    logits = log_base + d
+    log_norm = logsumexp(logits)
+    return logits - log_norm, log_norm
+
+
+def _at(base, log_base, r, ch):
+    """The member at output factor r, tilted from the base's log-weights
+    log_base, its output marginal and the max-norm residual."""
+    log_induced, log_norm = tilt(log_base, per_input_divergences(ch, r.weights))
+    member = BackwardFamilyMember(base, r, Distribution(np.exp(log_induced)), log_norm)
     mapped = output_marginal(member.induced_input, ch)
     return member, mapped, float(np.max(np.abs(mapped.weights - r.weights)))
 
@@ -82,19 +107,24 @@ def _usable(weights):
     return r if r.is_interior else None
 
 
-def reference_m_step(base, ch, max_inner=10000):
-    """The exact m-step written from the public member and marginal.
+def reference_m_step(base, ch, max_inner=10000, log_base=None):
+    """The exact m-step from q_t = base, written from public functions.
 
-    Each inner step builds a validated member and marginal; the library's
-    loop runs the same arithmetic on raw arrays and must match it bit for
-    bit.  Up to the cap on outputs a step is Newton's, halved at most
-    _MAX_HALVINGS times until it gives an interior Distribution with a
-    smaller residual; past the cap it is the damped blend, taken when it
-    gives an interior Distribution.  A step whose solve fails, or that
+    The member at each output factor is tilted from log_base, the
+    log-weights log q_t a solver carries, or np.log of base's weights when
+    it is None, as the public exact_backward_m_step starts.  Each inner
+    step builds a validated member and marginal; the library's loop runs
+    the same arithmetic on raw arrays and must match it bit for bit.  Up to
+    the cap on outputs a step is Newton's, halved at most _MAX_HALVINGS
+    times until it gives an interior Distribution with a smaller residual;
+    past the cap it is the damped blend, taken when it gives an interior
+    Distribution.  A step whose solve fails, or that
     finds no such Distribution, ends the m-step.
     """
+    if log_base is None:
+        log_base = np.log(base.weights)
     r = output_marginal(base, ch)
-    member, mapped, residual = _at(base, r, ch)
+    member, mapped, residual = _at(base, log_base, r, ch)
     for sweep in range(max_inner + 1):
         if residual <= _INNER_TOL:
             return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
@@ -105,7 +135,7 @@ def reference_m_step(base, ch, max_inner=10000):
             if following is None:
                 break
             r = following
-            member, mapped, residual = _at(base, r, ch)
+            member, mapped, residual = _at(base, log_base, r, ch)
             continue
         try:
             step = newton_step(member.induced_input.weights, r.weights, mapped.weights, ch.matrix)
@@ -114,7 +144,7 @@ def reference_m_step(base, ch, max_inner=10000):
         for _ in range(_MAX_HALVINGS + 1):
             trial = _usable(r.weights + step)
             if trial is not None:
-                at = _at(base, trial, ch)
+                at = _at(base, log_base, trial, ch)
                 if at[2] < residual:
                     r, (member, mapped, residual) = trial, at
                     break

@@ -23,7 +23,7 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import Step, _arimoto_stepper, _iterate, _lifted, _reweighted, _run
+from chancap.arimoto import _TINY, Step, _arimoto_stepper, _iterate, _run, _sweep
 from chancap.numeric import logsumexp
 from chancap.probability import _normalized
 from support import pinned_squares, random_channel, random_interior
@@ -79,17 +79,23 @@ class TestStep:
         rng = np.random.default_rng(77)
         q = rng.dirichlet(np.ones(5))
         d = rng.uniform(0.0, 3.0, size=5)
-        base = _reweighted(q, d)[0]
-        shifted = _reweighted(q, d + shift)[0]
+        base = _arimoto_stepper(q, (None, d, None, None), Step(q, np.log(q))).iterate
+        shifted = _arimoto_stepper(q, (None, d + shift, None, None), Step(q, np.log(q))).iterate
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
     def test_underflow_clamp_keeps_iterate_interior(self):
-        q = np.array([1e-300, 1.0 - 1e-300])
-        stepped, interior = _reweighted(q, np.array([0.0, 800.0]))
-        assert not interior and stepped.min() == 0.0
-        fresh = _lifted(stepped)
-        assert np.all(fresh > 0.0)
-        assert abs(float(np.sum(fresh)) - 1.0) <= 1e-12
+        # The last input starts at the smallest subnormal and its step
+        # underflows to an exact 0, which the solvers keep; the public step
+        # promises an interior law, so it lifts that weight to the smallest
+        # normal float and renormalizes.
+        ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
+        q = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+        solver = _arimoto_stepper(q.weights, _sweep(q.weights, ch), Step(q.weights, np.log(q.weights))).iterate
+        assert solver[4] == 0.0
+        stepped = arimoto_step(q, ch)
+        assert stepped.is_interior and stepped.weights[4] == _TINY
+        assert np.max(np.abs(stepped.weights[:4] - solver[:4])) <= 1e-15
+        assert abs(float(np.sum(stepped.weights)) - 1.0) <= 1e-12
 
     def test_the_solver_step_carries_log_weights_past_underflow(self):
         # The third input's log-weight lies far below log(tiny): its weight
@@ -98,24 +104,28 @@ class TestStep:
         q = _normalized(np.exp(log_q))
         assert math.log(np.finfo(float).tiny) > log_q[2] and q[2] == 0.0
         d = np.array([0.1, 0.2, 0.3])
-        step = _arimoto_stepper(q, (None, d, None, None), Step(q, True, log_weights=log_q))
+        step = _arimoto_stepper(q, (None, d, None, None), Step(q, log_q))
         logits = log_q + d
         assert np.array_equal(step.log_weights, logits - logsumexp(logits))
         assert step.iterate[2] == 0.0 and np.isfinite(step.log_weights).all()
         assert np.array_equal(step.iterate, np.exp(step.log_weights))
-        assert step.interior
         # Its divergence rises far above the others': the input regains weight.
         again = _arimoto_stepper(step.iterate, (None, np.array([0.0, 0.0, 900.0]), None, None), step)
         assert again.iterate[2] > 0.5
         assert np.array_equal(again.iterate, np.exp(again.log_weights))
 
     def test_the_solver_step_starts_from_the_log_of_the_weights(self):
-        q = _normalized(np.array([0.2, 0.3, 0.5]))
-        d = np.array([0.4, 0.1, 0.0])
-        step = _arimoto_stepper(q, (None, d, None, None), Step(q, True))
+        # The start's Step carries np.log of the start weights, so the first
+        # step tilts log q, as the public arimoto_step does.
+        ch = z_channel(0.5)
+        q = _normalized(np.array([0.2, 0.8]))
+        run = _run(ch, q, _arimoto_stepper)
+        (_, d, _, _, start), (stepped, _, _, _, step) = next(run), next(run)
+        assert start.iterate is q and np.array_equal(start.log_weights, np.log(q))
         logits = np.log(q) + d
         assert np.array_equal(step.log_weights, logits - logsumexp(logits))
-        assert np.array_equal(step.iterate, _reweighted(q, d)[0])
+        assert np.array_equal(stepped, np.exp(step.log_weights))
+        assert np.array_equal(stepped, arimoto_step(Distribution(q), ch).weights)
 
 
 class TestBracket:
@@ -200,14 +210,16 @@ class TestSolve:
         result, _ = solve_backward_em(z_channel(0.5), max_inner=np.int32(50))
         assert result.termination is Termination.CONVERGED
 
-    def test_an_underflowing_weight_is_an_exact_zero_and_never_clamped(self):
-        # The last input starts at the smallest subnormal; its first
-        # reweighting underflows to 0, and the Arimoto iteration, whose state
-        # is the log-weights, keeps the zero and lifts nothing.
+    @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
+    def test_an_underflowing_weight_is_an_exact_zero_and_never_clamped(self, solve):
+        # The last input starts at the smallest subnormal; its first step
+        # underflows it to 0.  Both solvers' state is the log-weights, so
+        # the iterate keeps the zero, whose log stays finite, and nothing is
+        # lifted.
         ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
         start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-        result, trace = solve_arimoto(ch, initial=start)
-        assert not any(trace._column("clamped"))
+        result, trace = solve(ch, initial=start)
+        assert not any(rec.clamped for rec in trace.records)
         assert trace.records[1].input_distribution.weights[4] == 0.0
         assert result.optimal_input.weights[4] == 0.0
         assert result.termination is Termination.CONVERGED
@@ -226,29 +238,19 @@ class TestSolve:
             _run(ch, Distribution.uniform(32).weights, _arimoto_stepper), 1
         ):
             subnormal += int(np.count_nonzero((q > 0.0) & (q < tiny)))
-            assert step.interior
+            assert np.isfinite(step.log_weights).all()
             if upper - lower <= 1e-7 or iteration == 20000:
                 break
         assert upper - lower <= 1e-7
         assert subnormal <= 39084 // 10
-
-    @pytest.mark.parametrize("solve", [solve_backward_em])
-    def test_underflowing_iterate_is_clamped_and_flagged(self, solve):
-        # The last input starts at the smallest subnormal; its first
-        # reweighting underflows to 0 and the shared iteration lifts it back.
-        ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
-        start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-        _, trace = solve(ch, initial=start)
-        assert not trace.records[0].clamped
-        assert trace.records[1].clamped
-        assert all(rec.input_distribution.is_interior for rec in trace)
 
     def test_a_falling_lower_bound_fails_the_bracket_check(self):
         # No solver's step lowers the mutual information, so a stepper that
         # always jumps to a worse law than the uniform start stands in for
         # a faulty one: the loop stops at the second iterate.
         def stepper(q, sweep, previous):
-            return Step(_normalized(np.array([0.95, 0.05])), True)
+            weights = _normalized(np.array([0.95, 0.05]))
+            return Step(weights, np.log(weights))
 
         with pytest.raises(AssertionError, match=r"^iteration 2: bracket \(.*\) is unordered or below the previous"):
             _iterate(z_channel(0.5), 1e-9, 10, None, stepper)

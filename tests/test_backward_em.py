@@ -17,7 +17,6 @@ from chancap import (
     backward_e_member,
     bec,
     bsc,
-    capacity_bracket,
     e_project_to_channel,
     exact_backward_m_step,
     geometric_mixture_check,
@@ -31,8 +30,9 @@ from chancap import (
     z_channel,
 )
 from chancap import backward_em
+from chancap.arimoto import _sweep
 from chancap.backward_em import _NEWTON_MAX_OUTPUTS
-from support import random_channel, random_interior, reference_m_step
+from support import random_channel, random_interior, reference_m_step, replayed, tilt
 
 
 def member_divergence(base, ch, member):
@@ -336,53 +336,71 @@ class TestSolver:
         assert calls == ["max_inner"] * 2
 
     def test_fallback_is_bit_identical_to_the_multiplicative_step(self):
+        # The fallback is the multiplicative step of the log-weights the
+        # previous Step carries, with the divergences a fresh public sweep
+        # gives.  The first step starts from the log of the start weights,
+        # as the public arimoto_step does, so there the two coincide.
         rng = np.random.default_rng(60)
         ch = random_channel(rng, 6, 5)
         _, trace = solve_backward_em(ch, max_inner=1)
-        records = trace.records
-        fallbacks = 0
-        for before, after in zip(records, records[1:]):
-            if after.step_status == "fallback":
-                expected = arimoto_step(before.input_distribution, ch).weights
-                assert np.array_equal(after.input_distribution.weights, expected)
+        iterates = replayed(trace)
+        fallbacks = firsts = 0
+        for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
+            if after.route == "fallback":
+                base = Distribution(q)
+                d = per_input_divergences(ch, output_marginal(base, ch).weights)
+                log_stepped = tilt(before.log_weights, d)[0]
+                assert np.array_equal(after.log_weights, log_stepped)
+                assert np.array_equal(stepped, np.exp(log_stepped))
+                if k == 0:
+                    assert np.array_equal(stepped, arimoto_step(base, ch).weights)
+                    firsts += 1
                 fallbacks += 1
-        assert fallbacks > 0
+        assert fallbacks > 1 and firsts == 1
 
     def test_exact_steps_match_the_standalone_m_step(self):
         # The solver starts each m-step from the output marginal and
-        # divergences its own sweep computed; a fresh standalone m-step on
-        # the same iterate must give the same step to the bit.  The last
-        # channel is wider than the Newton cap, so its inner steps are all
-        # damped sweeps.
+        # divergences its own sweep computed; the reference m-step, started
+        # afresh from the log-weights the previous Step carries, must give
+        # the same step to the bit, and so must the public m-step on the
+        # first step, which starts from the log of the start weights.  The
+        # last channel is wider than the Newton cap, so its inner steps are
+        # all damped sweeps.
         rng = np.random.default_rng(62)
         channels = [random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9))) for _ in range(6)]
         channels.append(random_channel(np.random.default_rng(69), 3, _NEWTON_MAX_OUTPUTS + 1))
-        exact = 0
+        exact = firsts = 0
         for ch in channels:
             _, trace = solve_backward_em(ch, tol=1e-7, step_size=1.0)
-            for before, after in zip(trace.records, trace.records[1:]):
-                assert after.step_status == "exact"
-                outcome = exact_backward_m_step(before.input_distribution, ch)
-                assert np.array_equal(
-                    after.input_distribution.weights, outcome.solution.induced_input.weights
-                )
-                assert after.inner_residual == outcome.residual
-                assert after.inner_iterations == outcome.inner_iterations
+            iterates = replayed(trace)
+            for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
+                assert after.route == "exact"
+                base = Distribution(q)
+                want = reference_m_step(base, ch, log_base=before.log_weights)
+                if k == 0:
+                    outcome = exact_backward_m_step(base, ch)
+                    assert (outcome.residual, outcome.inner_iterations) == (want.residual, want.inner_iterations)
+                    assert np.array_equal(outcome.solution.induced_input.weights, want.solution.induced_input.weights)
+                    firsts += 1
+                assert np.array_equal(stepped, want.solution.induced_input.weights)
+                assert np.array_equal(np.exp(after.log_weights), stepped)
+                assert (after.residual, after.inner) == (want.residual, want.inner_iterations)
                 exact += 1
-        assert exact > 0
+        assert exact > len(channels) and firsts == len(channels)
 
     def test_exact_steps_hand_the_member_input_through(self, monkeypatch):
         # The next iterate of an exact step is the inner solve's own raw
-        # induced input, not a copy validated again: the array the solve
-        # computed is the next solve's base, and the recorded iterate.  A
+        # induced input, not a copy validated again, and its log-weights
+        # are the ones the solve computed: that array is the next solve's
+        # log base, and the induced input is the recorded iterate.  A
         # rejected candidate is solved again from the same base, so the
         # step's accepted solve is the last of the solves on its base.
         solves, bases = [], []
         inner_solve = backward_em._inner_solve
 
-        def recording(q, *args):
-            bases.append(q)
-            solves.append(inner_solve(q, *args))
+        def recording(log_base, *args):
+            bases.append(log_base)
+            solves.append(inner_solve(log_base, *args))
             return solves[-1]
 
         monkeypatch.setattr(backward_em, "_inner_solve", recording)
@@ -401,13 +419,13 @@ class TestSolver:
                     steps.append((base, []))
                 steps[-1][1].append(solve)
             assert len(steps) == len(trace) - 1
-            routes, clamped = trace._column("step_status"), trace._column("clamped")
+            routes = trace._column("step_status")
             for k, (_, tried) in enumerate(steps[:-1]):
-                if routes[k + 1] == "exact" and not clamped[k + 1]:
-                    assert steps[k + 1][0] is tried[-1].point.induced
+                if routes[k + 1] == "exact":
+                    assert steps[k + 1][0] is tried[-1].point.log_induced
                     handed += 1
             for rec, (_, tried) in zip(trace.records[1:], steps):
-                if rec.step_status == "exact" and not rec.clamped:
+                if rec.step_status == "exact":
                     assert rec.input_distribution.weights.tobytes() == tried[-1].point.induced.tobytes()
         assert handed > 0
 
@@ -418,7 +436,9 @@ class TestSolver:
     def test_every_record_is_the_bracket_of_its_iterate(self, case):
         # A sweep after an exact step reuses the output marginal the m-step
         # computed; every record must still be, bit for bit, the bracket and
-        # divergences a fresh sweep gives at the recorded iterate.
+        # divergences a fresh sweep gives at the recorded iterate.  A record
+        # may hold an exact zero weight, which capacity_bracket refuses, so
+        # the bracket is _sweep's, the one capacity_bracket returns.
         settings, initial = {}, None
         if case == "random":
             rng = np.random.default_rng(72)
@@ -431,27 +451,28 @@ class TestSolver:
         elif case == "fallback":
             channels, settings = [random_channel(np.random.default_rng(74), 6, 5)], {"max_inner": 2}
         else:
-            # tools/trace_hash.py's clamp run: the last input starts at the
-            # smallest subnormal, and its first step underflows and is lifted.
+            # tools/trace_hash.py's underflow run: the last input starts at
+            # the smallest subnormal, and its first step underflows to 0.
             channels = [Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))]
             initial = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-        routes, clamped = set(), False
+        routes, zeros = set(), False
         for ch in channels:
             _, trace = solve_backward_em(ch, initial=initial, **settings)
             for rec in trace.records:
                 q = rec.input_distribution
-                bracket = np.array(capacity_bracket(q, ch))
+                bracket = np.array(_sweep(q.weights, ch)[2:])
                 assert np.array([rec.lower_bound, rec.upper_bound]).tobytes() == bracket.tobytes()
                 fresh = per_input_divergences(ch, output_marginal(q, ch).weights)
                 assert rec.per_input_divergence.tobytes() == fresh.tobytes()
+                assert not rec.clamped
                 routes.add(rec.step_status)
-                clamped |= rec.clamped
+                zeros |= bool((q.weights == 0.0).any())
         assert "exact" in routes
         assert ("fallback" in routes) == (case == "fallback")
-        # The random case's 8x7 channel clamps too, at record 15 with a step
-        # size of 2048: one of its inputs has zero optimal weight, and that
-        # long a step underflows it.
-        assert clamped == (case in ("clamp", "random"))
+        # The random case's 8x7 channel underflows a weight too, at record
+        # 15 with a step size of 2048: one of its inputs has zero optimal
+        # weight, and that long a step takes it below the subnormals.
+        assert zeros == (case in ("clamp", "random"))
 
     def test_newton_takes_about_one_inner_sweep_per_step(self):
         # A count, not a timing, at the paper's step size: Newton's inner

@@ -197,16 +197,19 @@ class TestCapacity:
         assert payload["gap"] == pytest.approx(payload["upper"] - payload["lower"], abs=1e-15)
         assert 0.0 <= gap <= 1e-6
 
-    def test_arimoto_underflows_to_an_exact_zero_without_a_clamp(self, tmp_path, capsys):
+    @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
+    def test_underflows_to_an_exact_zero_without_a_clamp(self, tmp_path, capsys, algorithm):
         # A noiseless 10-symbol channel plus a useless input, whose weight
-        # shrinks about tenfold per sweep and underflows at sweep 324.  The
-        # Arimoto iteration carries log-weights, so the weight becomes an
-        # exact 0 and nothing is clamped.  The gap settles at one ulp by
-        # sweep 16, so a 1e-300 gap is out of reach: the run stops at the
-        # iteration limit, with the bracket at its rounding floor.
-        path = tmp_path / "clamp.json"
+        # shrinks every step until it underflows (at sweep 324 of the
+        # Arimoto iteration, at record 10 of the backward one).  Both
+        # solvers carry log-weights, so the weight becomes an exact 0 and
+        # nothing is clamped.  The gap settles at one ulp (by sweep 16, and
+        # by record 5), so a 1e-300 gap is out of reach: the run stops at
+        # the iteration limit, with the bracket at its rounding floor.
+        path = tmp_path / "underflow.json"
         path.write_bytes(save_channel(Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))))
-        argv = ["capacity", "--channel", str(path), "--tol", "1e-300", "--max-iters", "400", "--units", "nats"]
+        argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--tol", "1e-300", "--max-iters", "400",
+                "--units", "nats"]
         payload = run_json(capsys, argv, expected_code=EXIT_ITERATION_LIMIT)
         assert payload["clamped_steps"] == 0
         assert payload["termination"] == "max_iterations"
@@ -214,20 +217,6 @@ class TestCapacity:
         assert all(w > 0.0 for w in payload["optimal_input"][:10])
         assert payload["lower"] <= np.log(10.0) + 1e-15 and payload["upper"] >= np.log(10.0) - 1e-15
         assert payload["gap"] <= 1e-15
-
-    @pytest.mark.parametrize("algorithm", ["backward-em"])
-    def test_counts_clamped_steps(self, tmp_path, capsys, algorithm):
-        # A noiseless 10-symbol channel plus a useless input, whose weight
-        # shrinks about tenfold per sweep: to a 1e-300 gap it underflows
-        # once, and the shared loop lifts the backward iterate back.
-        path = tmp_path / "clamp.json"
-        ch = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
-        path.write_bytes(save_channel(ch))
-        argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--tol", "1e-300"]
-        payload = run_json(capsys, argv)
-        solve = solve_arimoto if algorithm == "arimoto" else solve_backward_em
-        _, trace = solve(ch, tol=1e-300)
-        assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records) == 1
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])

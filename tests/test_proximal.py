@@ -12,16 +12,20 @@ import numpy as np
 import pytest
 
 from chancap import (
+    Distribution,
     ParameterOutOfRange,
     Termination,
     arimoto_step,
     bsc,
+    exact_backward_m_step,
+    output_marginal,
+    per_input_divergences,
     solve_arimoto,
     solve_backward_em,
 )
 from chancap.arimoto import _COLUMNS
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
-from support import pinned_squares, random_channel, reference_m_step
+from support import pinned_squares, random_channel, reference_m_step, replayed, tilt
 
 
 def random_channels(seed: int, count: int) -> list:
@@ -30,23 +34,30 @@ def random_channels(seed: int, count: int) -> list:
 
 
 def test_criterion_04_design_never_descends():
-    # Criterion 04's channels and settings on the adaptive default.  A
-    # candidate whose lower bound falls is rejected, so an exact step onto an
-    # interior iterate never lowers the bound, not even by an ulp; the
-    # fallbacks near the rounding floor stay within criterion 04's 1e-12.
+    # Criterion 04's channels and settings on the adaptive default.  An
+    # exact candidate is accepted when its lower bound does not fall or its
+    # bracket gap is narrower than the current one, so every exact step
+    # keeps the bound or narrows the gap; at the rounding floor the bound
+    # may fall by an ulp, never by criterion 04's 1e-12.  A test of the
+    # bound alone rejected those candidates down to 434 fallbacks, and 53
+    # of the 200 runs reached 1e-14; this rule takes 1 fallback and 127.
     rng = np.random.default_rng(41)
-    steps = descents = 0
+    steps = descents = fallbacks = converged = 0
     for _ in range(200):
         n, m = int(rng.integers(2, 17)), int(rng.integers(2, 17))
-        _, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40, max_inner=300)
-        lowers, routes, clamped = map(trace._column, ("lower_bound", "step_status", "clamped"))
+        result, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40, max_inner=300)
+        converged += result.termination is Termination.CONVERGED
+        lowers, uppers, routes = map(trace._column, ("lower_bound", "upper_bound", "step_status"))
         for k in range(1, len(trace)):
             steps += 1
             descents += lowers[k] < lowers[k - 1] - 1e-12
-            if routes[k] == "exact" and not clamped[k]:
-                assert lowers[k] >= lowers[k - 1]
+            fallbacks += routes[k] == "fallback"
+            if routes[k] == "exact":
+                assert lowers[k] >= lowers[k - 1] or uppers[k] - lowers[k] < uppers[k - 1] - lowers[k - 1]
     assert steps > 5000
     assert descents == 0
+    assert fallbacks <= 10
+    assert converged >= 100
 
 
 @pytest.mark.parametrize("name", ["r4", "r8", "r16", "r32"], ids=["r4", "r8", "r16", "slow32"])
@@ -96,26 +107,36 @@ def test_step_size_follows_the_adaptive_rule():
 
 def test_paper_step_size_takes_the_reference_steps():
     # step_size=1.0 is the paper's iteration: every step is the reference
-    # m-step's, or the multiplicative step where that does not converge.
-    # The last channel is wider than the Newton cap, so its steps are damped.
+    # m-step's from the log-weights the previous Step carries, or the
+    # multiplicative step of those log-weights where that does not
+    # converge.  The first step starts from the log of the start weights,
+    # as the public calls do, so there it is theirs too.  The last channel
+    # is wider than the Newton cap, so its steps are damped.
     channels = [*random_channels(71, 5), random_channel(np.random.default_rng(69), 3, _NEWTON_MAX_OUTPUTS + 1)]
     routes = set()
     for ch in channels:
         for settings in ({}, {"max_inner": 2}):
             _, trace = solve_backward_em(ch, tol=1e-7, step_size=1.0, **settings)
-            for before, after in zip(trace.records, trace.records[1:]):
-                want = reference_m_step(before.input_distribution, ch, **settings)
-                assert (after.step_size, after.rejected_candidates) == (1.0, 0)
-                assert (after.inner_residual, after.inner_iterations) == (want.residual, want.inner_iterations)
+            iterates = replayed(trace)
+            for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
+                base, log_base = Distribution(q), before.log_weights
+                want = reference_m_step(base, ch, log_base=log_base, **settings)
+                assert (after.step_size, after.rejected) == (1.0, 0)
+                assert (after.residual, after.inner) == (want.residual, want.inner_iterations)
                 if want.solution is None:
-                    expected = arimoto_step(before.input_distribution, ch).weights
-                    assert after.step_status == "fallback"
+                    d = per_input_divergences(ch, output_marginal(base, ch).weights)
+                    expected = np.exp(tilt(log_base, d)[0])
+                    public = arimoto_step(base, ch).weights if k == 0 else expected
+                    assert after.route == "fallback"
                 else:
                     expected = want.solution.induced_input.weights
-                    assert after.step_status == "exact"
-                assert not after.clamped
-                assert np.array_equal(after.input_distribution.weights, expected)
-                routes.add(after.step_status)
+                    public = expected
+                    if k == 0:
+                        public = exact_backward_m_step(base, ch, **settings).solution.induced_input.weights
+                    assert after.route == "exact"
+                assert np.array_equal(stepped, expected) and np.array_equal(public, expected)
+                assert np.array_equal(np.exp(after.log_weights), stepped)
+                routes.add(after.route)
     assert routes == {"exact", "fallback"}
 
 

@@ -110,10 +110,10 @@ def test_records_are_built_once_on_first_read(built, solve):
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 @pytest.mark.parametrize("inputs", [16, 64])
 def test_a_trace_retains_no_array_per_record(solve, inputs):
-    # Kept per iterate: one row of two float bounds, a clamp flag, a route,
-    # a residual, an inner count, a step size and a count of rejected
-    # candidates in one flat list, about 121 B (Arimoto) and 145 B
-    # (backward) on r16 with the list slots.  A
+    # Kept per iterate: one row of two float bounds, a route, a residual,
+    # an inner count, a step size and a count of rejected candidates in one
+    # flat list, about 109 B (Arimoto) and 131 B (backward) on r16 with the
+    # list slots.  A
     # column of divergences and one of input weights took about 600 B per
     # record at 16 inputs and 1,390 B at 64.  The backward solver runs at
     # the paper's step size, which takes over 1,000 records on r16 (the
@@ -150,28 +150,25 @@ def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
         trace.records
 
 
-@pytest.mark.parametrize("case", ["arimoto-underflow", "backward-clamped", "backward-max-inner-2"])
+@pytest.mark.parametrize("case", ["arimoto-underflow", "backward-underflow", "backward-max-inner-2"])
 def test_the_kept_columns_are_the_records_fields(case):
     # Each column the trace keeps reads, bit for bit, as the TraceRecord
-    # field it is named by.  The last input of the clamp channel starts at
-    # the smallest subnormal; its first reweighting underflows to zero.
-    # The backward solver lifts it back; the Arimoto iteration, whose state
-    # is the log-weights, keeps the zero and clamps nothing.  At
-    # max_inner=2 some backward steps fall back.
-    clamp_channel = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
+    # field it is named by.  The last input of the underflow channel starts
+    # at the smallest subnormal; its first step underflows it to zero.  Both
+    # solvers' state is the log-weights, so they keep the zero and clamp
+    # nothing.  At max_inner=2 some backward steps fall back.
+    underflow_channel = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     _, trace = {
-        "arimoto-underflow": lambda: solve_arimoto(clamp_channel, initial=start),
-        "backward-clamped": lambda: solve_backward_em(clamp_channel, initial=start),
+        "arimoto-underflow": lambda: solve_arimoto(underflow_channel, initial=start),
+        "backward-underflow": lambda: solve_backward_em(underflow_channel, initial=start),
         "backward-max-inner-2": lambda: solve_backward_em(r16(), max_inner=2),
     }[case]()
     columns = {name: trace._column(name) for name in _COLUMNS}
     for name, column in columns.items():
         assert repr(column) == repr([getattr(rec, name) for rec in trace.records]), name
-    if case == "arimoto-underflow":
-        assert not any(columns["clamped"])
+    assert not any(rec.clamped for rec in trace.records)
+    if case.endswith("underflow"):
         assert trace.records[-1].input_distribution.weights[4] == 0.0
-    elif case == "backward-clamped":
-        assert True in columns["clamped"]
     else:
         assert "fallback" in columns["step_status"]

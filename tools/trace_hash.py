@@ -13,11 +13,11 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * solve_backward_em on the backward-em corpus at max_inner=2, which takes
   the fallback route on a few steps;
 * both solvers on a channel whose first step underflows a weight, which
-  the backward solver lifts and flags as clamped and solve_arimoto, whose
-  state is the log-weights, keeps as an exact 0; and solve_arimoto on a
-  noiseless 10-symbol channel plus a useless input to a gap of 1e-300,
-  stopped at 400 sweeps: the useless weight reaches an exact 0 at sweep
-  324, and the gap rests at its one-ulp floor;
+  each keeps as an exact 0, its state being the log-weights; and both
+  solvers on a noiseless 10-symbol channel plus a useless input to a gap
+  of 1e-300, stopped at 400 records: the useless weight reaches an exact 0
+  (at sweep 324 of solve_arimoto, at record 10 of solve_backward_em), and
+  the gap rests at its one-ulp floor;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
@@ -28,8 +28,9 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   files it writes, and on malformed ones.
 
 A trace record contributes its bounds, divergences, input weights, clamp
-flag, step route, inner residual, inner iteration count and step size, and
-its count of rejected candidates when that is not 0 or None.  A CLI call
+flag (always False, since both solvers carry log-weights), step route,
+inner residual, inner iteration count and step size, and its count of
+rejected candidates when that is not 0 or None.  A CLI call
 contributes its label and exit code, its stdout and stderr with
 the temporary directory's path replaced by <tmp>, each warning it raised as
 its category and message (not the source path and line the default
@@ -202,15 +203,17 @@ def backward_runs(h: Hasher, label: str, ch: Channel, **settings) -> None:
     h.trace("step_size=1.0", label, solve_backward_em(ch, step_size=1.0, **settings))
 
 
-def clamp_runs(h: Hasher) -> None:
-    # The last input starts at the smallest subnormal; its first reweighting
-    # underflows to zero, which the backward solver lifts back.
+def underflow_runs(h: Hasher) -> None:
+    # The last input starts at the smallest subnormal; its first step
+    # underflows it to an exact zero, which both solvers keep.
     ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-    h.trace("arimoto", "clamp/arimoto", solve_arimoto(ch, initial=start))
-    backward_runs(h, "clamp/backward", ch, initial=start)
+    h.trace("arimoto", "subnormal-start/arimoto", solve_arimoto(ch, initial=start))
+    backward_runs(h, "subnormal-start/backward", ch, initial=start)
+    # The useless input's weight shrinks every step until it is an exact zero.
     useless = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
-    h.trace("arimoto", "underflow/arimoto", solve_arimoto(useless, tol=1e-300, max_iters=400))
+    h.trace("arimoto", "useless-input/arimoto", solve_arimoto(useless, tol=1e-300, max_iters=400))
+    backward_runs(h, "useless-input/backward", useless, tol=1e-300, max_iters=400)
 
 
 def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
@@ -254,7 +257,7 @@ def hash_lines(seed: int) -> list[str]:
     """The total line and one line per group."""
     h = Hasher()
     solver_runs(h, seed)
-    clamp_runs(h)
+    underflow_runs(h)
     direct_steps(h, seed)
     cli_runs(h)
     lines = [f"seed {seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}"]
