@@ -48,13 +48,13 @@ The iteration is one generator, _run, over raw weight arrays: it yields
 each iterate with its divergences, bounds and the Step that made it.  Both
 solvers are deterministic maps from one iterate, and the Step that made
 it, to the next, so the trace keeps only each iterate's scalars (bounds,
-route, inner residual, inner count, step size and rejected candidates),
-and no array: _row spells them once, _COLUMNS names them by the
-TraceRecord fields they fill, and one flat list keeps one row per iterate,
-about 110 bytes per iterate (130 for the backward solver).  The first
-read of IterationTrace.records runs _run again from the same start,
-checks every replayed row against the kept one bit for bit, and builds the
-TraceRecords, with each iterate's divergences and Distribution, from the
+route, inner residual, inner count, step size, rejected candidates and
+their inner steps), and no array: _row spells them once, _COLUMNS names
+them by the TraceRecord fields they fill, and one flat list keeps one row
+per iterate, about 120 bytes per iterate (145 for the backward solver).
+The first read of IterationTrace.records runs _run again from the same
+start, checks every replayed row against the kept one bit for bit, and
+builds the TraceRecords, with each iterate's divergences and Distribution, from the
 replay; len(trace) and IterationTrace._column build nothing.  A stepper
 that has already swept the iterate it returns hands the sweep on in its
 Step, and the loop does not sweep it again.  A stepper's own state (the
@@ -112,12 +112,12 @@ class Bracket(NamedTuple):
 class TraceRecord:
     """State of the solver at one iteration, before stepping.
 
-    step_status, inner_residual, inner_iterations, step_size and
-    rejected_candidates describe the step that produced this iterate; they
-    are populated only by solvers whose step has an inner loop.  clamped
-    is always False: both solvers carry log-weights, so no iterate is
-    clamped; the field stays for the callers that read it, perfbench's
-    traced run among them.  Records are built on the first read of
+    step_status, inner_residual, inner_iterations, step_size,
+    rejected_candidates and rejected_inner_iterations describe the step
+    that produced this iterate; they are populated only by solvers whose
+    step has an inner loop.  clamped is always False: both solvers carry
+    log-weights, so no iterate is clamped; the field stays for the callers
+    that read it, perfbench's traced run among them.  Records are built on the first read of
     IterationTrace.records, from a replay of the run checked against the
     trace's columns.
     """
@@ -133,6 +133,7 @@ class TraceRecord:
     inner_iterations: int | None = None
     step_size: float | None = None
     rejected_candidates: int | None = None
+    rejected_inner_iterations: int | None = None
 
     @property
     def mutual_info(self) -> float:
@@ -148,7 +149,7 @@ class TraceRecord:
 # fields they fill, in the order _row gives them.
 _COLUMNS = (
     "lower_bound", "upper_bound", "step_status", "inner_residual", "inner_iterations", "step_size",
-    "rejected_candidates",
+    "rejected_candidates", "rejected_inner_iterations",
 )
 
 
@@ -159,7 +160,9 @@ def _row(lower: float, upper: float, step: Step) -> tuple:
     _iterate keeps it and IterationTrace.records checks the replay against
     it.
     """
-    return lower, upper, step.route, step.residual, step.inner, step.step_size, step.rejected
+    return (
+        lower, upper, step.route, step.residual, step.inner, step.step_size, step.rejected, step.rejected_inner,
+    )
 
 
 class IterationTrace:
@@ -293,14 +296,15 @@ class Step(NamedTuple):
     rounding: an entry below the log of the smallest subnormal is an exact
     0 in iterate and a finite number here.  The start's Step carries np.log
     of the start weights; a stepper steps from the log-weights it is handed
-    and returns its iterate's.  route, residual, inner, step_size and
-    rejected are the step's route, last inner residual, inner sweep count,
-    step size and the candidates it rejected before its last inner solve,
-    None for a step with no inner loop; the trace keeps them, through _row,
-    as step_status, inner_residual, inner_iterations, step_size and
-    rejected_candidates.  sweep is _sweep's tuple at iterate when the
-    stepper has computed it, None otherwise, and becomes the next
-    iterate's.  _run yields each Step with the iterate it made.
+    and returns its iterate's.  route, residual, inner, step_size, rejected
+    and rejected_inner are the step's route, last inner residual, inner
+    sweep count, step size, the candidates it rejected before its last
+    inner solve and the inner steps those rejected solves took, None for a
+    step with no inner loop; the trace keeps them, through _row, as
+    step_status, inner_residual, inner_iterations, step_size,
+    rejected_candidates and rejected_inner_iterations.  sweep is _sweep's
+    tuple at iterate when the stepper has computed it, None otherwise, and
+    becomes the next iterate's.  _run yields each Step with the iterate it made.
     """
 
     iterate: np.ndarray
@@ -311,6 +315,7 @@ class Step(NamedTuple):
     sweep: tuple | None = None
     step_size: float | None = None
     rejected: int | None = None
+    rejected_inner: int | None = None
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]

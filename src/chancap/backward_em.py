@@ -43,15 +43,23 @@ every lambda > 0, and lambda = 1 is the paper's step above.  A larger
 lambda moves further: as lambda grows, the step's target tends to the
 capacity-achieving input itself, and its inner solve gets harder.
 
-The inner solve at step size lambda stops at a residual of _INNER_TOL /
-lambda.  The tilt multiplies the divergences, and with them the error a
-residual leaves in the step, by lambda, and inexact proximal-point steps
-converge when the inner error shrinks as the step size grows (Rockafellar,
-"Monotone operators and the proximal point algorithm", SIAM J. Control
-Optim. 14(5), 1976; for Bregman steps, Eckstein, Math. Program. 83, 1998).
-At lambda = 1 it is the paper's tolerance.  solve_backward_em adapts lambda
-by default: it starts at 1 and doubles after an exact step whose inner
-solve took at most _CHEAP_INNER (3) steps (never past _MAX_STEP_SIZE).
+solve_backward_em adapts lambda by default.  Its inner solve at step size
+lambda stops at a residual of max(_INNER_TOL, gap) / lambda, where gap is
+the bracket gap upper - lower of the iterate it steps from.  The tilt
+multiplies the divergences, and with them the error a residual leaves in
+the step, by lambda, and inexact proximal-point steps converge when the
+inner error shrinks as the step size grows and the iterates near the
+optimum (Rockafellar, "Monotone operators and the proximal point
+algorithm", SIAM J. Control Optim. 14(5), 1976; for Bregman steps,
+Eckstein, Math. Program. 83, 1998); the gap is the step's own measure of
+that distance.  No record depends on the inner accuracy: a candidate's
+bracket is the one its own output marginal gives, so every record
+certifies its own iterate, and the candidate test below guards the
+ascent.  Once the gap is below _INNER_TOL the stop is _INNER_TOL /
+lambda.  The paper's step size and exact_backward_m_step stop at
+_INNER_TOL itself, the paper's tolerance.  lambda starts at 1 and
+doubles after an exact step whose inner solve took at most _CHEAP_INNER
+(3) steps (never past _MAX_STEP_SIZE).
 An exact candidate is accepted when its lower bound does not fall below
 the current one, or when its bracket gap is narrower than the current
 one: at the rounding floor a candidate that narrows the gap may carry a
@@ -60,11 +68,13 @@ nothing.  A step whose inner solve fails, or whose candidate passes
 neither test, is rejected and taken again from the same iterate at a
 quarter of lambda (never below 1); at lambda = 1 it falls back to the
 multiplicative step instead.  Each step's lambda is kept on its Step, so
-a replay of the trace takes the same steps, and so is the number of
-candidates it rejected.  Channels with more than _NEWTON_MAX_OUTPUTS
-outputs keep lambda = 1: their damped inner blend diverges above lambda of
-about 1.5.  step_size=1.0, the only other step size, runs the paper's
-iteration, and exact_backward_m_step is always the lambda = 1 step.
+a replay of the trace takes the same steps, and so are the number of
+candidates it rejected and their inner steps.  Channels with more than
+_NEWTON_MAX_OUTPUTS outputs take the paper's step, lambda = 1 with an
+inner tolerance of _INNER_TOL: their damped inner blend diverges above
+lambda of about 1.5.  step_size=1.0, the only other step size, runs the
+paper's iteration, and exact_backward_m_step is always the lambda = 1
+step.
 
 The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
@@ -308,7 +318,13 @@ class _InnerSolve(NamedTuple):
 
 
 def _inner_solve(
-    log_base: np.ndarray, r: np.ndarray, d: np.ndarray, ch: Channel, max_inner: int, step_size: float = 1.0
+    log_base: np.ndarray,
+    r: np.ndarray,
+    d: np.ndarray,
+    ch: Channel,
+    max_inner: int,
+    inner_tol: float,
+    step_size: float = 1.0,
 ) -> _InnerSolve:
     """The exact m-step at a step size on raw arrays, checking nothing; see exact_backward_m_step.
 
@@ -316,11 +332,12 @@ def _inner_solve(
     output marginal and d the per-input divergences from r, as _sweep
     returns them, max_inner is a usable limit and step_size at least 1 and
     at most _MAX_STEP_SIZE.  The solve has converged at a residual of
-    _INNER_TOL / step_size, which is _INNER_TOL itself at step size 1.
+    inner_tol: _INNER_TOL for exact_backward_m_step and the paper's step,
+    and the adaptive rule's scaled tolerance in solve_backward_em.
     """
     point = _point(log_base, r, d, step_size, ch)
     for sweep in range(max_inner + 1):
-        if point.residual <= _INNER_TOL / step_size:
+        if point.residual <= inner_tol:
             return _InnerSolve(point.residual, sweep, point)
         following = _inner_step(point, log_base, step_size, ch) if sweep < max_inner else None
         if following is None:
@@ -382,7 +399,8 @@ def exact_backward_m_step(base_input: Distribution, ch: Channel, max_inner: int 
     This is the step at step size 1.  At a step size lambda, which
     solve_backward_em takes, the tilt is by lambda * d_r, the system is
     (diag(r) + lambda C) u = t - r and the m-step has converged at a
-    residual of _INNER_TOL / lambda.
+    residual of max(_INNER_TOL, gap) / lambda, gap being the bracket gap
+    of the base input.
 
     This function checks its arguments, runs the loop on raw arrays and
     builds the member from the arrays it converged to.  solve_backward_em
@@ -394,7 +412,7 @@ def exact_backward_m_step(base_input: Distribution, ch: Channel, max_inner: int 
     _check_interior_input(base_input, ch)
     _check_limit("max_inner", max_inner)
     q = base_input.weights
-    inner = _inner_solve(np.log(q), *_sweep(q, ch)[:2], ch, max_inner)
+    inner = _inner_solve(np.log(q), *_sweep(q, ch)[:2], ch, max_inner, _INNER_TOL)
     point = inner.point
     if point is None:
         return MStepOutcome(None, inner.residual, inner.sweeps, MStepStatus.NOT_CONVERGED_FALLBACK)
@@ -466,11 +484,11 @@ def geometric_mixture_check(
 
 # The adaptive rule's step size doubles after an exact step whose inner
 # solve took at most _CHEAP_INNER steps: from the warm start, Newton
-# usually needs 3 to reach the scaled tolerance.  It never passes
-# _MAX_STEP_SIZE, which keeps it finite however long a run lasts.  (On the
-# pinned squares it reaches 2**9-2**12, at a gap of 1e-9 or 1e-13 alike:
-# further up, the scaled tolerance nears the rounding floor and rejected
-# candidates hold it back.)
+# needs at most 3 to reach the scaled tolerance on most steps.  It never
+# passes _MAX_STEP_SIZE, which keeps it finite however long a run lasts.
+# (On the pinned squares it reaches 2**9-2**12, and 2**15 on slow32, at a
+# gap of 1e-9 or 1e-13 alike: further up, the scaled tolerance nears the
+# rounding floor and rejected candidates hold it back.)
 _CHEAP_INNER = 3
 _MAX_STEP_SIZE = 2.0**40
 
@@ -500,22 +518,24 @@ def solve_backward_em(
     the approximate step when the inner solve does not converge; the trace
     records which route produced every iterate ("exact" or "fallback")
     together with the inner residual reached, the inner steps taken and
-    the step size, all of the inner solve that made it, and the number of
-    candidates the step rejected before it, whose inner steps are not
-    counted.
+    the step size, all of the inner solve that made it, the number of
+    candidates the step rejected before it, and the inner steps those
+    rejected candidates took.
 
     step_size has two values.  1.0 is the paper's iteration,
     exact_backward_m_step's step, on every step.  The default, None, adapts
     lambda (see the module docstring): each inner solve stops at a residual
-    of 1e-10 / lambda; lambda starts at 1 and doubles after an exact step
-    of at most three inner steps; a candidate is accepted when its lower
+    of max(1e-10, gap) / lambda, gap being the bracket gap of the iterate
+    it steps from; lambda starts at 1 and doubles after an exact step of at
+    most three inner steps; a candidate is accepted when its lower
     bound does not fall or its bracket gap is narrower than the current
     one; a failed inner solve, or any other candidate, is rejected and
     retried from the same iterate at a quarter of lambda, and at lambda = 1
     the step falls back instead.  A channel with more than
-    _NEWTON_MAX_OUTPUTS (32) outputs keeps lambda = 1.  Any other step_size
-    raises ParameterOutOfRange.  On perfbench's pinned r8 and r16 the
-    default takes 17 outer steps to a gap of 1e-9, and 19 and 20 to 1e-13,
+    _NEWTON_MAX_OUTPUTS (32) outputs takes the paper's step, lambda = 1
+    with inner solves to 1e-10.  Any other step_size raises
+    ParameterOutOfRange.  On perfbench's pinned r8 and r16 the
+    default takes 14 outer steps to a gap of 1e-9, and 17 and 18 to 1e-13,
     where lambda = 1 takes about 1,000 to 1e-9.
 
     Each step runs exact_backward_m_step's loop, _inner_solve, on the
@@ -533,9 +553,10 @@ def solve_backward_em(
     solve takes k steps thus makes k + 1 marginal passes, k + 1 divergence
     passes and k covariances and m x m Newton solves; a halved trial adds
     one marginal and one divergence pass, and a rejected candidate repeats
-    the step.  k is about 1 at lambda = 1 and about 3 under the adaptive
-    rule on the pinned squares, so an adaptive step costs about twice a
-    paper step, and the adaptive rule takes about 60 times fewer.
+    the step.  k is about 1 at lambda = 1 and about 1.5-2 under the
+    adaptive rule on the pinned squares, so an adaptive step costs about
+    1.3 times a paper step, and the adaptive rule takes about 70 times
+    fewer.
 
     max_inner bounds each inner solve (see exact_backward_m_step).
     """
@@ -553,22 +574,28 @@ def solve_backward_em(
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
         r, d, lower, upper = sweep
         size = _adapted(previous) if adaptive else 1.0
-        rejected = 0
+        # The residual each inner solve stops at, before the division by
+        # the step size: the current gap, never below _INNER_TOL.
+        scale = max(_INNER_TOL, upper - lower) if adaptive else _INNER_TOL
+        rejected = rejected_inner = 0
         while True:
-            inner = _inner_solve(previous.log_weights, r, d, ch, max_inner, size)
+            inner = _inner_solve(previous.log_weights, r, d, ch, max_inner, scale / size, size)
             point = inner.point
             if point is not None:
                 swept = _sweep(point.induced, ch, point.marginal)
                 if not adaptive or swept[2] >= lower or swept[3] - swept[2] < upper - lower:
                     return Step(
-                        point.induced, point.log_induced, "exact", inner.residual, inner.sweeps, swept, size, rejected
+                        point.induced, point.log_induced, "exact", inner.residual, inner.sweeps, swept, size,
+                        rejected, rejected_inner,
                     )
             # A run that does not adapt always has size 1.
             if size == 1.0:
                 return _arimoto_stepper(q, sweep, previous)._replace(
-                    route="fallback", residual=inner.residual, inner=inner.sweeps, step_size=size, rejected=rejected
+                    route="fallback", residual=inner.residual, inner=inner.sweeps, step_size=size,
+                    rejected=rejected, rejected_inner=rejected_inner,
                 )
             size = max(0.25 * size, 1.0)
             rejected += 1
+            rejected_inner += inner.sweeps
 
     return _iterate(ch, tol, max_iters, initial, stepper)

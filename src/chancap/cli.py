@@ -116,6 +116,8 @@ def cmd_capacity(args) -> int:
         payload["max_step_size"] = max(filter(None, trace._column("step_size")), default=None)
         # The candidates the adaptive rule rejected and retried at a smaller step size.
         payload["rejected_candidates"] = sum(filter(None, trace._column("rejected_candidates")))
+        # The inner steps those rejected candidates took, which inner_sweeps does not count.
+        payload["rejected_inner_sweeps"] = sum(filter(None, trace._column("rejected_inner_iterations")))
     print(json.dumps(payload, indent=2))
     return EXIT_OK if result.termination is Termination.CONVERGED else EXIT_ITERATION_LIMIT
 

@@ -17,6 +17,7 @@ from chancap import (
     InvalidDistribution,
     MStepOutcome,
     MStepStatus,
+    backward_em,
     bec,
     bsc,
     identity_channel,
@@ -80,6 +81,35 @@ def replayed(trace) -> list:
     return list(itertools.islice(trace._replay(), len(trace)))
 
 
+def record_inner_solves(monkeypatch) -> list:
+    """Patch backward_em._inner_solve to append (log_base, result) per call to the returned list."""
+    calls = []
+    inner_solve = backward_em._inner_solve
+
+    def recording(log_base, *args):
+        calls.append((log_base, inner_solve(log_base, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(backward_em, "_inner_solve", recording)
+    return calls
+
+
+def inner_solves_per_step(calls) -> list:
+    """record_inner_solves's calls grouped by outer step: one (log_base, [results]) each.
+
+    A step's solves share its log base, the previous Step's log-weights;
+    every solve but a step's last made a rejected candidate.  Reading a
+    trace's records replays the run and records more calls, so group
+    before that.
+    """
+    steps = []
+    for base, solve in calls:
+        if not steps or steps[-1][0] is not base:
+            steps.append((base, []))
+        steps[-1][1].append(solve)
+    return steps
+
+
 def tilt(log_base: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
     """log q + d - log Z and log Z = logsumexp(log q + d), from log q: the
     multiplicative step in log-weights, and the induced input of a family
@@ -107,12 +137,14 @@ def _usable(weights):
     return r if r.is_interior else None
 
 
-def reference_m_step(base, ch, max_inner=10000, log_base=None):
+def reference_m_step(base, ch, max_inner=10000, log_base=None, inner_tol=_INNER_TOL):
     """The exact m-step from q_t = base, written from public functions.
 
     The member at each output factor is tilted from log_base, the
     log-weights log q_t a solver carries, or np.log of base's weights when
-    it is None, as the public exact_backward_m_step starts.  Each inner
+    it is None, as the public exact_backward_m_step starts.  The m-step has
+    converged at a residual of inner_tol, the public m-step's _INNER_TOL
+    unless the adaptive rule's scaled tolerance is given.  Each inner
     step builds a validated member and marginal; the library's loop runs
     the same arithmetic on raw arrays and must match it bit for bit.  Up to
     the cap on outputs a step is Newton's, halved at most _MAX_HALVINGS
@@ -126,7 +158,7 @@ def reference_m_step(base, ch, max_inner=10000, log_base=None):
     r = output_marginal(base, ch)
     member, mapped, residual = _at(base, log_base, r, ch)
     for sweep in range(max_inner + 1):
-        if residual <= _INNER_TOL:
+        if residual <= inner_tol:
             return MStepOutcome(member, residual, sweep, MStepStatus.EXACT_CONVERGED)
         if sweep == max_inner:
             break

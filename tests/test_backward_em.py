@@ -32,7 +32,9 @@ from chancap import (
 from chancap import backward_em
 from chancap.arimoto import _sweep
 from chancap.backward_em import _NEWTON_MAX_OUTPUTS
-from support import random_channel, random_interior, reference_m_step, replayed, tilt
+from support import (
+    inner_solves_per_step, random_channel, random_interior, record_inner_solves, reference_m_step, replayed, tilt,
+)
 
 
 def member_divergence(base, ch, member):
@@ -289,9 +291,12 @@ class TestSolver:
         assert result.capacity == 0.0
 
     def test_monotone_with_forced_fallback_steps(self):
-        # max_inner=1 starves the fixed point solve, forcing the fallback
-        # route; information must still climb.
-        result, trace = solve_backward_em(z_channel(0.5), max_inner=1, max_iters=200)
+        # max_inner=1 starves the fixed point solve at the paper's step size,
+        # whose inner tolerance is 1e-10, forcing the fallback route on 16
+        # of z's 49 steps; information must still climb.  The default stops
+        # each inner solve at the bracket gap, which one Newton step reaches
+        # here, so it takes no fallback.
+        result, trace = solve_backward_em(z_channel(0.5), max_inner=1, max_iters=200, step_size=1.0)
         routes = {rec.step_status for rec in trace.records[1:]}
         assert "fallback" in routes
         for before, after in zip(trace.records, trace.records[1:]):
@@ -339,10 +344,12 @@ class TestSolver:
         # The fallback is the multiplicative step of the log-weights the
         # previous Step carries, with the divergences a fresh public sweep
         # gives.  The first step starts from the log of the start weights,
-        # as the public arimoto_step does, so there the two coincide.
+        # as the public arimoto_step does, so there the two coincide.  At
+        # the paper's step size max_inner=1 starves the inner solve, first
+        # step included; the default's gap-scaled inner tolerance does not.
         rng = np.random.default_rng(60)
         ch = random_channel(rng, 6, 5)
-        _, trace = solve_backward_em(ch, max_inner=1)
+        _, trace = solve_backward_em(ch, tol=1e-7, max_inner=1, step_size=1.0)
         iterates = replayed(trace)
         fallbacks = firsts = 0
         for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
@@ -395,29 +402,16 @@ class TestSolver:
         # log base, and the induced input is the recorded iterate.  A
         # rejected candidate is solved again from the same base, so the
         # step's accepted solve is the last of the solves on its base.
-        solves, bases = [], []
-        inner_solve = backward_em._inner_solve
-
-        def recording(log_base, *args):
-            bases.append(log_base)
-            solves.append(inner_solve(log_base, *args))
-            return solves[-1]
-
-        monkeypatch.setattr(backward_em, "_inner_solve", recording)
+        calls = record_inner_solves(monkeypatch)
         rng = np.random.default_rng(64)
         handed = 0
         for _ in range(3):
             ch = random_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-            solves.clear()
-            bases.clear()
+            calls.clear()
             _, trace = solve_backward_em(ch, tol=1e-7)
             # The calls of the solve itself: reading the records replays the
             # run, which calls the patched loop again.
-            steps = []
-            for base, solve in zip(list(bases), list(solves)):
-                if not steps or steps[-1][0] is not base:
-                    steps.append((base, []))
-                steps[-1][1].append(solve)
+            steps = inner_solves_per_step(calls)
             assert len(steps) == len(trace) - 1
             routes = trace._column("step_status")
             for k, (_, tried) in enumerate(steps[:-1]):
@@ -449,7 +443,10 @@ class TestSolver:
             # Wider than the Newton cap: every inner step is damped.
             channels = [random_channel(np.random.default_rng(73), 4, _NEWTON_MAX_OUTPUTS + 8)]
         elif case == "fallback":
-            channels, settings = [random_channel(np.random.default_rng(74), 6, 5)], {"max_inner": 2}
+            # The default's gap-scaled inner tolerance takes every step of
+            # this channel exactly; at the paper's step size some fall back.
+            channels = [random_channel(np.random.default_rng(74), 6, 5)]
+            settings = {"max_inner": 2, "step_size": 1.0}
         else:
             # tools/trace_hash.py's underflow run: the last input starts at
             # the smallest subnormal, and its first step underflows to 0.

@@ -166,21 +166,29 @@ class TestCapacity:
         assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records)
         assert payload["max_step_size"] == max(rec.step_size for rec in trace.records[1:]) > 1.0
         assert payload["rejected_candidates"] == sum(rec.rejected_candidates for rec in trace.records[1:])
+        assert payload["rejected_inner_sweeps"] == sum(rec.rejected_inner_iterations for rec in trace.records[1:])
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
-        keys = {"inner_sweeps", "exact_steps", "fallback_steps", "max_step_size", "rejected_candidates"}
+        keys = {
+            "inner_sweeps", "exact_steps", "fallback_steps", "max_step_size", "rejected_candidates",
+            "rejected_inner_sweeps",
+        }
         assert not keys & arimoto.keys()
         assert arimoto["clamped_steps"] == 0
 
     def test_backward_em_counts_rejected_candidates(self, tmp_path, capsys):
-        # The z channel's steps reject none; the pinned r8's step at a step
-        # size of 4096 rejects one candidate and retries at 1024.
+        # The z channel's steps reject none, and neither do the pinned r8's
+        # to 1e-9.  To 1e-13 r8's steps at step sizes of 8192 and 4096
+        # each reject one candidate, whose inner solves took 4 and 3 steps,
+        # and retry at a quarter of it.
         path = tmp_path / "r8.json"
         ch = pinned_squares()["r8"]
         path.write_bytes(save_channel(ch))
-        payload = run_json(capsys, ["capacity", "--channel", str(path), "--algorithm", "backward-em"])
-        _, trace = solve_backward_em(ch)
+        argv = ["capacity", "--channel", str(path), "--algorithm", "backward-em", "--tol", "1e-13"]
+        payload = run_json(capsys, argv)
+        _, trace = solve_backward_em(ch, tol=1e-13)
         rejected = trace._column("rejected_candidates")
-        assert payload["rejected_candidates"] == sum(rejected[1:]) == 1
+        assert payload["rejected_candidates"] == sum(rejected[1:]) == 2
+        assert payload["rejected_inner_sweeps"] == sum(trace._column("rejected_inner_iterations")[1:]) == 7
         assert payload["iterations"] == len(trace) == 17
 
     @pytest.mark.parametrize("units", ["bits", "nats"])

@@ -3,7 +3,7 @@
 An exact backward step at step size lambda moves from q_t to the maximizer
 of I(q) - D(q || q_t) / lambda.  step_size=1.0 is the paper's iteration;
 the default adapts lambda, which cuts the outer steps to a 1e-9 gap from
-about 1,000 to 17 on perfbench's pinned r8 and r16.
+about 1,000 to 14 on perfbench's pinned r8 and r16.
 """
 
 import math
@@ -25,7 +25,9 @@ from chancap import (
 )
 from chancap.arimoto import _COLUMNS
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
-from support import pinned_squares, random_channel, reference_m_step, replayed, tilt
+from support import (
+    inner_solves_per_step, pinned_squares, random_channel, record_inner_solves, reference_m_step, replayed, tilt,
+)
 
 
 def random_channels(seed: int, count: int) -> list:
@@ -40,7 +42,9 @@ def test_criterion_04_design_never_descends():
     # keeps the bound or narrows the gap; at the rounding floor the bound
     # may fall by an ulp, never by criterion 04's 1e-12.  A test of the
     # bound alone rejected those candidates down to 434 fallbacks, and 53
-    # of the 200 runs reached 1e-14; this rule takes 1 fallback and 127.
+    # of the 200 runs reached 1e-14; this rule took 1 fallback and 127
+    # with inner solves to 1e-10 / lambda, and takes 0 and 133 with inner
+    # solves to the gap over lambda.
     rng = np.random.default_rng(41)
     steps = descents = fallbacks = converged = 0
     for _ in range(200):
@@ -140,6 +144,58 @@ def test_paper_step_size_takes_the_reference_steps():
     assert routes == {"exact", "fallback"}
 
 
+@pytest.mark.parametrize("step_size", [None, 1.0], ids=["default", "paper"])
+def test_each_inner_solve_stops_at_the_gap_over_the_step_size(step_size):
+    # The default stops each inner solve at max(1e-10, gap) / lambda, the
+    # gap being the one of the iterate it steps from; the paper's step size
+    # stops it at 1e-10, as the public m-step does.  Read from the trace:
+    # each exact record's residual against the record before it.
+    channels = [*(pinned_squares()[name] for name in ("r4", "r8", "r16", "r32")), *random_channels(75, 6)]
+    exact = looser = 0
+    for ch in channels:
+        _, trace = solve_backward_em(ch, tol=1e-12, max_iters=300, step_size=step_size)
+        lowers, uppers, routes, residuals, sizes = map(
+            trace._column, ("lower_bound", "upper_bound", "step_status", "inner_residual", "step_size")
+        )
+        for k in range(1, len(trace)):
+            if routes[k] != "exact":
+                continue
+            scale = max(1e-10, uppers[k - 1] - lowers[k - 1]) if step_size is None else 1e-10
+            assert residuals[k] <= scale / sizes[k]
+            exact += 1
+            looser += residuals[k] > 1e-10 / sizes[k]
+    assert exact > 100
+    # The gap-scaled stop is used: under the default many solves stop
+    # above 1e-10 / lambda.
+    assert (looser > 10) == (step_size is None)
+    for ch in random_channels(76, 4):
+        outcome = exact_backward_m_step(Distribution.uniform(ch.num_inputs), ch)
+        assert outcome.solution is not None and outcome.residual <= 1e-10
+
+
+def test_rejected_candidates_count_their_inner_steps(monkeypatch):
+    # slow32 to 1e-13 rejects candidates at large step sizes.  A step's
+    # rejected_inner_iterations is the sum of the inner steps of its
+    # solves but the last.  The paper's step size rejects nothing.
+    calls = record_inner_solves(monkeypatch)
+    _, trace = solve_backward_em(pinned_squares()["r32"], tol=1e-13)
+    steps = inner_solves_per_step(calls)
+    assert len(steps) == len(trace) - 1
+    rejected, rejected_inner, inner = map(
+        trace._column, ("rejected_candidates", "rejected_inner_iterations", "inner_iterations")
+    )
+    assert rejected[0] is None and rejected_inner[0] is None
+    for k, (_, tried) in enumerate(steps, 1):
+        assert rejected[k] == len(tried) - 1
+        assert rejected_inner[k] == sum(solve.sweeps for solve in tried[:-1])
+        assert inner[k] == tried[-1].sweeps
+    assert sum(rejected[1:]) > 10 and sum(rejected_inner[1:]) > sum(rejected[1:])
+    _, paper = solve_backward_em(pinned_squares()["r8"], tol=1e-9, step_size=1.0)
+    assert paper._column("rejected_inner_iterations")[1:] == [0] * (len(paper) - 1)
+    _, arimoto = solve_arimoto(pinned_squares()["r8"], tol=1e-9)
+    assert set(arimoto._column("rejected_inner_iterations")) == {None}
+
+
 def test_records_replay_an_adaptive_run():
     # The step size lives on each Step, not in the stepper, so the replay
     # takes the same steps; the lambda column is compared like the others.
@@ -207,9 +263,10 @@ def _tight_cases() -> dict:
 def test_the_default_reaches_a_tight_tolerance_within_200_outer_steps(case):
     # An inner tolerance of 1e-10 at every step size left each of these at
     # MAX_ITERATIONS after 200 steps, with a final gap 10 to 400 times wider
-    # than one it had passed.  The tolerance 1e-10 / lambda takes r8 and r16
-    # there in 22 and 21 records, the random 16x16 in 27 and slow32 in 81
-    # and 139, with no fallback.
+    # than one it had passed.  The tolerance 1e-10 / lambda took r8 and r16
+    # there in 19 and 20 records, the random 16x16 in 28 and slow32 in 76
+    # and 127; max(1e-10, gap) / lambda takes 17, 18, 20, 48 and 81, with
+    # no fallback.
     ch, tol = _tight_cases()[case]
     result, trace = solve_backward_em(ch, tol=tol, max_iters=200)
     assert result.termination is Termination.CONVERGED
@@ -219,8 +276,9 @@ def test_the_default_reaches_a_tight_tolerance_within_200_outer_steps(case):
 @pytest.mark.parametrize("name", ["r8", "r16"])
 def test_the_default_reaches_1e_9_on_the_pinned_squares_within_20_records(name):
     # Doubling lambda after inner solves of at most three Newton steps, each
-    # to a tolerance of 1e-10 / lambda, takes 17 records on either; doubling
-    # after two at a fixed 1e-10 took 31 and 30.
+    # to a tolerance of max(1e-10, gap) / lambda, takes 14 records on
+    # either; to 1e-10 / lambda it took 17, and doubling after two at a
+    # fixed 1e-10 took 31 and 30.
     result, _ = solve_backward_em(pinned_squares()[name], tol=1e-9)
     assert result.termination is Termination.CONVERGED
     assert result.iterations <= 20

@@ -111,10 +111,10 @@ def test_records_are_built_once_on_first_read(built, solve):
 @pytest.mark.parametrize("inputs", [16, 64])
 def test_a_trace_retains_no_array_per_record(solve, inputs):
     # Kept per iterate: one row of two float bounds, a route, a residual,
-    # an inner count, a step size and a count of rejected candidates in one
-    # flat list, about 109 B (Arimoto) and 131 B (backward) on r16 with the
-    # list slots.  A
-    # column of divergences and one of input weights took about 600 B per
+    # an inner count, a step size, a count of rejected candidates and a
+    # count of their inner steps in one flat list, about 122 B (Arimoto)
+    # and 144 B (backward) on r16 with the list slots.  A column of
+    # divergences and one of input weights took about 600 B per
     # record at 16 inputs and 1,390 B at 64.  The backward solver runs at
     # the paper's step size, which takes over 1,000 records on r16 (the
     # 64-output channel keeps it anyway).
@@ -150,19 +150,24 @@ def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
         trace.records
 
 
-@pytest.mark.parametrize("case", ["arimoto-underflow", "backward-underflow", "backward-max-inner-2"])
+@pytest.mark.parametrize(
+    "case", ["arimoto-underflow", "backward-underflow", "backward-max-inner-2", "backward-rejections"]
+)
 def test_the_kept_columns_are_the_records_fields(case):
     # Each column the trace keeps reads, bit for bit, as the TraceRecord
     # field it is named by.  The last input of the underflow channel starts
     # at the smallest subnormal; its first step underflows it to zero.  Both
     # solvers' state is the log-weights, so they keep the zero and clamp
-    # nothing.  At max_inner=2 some backward steps fall back.
+    # nothing.  At max_inner=2 some backward steps fall back at the paper's
+    # step size (the default's gap-scaled inner tolerance takes r16 without
+    # one), and slow32 to 1e-13 rejects candidates under the default.
     underflow_channel = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     _, trace = {
         "arimoto-underflow": lambda: solve_arimoto(underflow_channel, initial=start),
         "backward-underflow": lambda: solve_backward_em(underflow_channel, initial=start),
-        "backward-max-inner-2": lambda: solve_backward_em(r16(), max_inner=2),
+        "backward-max-inner-2": lambda: solve_backward_em(r16(), max_inner=2, step_size=1.0),
+        "backward-rejections": lambda: solve_backward_em(pinned_squares()["r32"], tol=1e-13),
     }[case]()
     columns = {name: trace._column(name) for name in _COLUMNS}
     for name, column in columns.items():
@@ -170,5 +175,7 @@ def test_the_kept_columns_are_the_records_fields(case):
     assert not any(rec.clamped for rec in trace.records)
     if case.endswith("underflow"):
         assert trace.records[-1].input_distribution.weights[4] == 0.0
+    elif case.endswith("rejections"):
+        assert sum(columns["rejected_inner_iterations"][1:]) > 0
     else:
         assert "fallback" in columns["step_status"]

@@ -10,8 +10,13 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   small-tight, large-loose and backward-em corpora at the given seed, each
   case at its benchmark tolerance (slow32 under backward-em at 1e-6, where
   the paper's step size takes seconds rather than minutes);
-* solve_backward_em on the backward-em corpus at max_inner=2, which takes
-  the fallback route on a few steps;
+* solve_backward_em on the backward-em corpus at max_inner=2: at
+  step_size=1.0 it takes the fallback route on a few steps, while the
+  default, whose inner solves stop at the bracket gap, rejects a candidate
+  on r8 and r16 and falls back on none;
+* solve_backward_em on a random 4x40 channel at max_inner=2: wider than the
+  Newton cap, its default is the paper's step, and it takes the fallback
+  route on about half its steps;
 * both solvers on a channel whose first step underflows a weight, which
   each keeps as an exact 0, its state being the log-weights; and both
   solvers on a noiseless 10-symbol channel plus a useless input to a gap
@@ -30,7 +35,8 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 A trace record contributes its bounds, divergences, input weights, clamp
 flag (always False, since both solvers carry log-weights), step route,
 inner residual, inner iteration count and step size, and its count of
-rejected candidates when that is not 0 or None.  A CLI call
+rejected candidates and of their inner steps, each when it is not 0 or
+None.  A CLI call
 contributes its label and exit code, its stdout and stderr with
 the temporary directory's path replaced by <tmp>, each warning it raised as
 its category and message (not the source path and line the default
@@ -177,9 +183,10 @@ class Hasher:
                 rec.inner_iterations,
                 rec.step_size,
                 # Only when nonzero: a run that rejects no candidate hashes
-                # as it did before the trace had the column, so a checkout
-                # without it can be compared.
+                # as it did before the trace had these columns, so a
+                # checkout without them can be compared.
                 *filter(None, [getattr(rec, "rejected_candidates", None)]),
+                *filter(None, [getattr(rec, "rejected_inner_iterations", None)]),
             )
 
 
@@ -201,6 +208,13 @@ def backward_runs(h: Hasher, label: str, ch: Channel, **settings) -> None:
     """solve_backward_em at the default step size, then at step_size=1.0."""
     h.trace("backward", label, solve_backward_em(ch, **settings))
     h.trace("step_size=1.0", label, solve_backward_em(ch, step_size=1.0, **settings))
+
+
+def wide_runs(h: Hasher, seed: int) -> None:
+    # More than 32 outputs: the default keeps the paper's step, whose inner
+    # solve max_inner=2 starves on many steps.
+    ch = Channel(np.random.default_rng(seed).dirichlet(np.ones(40), size=4))
+    backward_runs(h, "wide/{'max_inner': 2}", ch, max_inner=2)
 
 
 def underflow_runs(h: Hasher) -> None:
@@ -257,6 +271,7 @@ def hash_lines(seed: int) -> list[str]:
     """The total line and one line per group."""
     h = Hasher()
     solver_runs(h, seed)
+    wide_runs(h, seed)
     underflow_runs(h)
     direct_steps(h, seed)
     cli_runs(h)
