@@ -51,9 +51,11 @@ it, to the next, so the trace keeps only each iterate's scalars (bounds,
 route, inner residual, inner count, step size, rejected candidates and
 their inner steps), and no array: _row spells them once, _COLUMNS names
 them by the TraceRecord fields they fill, and one flat list keeps one row
-per iterate, about 120 bytes per iterate (145 for the backward solver).
-The first read of IterationTrace.records runs _run again from the same
-start, checks every replayed row against the kept one bit for bit, and
+per iterate.  Each solver keeps the columns its steps fill: the backward
+solver all of _COLUMNS, about 145 bytes per iterate, and solve_arimoto,
+whose step has no inner loop, the bounds alone (_ARIMOTO_COLUMNS), about
+67 bytes.  The first read of IterationTrace.records runs _run again from
+the same start, checks every replayed row against the kept one bit for bit, and
 builds the TraceRecords, with each iterate's divergences and Distribution, from the
 replay; len(trace) and IterationTrace._column build nothing.  A stepper
 that has already swept the iterate it returns hands the sweep on in its
@@ -145,21 +147,26 @@ class TraceRecord:
         return self.upper_bound - self.lower_bound
 
 
-# The scalars the trace keeps of each iterate, named by the TraceRecord
-# fields they fill, in the order _row gives them.
+# The scalars a trace can keep of each iterate, named by the TraceRecord
+# fields they fill, in the order _row gives them.  A trace keeps a leading
+# run of them: the backward solver all, solve_arimoto the bounds alone.
 _COLUMNS = (
     "lower_bound", "upper_bound", "step_status", "inner_residual", "inner_iterations", "step_size",
     "rejected_candidates", "rejected_inner_iterations",
 )
+_ARIMOTO_COLUMNS = _COLUMNS[:2]
 
 
-def _row(lower: float, upper: float, step: Step) -> tuple:
+def _row(lower: float, upper: float, step: Step, columns: tuple) -> tuple:
     """The trace's row for one iterate of _run: its bounds and the Step that
-    made it, one entry per name in _COLUMNS.
+    made it, one entry per name in columns, which is _COLUMNS or
+    _ARIMOTO_COLUMNS.
 
     _iterate keeps it and IterationTrace.records checks the replay against
     it.
     """
+    if columns is _ARIMOTO_COLUMNS:
+        return lower, upper
     return (
         lower, upper, step.route, step.residual, step.inner, step.step_size, step.rejected, step.rejected_inner,
     )
@@ -169,50 +176,56 @@ class IterationTrace:
     """The full bracket history of one solver run, stored as one flat list of scalars.
 
     The solver hands over kept, the _row of each iteration one after
-    another, and replay, a callable that restarts the run (arimoto._run)
-    from the same start weights, channel and stepper.  No divergences or
-    input weights are kept.  records replays the run for len(trace)
-    iterates on first access, raises AssertionError if a replayed row
-    differs from the kept one in any bit, builds the TraceRecords, each
-    with its divergences and a Distribution of its input weights, caches
+    another, replay, a callable that restarts the run (arimoto._run) from
+    the same start weights, channel and stepper, and columns, the names of
+    a row's entries.  No divergences or input weights are kept.  records
+    replays the run for len(trace) iterates on first access, raises
+    AssertionError if a replayed row differs from the kept one in any bit,
+    builds the TraceRecords, each with its divergences and a Distribution
+    of its input weights and None in every field not in columns, caches
     them and drops replay; len builds nothing.  Inside the package a column
     is read by its TraceRecord field name with _column: the CLI writes its
     trace CSV from them.
     """
 
-    __slots__ = ("_kept", "_replay", "_records")
+    __slots__ = ("_kept", "_replay", "_records", "_columns")
 
-    def __init__(self, kept, replay):
+    def __init__(self, kept, replay, columns):
         self._kept: list = kept
         self._replay: Callable[[], Iterator[tuple]] | None = replay
         self._records: tuple[TraceRecord, ...] | None = None
+        self._columns: tuple[str, ...] = columns
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         if self._records is None:
             # kept's rows come first, so zip stops without asking the replay
             # for one more iterate, which would take one more step.
-            rows = zip(*[iter(self._kept)] * len(_COLUMNS))
+            columns = self._columns
+            rows = zip(*[iter(self._kept)] * len(columns))
             records = []
             for iteration, (row, (q, d, lower, upper, step)) in enumerate(zip(rows, self._replay()), 1):
-                replayed = _row(lower, upper, step)
+                replayed = _row(lower, upper, step, columns)
                 # repr tells every float apart bit for bit, -0.0 from 0.0 too.
                 if repr(replayed) != repr(row):
                     raise AssertionError(
                         f"iteration {iteration}: the replay gives {replayed!r}, the trace kept {row!r}"
                     )
-                fields = dict(zip(_COLUMNS, replayed), per_input_divergence=d, input_distribution=Distribution(q))
+                fields = dict(zip(columns, replayed), per_input_divergence=d, input_distribution=Distribution(q))
                 records.append(TraceRecord(iteration, **fields))
             self._records = tuple(records)
             self._replay = None
         return self._records
 
     def _column(self, name: str) -> list:
-        """The kept entries of the TraceRecord field name, one per iteration."""
-        return self._kept[_COLUMNS.index(name)::len(_COLUMNS)]
+        """The kept entries of the TraceRecord field name, one per iteration;
+        None for each iteration when the trace does not keep that field."""
+        if name not in self._columns:
+            return [None] * len(self)
+        return self._kept[self._columns.index(name)::len(self._columns)]
 
     def __len__(self):
-        return len(self._kept) // len(_COLUMNS)
+        return len(self._kept) // len(self._columns)
 
     def __iter__(self):
         return iter(self.records)
@@ -300,10 +313,10 @@ class Step(NamedTuple):
     and rejected_inner are the step's route, last inner residual, inner
     sweep count, step size, the candidates it rejected before its last
     inner solve and the inner steps those rejected solves took, None for a
-    step with no inner loop; the trace keeps them, through _row, as
-    step_status, inner_residual, inner_iterations, step_size,
-    rejected_candidates and rejected_inner_iterations.  sweep is _sweep's
-    tuple at iterate when the stepper has computed it, None otherwise, and
+    step with no inner loop; the backward solver's trace keeps them,
+    through _row, as step_status, inner_residual, inner_iterations,
+    step_size, rejected_candidates and rejected_inner_iterations.  sweep is
+    _sweep's tuple at iterate when the stepper has computed it, None otherwise, and
     becomes the next iterate's.  _run yields each Step with the iterate it made.
     """
 
@@ -347,7 +360,11 @@ def _iterate(
     max_iters: int,
     initial: Distribution | None,
     stepper: Stepper,
+    columns: tuple[str, ...],
 ) -> tuple[CapacityResult, IterationTrace]:
+    """The solver loop: steps with stepper from initial (uniform when None)
+    until the gap is at most tol or max_iters iterates, keeping each
+    iterate's _row over columns."""
     _check_channel(ch)
     _check_real("tolerance", tol)
     _check_limit("max_iters", max_iters)
@@ -367,7 +384,7 @@ def _iterate(
                 f"or below the previous lower bound {previous!r}"
             )
         previous = lower
-        kept.extend(_row(lower, upper, step))
+        kept.extend(_row(lower, upper, step, columns))
         if upper - lower <= tol:
             termination = Termination.CONVERGED
             break
@@ -383,7 +400,7 @@ def _iterate(
     )
     # start's weights are read-only, so the replay starts where this run did.
     replay = partial(_run, ch, start.weights, stepper)
-    return result, IterationTrace(kept, replay)
+    return result, IterationTrace(kept, replay, columns)
 
 
 def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
@@ -408,4 +425,4 @@ def solve_arimoto(
     iterate is computed once and reused for the update and the bracket; the
     trace recomputes it when its records are first read.
     """
-    return _iterate(ch, tol, max_iters, initial, _arimoto_stepper)
+    return _iterate(ch, tol, max_iters, initial, _arimoto_stepper, _ARIMOTO_COLUMNS)

@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep
+from .arimoto import _COLUMNS, CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep
 from .channel import (
     Channel,
     _check_channel,
@@ -598,4 +598,4 @@ def solve_backward_em(
             rejected += 1
             rejected_inner += inner.sweeps
 
-    return _iterate(ch, tol, max_iters, initial, stepper)
+    return _iterate(ch, tol, max_iters, initial, stepper, _COLUMNS)

@@ -27,7 +27,6 @@ functions, so both paths agree bit for bit.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -217,6 +216,149 @@ def _json_numbers(rows: list, what: str, scan: bool = True) -> np.ndarray:
         raise ParseError(f"{what} entries must be within the float range") from None
 
 
+# JSON documents longer than this many characters are read row by row.
+# json.loads is faster on short ones, and its Python objects for the whole
+# matrix are what the row walk avoids holding.
+_STREAM_CHARS = 2**20
+# Rows are converted to float64 once a block holds this many entries.
+_BLOCK_ENTRIES = 2**16
+_skip_space = json.decoder.WHITESPACE.match
+# json's own C scanner, with json.loads's settings: it reads one JSON value
+# at an index of a text and returns it with the index after it.
+_scan_value = json.JSONDecoder().scan_once
+
+
+class _RowBlocks:
+    """Rows of numbers, converted to float64 a block of rows at a time, so
+    that Python numbers for at most one block of _BLOCK_ENTRIES entries are
+    alive.
+
+    add takes one row, a list.  width is the first row's length; unequal
+    turns True at the first row of another length, and from then on no row
+    is kept.  A block converts through _json_numbers with the given scan:
+    an entry other than a number raises its ParseError, and a block that is
+    not 2-dimensional (entries that are lists) raises ValueError.  close
+    converts the rows added since the last block, and matrix closes and
+    joins the blocks, and this object lets go of them.
+    """
+
+    def __init__(self, scan: bool):
+        self.scan = scan
+        self.width: int | None = None
+        self.unequal = False
+        self._blocks: list[np.ndarray] = []
+        self._rows: list[list] = []
+        self._entries = 0
+
+    def add(self, row: list) -> None:
+        if self.width is None:
+            self.width = len(row)
+        if self.unequal or len(row) != self.width:
+            self.unequal, self._blocks, self._rows = True, [], []
+            return
+        self._rows.append(row)
+        # An empty row counts as one entry, so that no block grows unbounded.
+        self._entries += len(row) or 1
+        if self._entries >= _BLOCK_ENTRIES:
+            self.close()
+
+    def close(self) -> None:
+        if self._rows:
+            block = _json_numbers(self._rows, '"matrix"', self.scan)
+            if block.ndim != 2:
+                raise ValueError("matrix entries that are lists")
+            self._blocks.append(block)
+            self._rows, self._entries = [], 0
+
+    def matrix(self) -> np.ndarray:
+        self.close()
+        blocks, self._blocks = self._blocks, []
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _streamed_json(text: str, scan: bool) -> dict | None:
+    """A JSON channel document's object, its "matrix" read into _RowBlocks.
+
+    The top-level object and its "matrix" list are walked in the grammar
+    json's parser follows, and every key, row and other value is read by
+    json's own scanner, so a document this accepts is one json.loads reads
+    to the same object.  The matrix converts a block of rows at a time
+    (see _RowBlocks).  None unless the document is a valid object whose
+    last "matrix" is a non-empty list of equal-length rows of numbers:
+    json.loads then reads it again and gives its own error or answer.
+    """
+    doc = {}
+    try:
+        i = _skip_space(text).end()
+        if text[i:i + 1] != "{":
+            return None
+        i = _skip_space(text, i + 1).end()
+        while text[i:i + 1] == '"':
+            key, i = _scan_value(text, i)
+            i = _skip_space(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _skip_space(text, i + 1).end()
+            if key == "matrix" and text[i:i + 1] == "[":
+                value = _RowBlocks(scan)
+                i = _skip_space(text, i + 1).end()
+                while True:
+                    row, i = _scan_value(text, i)
+                    if not isinstance(row, list):
+                        return None
+                    value.add(row)
+                    if value.unequal:
+                        return None
+                    i = _skip_space(text, i).end()
+                    if text[i:i + 1] != ",":
+                        break
+                    i = _skip_space(text, i + 1).end()
+                if text[i:i + 1] != "]":
+                    return None
+                value.close()
+                i += 1
+            else:
+                value, i = _scan_value(text, i)
+            doc[key] = value
+            i = _skip_space(text, i).end()
+            if text[i:i + 1] == "}":
+                break
+            if text[i:i + 1] != ",":
+                return None
+            i = _skip_space(text, i + 1).end()
+        else:  # no key where one must be
+            return None
+    # A value json's scanner cannot read (StopIteration, JSONDecodeError, an
+    # integer of too many digits or too deep a nesting), or a block with an
+    # entry other than a number.
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if _skip_space(text, i + 1).end() != len(text) or not isinstance(doc.get("matrix"), _RowBlocks):
+        return None
+    return doc
+
+
+def _lines(text: str):
+    """The lines of text, each with its "\\n", as io.StringIO(text) gives
+    them, without a copy of text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _labels(doc: dict) -> list:
+    """The "input_labels" and "output_labels" of a JSON document, each a tuple or None."""
+    labels = []
+    for key in ("input_labels", "output_labels"):
+        value = doc.get(key)
+        if value is not None and not isinstance(value, list):
+            raise ParseError(f'"{key}" must be a list')
+        labels.append(tuple(value) if value is not None else None)
+    return labels
+
+
 def load_channel(source, format: str = "json") -> Channel:
     """Parse a channel from bytes, text, or a readable stream.
 
@@ -225,6 +367,15 @@ def load_channel(source, format: str = "json") -> Channel:
     symbol, comma-separated probabilities, no header.  Validation failures
     raise the same errors as the Channel constructor; malformed syntax raises
     ParseError.
+
+    A CSV document, and a JSON document longer than 2**20 characters, is
+    read a row at a time and converted to float64 in blocks of rows, so the
+    load holds the text plus about twice the matrix's bytes, where a whole
+    parse holds Python floats for every entry: while reading, the text, the
+    blocks so far and Python floats for one block of 2**16 entries (about
+    2 MiB); then, with the text let go where it was decoded here, the
+    joined matrix and the Channel's copy.  A shorter JSON document is read
+    by json.loads.
     """
     try:
         text = _as_text(source)
@@ -232,38 +383,45 @@ def load_channel(source, format: str = "json") -> Channel:
         raise ParseError(f"channel file is not valid UTF-8: {exc}") from None
     if not (isinstance(format, str) and format in ("json", "csv")):
         raise ParseError(f"unknown channel format {format!r}")
-    if format == "json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "matrix" not in doc:
-            raise ParseError('JSON channel must be an object with a "matrix" key')
-        rows, what = doc["matrix"], "matrix"
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ParseError('"matrix" must be a list of rows')
-        # The per-entry scan runs only when a one-character search (memchr)
-        # finds what a bad entry needs: a true/false token holds a "u" or an
-        # "l", which no JSON number or "matrix" key does, and a string entry
-        # a third '"'.  A plain numeric document stops at these searches.
-        scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
-    else:
+    if format == "csv":
         # A CSV document has no labels, and its cells are floats already.
-        doc, what, scan = {}, "CSV", False
+        rows = _RowBlocks(scan=False)
         try:
-            rows = [[float(cell) for cell in line] for line in csv.reader(io.StringIO(text)) if line]
+            for line in csv.reader(_lines(text)):
+                if line:
+                    rows.add([float(cell) for cell in line])
         except (csv.Error, ValueError) as exc:
             raise ParseError(f"invalid CSV: {exc}") from None
-        if not rows:
+        if rows.width is None:
             raise ParseError("CSV channel file is empty")
+        if rows.unequal:
+            raise ParseError("CSV rows have unequal lengths")
+        del text
+        return Channel(rows.matrix())
+    # The per-entry scan runs only when a one-character search (memchr)
+    # finds what a bad entry needs: a true/false token holds a "u" or an
+    # "l", which no JSON number or "matrix" key does, and a string entry a
+    # third '"'.  A plain numeric document stops at these searches.
+    scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
+    doc = _streamed_json(text, scan) if len(text) > _STREAM_CHARS else None
+    if doc is not None:
+        labels = _labels(doc)
+        # The text goes before the blocks are joined.
+        del text
+        return Channel(doc["matrix"].matrix(), *labels)
+    try:
+        doc = json.loads(text)
+    # JSONDecodeError, an integer of too many digits, or too deep a nesting.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise ParseError('JSON channel must be an object with a "matrix" key')
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError('"matrix" must be a list of rows')
     if len({len(r) for r in rows}) > 1:
-        raise ParseError(f"{what} rows have unequal lengths")
-    labels = []
-    for key in ("input_labels", "output_labels"):
-        value = doc.get(key)
-        if value is not None and not isinstance(value, list):
-            raise ParseError(f'"{key}" must be a list')
-        labels.append(tuple(value) if value is not None else None)
+        raise ParseError("matrix rows have unequal lengths")
+    labels = _labels(doc)
     return Channel(_json_numbers(rows, '"matrix"', scan), *labels)
 
 

@@ -47,10 +47,12 @@ def _read_channel(path: str, fmt: str) -> Channel:
 
 def _read_input_distribution(path: str) -> Distribution:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    # JSONDecodeError, an integer of too many digits, or too deep a nesting.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
     if isinstance(doc, dict):
         for key in ("weights", "optimal_input"):
             if key in doc:

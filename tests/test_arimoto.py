@@ -23,7 +23,7 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
-from chancap.arimoto import _TINY, Step, _arimoto_stepper, _iterate, _run, _sweep
+from chancap.arimoto import _ARIMOTO_COLUMNS, _TINY, Step, _arimoto_stepper, _iterate, _run, _sweep
 from chancap.numeric import logsumexp
 from chancap.probability import _normalized
 from support import pinned_squares, random_channel, random_interior
@@ -253,7 +253,7 @@ class TestSolve:
             return Step(weights, np.log(weights))
 
         with pytest.raises(AssertionError, match=r"^iteration 2: bracket \(.*\) is unordered or below the previous"):
-            _iterate(z_channel(0.5), 1e-9, 10, None, stepper)
+            _iterate(z_channel(0.5), 1e-9, 10, None, stepper, _ARIMOTO_COLUMNS)
 
     def test_deterministic_across_runs(self):
         first, _ = solve_arimoto(z_channel(0.4))

@@ -1,10 +1,16 @@
 """Channel construction, serialization, and canonical families."""
 
+import gc
 import io
+import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancap import (
     AbsoluteContinuityViolation,
@@ -31,8 +37,42 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
+from chancap import channel as channel_module
 from chancap.channel import CANONICAL_KINDS
 from support import CANONICAL_EXAMPLES, random_channel, random_interior
+
+
+NON_NUMERIC_DOCUMENTS = [
+    b'{"matrix": [["a", "b"]]}',
+    b'{"matrix": [[0.5, [0.5]]]}',
+    b'{"matrix": [[{"a": 1}, 0.5]]}',
+    b'{"matrix": [[true, false], [false, true]]}',
+    b'{"matrix": [[0.5, 0.5], [1, false]]}',
+    b'{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
+    b'{"matrix": [[0.5, 0.5], [0.1, "0.9"]]}',
+    b'{"input_labels": ["a", "b"], "matrix": [["0.5", 0.5], [0.1, 0.9]]}',
+]
+# float() of this integer raises OverflowError, which used to escape as it
+# was.
+HUGE_INTEGER_DOCUMENT = b'{"matrix": [[' + b"1" * 400 + b", 0.5], [0.5, 0.5]]}"
+NON_LIST_LABELS = [b"5", b'"ab"', b'{"a": 1}']
+UNREADABLE_DOCUMENTS = {
+    "invalid-utf8": (b'{"matrix": [[1.0]], "input_labels": ["\xff"]}', "json"),
+    "matrix-not-a-list": (b'{"matrix": 3}', "json"),
+    "empty-csv": (b"", "csv"),
+    "blank-csv": (b"\n\n", "csv"),
+    "unknown-format": (b"0.5,0.5\n0.5,0.5\n", "xml"),
+    # Each of these used to raise a bare RecursionError or ValueError.
+    "deep-array": (b"[" * 100000, "json"),
+    "deep-matrix": (b'{"matrix": ' + b"[" * 100000, "json"),
+    "too-many-digits": (b'{"matrix": [[' + b"1" * 5000 + b"]]}", "json"),
+}
+
+
+def labels_documents(labels: bytes) -> list[bytes]:
+    """A document with the given labels text as its input labels, and one with it as its output labels."""
+    return [b'{"matrix": [[0.5, 0.5], [0.1, 0.9]], "' + key + b'": ' + labels + b"}"
+            for key in (b"input_labels", b"output_labels")]
 
 
 class TestConstruction:
@@ -153,29 +193,15 @@ class TestSerialization:
             load_channel(b"0.5,0.5\n1.0\n", "csv")
 
     @pytest.mark.parametrize(
-        "doc",
-        [
-            b'{"matrix": [["a", "b"]]}',
-            b'{"matrix": [[0.5, [0.5]]]}',
-            b'{"matrix": [[{"a": 1}, 0.5]]}',
-            b'{"matrix": [[true, false], [false, true]]}',
-            b'{"matrix": [[0.5, 0.5], [1, false]]}',
-            b'{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
-            b'{"matrix": [[0.5, 0.5], [0.1, "0.9"]]}',
-            b'{"input_labels": ["a", "b"], "matrix": [["0.5", 0.5], [0.1, 0.9]]}',
-            # float() of this integer raises OverflowError, which used to
-            # escape as it was.
-            pytest.param(b'{"matrix": [[' + b"1" * 400 + b", 0.5], [0.5, 0.5]]}", id="huge-integer"),
-        ],
+        "doc", [*NON_NUMERIC_DOCUMENTS, pytest.param(HUGE_INTEGER_DOCUMENT, id="huge-integer")]
     )
     def test_non_numeric_entries(self, doc):
         with pytest.raises(ParseError):
             load_channel(doc, "json")
 
-    @pytest.mark.parametrize("labels", [b"5", b'"ab"', b'{"a": 1}'])
+    @pytest.mark.parametrize("labels", NON_LIST_LABELS)
     def test_labels_must_be_lists(self, labels):
-        for key in (b"input_labels", b"output_labels"):
-            doc = b'{"matrix": [[0.5, 0.5], [0.1, 0.9]], "' + key + b'": ' + labels + b"}"
+        for doc in labels_documents(labels):
             with pytest.raises(ParseError):
                 load_channel(doc, "json")
 
@@ -189,17 +215,7 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_channel(b"0.5,abc\n", "csv")
 
-    @pytest.mark.parametrize(
-        "doc, fmt",
-        [
-            (b'{"matrix": [[1.0]], "input_labels": ["\xff"]}', "json"),
-            (b'{"matrix": 3}', "json"),
-            (b"", "csv"),
-            (b"\n\n", "csv"),
-            (b"0.5,0.5\n0.5,0.5\n", "xml"),
-        ],
-        ids=["invalid-utf8", "matrix-not-a-list", "empty-csv", "blank-csv", "unknown-format"],
-    )
+    @pytest.mark.parametrize("doc, fmt", UNREADABLE_DOCUMENTS.values(), ids=UNREADABLE_DOCUMENTS.keys())
     def test_unreadable_documents(self, doc, fmt):
         with pytest.raises(ParseError):
             load_channel(doc, fmt)
@@ -225,6 +241,144 @@ class TestSerialization:
         with open(path, "rb") as fh:
             ch = load_channel(fh, "json")
         assert np.array_equal(ch.matrix, z_channel(0.25).matrix)
+
+
+# JSON documents for the row walk to read as json.loads reads them: every
+# other JSON document this module loads, then variants of the grammar.
+WALK_DOCUMENTS = {
+    **{f"round-trip-{k}": save_channel(random_channel(np.random.default_rng(7 + k), 3 + k, 5 - k)) for k in range(3)},
+    "labelled": save_channel(Channel(np.eye(2), input_labels=("x0", "x1"), output_labels=("y0", "y1"))),
+    "zero-column": b'{"matrix": [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]]}',
+    "not-json": b"{not json",
+    "no-matrix": b'{"rows": []}',
+    "ragged": b'{"matrix": [[0.5, 0.5], [1.0]]}',
+    "ragged-across-blocks": b'{"matrix": [[0.5, 0.5, 0.0], [1.0, 0.0]]}',
+    **{f"non-numeric-{k}": doc for k, doc in enumerate(NON_NUMERIC_DOCUMENTS)},
+    "huge-integer": HUGE_INTEGER_DOCUMENT,
+    **{f"labels-{k}": doc for k, doc in enumerate(d for labels in NON_LIST_LABELS for d in labels_documents(labels))},
+    "true-false-labels": b'{"matrix": [[1, 0], [0, 1]], "input_labels": ["true", "false"]}',
+    **{name: doc for name, (doc, fmt) in UNREADABLE_DOCUMENTS.items() if fmt == "json"},
+    "text-input": b'{"matrix": [[0.75, 0.25], [0.0, 1.0]]}',
+    "labels-first": b'{"output_labels": ["a", "b"], "matrix": [[0.25, 0.75], [1, 0]], "input_labels": ["x", "y"]}',
+    "labels-zero-column": b'{"matrix": [[0.5, 0, 0.5], [1, 0, 0]], "output_labels": ["a", "b", "c"]}',
+    "nested-labels": b'{"input_labels": [["a"], {"b": null}], "matrix": [[1, 0], [0, 1]]}',
+    "label-count": b'{"matrix": [[1, 0], [0, 1]], "input_labels": ["a"]}',
+    "duplicate-matrix": b'{"matrix": [[1, 0], [0, 1]], "matrix": [[0.5, 0.5], [0.25, 0.75]]}',
+    "duplicate-bad-first": b'{"matrix": [["a"]], "matrix": [[1.0]]}',
+    "duplicate-bad-last": b'{"matrix": [[1.0]], "matrix": 3}',
+    "escaped-key": b'{"\\u006datrix": [[1.0]]}',
+    "whitespace": b' \n\t{ \r\n "matrix" \t: \n [ \n [ 0.5 ,\t0.5 ] \r, [1 , 0 ]\n ] \n } \n\t',
+    "nan": b'{"matrix": [[NaN, 1.0], [0.5, 0.5]]}',
+    "infinity": b'{"matrix": [[Infinity, 0], [-Infinity, 1]]}',
+    "null": b'{"matrix": [[null, 1.0]]}',
+    "bom": b"\xef\xbb\xbf" + b'{"matrix": [[1.0]]}',
+    "trailing-data": b'{"matrix": [[1.0]]} x',
+    "second-object": b'{"matrix": [[1.0]]}{}',
+    "empty-matrix": b'{"matrix": []}',
+    "empty-rows": b'{"matrix": [[], []]}',
+    "rows-not-lists": b'{"matrix": [[1.0], 1.0]}',
+    "entries-are-lists": b'{"matrix": [[[0.5, 0.5]], [[1.0, 0.0]]]}',
+    "mixed-depth": b'{"matrix": [[[0.5, 0.5]], [1.0]]}',
+    "not-stochastic": b'{"matrix": [[0.5, 0.3], [0.5, 0.5]]}',
+    "negative": b'{"matrix": [[1.5, -0.5], [0.5, 0.5]]}',
+    "trailing-comma-rows": b'{"matrix": [[1.0],]}',
+    "trailing-comma-object": b'{"matrix": [[1.0]],}',
+    "missing-colon": b'{"matrix" [[1.0]]}',
+    "missing-comma": b'{"matrix": [[1.0]] "input_labels": ["a"]}',
+    "bare-key": b'{matrix: [[1.0]]}',
+    "truncated-row": b'{"matrix": [[0.5, 0.5], [0.5',
+    "truncated-object": b'{"matrix": [[1.0]]',
+    "empty-object": b"{}",
+    "array": b"[[1.0]]",
+    "empty": b"",
+    "two-blocks": json.dumps({"matrix": np.random.default_rng(29).dirichlet(np.ones(300), size=300).tolist()}).encode(),
+}
+# chancap.channel's settings for each path: json.loads, the row walk, and
+# the row walk with blocks of a few entries.
+LOADED = {"_STREAM_CHARS": math.inf}
+WALKED = {"_STREAM_CHARS": -1}
+SMALL_BLOCKS = {"_STREAM_CHARS": -1, "_BLOCK_ENTRIES": 3}
+
+
+def json_outcome(doc: bytes, settings: dict) -> tuple:
+    """load_channel(doc, "json") under settings: the matrix's shape and
+    bits, the labels and the warnings, or the error's type and message."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        for name, value in settings.items():
+            patch.setattr(channel_module, name, value)
+        warnings.simplefilter("always")
+        try:
+            ch = load_channel(doc, "json")
+        except Exception as exc:
+            return type(exc), str(exc)
+    return (
+        ch.matrix.shape, ch.matrix.tobytes(), ch.input_labels, ch.output_labels,
+        [(w.category, str(w.message)) for w in caught],
+    )
+
+
+def assert_walk_reads_as_json_loads(doc: bytes) -> None:
+    loaded = json_outcome(doc, LOADED)
+    assert json_outcome(doc, WALKED) == loaded
+    assert json_outcome(doc, SMALL_BLOCKS) == loaded
+
+
+class TestRowWalk:
+    @pytest.mark.parametrize("doc", WALK_DOCUMENTS.values(), ids=WALK_DOCUMENTS.keys())
+    def test_each_document_reads_as_json_loads_reads_it(self, doc):
+        assert_walk_reads_as_json_loads(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        indent=st.sampled_from([None, 0, 2, "\t", " \r\n"]),
+        separators=st.sampled_from([None, (",", ":"), (" ,\n", " \t: ")]),
+        keys=st.permutations(["matrix", "input_labels", "output_labels"]),
+        labelled=st.booleans(),
+    )
+    def test_dumped_matrices_read_as_json_loads_reads_them(self, seed, shape, indent, separators, keys, labelled):
+        rng = np.random.default_rng(seed)
+        n, m = shape
+        # A small Dirichlet parameter gives exact zeros, and columns to drop.
+        matrix = rng.dirichlet(np.full(m, rng.uniform(0.02, 1.0)), size=n).tolist()
+        values = {
+            "matrix": [[int(v) if v in (0.0, 1.0) else v for v in row] for row in matrix],
+            "input_labels": [f"x{i}" for i in range(n)],
+            "output_labels": ["true" if j % 2 else "false" for j in range(m)],
+        }
+        doc = {key: values[key] for key in keys if labelled or key == "matrix"}
+        text = json.dumps(doc, indent=indent, separators=separators)
+        assert_walk_reads_as_json_loads(text.encode())
+        # The walk reads it itself, rather than handing it on to json.loads.
+        assert channel_module._streamed_json(text, scan=True) is not None
+
+    @pytest.mark.parametrize("text", ["", "a", "a\n", "a\r\nb\rc\n\nd", "\n\n", "0.5,0.5\r\n0.5,0.5"])
+    def test_csv_lines_are_the_lines_of_a_text_stream(self, text):
+        assert list(channel_module._lines(text)) == list(io.StringIO(text))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_large_load_holds_the_text_and_about_twice_the_matrix(self, fmt):
+        # At 512x512 a whole parse peaked at the text plus 6.3 (JSON) and
+        # 15.0 (CSV, read through io.StringIO) times the matrix's bytes.  Row
+        # blocks peak at about 2: the blocks and the joined matrix, then the
+        # matrix and the Channel's copy.
+        matrix = np.random.default_rng(29).dirichlet(np.ones(512), size=512)
+        if fmt == "json":
+            doc = json.dumps({"matrix": matrix.tolist()}).encode()
+        else:
+            doc = "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist()).encode()
+        # The first load also checks the bits, and imports and caches
+        # outside the measurement.
+        assert np.array_equal(load_channel(doc, fmt).matrix, matrix)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_channel(doc, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(doc) + 3 * matrix.nbytes
 
 
 class TestOperations:

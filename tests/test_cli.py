@@ -253,6 +253,9 @@ class TestCapacity:
             '{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
             # An integer beyond the float range used to end in a traceback.
             pytest.param('{"matrix": [[%s, 0.5], [0.5, 0.5]]}' % ("1" * 400), id="huge-integer"),
+            # So did nesting beyond the recursion limit.
+            pytest.param("[" * 100000, id="deep-array"),
+            pytest.param('{"matrix": ' + "[" * 100000, id="deep-matrix"),
         ],
     )
     def test_non_numeric_channel_is_bad_input(self, tmp_path, capsys, doc):
@@ -335,6 +338,9 @@ class TestVerify:
             "[0.5,",
             "5",
             pytest.param("[%s, 0.5]" % ("1" * 400), id="huge-integer"),
+            # Nesting beyond the recursion limit used to end in a traceback.
+            pytest.param("[" * 100000, id="deep"),
+            pytest.param("[%s]" % ("1" * 5000), id="too-many-digits"),
         ],
     )
     def test_non_numeric_input_law_is_bad_input(self, tmp_path, capsys, doc):

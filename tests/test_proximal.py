@@ -23,7 +23,6 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
-from chancap.arimoto import _COLUMNS
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
 from support import (
     inner_solves_per_step, pinned_squares, random_channel, record_inner_solves, reference_m_step, replayed, tilt,
@@ -207,7 +206,7 @@ def test_records_replay_an_adaptive_run():
     assert sizes[0] is None and max(sizes[1:]) > 1000.0
     _, tampered = solve_backward_em(ch, tol=1e-9)
     # The step size of iteration 4, in the kept list of rows.
-    tampered._kept[3 * len(_COLUMNS) + _COLUMNS.index("step_size")] *= 2.0
+    tampered._kept[3 * len(tampered._columns) + tampered._columns.index("step_size")] *= 2.0
     with pytest.raises(AssertionError, match="iteration 4"):
         tampered.records
 
@@ -242,7 +241,7 @@ def test_every_spelling_of_the_paper_step_size_takes_the_same_steps():
     _, paper = solve_backward_em(ch, tol=1e-7, step_size=1.0)
     for spelling in (1, np.float64(1.0)):
         _, trace = solve_backward_em(ch, tol=1e-7, step_size=spelling)
-        for column in _COLUMNS:
+        for column in paper._columns:
             # Bit for bit: a float's repr round-trips, and -0.0 keeps its sign.
             assert repr(trace._column(column)) == repr(paper._column(column))
     assert paper._column("step_size")[1:] == [1.0] * (len(paper) - 1)

@@ -110,14 +110,15 @@ def test_records_are_built_once_on_first_read(built, solve):
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 @pytest.mark.parametrize("inputs", [16, 64])
 def test_a_trace_retains_no_array_per_record(solve, inputs):
-    # Kept per iterate: one row of two float bounds, a route, a residual,
-    # an inner count, a step size, a count of rejected candidates and a
-    # count of their inner steps in one flat list, about 122 B (Arimoto)
-    # and 144 B (backward) on r16 with the list slots.  A column of
-    # divergences and one of input weights took about 600 B per
-    # record at 16 inputs and 1,390 B at 64.  The backward solver runs at
-    # the paper's step size, which takes over 1,000 records on r16 (the
-    # 64-output channel keeps it anyway).
+    # Kept per iterate in one flat list, with the list slots: two float
+    # bounds for Arimoto, about 67 B on r16; the bounds, a route, a
+    # residual, an inner count, a step size, a count of rejected candidates
+    # and a count of their inner steps for the backward solver, about
+    # 144 B.  A column of divergences and one of input weights took about
+    # 600 B per record at 16 inputs and 1,390 B at 64.  The backward solver
+    # runs at the paper's step size, which takes over 1,000 records on r16
+    # (the 64-output channel keeps it anyway).
+    bound = 100 if solve is solve_arimoto else 160
     if solve is solve_backward_em:
         solve = partial(solve, step_size=1.0)
     if inputs == 16:
@@ -137,14 +138,14 @@ def test_a_trace_retains_no_array_per_record(solve, inputs):
     finally:
         tracemalloc.stop()
     assert len(trace) > 1000
-    assert retained <= 160 * len(trace)
+    assert retained <= bound * len(trace)
 
 
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
     _, trace = solve(r16(), tol=1e-6)
     # The upper bound of iteration 4, in the kept list of rows.
-    k = 3 * len(_COLUMNS) + _COLUMNS.index("upper_bound")
+    k = 3 * len(trace._columns) + trace._columns.index("upper_bound")
     trace._kept[k] = math.nextafter(trace._kept[k], math.inf)
     with pytest.raises(AssertionError, match="iteration 4"):
         trace.records

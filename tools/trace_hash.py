@@ -30,7 +30,16 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   channels;
 * a fixed list of chancap.cli.main(argv) calls, run in-process in a
   temporary directory: generate, capacity, verify and compare on channel
-  files it writes, and on malformed ones.
+  files it writes, and on malformed ones;
+* load_channel on JSON documents shorter and longer than 2**20
+  characters (the small-tight and large-loose corpora at the given seed,
+  and a seeded 300x300 channel plain, labelled, and changed in one place
+  each: a bad entry, a syntax fault, a short last row, labels that are not
+  a list, a second "matrix") and on short malformed ones, and on seeded CSV
+  documents of both sizes, broken ones too.  Documents nested past the
+  recursion limit, or holding an integer of more than 4300 digits, are
+  left out: load_channel raised a bare RecursionError or ValueError on
+  them before it raised ParseError.
 
 A trace record contributes its bounds, divergences, input weights, clamp
 flag (always False, since both solvers carry log-weights), step route,
@@ -40,15 +49,18 @@ None.  A CLI call
 contributes its label and exit code, its stdout and stderr with
 the temporary directory's path replaced by <tmp>, each warning it raised as
 its category and message (not the source path and line the default
-warning text carries), and the bytes of every file it wrote.  The script
-prints the number of hashed items and the SHA-256 over all of them; equal
-lines from two checkouts mean the change left every number and every CLI
-byte unchanged.  It then prints the same for five groups of those items:
-the solve_arimoto traces, the solve_backward_em traces at the default step
-size, the direct calls, the solve_backward_em traces at step_size=1.0 and
-the CLI calls, so a change meant to touch one solver can show the other's
-numbers unchanged.  The step_size=1.0 group hashes the same labels and
-record fields as the default group, so its line can be compared with a
+warning text carries), and the bytes of every file it wrote.  A document
+that loads contributes its label, the matrix's shape and bits, the labels
+and each warning as its category and message; one that fails, its label
+and the error's type and message.  The script prints the number of hashed
+items and the SHA-256 over all of them; equal lines from two checkouts
+mean the change left every number and every CLI byte unchanged.  It then
+prints the same for six groups of those items: the solve_arimoto traces,
+the solve_backward_em traces at the default step size, the direct calls,
+the solve_backward_em traces at step_size=1.0, the CLI calls and the
+loads, so a change meant to touch one solver can show the other's numbers
+unchanged.  The step_size=1.0 group hashes the same labels and record
+fields as the default group, so its line can be compared with a
 default-group line of a checkout whose default step size was 1.
 
 --against REV extracts REV's src/ with git archive into a temporary
@@ -65,6 +77,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import struct
 import subprocess
@@ -85,6 +98,7 @@ from chancap import (  # noqa: E402
     Distribution,
     arimoto_step,
     capacity_bracket,
+    load_channel,
     solve_arimoto,
     solve_backward_em,
 )
@@ -96,7 +110,7 @@ CORPORA = ("small-tight", "large-loose", "backward-em")
 INNER_SETTINGS = ({}, {"max_inner": 2})
 
 
-GROUPS = ("arimoto", "backward", "direct", "step_size=1.0", "cli")
+GROUPS = ("arimoto", "backward", "direct", "step_size=1.0", "cli", "load")
 
 # The files the CLI calls read, written into the temporary directory first.
 CLI_FILES = {
@@ -267,6 +281,67 @@ def cli_runs(h: Hasher) -> None:
                     h.item("cli", path.name, path.read_bytes())
 
 
+def load_documents(seed: int) -> list[tuple[str, bytes, str]]:
+    """(label, document, format) for each load_channel call of load_runs."""
+    docs = [
+        (f"{workload}/{case.name}", corpus.json_document(case.matrix), "json")
+        for workload in ("small-tight", "large-loose")
+        for case in corpus.WORKLOADS[workload][2](seed)
+    ]
+    rng = np.random.default_rng(seed)
+    small, big = rng.dirichlet(np.ones(7), size=5), rng.dirichlet(np.ones(300), size=300)
+    # About 1.8 MB as JSON and as CSV.
+    text, csv_text = corpus.json_document(big), corpus.csv_document(big)
+    labels = {"input_labels": [f"x{i}" for i in range(300)], "output_labels": [f"y{j}" for j in range(300)]}
+    docs.append(("labelled", json.dumps({**labels, "matrix": big.tolist()}, indent=1).encode(), "json"))
+    # The first entry, and the last row's last entry with what follows it.
+    first = slice(text.index(b"[[") + 2, text.index(b",", text.index(b"[[")))
+    last = text.rindex(b",")
+    for name, broken in {
+        "true": b"true", "string": b'"0.5"', "not-stochastic": b"5", "nan": b"NaN", "null": b"null",
+    }.items():
+        docs.append((f"entry {name}", text[:first.start] + broken + text[first.stop:], "json"))
+    for name, doc in {
+        "truncated": text[:-10],
+        "trailing comma": text[:-2] + b",]}",
+        "ragged": text[:last] + b"]]}",
+        "trailing data": text + b" x",
+        "labels not a list": text[:-1] + b', "input_labels": 5}',
+        "second matrix": text[:-1] + b', "matrix": [[1.0]]}',
+    }.items():
+        docs.append((name, doc, "json"))
+    for name, doc in {
+        "empty matrix": b'{"matrix": []}',
+        "bom": b"\xef\xbb\xbf" + corpus.json_document(small),
+        "array": b"[[1.0]]",
+        **{f"cli {name}": data for name, data in CLI_FILES.items() if name.endswith(".json")},
+    }.items():
+        docs.append((name, doc, "json"))
+    docs += [
+        ("csv small", corpus.csv_document(small), "csv"),
+        ("csv 300x300", csv_text, "csv"),
+        ("csv crlf", csv_text.replace(b"\n", b"\r\n"), "csv"),
+        ("csv bad number", csv_text[:-3] + b"x\n", "csv"),
+        ("csv ragged", csv_text[:csv_text.rindex(b",")] + b"\n", "csv"),
+        *((f"cli {name}", data, "csv") for name, data in CLI_FILES.items() if name.endswith(".csv")),
+    ]
+    return docs
+
+
+def load_runs(h: Hasher, seed: int) -> None:
+    for label, doc, fmt in load_documents(seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ch = load_channel(doc, fmt)
+            except ValueError as exc:
+                h.item("load", label, type(exc).__name__, str(exc))
+                continue
+        h.item("load", label, *ch.matrix.shape, ch.matrix, repr(ch.input_labels), repr(ch.output_labels))
+        for warning in caught:
+            h.item("load", warning.category.__name__, str(warning.message))
+
+
 def hash_lines(seed: int) -> list[str]:
     """The total line and one line per group."""
     h = Hasher()
@@ -275,6 +350,7 @@ def hash_lines(seed: int) -> list[str]:
     underflow_runs(h)
     direct_steps(h, seed)
     cli_runs(h)
+    load_runs(h, seed)
     lines = [f"seed {seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}"]
     return lines + [f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}" for name in GROUPS]
 
