@@ -17,32 +17,41 @@ solver stops when the bracket gap falls below the tolerance and reports the
 bracket midpoint as capacity.
 
 All updates run in log space so that extreme divergences cannot overflow.
-The state of the iteration is the log-weights log q, in which the update
-is a shift (Arimoto's step is affine in these natural coordinates):
+The state of the iteration is the log-weights log q, up to an additive
+constant, in which the update is a shift (Arimoto's step is affine in
+these natural coordinates):
 
-    log q'(x) = log q(x) + d(x) - log sum_x' q(x') exp(d(x')),
+    l'(x) = l(x) + d(x) - max_x' (l(x') + d(x')),    q'(x) = exp(l'(x)) / sum_x' exp(l'(x')).
 
-and q' is exp(log q').  The stepper takes log q from the Step that made q
-and hands log q' on in the Step it returns, so np.log runs on the start
-weights only, for the start's Step.  A weight whose log falls below that
-of the smallest subnormal float is an exact 0 in q', while its log stays
-finite and keeps evolving: the input regains weight if its divergence
-rises.  No weight is rebuilt from the log of its own rounding, which would
-keep it in the subnormal range, where the channel kernel's products run
-many times slower; and no iterate is clamped.  A zero weight adds nothing
-to the output marginal.  Were every row that reaches some output at weight 0,
-that marginal entry would be 0 and the checking per_input_divergences
-raises AbsoluteContinuityViolation, never a wrong bracket.  Near an
-optimum this cannot happen: by the Kuhn-Tucker conditions every input has
+The tilt is the same whatever constant the log-weights l carry, so the
+stepper keeps none: l' is the logits l + d shifted so that their largest
+entry is exactly 0, one exp gives weights in (0, 1] with a largest of 1,
+and q' is those divided by their sum.  That takes no log of the sum, and
+the weights' rounding does not grow with the size of the logits, as that
+of exp(l - log Z) does: they sum to 1 up to the rounding of one division,
+so a bracket can close to a gap of exactly 0.  The stepper takes l from
+the Step that made q and hands l' on in the Step it returns, so np.log
+runs on the start weights only, for the start's Step.  A weight whose
+shifted log falls below that of the smallest subnormal float is an exact
+0 in q', while its log stays finite and keeps evolving: the input regains
+weight if its divergence rises.  No weight is rebuilt from the log of its
+own rounding, which would keep it in the subnormal range, where the
+channel kernel's products run many times slower; and no iterate is
+clamped.  A zero weight adds nothing to the output marginal.  Were every
+row that reaches some output at weight 0, that marginal entry would be 0
+and the checking per_input_divergences raises
+AbsoluteContinuityViolation, never a wrong bracket.  Near an optimum this
+cannot happen: by the Kuhn-Tucker conditions every input has
 D(p(.|x) || r*) <= C, finite, so r*(y) > 0 for every output y that some
 row reaches.
 
 The backward solver carries log-weights the same way: its exact step
-tilts log q by the step size times the divergences from a solved output
-factor, and its fallback is this step.  So in both solvers an underflowed
-weight is an exact 0 whose log keeps evolving.  Only the public
-arimoto_step, which promises an interior law, lifts such a weight of its
-result to the smallest positive normal float and renormalizes.
+tilts them by the step size times the divergences from a solved output
+factor, with numeric._log_tilt, and hands on its induced input's
+normalized log-weights; its fallback is this step.  So in both solvers
+an underflowed weight is an exact 0 whose log keeps evolving.  Only the
+public arimoto_step, which promises an interior law, lifts such a weight
+of its result to the smallest positive normal float and renormalizes.
 
 The iteration is one generator, _run, over raw weight arrays: it yields
 each iterate with its divergences, bounds and the Step that made it.  Both
@@ -79,7 +88,7 @@ from .channel import (
     Channel, _check_channel, _check_interior_input, _divergences, _marginal, per_input_divergences,
 )
 from .errors import _check_limit, _check_real
-from .numeric import _log_tilt, ordered_sum
+from .numeric import ordered_sum
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -305,15 +314,18 @@ class Step(NamedTuple):
     A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
     upper) at q and the Step that made q to a Step.  iterate is a raw weight
     array the stepper has passed through probability._normalized.
-    log_weights is the iterate's log-weights, of which iterate is the
-    rounding: an entry below the log of the smallest subnormal is an exact
-    0 in iterate and a finite number here.  The start's Step carries np.log
-    of the start weights; a stepper steps from the log-weights it is handed
-    and returns its iterate's.  route, residual, inner, step_size, rejected
-    and rejected_inner are the step's route, last inner residual, inner
-    sweep count, step size, the candidates it rejected before its last
-    inner solve and the inner steps those rejected solves took, None for a
-    step with no inner loop; the backward solver's trace keeps them,
+    log_weights is the iterate's log-weights up to an additive constant,
+    which no step depends on: an entry far below the largest is an exact 0
+    in iterate and a finite number here.  The start's Step carries np.log
+    of the start weights; the Arimoto step hands on its logits shifted so
+    that their maximum is exactly 0, of which iterate is exp divided by its
+    sum, and an exact backward step its induced input's log-weights, of
+    which iterate is exp.  A stepper steps from the log-weights it is
+    handed and returns its iterate's.  route, residual, inner, step_size,
+    rejected and rejected_inner are the step's route, last inner residual,
+    inner sweep count, step size, the candidates it rejected before its
+    last inner solve and the inner steps those rejected solves took, None
+    for a step with no inner loop; the backward solver's trace keeps them,
     through _row, as step_status, inner_residual, inner_iterations,
     step_size, rejected_candidates and rejected_inner_iterations.  sweep is
     _sweep's tuple at iterate when the stepper has computed it, None otherwise, and
@@ -404,10 +416,14 @@ def _iterate(
 
 
 def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
-    """The multiplicative update of the log-weights log q that previous
-    carries: log q' = log q + d - log Z, and q' = exp(log q')."""
-    log_weights = _log_tilt(previous.log_weights, sweep[1])[0]
-    return Step(_normalized(np.exp(log_weights)), log_weights)
+    """The multiplicative update of the log-weights that previous carries:
+    the logits log q + d, shifted so that their maximum is 0, are the
+    next Step's log-weights, and q' is exp of them divided by its sum."""
+    logits = previous.log_weights + sweep[1]
+    logits -= np.maximum.reduce(logits)
+    weights = np.exp(logits)
+    weights /= np.add.reduce(weights)
+    return Step(_normalized(weights), logits)
 
 
 def solve_arimoto(

@@ -233,30 +233,33 @@ class _RowBlocks:
     that Python numbers for at most one block of _BLOCK_ENTRIES entries are
     alive.
 
-    add takes one row, a list.  width is the first row's length; unequal
+    add takes one row, a list, and scan, True when the row may hold a
+    string or true/false entry.  width is the first row's length; unequal
     turns True at the first row of another length, and from then on no row
-    is kept.  A block converts through _json_numbers with the given scan:
-    an entry other than a number raises its ParseError, and a block that is
-    not 2-dimensional (entries that are lists) raises ValueError.  close
-    converts the rows added since the last block, and matrix closes and
-    joins the blocks, and this object lets go of them.
+    is kept.  A block converts through _json_numbers, with its per-entry
+    scan when any of its rows was added with scan: an entry other than a
+    number raises its ParseError, and a block that is not 2-dimensional
+    (entries that are lists) raises ValueError.  close converts the rows
+    added since the last block, and matrix closes and joins the blocks,
+    and this object lets go of them.
     """
 
-    def __init__(self, scan: bool):
-        self.scan = scan
+    def __init__(self):
         self.width: int | None = None
         self.unequal = False
         self._blocks: list[np.ndarray] = []
         self._rows: list[list] = []
         self._entries = 0
+        self._scan = False
 
-    def add(self, row: list) -> None:
+    def add(self, row: list, scan: bool = False) -> None:
         if self.width is None:
             self.width = len(row)
         if self.unequal or len(row) != self.width:
             self.unequal, self._blocks, self._rows = True, [], []
             return
         self._rows.append(row)
+        self._scan = self._scan or scan
         # An empty row counts as one entry, so that no block grows unbounded.
         self._entries += len(row) or 1
         if self._entries >= _BLOCK_ENTRIES:
@@ -264,11 +267,11 @@ class _RowBlocks:
 
     def close(self) -> None:
         if self._rows:
-            block = _json_numbers(self._rows, '"matrix"', self.scan)
+            block = _json_numbers(self._rows, '"matrix"', self._scan)
             if block.ndim != 2:
                 raise ValueError("matrix entries that are lists")
             self._blocks.append(block)
-            self._rows, self._entries = [], 0
+            self._rows, self._entries, self._scan = [], 0, False
 
     def matrix(self) -> np.ndarray:
         self.close()
@@ -276,14 +279,18 @@ class _RowBlocks:
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _streamed_json(text: str, scan: bool) -> dict | None:
+def _streamed_json(text: str) -> dict | None:
     """A JSON channel document's object, its "matrix" read into _RowBlocks.
 
     The top-level object and its "matrix" list are walked in the grammar
     json's parser follows, and every key, row and other value is read by
     json's own scanner, so a document this accepts is one json.loads reads
     to the same object.  The matrix converts a block of rows at a time
-    (see _RowBlocks).  None unless the document is a valid object whose
+    (see _RowBlocks), with the per-entry scan only for a block that has a
+    row whose own text holds a '"', a "t" or an "f": a string entry needs
+    the first, a true or false token one of the others, and no JSON
+    number holds any of them, so labels elsewhere in the document leave
+    plain rows unscanned.  None unless the document is a valid object whose
     last "matrix" is a non-empty list of equal-length rows of numbers:
     json.loads then reads it again and gives its own error or answer.
     """
@@ -300,13 +307,14 @@ def _streamed_json(text: str, scan: bool) -> dict | None:
                 return None
             i = _skip_space(text, i + 1).end()
             if key == "matrix" and text[i:i + 1] == "[":
-                value = _RowBlocks(scan)
+                value = _RowBlocks()
                 i = _skip_space(text, i + 1).end()
                 while True:
+                    start = i
                     row, i = _scan_value(text, i)
                     if not isinstance(row, list):
                         return None
-                    value.add(row)
+                    value.add(row, any(text.find(c, start, i) >= 0 for c in '"tf'))
                     if value.unequal:
                         return None
                     i = _skip_space(text, i).end()
@@ -385,7 +393,7 @@ def load_channel(source, format: str = "json") -> Channel:
         raise ParseError(f"unknown channel format {format!r}")
     if format == "csv":
         # A CSV document has no labels, and its cells are floats already.
-        rows = _RowBlocks(scan=False)
+        rows = _RowBlocks()
         try:
             for line in csv.reader(_lines(text)):
                 if line:
@@ -398,17 +406,17 @@ def load_channel(source, format: str = "json") -> Channel:
             raise ParseError("CSV rows have unequal lengths")
         del text
         return Channel(rows.matrix())
-    # The per-entry scan runs only when a one-character search (memchr)
-    # finds what a bad entry needs: a true/false token holds a "u" or an
-    # "l", which no JSON number or "matrix" key does, and a string entry a
-    # third '"'.  A plain numeric document stops at these searches.
-    scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
-    doc = _streamed_json(text, scan) if len(text) > _STREAM_CHARS else None
+    doc = _streamed_json(text) if len(text) > _STREAM_CHARS else None
     if doc is not None:
         labels = _labels(doc)
         # The text goes before the blocks are joined.
         del text
         return Channel(doc["matrix"].matrix(), *labels)
+    # The per-entry scan runs only when a one-character search (memchr)
+    # finds what a bad entry needs: a true/false token holds a "u" or an
+    # "l", which no JSON number or "matrix" key does, and a string entry a
+    # third '"'.  A plain numeric document stops at these searches.
+    scan = _third_quote(text) or (("u" in text or "l" in text) and ("true" in text or "false" in text))
     try:
         doc = json.loads(text)
     # JSONDecodeError, an integer of too many digits, or too deep a nesting.
@@ -483,7 +491,8 @@ def _divergences(ch: Channel, r: np.ndarray) -> np.ndarray:
     """
     # One contraction over each C-contiguous row, in c_einsum's own loops:
     # no n x m temporary and no BLAS.
-    d = ch.row_negentropy - _contract("xy,y->x", ch.matrix, np.log(r))
+    d = _contract("xy,y->x", ch.matrix, np.log(r))
+    np.subtract(ch.row_negentropy, d, out=d)
     np.maximum(d, 0.0, out=d)
     return d
 

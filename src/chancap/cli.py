@@ -66,19 +66,22 @@ def _read_input_distribution(path: str) -> Distribution:
     return Distribution(_json_numbers([doc], f"{path}: weight")[0])
 
 
-def _write_trace(path: str, trace: IterationTrace) -> None:
-    # Written from the trace's kept columns, read by their TraceRecord
-    # names, so no TraceRecord is built, one row at a time as it is
-    # formatted.  As on a record, mutual_info is the lower bound and gap is
-    # upper - lower.
+def _trace_lines(trace: IterationTrace):
+    """The trace CSV's rows, one line each, formatted from the trace's kept
+    columns, read by their TraceRecord names, so no TraceRecord is built.
+    As on a record, mutual_info is the lower bound and gap is upper - lower;
+    each value's repr is taken once."""
     rows = zip(*map(trace._column, ("lower_bound", "upper_bound", "step_status", "inner_residual")))
+    for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
+        low = repr(lower)
+        residual = "" if residual is None else repr(residual)
+        yield f"{iteration},{low},{low},{upper!r},{upper - lower!r},{route or ''},{residual}\n"
+
+
+def _write_trace(path: str, trace: IterationTrace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + "\n")
-        for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
-            residual = "" if residual is None else repr(residual)
-            fh.write(
-                f"{iteration},{lower!r},{lower!r},{upper!r},{upper - lower!r},{route or ''},{residual}\n"
-            )
+        fh.writelines(_trace_lines(trace))
 
 
 def _scale(nats: float, units: str) -> float:

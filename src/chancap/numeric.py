@@ -104,9 +104,11 @@ def _log_tilt(log_weights: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarra
     """log w + e - L and L = logsumexp(log w + e), given log w and e.
 
     The multiplicative reweighting in the natural coordinates log w, where
-    it is a shift: both solvers carry their iterate's log-weights from one
-    step to the next this way (see arimoto._arimoto_stepper and
-    backward_em._point), and _tilt takes exp of the result.  The
+    it is a shift: the backward solver's exact step tilts its iterate's
+    log-weights this way (see backward_em._point), and _tilt takes exp of
+    the result.  The Arimoto step needs no L, so it shifts its logits by
+    their maximum and divides the exponentials by their sum instead (see
+    arimoto._arimoto_stepper).  The
     log-sum-exp is logsumexp's, inline: the same operations in the same
     order, without its layout normalization and empty-input guard, which a
     fresh non-empty 1-D sum does not need.

@@ -74,7 +74,7 @@ def _normalized(a: np.ndarray, what: str = "distribution", smallest: float | Non
         )
     if deviation > _SUM_KEEP:
         a = a / total
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

@@ -119,6 +119,17 @@ def tilt(log_base: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
     return logits - log_norm, log_norm
 
 
+def multiplicative_step(log_base: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplicative step from the log-weights log_base by the
+    divergences d, written with numpy: its log-weights, the logits
+    log_base + d shifted so that their maximum is 0, and its weights, exp
+    of those divided by their sum."""
+    logits = log_base + d
+    logits = logits - np.max(logits)
+    weights = np.exp(logits)
+    return logits, weights / np.sum(weights)
+
+
 def _at(base, log_base, r, ch):
     """The member at output factor r, tilted from the base's log-weights
     log_base, its output marginal and the max-norm residual."""

@@ -23,10 +23,10 @@ from chancap import (
     uniform_rows,
     z_channel,
 )
+from chancap import arimoto, numeric, probability
 from chancap.arimoto import _ARIMOTO_COLUMNS, _TINY, Step, _arimoto_stepper, _iterate, _run, _sweep
-from chancap.numeric import logsumexp
 from chancap.probability import _normalized
-from support import pinned_squares, random_channel, random_interior
+from support import multiplicative_step, pinned_squares, random_channel, random_interior
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
 
@@ -99,33 +99,64 @@ class TestStep:
 
     def test_the_solver_step_carries_log_weights_past_underflow(self):
         # The third input's log-weight lies far below log(tiny): its weight
-        # is an exact 0, and the step moves its log like any other.
+        # is an exact 0, and the step moves its log like any other.  The
+        # step's log-weights are the logits log q + d shifted to a maximum
+        # of exactly 0, and its iterate is exp of them over their sum.
         log_q = np.array([math.log(0.5), math.log(0.5), -800.0])
         q = _normalized(np.exp(log_q))
         assert math.log(np.finfo(float).tiny) > log_q[2] and q[2] == 0.0
         d = np.array([0.1, 0.2, 0.3])
         step = _arimoto_stepper(q, (None, d, None, None), Step(q, log_q))
-        logits = log_q + d
-        assert np.array_equal(step.log_weights, logits - logsumexp(logits))
+        log_stepped, stepped = multiplicative_step(log_q, d)
+        assert np.array_equal(step.log_weights, log_stepped) and np.max(step.log_weights) == 0.0
         assert step.iterate[2] == 0.0 and np.isfinite(step.log_weights).all()
-        assert np.array_equal(step.iterate, np.exp(step.log_weights))
+        assert np.array_equal(step.iterate, stepped)
         # Its divergence rises far above the others': the input regains weight.
-        again = _arimoto_stepper(step.iterate, (None, np.array([0.0, 0.0, 900.0]), None, None), step)
-        assert again.iterate[2] > 0.5
-        assert np.array_equal(again.iterate, np.exp(again.log_weights))
+        d = np.array([0.0, 0.0, 900.0])
+        again = _arimoto_stepper(step.iterate, (None, d, None, None), step)
+        assert again.iterate[2] > 0.5 and again.log_weights[2] == 0.0
+        assert np.array_equal(again.iterate, multiplicative_step(step.log_weights, d)[1])
 
     def test_the_solver_step_starts_from_the_log_of_the_weights(self):
         # The start's Step carries np.log of the start weights, so the first
-        # step tilts log q, as the public arimoto_step does.
+        # step tilts log q, as the public arimoto_step does; the log-weights
+        # it hands on have their maximum at exactly 0.
         ch = z_channel(0.5)
         q = _normalized(np.array([0.2, 0.8]))
         run = _run(ch, q, _arimoto_stepper)
         (_, d, _, _, start), (stepped, _, _, _, step) = next(run), next(run)
         assert start.iterate is q and np.array_equal(start.log_weights, np.log(q))
-        logits = np.log(q) + d
-        assert np.array_equal(step.log_weights, logits - logsumexp(logits))
-        assert np.array_equal(stepped, np.exp(step.log_weights))
+        log_stepped, weights = multiplicative_step(np.log(q), d)
+        assert np.array_equal(step.log_weights, log_stepped) and np.max(step.log_weights) == 0.0
+        assert np.array_equal(stepped, weights)
         assert np.array_equal(stepped, arimoto_step(Distribution(q), ch).weights)
+
+    def test_a_step_takes_one_exponential_and_no_logarithm(self, monkeypatch):
+        # The step exponentiates the shifted logits once and divides by
+        # their sum: no log-sum-exp, so no np.log and no second np.exp.
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                value = getattr(np, name)
+                if name in ("exp", "log"):
+                    def counted(*args, **kwargs):
+                        calls.append(name)
+                        return value(*args, **kwargs)
+                    return counted
+                return value
+
+        rng = np.random.default_rng(12)
+        q = _normalized(rng.dirichlet(np.ones(6)))
+        d = rng.uniform(0.0, 2.0, size=6)
+        previous = Step(q, np.log(q))
+        # The modules the step reaches: its own, the log-sum-exp's and the check's.
+        for module in (arimoto, numeric, probability):
+            monkeypatch.setattr(module, "np", CountingNumpy())
+        step = _arimoto_stepper(q, (None, d, None, None), previous)
+        monkeypatch.undo()
+        assert calls == ["exp"]
+        assert np.array_equal(step.iterate, multiplicative_step(np.log(q), d)[1])
 
 
 class TestBracket:
@@ -172,6 +203,17 @@ class TestSolve:
             assert rec.mutual_info >= previous - 1e-12
             assert rec.inner_iterations is None
             previous = rec.mutual_info
+
+    def test_a_noiseless_channel_closes_its_gap_exactly(self):
+        # A noiseless 10-symbol channel plus a useless input.  The step
+        # divides the tilted weights by their sum, so the ten live weights
+        # come out equal to the bit and the bracket closes to a gap of
+        # exactly 0: even a 1e-300 tolerance converges, within 20 sweeps.
+        ch = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
+        result, _ = solve_arimoto(ch, tol=1e-300)
+        assert result.termination is Termination.CONVERGED and result.iterations <= 20
+        assert result.bracket.upper - result.bracket.lower == 0.0
+        assert result.capacity == pytest.approx(math.log(10.0), abs=1e-15)
 
     def test_max_iters_termination(self):
         result, trace = solve_arimoto(z_channel(0.5), tol=1e-15, max_iters=3)

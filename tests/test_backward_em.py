@@ -33,7 +33,8 @@ from chancap import backward_em
 from chancap.arimoto import _sweep
 from chancap.backward_em import _NEWTON_MAX_OUTPUTS
 from support import (
-    inner_solves_per_step, random_channel, random_interior, record_inner_solves, reference_m_step, replayed, tilt,
+    inner_solves_per_step, multiplicative_step, random_channel, random_interior, record_inner_solves, reference_m_step,
+    replayed,
 )
 
 
@@ -343,10 +344,12 @@ class TestSolver:
     def test_fallback_is_bit_identical_to_the_multiplicative_step(self):
         # The fallback is the multiplicative step of the log-weights the
         # previous Step carries, with the divergences a fresh public sweep
-        # gives.  The first step starts from the log of the start weights,
-        # as the public arimoto_step does, so there the two coincide.  At
-        # the paper's step size max_inner=1 starves the inner solve, first
-        # step included; the default's gap-scaled inner tolerance does not.
+        # gives: its log-weights are the logits shifted to a maximum of 0,
+        # and its iterate exp of them over their sum.  The first step starts
+        # from the log of the start weights, as the public arimoto_step
+        # does, so there the two coincide.  At the paper's step size
+        # max_inner=1 starves the inner solve, first step included; the
+        # default's gap-scaled inner tolerance does not.
         rng = np.random.default_rng(60)
         ch = random_channel(rng, 6, 5)
         _, trace = solve_backward_em(ch, tol=1e-7, max_inner=1, step_size=1.0)
@@ -356,9 +359,9 @@ class TestSolver:
             if after.route == "fallback":
                 base = Distribution(q)
                 d = per_input_divergences(ch, output_marginal(base, ch).weights)
-                log_stepped = tilt(before.log_weights, d)[0]
-                assert np.array_equal(after.log_weights, log_stepped)
-                assert np.array_equal(stepped, np.exp(log_stepped))
+                log_stepped, weights = multiplicative_step(before.log_weights, d)
+                assert np.array_equal(after.log_weights, log_stepped) and np.max(after.log_weights) == 0.0
+                assert np.array_equal(stepped, weights)
                 if k == 0:
                     assert np.array_equal(stepped, arimoto_step(base, ch).weights)
                     firsts += 1

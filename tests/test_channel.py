@@ -351,7 +351,36 @@ class TestRowWalk:
         text = json.dumps(doc, indent=indent, separators=separators)
         assert_walk_reads_as_json_loads(text.encode())
         # The walk reads it itself, rather than handing it on to json.loads.
-        assert channel_module._streamed_json(text, scan=True) is not None
+        assert channel_module._streamed_json(text) is not None
+
+    def test_labels_leave_plain_rows_unscanned(self, monkeypatch):
+        # The walk decides the per-entry scan from each row's own text, so
+        # labels with quotes, "t" and "f" elsewhere do not scan the matrix.
+        scans = []
+        json_numbers = channel_module._json_numbers
+
+        def recording(rows, what, scan=True):
+            scans.append(scan)
+            return json_numbers(rows, what, scan)
+
+        for name, value in {**SMALL_BLOCKS, "_json_numbers": recording}.items():
+            monkeypatch.setattr(channel_module, name, value)
+        ch = Channel(np.eye(3), input_labels=("true", "false", "x"), output_labels=("a", "b", "c"))
+        assert np.array_equal(load_channel(save_channel(ch)).matrix, ch.matrix)
+        assert len(scans) > 1 and not any(scans)
+
+    @pytest.mark.parametrize("entry", ['"0.5"', "true", "false"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_non_number_after_labels_is_still_a_parse_error(self, entry, row):
+        # The labels come first and the bad entry sits in a later block, so
+        # only that row's own text can turn its block's scan on.
+        rows = [["0.5", "0.5"], ["1", "0"], ["0.25", "0.75"]]
+        rows[row][1] = entry
+        matrix = ", ".join(f"[{a}, {b}]" for a, b in rows)
+        doc = f'{{"input_labels": ["a", "b", "c"], "matrix": [{matrix}]}}'.encode()
+        for settings in (LOADED, WALKED, SMALL_BLOCKS):
+            kind, message = json_outcome(doc, settings)
+            assert kind is ParseError and "strings or true/false" in message
 
     @pytest.mark.parametrize("text", ["", "a", "a\n", "a\r\nb\rc\n\nd", "\n\n", "0.5,0.5\r\n0.5,0.5"])
     def test_csv_lines_are_the_lines_of_a_text_stream(self, text):

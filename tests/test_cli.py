@@ -12,6 +12,7 @@ from chancap.cli import (
     EXIT_ITERATION_LIMIT,
     EXIT_OK,
     _TRACE_HEADER,
+    _write_trace,
     main,
 )
 from chancap.channel import CANONICAL_KINDS
@@ -122,6 +123,29 @@ class TestCapacity:
         assert routes <= {"exact", "fallback"} and routes
 
     @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
+    def test_trace_csv_keeps_the_row_by_row_format(self, tmp_path, algorithm):
+        # The rows are written in one writelines call with one repr per
+        # value; the bytes must be those of the format one write per row
+        # gave, lower bound twice and an empty residual for None.
+        ch = pinned_squares()["r16"]
+        if algorithm == "arimoto":
+            _, trace = solve_arimoto(ch)
+        else:
+            # The paper's step size with a starved inner solve falls back on
+            # some steps, so the route column holds both routes.
+            _, trace = solve_backward_em(ch, tol=1e-12, max_inner=1, step_size=1.0)
+            assert {"exact", "fallback"} <= set(trace._column("step_status"))
+        path = tmp_path / "trace.csv"
+        _write_trace(str(path), trace)
+        expected = [_TRACE_HEADER + "\n"]
+        rows = zip(*map(trace._column, ("lower_bound", "upper_bound", "step_status", "inner_residual")))
+        for iteration, (lower, upper, route, residual) in enumerate(rows, 1):
+            residual = "" if residual is None else repr(residual)
+            expected.append(f"{iteration},{lower!r},{lower!r},{upper!r},{upper - lower!r},{route or ''},{residual}\n")
+        assert len(expected) == len(trace) + 1 > 100
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
     @pytest.mark.parametrize("kind", ["z", "random"])
     def test_trace_csv_is_the_records_text(self, tmp_path, capsys, algorithm, kind):
         # The CLI writes its trace from the trace's columns; the file must be
@@ -205,26 +229,30 @@ class TestCapacity:
         assert payload["gap"] == pytest.approx(payload["upper"] - payload["lower"], abs=1e-15)
         assert 0.0 <= gap <= 1e-6
 
-    @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
-    def test_underflows_to_an_exact_zero_without_a_clamp(self, tmp_path, capsys, algorithm):
-        # A noiseless 10-symbol channel plus a useless input, whose weight
-        # shrinks every step until it underflows (at sweep 324 of the
-        # Arimoto iteration, at record 10 of the backward one).  Both
-        # solvers carry log-weights, so the weight becomes an exact 0 and
-        # nothing is clamped.  The gap settles at one ulp (by sweep 16, and
-        # by record 5), so a 1e-300 gap is out of reach: the run stops at
-        # the iteration limit, with the bracket at its rounding floor.
+    @pytest.mark.parametrize(
+        "algorithm, symbols", [("arimoto", 7), ("backward-em", 10)], ids=["arimoto", "backward-em"]
+    )
+    def test_underflows_to_an_exact_zero_without_a_clamp(self, tmp_path, capsys, algorithm, symbols):
+        # A noiseless channel plus a useless input, whose weight shrinks
+        # every step until it underflows (at sweep 383 of the Arimoto
+        # iteration on 7 symbols, at record 10 of the backward one on 10).
+        # Both solvers carry log-weights, so the weight becomes an exact 0
+        # and nothing is clamped.  On these channels the gap settles at one
+        # ulp, not at 0 (by sweep 19, and by record 5), so a 1e-300 gap is
+        # out of reach: the run stops at the iteration limit, with the
+        # bracket at its rounding floor.
         path = tmp_path / "underflow.json"
-        path.write_bytes(save_channel(Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))))
+        path.write_bytes(save_channel(Channel(np.vstack([np.eye(symbols), np.full(symbols, 1.0 / symbols)]))))
         argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--tol", "1e-300", "--max-iters", "400",
                 "--units", "nats"]
         payload = run_json(capsys, argv, expected_code=EXIT_ITERATION_LIMIT)
         assert payload["clamped_steps"] == 0
         assert payload["termination"] == "max_iterations"
-        assert payload["optimal_input"][10] == 0.0
-        assert all(w > 0.0 for w in payload["optimal_input"][:10])
-        assert payload["lower"] <= np.log(10.0) + 1e-15 and payload["upper"] >= np.log(10.0) - 1e-15
-        assert payload["gap"] <= 1e-15
+        assert payload["optimal_input"][symbols] == 0.0
+        assert all(w > 0.0 for w in payload["optimal_input"][:symbols])
+        capacity = np.log(float(symbols))
+        assert payload["lower"] <= capacity + 1e-15 and payload["upper"] >= capacity - 1e-15
+        assert 0.0 < payload["gap"] <= 1e-15
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])

@@ -25,7 +25,8 @@ from chancap import (
 )
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
 from support import (
-    inner_solves_per_step, pinned_squares, random_channel, record_inner_solves, reference_m_step, replayed, tilt,
+    inner_solves_per_step, multiplicative_step, pinned_squares, random_channel, record_inner_solves, reference_m_step,
+    replayed,
 )
 
 
@@ -112,8 +113,10 @@ def test_paper_step_size_takes_the_reference_steps():
     # step_size=1.0 is the paper's iteration: every step is the reference
     # m-step's from the log-weights the previous Step carries, or the
     # multiplicative step of those log-weights where that does not
-    # converge.  The first step starts from the log of the start weights,
-    # as the public calls do, so there it is theirs too.  The last channel
+    # converge.  An exact step hands on the log-weights its iterate is exp
+    # of, a fallback the shifted logits, whose maximum is 0.  The first step
+    # starts from the log of the start weights, as the public calls do, so
+    # there it is theirs too.  The last channel
     # is wider than the Newton cap, so its steps are damped.
     channels = [*random_channels(71, 5), random_channel(np.random.default_rng(69), 3, _NEWTON_MAX_OUTPUTS + 1)]
     routes = set()
@@ -128,17 +131,18 @@ def test_paper_step_size_takes_the_reference_steps():
                 assert (after.residual, after.inner) == (want.residual, want.inner_iterations)
                 if want.solution is None:
                     d = per_input_divergences(ch, output_marginal(base, ch).weights)
-                    expected = np.exp(tilt(log_base, d)[0])
+                    log_expected, expected = multiplicative_step(log_base, d)
                     public = arimoto_step(base, ch).weights if k == 0 else expected
                     assert after.route == "fallback"
+                    assert np.array_equal(after.log_weights, log_expected) and np.max(after.log_weights) == 0.0
                 else:
                     expected = want.solution.induced_input.weights
                     public = expected
                     if k == 0:
                         public = exact_backward_m_step(base, ch, **settings).solution.induced_input.weights
                     assert after.route == "exact"
+                    assert np.array_equal(np.exp(after.log_weights), stepped)
                 assert np.array_equal(stepped, expected) and np.array_equal(public, expected)
-                assert np.array_equal(np.exp(after.log_weights), stepped)
                 routes.add(after.route)
     assert routes == {"exact", "fallback"}
 

@@ -20,9 +20,11 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * both solvers on a channel whose first step underflows a weight, which
   each keeps as an exact 0, its state being the log-weights; and both
   solvers on a noiseless 10-symbol channel plus a useless input to a gap
-  of 1e-300, stopped at 400 records: the useless weight reaches an exact 0
-  (at sweep 324 of solve_arimoto, at record 10 of solve_backward_em), and
-  the gap rests at its one-ulp floor;
+  of 1e-300, stopped at 400 records: solve_arimoto, whose step divides
+  the tilted weights by their sum, closes the gap to exactly 0 and
+  converges at sweep 17, with the useless weight at about 1e-17, while
+  solve_backward_em reaches an exact 0 at record 10 and rests at a
+  one-ulp gap to the 400th;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
@@ -238,7 +240,8 @@ def underflow_runs(h: Hasher) -> None:
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     h.trace("arimoto", "subnormal-start/arimoto", solve_arimoto(ch, initial=start))
     backward_runs(h, "subnormal-start/backward", ch, initial=start)
-    # The useless input's weight shrinks every step until it is an exact zero.
+    # The useless input's weight shrinks every step: the backward solver's
+    # until it is an exact zero, while solve_arimoto converges first.
     useless = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
     h.trace("arimoto", "useless-input/arimoto", solve_arimoto(useless, tol=1e-300, max_iters=400))
     backward_runs(h, "useless-input/backward", useless, tol=1e-300, max_iters=400)
