@@ -71,7 +71,9 @@ that has already swept the iterate it returns hands the sweep on in its
 Step, and the loop does not sweep it again.  A stepper's own state (the
 log-weights, the backward solver's step size) lives on its Step: _run
 hands each stepper the Step that made the current iterate, so a replay,
-which starts from the same Step, takes the same steps.
+which starts from the same Step, takes the same steps.  The backward
+solver's Step also carries the gap below which its next support-Newton
+try may run, so a replay takes the same tries.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ class TraceRecord:
     step_status, inner_residual, inner_iterations, step_size,
     rejected_candidates and rejected_inner_iterations describe the step
     that produced this iterate; they are populated only by solvers whose
-    step has an inner loop.  clamped is always False: both solvers carry
-    log-weights, so no iterate is clamped; the field stays for the callers
-    that read it, perfbench's traced run among them.  Records are built on the first read of
+    step has an inner loop, and step_size is None for the backward
+    solver's support-Newton route, which has no step size.  clamped is
+    always False: both solvers carry log-weights, so no iterate is
+    clamped; the field stays for the callers that read it, perfbench's
+    traced run among them.  Records are built on the first read of
     IterationTrace.records, from a replay of the run checked against the
     trace's columns.
     """
@@ -329,7 +333,10 @@ class Step(NamedTuple):
     through _row, as step_status, inner_residual, inner_iterations,
     step_size, rejected_candidates and rejected_inner_iterations.  sweep is
     _sweep's tuple at iterate when the stepper has computed it, None otherwise, and
-    becomes the next iterate's.  _run yields each Step with the iterate it made.
+    becomes the next iterate's.  retry_below is the backward solver's
+    state that no trace column keeps: the next step tries its
+    support-Newton route only at a gap below it, inf until a try is
+    refused.  _run yields each Step with the iterate it made.
     """
 
     iterate: np.ndarray
@@ -341,6 +348,7 @@ class Step(NamedTuple):
     step_size: float | None = None
     rejected: int | None = None
     rejected_inner: int | None = None
+    retry_below: float = math.inf
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]

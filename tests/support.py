@@ -81,6 +81,13 @@ def replayed(trace) -> list:
     return list(itertools.islice(trace._replay(), len(trace)))
 
 
+def without_support_newton(monkeypatch) -> None:
+    """Turn solve_backward_em's support-Newton route off: every try is
+    refused, and a refused try changes no record, so the run is the
+    adaptive rule's exact and fallback steps alone."""
+    monkeypatch.setattr(backward_em, "_support_newton", lambda q, support, ch: None)
+
+
 def record_inner_solves(monkeypatch) -> list:
     """Patch backward_em._inner_solve to append (log_base, result) per call to the returned list."""
     calls = []

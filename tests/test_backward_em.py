@@ -1,5 +1,7 @@
 """The backward alternation: family members, both m-steps, and the solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,8 @@ from chancap import backward_em
 from chancap.arimoto import _sweep
 from chancap.backward_em import _NEWTON_MAX_OUTPUTS
 from support import (
-    inner_solves_per_step, multiplicative_step, random_channel, random_interior, record_inner_solves, reference_m_step,
-    replayed,
+    inner_solves_per_step, multiplicative_step, pinned_squares, random_channel, random_interior, record_inner_solves,
+    reference_m_step, replayed, without_support_newton,
 )
 
 
@@ -276,15 +278,26 @@ class TestSolver:
             assert backward.capacity == pytest.approx(classical.capacity, abs=2e-9)
 
     def test_trace_records_step_route_and_residual(self):
-        _, trace = solve_backward_em(z_channel(0.5))
-        routes = [rec.step_status for rec in trace.records[1:]]
-        assert routes and all(route in ("exact", "fallback") for route in routes)
-        assert all(
-            rec.inner_residual is not None for rec in trace.records[1:]
-        )
-        assert all(rec.inner_iterations >= 0 for rec in trace.records[1:])
-        assert trace.records[0].step_status is None
-        assert trace.records[0].inner_iterations is None
+        # Every step is exact or a fallback but the last, which the
+        # support-Newton route makes: it is accepted only at a gap of at
+        # most tol, so it ends the run.  z finishes at its first step; r8's
+        # first try is refused, and its route finishes after four exact steps.
+        for ch, steps in ((z_channel(0.5), 1), (pinned_squares()["r8"], 5)):
+            _, trace = solve_backward_em(ch)
+            records = trace.records
+            routes = [rec.step_status for rec in records[1:]]
+            assert len(routes) == steps and routes[-1] == "support_newton"
+            assert all(route in ("exact", "fallback") for route in routes[:-1])
+            assert all(rec.inner_residual is not None for rec in records[1:])
+            assert all(rec.inner_iterations >= 0 for rec in records[1:])
+            last = records[-1]
+            # The route has no step size and rejects no candidate; its inner
+            # count is its Newton steps and its residual the last correction.
+            assert last.gap <= 1e-9 and last.step_size is None
+            assert (last.rejected_candidates, last.rejected_inner_iterations) == (0, 0)
+            assert last.inner_iterations >= 1 and 0.0 <= last.inner_residual < 1e-12
+            assert records[0].step_status is None
+            assert records[0].inner_iterations is None
 
     def test_useless_channel_terminates_in_one_iteration(self):
         result, _ = solve_backward_em(uniform_rows(2, 3))
@@ -335,7 +348,8 @@ class TestSolver:
             check(name, *args)
 
         monkeypatch.setattr(backward_em, "_check_limit", counting)
-        result, _ = solve_backward_em(z_channel(0.5))
+        # r8 takes exact steps and two support-Newton tries.
+        result, _ = solve_backward_em(pinned_squares()["r8"])
         assert result.iterations > 2
         assert calls == ["max_inner"]
         exact_backward_m_step(Distribution.uniform(2), z_channel(0.5))
@@ -405,6 +419,8 @@ class TestSolver:
         # log base, and the induced input is the recorded iterate.  A
         # rejected candidate is solved again from the same base, so the
         # step's accepted solve is the last of the solves on its base.
+        # The support-Newton route makes no inner solve; off, every step has one.
+        without_support_newton(monkeypatch)
         calls = record_inner_solves(monkeypatch)
         rng = np.random.default_rng(64)
         handed = 0
@@ -430,12 +446,15 @@ class TestSolver:
         "case",
         ["random", "z", "wide", "fallback", "clamp"],
     )
-    def test_every_record_is_the_bracket_of_its_iterate(self, case):
+    def test_every_record_is_the_bracket_of_its_iterate(self, case, monkeypatch):
         # A sweep after an exact step reuses the output marginal the m-step
-        # computed; every record must still be, bit for bit, the bracket and
+        # computed, and one after the support-Newton route hands its own
+        # sweep on; every record must still be, bit for bit, the bracket and
         # divergences a fresh sweep gives at the recorded iterate.  A record
         # may hold an exact zero weight, which capacity_bracket refuses, so
-        # the bracket is _sweep's, the one capacity_bracket returns.
+        # the bracket is _sweep's, the one capacity_bracket returns.  Each
+        # channel runs with the route and without it: the exact steps, and
+        # the underflows, are those of the run without.
         settings, initial = {}, None
         if case == "random":
             rng = np.random.default_rng(72)
@@ -455,19 +474,25 @@ class TestSolver:
             # the smallest subnormal, and its first step underflows to 0.
             channels = [Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))]
             initial = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-        routes, zeros = set(), False
-        for ch in channels:
-            _, trace = solve_backward_em(ch, initial=initial, **settings)
-            for rec in trace.records:
+        routes, finished, zeros = set(), set(), False
+        for ch, route in itertools.product(channels, (True, False)):
+            with monkeypatch.context() as patch:
+                if not route:
+                    without_support_newton(patch)
+                _, trace = solve_backward_em(ch, initial=initial, **settings)
+                records = trace.records
+            for rec in records:
                 q = rec.input_distribution
                 bracket = np.array(_sweep(q.weights, ch)[2:])
                 assert np.array([rec.lower_bound, rec.upper_bound]).tobytes() == bracket.tobytes()
                 fresh = per_input_divergences(ch, output_marginal(q, ch).weights)
                 assert rec.per_input_divergence.tobytes() == fresh.tobytes()
                 assert not rec.clamped
-                routes.add(rec.step_status)
-                zeros |= bool((q.weights == 0.0).any())
+                (routes if not route else finished).add(rec.step_status)
+                zeros |= not route and bool((q.weights == 0.0).any())
         assert "exact" in routes
+        # The paper's step size never takes the route.
+        assert ("support_newton" in finished) == (case != "fallback")
         assert ("fallback" in routes) == (case == "fallback")
         # The random case's 8x7 channel underflows a weight too, at record
         # 15 with a step size of 2048: one of its inputs has zero optimal

@@ -16,7 +16,7 @@ from chancap.cli import (
     main,
 )
 from chancap.channel import CANONICAL_KINDS
-from support import CANONICAL_EXAMPLES, pinned_squares, random_channel
+from support import CANONICAL_EXAMPLES, pinned_squares, random_channel, without_support_newton
 
 BSC01_BITS = 0.5310044064107188
 Z05_BITS = np.log2(1.25)
@@ -102,7 +102,9 @@ class TestCapacity:
         assert gaps[-1] <= 1e-9
 
     def test_backward_trace_carries_step_route(self, tmp_path, capsys):
-        path = write_z(tmp_path, capsys)
+        # r8's exact steps, then the support-Newton route on the last row.
+        path = tmp_path / "r8.json"
+        path.write_bytes(save_channel(pinned_squares()["r8"]))
         trace_path = tmp_path / "trace_bem.csv"
         run_json(
             capsys,
@@ -119,8 +121,9 @@ class TestCapacity:
         lines = trace_path.read_text().splitlines()
         assert lines[0] == _TRACE_HEADER
         assert lines[1].endswith(",,")
-        routes = {line.split(",")[5] for line in lines[2:]}
-        assert routes <= {"exact", "fallback"} and routes
+        routes = [line.split(",")[5] for line in lines[2:]]
+        assert routes[-1] == "support_newton"
+        assert set(routes[:-1]) <= {"exact", "fallback"} and "exact" in routes
 
     @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
     def test_trace_csv_keeps_the_row_by_row_format(self, tmp_path, algorithm):
@@ -172,11 +175,14 @@ class TestCapacity:
         if algorithm == "backward-em":
             assert payload["inner_sweeps"] == sum(rec.inner_iterations or 0 for rec in trace.records)
 
-    @pytest.mark.parametrize("limit", [[], ["--max-iters", "7"]])
+    @pytest.mark.parametrize("limit", [[], ["--max-iters", "3"]])
     def test_backward_em_counts_step_routes(self, tmp_path, capsys, limit):
         # The route counts are read from the trace's columns; they must be
-        # the records' own, and cover every iterate after the first.
-        path = write_z(tmp_path, capsys)
+        # the records' own, and cover every iterate after the first.  r8
+        # takes four exact steps, then the support-Newton route finishes it;
+        # stopped at 3 records, it has taken two exact steps and no route.
+        path = tmp_path / "r8.json"
+        path.write_bytes(save_channel(pinned_squares()["r8"]))
         argv = ["capacity", "--channel", str(path), "--algorithm", "backward-em", *limit]
         code = EXIT_ITERATION_LIMIT if limit else EXIT_OK
         payload = run_json(capsys, argv, expected_code=code)
@@ -186,24 +192,28 @@ class TestCapacity:
         assert payload["iterations"] == len(trace) == min(max_iters, len(trace))
         assert payload["exact_steps"] == routes.count("exact") > 0
         assert payload["fallback_steps"] == routes.count("fallback")
-        assert payload["exact_steps"] + payload["fallback_steps"] == len(trace) - 1
+        assert payload["support_newton_steps"] == routes.count("support_newton") == (0 if limit else 1)
+        steps = payload["exact_steps"] + payload["fallback_steps"] + payload["support_newton_steps"]
+        assert steps == len(trace) - 1
         assert payload["clamped_steps"] == sum(rec.clamped for rec in trace.records)
-        assert payload["max_step_size"] == max(rec.step_size for rec in trace.records[1:]) > 1.0
+        assert payload["max_step_size"] == max(filter(None, (rec.step_size for rec in trace.records[1:]))) > 1.0
         assert payload["rejected_candidates"] == sum(rec.rejected_candidates for rec in trace.records[1:])
         assert payload["rejected_inner_sweeps"] == sum(rec.rejected_inner_iterations for rec in trace.records[1:])
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
         keys = {
-            "inner_sweeps", "exact_steps", "fallback_steps", "max_step_size", "rejected_candidates",
-            "rejected_inner_sweeps",
+            "inner_sweeps", "exact_steps", "fallback_steps", "support_newton_steps", "max_step_size",
+            "rejected_candidates", "rejected_inner_sweeps",
         }
         assert not keys & arimoto.keys()
         assert arimoto["clamped_steps"] == 0
 
-    def test_backward_em_counts_rejected_candidates(self, tmp_path, capsys):
+    def test_backward_em_counts_rejected_candidates(self, tmp_path, capsys, monkeypatch):
         # The z channel's steps reject none, and neither do the pinned r8's
-        # to 1e-9.  To 1e-13 r8's steps at step sizes of 8192 and 4096
-        # each reject one candidate, whose inner solves took 4 and 3 steps,
-        # and retry at a quarter of it.
+        # to 1e-9.  To 1e-13, without the support-Newton route that
+        # finishes it at record 6, r8's steps at step sizes of 8192 and
+        # 4096 each reject one candidate, whose inner solves took 4 and 3
+        # steps, and retry at a quarter of it.
+        without_support_newton(monkeypatch)
         path = tmp_path / "r8.json"
         ch = pinned_squares()["r8"]
         path.write_bytes(save_channel(ch))
@@ -232,7 +242,7 @@ class TestCapacity:
     @pytest.mark.parametrize(
         "algorithm, symbols", [("arimoto", 7), ("backward-em", 10)], ids=["arimoto", "backward-em"]
     )
-    def test_underflows_to_an_exact_zero_without_a_clamp(self, tmp_path, capsys, algorithm, symbols):
+    def test_underflows_to_an_exact_zero_without_a_clamp(self, tmp_path, capsys, monkeypatch, algorithm, symbols):
         # A noiseless channel plus a useless input, whose weight shrinks
         # every step until it underflows (at sweep 383 of the Arimoto
         # iteration on 7 symbols, at record 10 of the backward one on 10).
@@ -240,7 +250,11 @@ class TestCapacity:
         # and nothing is clamped.  On these channels the gap settles at one
         # ulp, not at 0 (by sweep 19, and by record 5), so a 1e-300 gap is
         # out of reach: the run stops at the iteration limit, with the
-        # bracket at its rounding floor.
+        # bracket at its rounding floor.  The backward solver's
+        # support-Newton route would close the gap at record 6 (see
+        # test_the_support_newton_route_closes_the_noiseless_gap), so it is
+        # off here: the underflow is the exact steps'.
+        without_support_newton(monkeypatch)
         path = tmp_path / "underflow.json"
         path.write_bytes(save_channel(Channel(np.vstack([np.eye(symbols), np.full(symbols, 1.0 / symbols)]))))
         argv = ["capacity", "--channel", str(path), "--algorithm", algorithm, "--tol", "1e-300", "--max-iters", "400",
@@ -253,6 +267,21 @@ class TestCapacity:
         capacity = np.log(float(symbols))
         assert payload["lower"] <= capacity + 1e-15 and payload["upper"] >= capacity - 1e-15
         assert 0.0 < payload["gap"] <= 1e-15
+
+    def test_the_support_newton_route_closes_the_noiseless_gap(self, tmp_path, capsys):
+        # The backward case above with the route on: once the useless
+        # weight is below 1e-12 the support is the ten noiseless inputs,
+        # and one Newton solve on it lands on the uniform law, whose gap is
+        # exactly 0.  The useless input, off the support, weighs exactly 0.
+        path = tmp_path / "noiseless.json"
+        path.write_bytes(save_channel(Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))))
+        argv = ["capacity", "--channel", str(path), "--algorithm", "backward-em", "--tol", "1e-300", "--max-iters",
+                "5000", "--units", "nats"]
+        payload = run_json(capsys, argv)
+        assert payload["termination"] == "converged" and payload["iterations"] <= 10
+        assert payload["gap"] == 0.0 and payload["support_newton_steps"] == 1
+        assert payload["optimal_input"] == [0.1] * 10 + [0.0]
+        assert payload["lower"] == payload["upper"] == pytest.approx(np.log(10.0), abs=1e-15)
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
         code = main(["capacity", "--channel", str(tmp_path / "absent.json")])

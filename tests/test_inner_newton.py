@@ -54,7 +54,9 @@ class TestSafeguard:
         # steps reach the fixed point at 1e-10.  The default stops it at the
         # start's bracket gap, 13.4 nats, which the start's own output
         # marginal already meets, so the reference loop at that tolerance
-        # gives its bits.  Every later step is exact too.
+        # gives its bits.  Every later step is exact too, but the default's
+        # last, which the support-Newton route takes: its try at the first
+        # step is refused, and the step is the exact one.
         for step_size in (1.0, None):
             result, trace = solve_backward_em(LEAVING_CHANNEL, initial=LEAVING_BASE, tol=1e-9, step_size=step_size)
             assert result.termination is Termination.CONVERGED
@@ -67,7 +69,9 @@ class TestSafeguard:
             assert (first.step_status, first.step_size) == ("exact", 1.0)
             assert (first.inner_residual, first.inner_iterations) == (want.residual, want.inner_iterations)
             assert np.array_equal(first.input_distribution.weights, want.solution.induced_input.weights)
-            assert all(rec.step_status == "exact" for rec in trace.records[2:])
+            routes = trace._column("step_status")
+            assert all(route == "exact" for route in routes[2:-1])
+            assert routes[-1] == ("exact" if step_size else "support_newton")
 
     @pytest.mark.parametrize("failure", ["singular", "inf", "nan", "sum", "wide-blend"])
     def test_unusable_newton_steps_end_the_m_step(self, monkeypatch, failure):
@@ -146,14 +150,21 @@ _, trace = solve_arimoto(Channel(rng.dirichlet(np.full(256, 0.3), size=256)), ma
 for rec in trace:
     sys.stdout.buffer.write(rec.per_input_divergence.tobytes())
     sys.stdout.buffer.write(rec.input_distribution.weights.tobytes())
+# perfbench's r64: the support-Newton route's first try solves bordered
+# systems of up to 65x65.
+_, trace = solve_backward_em(Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64)))
+sys.stdout.buffer.write(repr(trace._kept).encode())
+sys.stdout.buffer.write(trace.records[-1].input_distribution.weights.tobytes())
 """
 
 
 def test_traces_do_not_depend_on_the_blas_thread_count():
     # The covariance and the channel kernel are reduced by einsum outside
-    # BLAS, and the linear solves are at most 32x32; a 32-output channel
-    # takes the largest, and a 256x256 channel gives the kernel rows long
-    # enough for BLAS to have split them across threads.
+    # BLAS, and the linear solves are at most 32x32 in the inner loop and
+    # 65x65 in the support-Newton route; a 32-output channel takes the
+    # inner loop's largest, r64 the route's, and a 256x256 channel gives
+    # the kernel rows long enough for BLAS to have split them across
+    # threads.
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):

@@ -60,7 +60,7 @@ from chancap import (
 from chancap.channel import _divergences, _marginal
 from chancap.numeric import _contract, _solve, _solve1, logsumexp, ordered_dot, ordered_sum, ordered_sum_along
 from chancap.verify import brute_force_capacity
-from support import pinned_squares, random_channel, random_interior
+from support import pinned_squares, random_channel, random_interior, without_support_newton
 
 
 def sparse_channel(rng: np.random.Generator, n_in: int, n_out: int) -> Channel:
@@ -548,7 +548,7 @@ class TestContract:
             _solve(np.zeros((3, 3)), np.ones(3))
 
     @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
-    def test_a_solve_makes_no_python_level_call_into_numpy_wrappers(self, solve):
+    def test_a_solve_makes_no_python_level_call_into_numpy_wrappers(self, solve, monkeypatch):
         # The sweep's contractions call c_einsum, its minima and maxima the
         # ufunc reductions and the Newton step the solve1 gufunc directly,
         # so no frame of np.einsum's wrapper, of ndarray.min/max's _methods
@@ -569,17 +569,25 @@ class TestContract:
             elif frame.f_code.co_name == "_sweep" and path.name == "arimoto.py":
                 sweeps += 1
 
-        # The backward solver reaches 1e-9 on r8 in 14 records and 1e-13 in
-        # 17; slow32 takes 19 records to 1e-9 and 48 to 1e-11, each with its
-        # Newton solves.
+        # The backward solver finishes slow32 to 1e-11 at its first step,
+        # with the support-Newton route and its bordered solve; without the
+        # route it takes 48 records, each with its inner Newton solves.
         ch, tol = (pinned_squares()["r8"], 1e-9) if solve is solve_arimoto else (pinned_squares()["r32"], 1e-11)
-        sys.setprofile(profile)
-        try:
-            result, _ = solve(ch, tol=tol)
-        finally:
-            sys.setprofile(None)
+        iterations, routes = 0, []
+        for route_off in (False,) if solve is solve_arimoto else (False, True):
+            with monkeypatch.context() as patch:
+                if route_off:
+                    without_support_newton(patch)
+                sys.setprofile(profile)
+                try:
+                    result, trace = solve(ch, tol=tol)
+                finally:
+                    sys.setprofile(None)
+            iterations += result.iterations
+            routes += trace._column("step_status")
         # The profile saw the package's own calls: the sweeps, and enough of them.
-        assert result.iterations > 20 and sweeps > 20
+        assert iterations > 20 and sweeps > 20
+        assert ("support_newton" in routes) == (solve is solve_backward_em)
         assert landed == []
 
 

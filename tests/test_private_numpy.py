@@ -89,4 +89,6 @@ def test_the_cli_runs_without_the_private_name(hidden, tmp_path):
     done = run_hidden(_CLI, hidden, "capacity", "--channel", str(path), "--algorithm", "backward-em")
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
-    assert payload["termination"] == "converged" and payload["exact_steps"] > 0
+    # The support-Newton route finishes this channel; its contractions and
+    # its solves go through the stand-ins too.
+    assert payload["termination"] == "converged" and payload["support_newton_steps"] == 1

@@ -23,10 +23,11 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
+from chancap import backward_em
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
 from support import (
     inner_solves_per_step, multiplicative_step, pinned_squares, random_channel, record_inner_solves, reference_m_step,
-    replayed,
+    replayed, without_support_newton,
 )
 
 
@@ -43,10 +44,13 @@ def test_criterion_04_design_never_descends():
     # may fall by an ulp, never by criterion 04's 1e-12.  A test of the
     # bound alone rejected those candidates down to 434 fallbacks, and 53
     # of the 200 runs reached 1e-14; this rule took 1 fallback and 127
-    # with inner solves to 1e-10 / lambda, and takes 0 and 133 with inner
-    # solves to the gap over lambda.
+    # with inner solves to 1e-10 / lambda, and 0 and 133 in 5,660 steps
+    # with inner solves to the gap over lambda.  The support-Newton route
+    # is accepted only when its lower bound does not fall and its gap is at
+    # most tol, so it is each run's last step: with it all 200 runs reach
+    # 1e-14, in 976 steps, 197 of them the route's.
     rng = np.random.default_rng(41)
-    steps = descents = fallbacks = converged = 0
+    steps = descents = fallbacks = converged = finished = 0
     for _ in range(200):
         n, m = int(rng.integers(2, 17)), int(rng.integers(2, 17))
         result, trace = solve_backward_em(random_channel(rng, n, m), tol=1e-14, max_iters=40, max_inner=300)
@@ -58,10 +62,13 @@ def test_criterion_04_design_never_descends():
             fallbacks += routes[k] == "fallback"
             if routes[k] == "exact":
                 assert lowers[k] >= lowers[k - 1] or uppers[k] - lowers[k] < uppers[k - 1] - lowers[k - 1]
-    assert steps > 5000
+            elif routes[k] == "support_newton":
+                assert k == len(trace) - 1 and lowers[k] >= lowers[k - 1] and uppers[k] - lowers[k] <= 1e-14
+                finished += 1
+    assert 500 < steps < 2000
     assert descents == 0
     assert fallbacks <= 10
-    assert converged >= 100
+    assert converged == 200 and finished >= 190
 
 
 @pytest.mark.parametrize("name", ["r4", "r8", "r16", "r32"], ids=["r4", "r8", "r16", "slow32"])
@@ -79,10 +86,12 @@ def test_pinned_squares_reach_1e_9_in_at_most_100_outer_steps(name):
     assert max(result.bracket.lower, reference.bracket.lower) <= min(result.bracket.upper, reference.bracket.upper)
 
 
-def test_step_size_follows_the_adaptive_rule():
+def test_step_size_follows_the_adaptive_rule(monkeypatch):
     # lambda starts at 1 and doubles after an exact step of at most three
     # inner steps, up to its cap; each rejected candidate quarters it, never
-    # below 1, and only a step at lambda = 1 falls back.
+    # below 1, and only a step at lambda = 1 falls back.  The support-Newton
+    # route, off here, would end most of these runs before any rejection.
+    without_support_newton(monkeypatch)
     channels = [*random_channels(70, 8), pinned_squares()["r16"], bsc(0.3)]
     doubled = quartered = 0
     for ch in channels:
@@ -144,15 +153,19 @@ def test_paper_step_size_takes_the_reference_steps():
                     assert np.array_equal(np.exp(after.log_weights), stepped)
                 assert np.array_equal(stepped, expected) and np.array_equal(public, expected)
                 routes.add(after.route)
+    # The paper's step size never takes the support-Newton route.
     assert routes == {"exact", "fallback"}
 
 
 @pytest.mark.parametrize("step_size", [None, 1.0], ids=["default", "paper"])
-def test_each_inner_solve_stops_at_the_gap_over_the_step_size(step_size):
+def test_each_inner_solve_stops_at_the_gap_over_the_step_size(step_size, monkeypatch):
     # The default stops each inner solve at max(1e-10, gap) / lambda, the
     # gap being the one of the iterate it steps from; the paper's step size
     # stops it at 1e-10, as the public m-step does.  Read from the trace:
-    # each exact record's residual against the record before it.
+    # each exact record's residual against the record before it.  The
+    # support-Newton route is off, so that the default takes enough exact
+    # steps to show the rule.
+    without_support_newton(monkeypatch)
     channels = [*(pinned_squares()[name] for name in ("r4", "r8", "r16", "r32")), *random_channels(75, 6)]
     exact = looser = 0
     for ch in channels:
@@ -177,9 +190,11 @@ def test_each_inner_solve_stops_at_the_gap_over_the_step_size(step_size):
 
 
 def test_rejected_candidates_count_their_inner_steps(monkeypatch):
-    # slow32 to 1e-13 rejects candidates at large step sizes.  A step's
+    # slow32 to 1e-13 without the support-Newton route, which finishes it
+    # at its first step, rejects candidates at large step sizes.  A step's
     # rejected_inner_iterations is the sum of the inner steps of its
     # solves but the last.  The paper's step size rejects nothing.
+    without_support_newton(monkeypatch)
     calls = record_inner_solves(monkeypatch)
     _, trace = solve_backward_em(pinned_squares()["r32"], tol=1e-13)
     steps = inner_solves_per_step(calls)
@@ -199,15 +214,26 @@ def test_rejected_candidates_count_their_inner_steps(monkeypatch):
     assert set(arimoto._column("rejected_inner_iterations")) == {None}
 
 
-def test_records_replay_an_adaptive_run():
-    # The step size lives on each Step, not in the stepper, so the replay
-    # takes the same steps; the lambda column is compared like the others.
-    ch = pinned_squares()["r16"]
+def test_records_replay_an_adaptive_run(monkeypatch):
+    # The step size, and the gap the next support-Newton try waits for, live
+    # on each Step, not in the stepper, so the replay takes the same steps
+    # and the same tries; the lambda column is compared like the others.
+    # r8's first try is refused, so its second waits for the gap to fall
+    # tenfold, four exact steps later.  A replay that tried at every step
+    # would finish at the second record and fail the check.
+    ch = pinned_squares()["r8"]
+    tries = []
+    support_newton = backward_em._support_newton
+    monkeypatch.setattr(backward_em, "_support_newton", lambda *args: tries.append(1) or support_newton(*args))
     _, trace = solve_backward_em(ch, tol=1e-9)
-    sizes = trace._column("step_size")
+    sizes, routes = trace._column("step_size"), trace._column("step_status")
+    assert len(tries) == 2
     records = trace.records
+    assert len(tries) == 4
     assert [rec.step_size for rec in records] == sizes
-    assert sizes[0] is None and max(sizes[1:]) > 1000.0
+    assert [rec.step_status for rec in records] == routes
+    assert routes[1:] == ["exact"] * 4 + ["support_newton"]
+    assert sizes[0] is sizes[-1] is None and sizes[1:-1] == [1.0, 2.0, 4.0, 8.0]
     _, tampered = solve_backward_em(ch, tol=1e-9)
     # The step size of iteration 4, in the kept list of rows.
     tampered._kept[3 * len(tampered._columns) + tampered._columns.index("step_size")] *= 2.0
@@ -215,11 +241,17 @@ def test_records_replay_an_adaptive_run():
         tampered.records
 
 
-def test_channels_wider_than_the_cap_keep_the_paper_step_size():
-    # Their damped inner blend diverges above a step size of about 1.5.
+def test_channels_wider_than_the_cap_keep_the_paper_step_size(monkeypatch):
+    # Their damped inner blend diverges above a step size of about 1.5.  The
+    # support-Newton route, which the default takes at every width, finishes
+    # this channel at its first step; without it the default is the paper's
+    # iteration record for record.
     ch = random_channel(np.random.default_rng(73), 4, _NEWTON_MAX_OUTPUTS + 8)
-    _, adaptive = solve_backward_em(ch)
     _, paper = solve_backward_em(ch, step_size=1.0)
+    _, finished = solve_backward_em(ch)
+    assert finished._column("step_status") == [None, "support_newton"]
+    without_support_newton(monkeypatch)
+    _, adaptive = solve_backward_em(ch)
     assert len(adaptive) > 2
     assert [rec.step_size for rec in adaptive.records[1:]] == [1.0] * (len(adaptive) - 1)
     for column in ("lower_bound", "upper_bound", "step_status", "inner_residual", "inner_iterations", "step_size"):
@@ -269,7 +301,7 @@ def test_the_default_reaches_a_tight_tolerance_within_200_outer_steps(case):
     # than one it had passed.  The tolerance 1e-10 / lambda took r8 and r16
     # there in 19 and 20 records, the random 16x16 in 28 and slow32 in 76
     # and 127; max(1e-10, gap) / lambda takes 17, 18, 20, 48 and 81, with
-    # no fallback.
+    # no fallback, and the support-Newton route finishes each sooner.
     ch, tol = _tight_cases()[case]
     result, trace = solve_backward_em(ch, tol=tol, max_iters=200)
     assert result.termination is Termination.CONVERGED
@@ -281,7 +313,8 @@ def test_the_default_reaches_1e_9_on_the_pinned_squares_within_20_records(name):
     # Doubling lambda after inner solves of at most three Newton steps, each
     # to a tolerance of max(1e-10, gap) / lambda, takes 14 records on
     # either; to 1e-10 / lambda it took 17, and doubling after two at a
-    # fixed 1e-10 took 31 and 30.
+    # fixed 1e-10 took 31 and 30.  The support-Newton route finishes r8 at
+    # record 6 and r16 at record 2.
     result, _ = solve_backward_em(pinned_squares()[name], tol=1e-9)
     assert result.termination is Termination.CONVERGED
     assert result.iterations <= 20

@@ -1,0 +1,197 @@
+"""The backward solver's support-Newton route: Newton on the Kuhn-Tucker
+conditions restricted to the support, tried under the adaptive default and
+accepted only as the run's last record."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from chancap import Channel, Termination, solve_backward_em, z_channel
+from chancap import backward_em
+from chancap.arimoto import _sweep
+from support import pinned_squares, random_channel, without_support_newton
+
+ASYMMETRIC_BINARY = Channel(np.array([[0.9, 0.1], [0.3, 0.7]]))
+
+
+def solve_both(ch, monkeypatch, **settings):
+    """solve_backward_em with the route, then without it."""
+    _, finished = solve_backward_em(ch, **settings)
+    with monkeypatch.context() as patch:
+        without_support_newton(patch)
+        _, plain = solve_backward_em(ch, **settings)
+    return finished, plain
+
+
+def rows(trace) -> list:
+    """The trace's kept rows, as reprs, which tell every float apart bit for bit."""
+    width = len(trace._columns)
+    return [repr(trace._kept[k:k + width]) for k in range(0, len(trace._kept), width)]
+
+
+def counted_tries(monkeypatch) -> list:
+    """Patch backward_em._support_newton to append each try's result to the returned list."""
+    tries = []
+    support_newton = backward_em._support_newton
+
+    def counting(*args):
+        tries.append(support_newton(*args))
+        return tries[-1]
+
+    monkeypatch.setattr(backward_em, "_support_newton", counting)
+    return tries
+
+
+def kronecker_256() -> Channel:
+    """perfbench's large-loose asym_x_sym128 shape: the asymmetric binary
+    channel times a 128-ary symmetric channel, unrelabelled."""
+    eps = 0.1
+    symmetric = np.full((128, 128), eps / 127)
+    np.fill_diagonal(symmetric, 1.0 - eps)
+    return Channel(np.kron(ASYMMETRIC_BINARY.matrix, symmetric))
+
+
+def _corpus() -> dict:
+    squares = pinned_squares()
+    rng = np.random.default_rng(77)
+    cases = {
+        "z": (z_channel(0.5), 1e-9),
+        "asym": (ASYMMETRIC_BINARY, 1e-9),
+        **{f"{name}-1e-9": (ch, 1e-9) for name, ch in squares.items()},
+        **{f"{name}-1e-13": (ch, 1e-13) for name, ch in squares.items()},
+    }
+    for k in range(12):
+        cases[f"random-{k}"] = (random_channel(rng, int(rng.integers(2, 17)), int(rng.integers(2, 17))), 1e-12)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_corpus()))
+def test_records_before_the_finish_are_those_of_the_run_without_the_route(case, monkeypatch):
+    # A refused try adds no record and changes nothing, and an accepted one
+    # is the run's last record: every record before it is, bit for bit,
+    # the record the run without the route has there.
+    ch, tol = _corpus()[case]
+    finished, plain = solve_both(ch, monkeypatch, tol=tol)
+    routes = finished._column("step_status")
+    assert "support_newton" not in routes[:-1]
+    if routes[-1] == "support_newton":
+        assert len(finished) <= len(plain)
+        assert rows(finished)[:-1] == rows(plain)[:len(finished) - 1]
+        last = finished.records[-1]
+        assert last.gap <= tol and last.lower_bound >= finished.records[-2].lower_bound
+    else:
+        assert rows(finished) == rows(plain)
+
+
+@pytest.mark.parametrize("case", ["duplicate-rows", "kronecker-256x256", "paper-step-size"])
+def test_runs_the_route_cannot_finish_keep_their_records(case, monkeypatch):
+    # Duplicate rows in the support make the bordered system singular: each
+    # try is refused, without a least-squares solve and without a
+    # RuntimeWarning (which fails the suite), and the run is the one
+    # without the route.  The 256x256 Kronecker channel has more inputs
+    # than the route's cap, so no try runs; neither does one at the paper's
+    # step size.
+    settings = {}
+    if case == "duplicate-rows":
+        matrix = random_channel(np.random.default_rng(78), 4, 6).matrix
+        ch, tries_expected = Channel(np.vstack([matrix, matrix[:1]])), True
+    elif case == "kronecker-256x256":
+        ch, tries_expected, settings = kronecker_256(), False, {"tol": 1e-6}
+    else:
+        ch, tries_expected, settings = pinned_squares()["r8"], False, {"step_size": 1.0, "tol": 1e-7}
+    tries = counted_tries(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finished, plain = solve_both(ch, monkeypatch, **settings)
+    assert rows(finished) == rows(plain)
+    assert "support_newton" not in finished._column("step_status")
+    assert bool(tries) == tries_expected and not any(tries)
+
+
+def test_a_refused_try_waits_for_the_gap_to_fall_tenfold(monkeypatch):
+    # r8's first try, at the start's gap, settles on four of the five
+    # inputs of the optimal support and is refused.  The next try runs at
+    # the first record whose gap is below a tenth of that gap, and finishes.
+    gaps = []
+    support_newton = backward_em._support_newton
+
+    def recording(q, support, ch):
+        gaps.append(_sweep(q, ch)[3] - _sweep(q, ch)[2])
+        return support_newton(q, support, ch)
+
+    monkeypatch.setattr(backward_em, "_support_newton", recording)
+    _, trace = solve_backward_em(pinned_squares()["r8"])
+    record_gaps = [upper - lower for lower, upper in zip(trace._column("lower_bound"), trace._column("upper_bound"))]
+    assert gaps == [record_gaps[0], record_gaps[4]]
+    assert all(gap >= 0.1 * gaps[0] for gap in record_gaps[1:4]) and record_gaps[4] < 0.1 * gaps[0]
+    assert trace._column("step_status")[-1] == "support_newton" and len(trace) == 6
+
+
+def test_an_input_whose_weight_goes_negative_leaves_the_support():
+    # slow32's optimal support has 13 of its 32 inputs.  From the uniform
+    # start the route drops the most negative input and restarts, one input
+    # at a time, until the solve keeps every weight positive.
+    ch = pinned_squares()["r32"]
+    q = np.full(32, 1.0 / 32)
+    finish = backward_em._support_newton(q, np.arange(32), ch)
+    assert finish is not None and finish.support.size == 13
+    assert finish.steps > 19
+    off = np.ones(32, dtype=bool)
+    off[finish.support] = False
+    assert (finish.weights[off] == 0.0).all() and (finish.weights[finish.support] > 0.0).all()
+    _, d, lower, upper = _sweep(finish.weights, ch)
+    assert upper - lower <= 1e-14
+
+
+def test_a_zero_output_refuses_the_try():
+    # With the third input off the support, nothing reaches the third
+    # output: the try is refused rather than dividing by zero.
+    ch = Channel(np.eye(3))
+    q = np.array([0.5, 0.5 - 1e-13, 1e-13])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert backward_em._support_newton(q, np.array([0, 1]), ch) is None
+
+
+def test_the_noiseless_channel_closes_its_gap_below_the_floor():
+    # The noiseless 10-symbol channel plus a useless input, at a tolerance
+    # no float gap but 0 meets: the exact steps rest at a gap of 4.4e-16
+    # for all 5,000 records.  Once the useless weight is below 1e-12 the
+    # route solves the ten noiseless inputs to the uniform law, whose gap
+    # is exactly 0.
+    ch = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
+    result, trace = solve_backward_em(ch, tol=1e-300, max_iters=5000)
+    assert result.termination is Termination.CONVERGED and result.iterations <= 10
+    assert result.bracket.lower == result.bracket.upper
+    assert trace._column("step_status")[-1] == "support_newton"
+    assert list(result.optimal_input.weights) == [0.1] * 10 + [0.0]
+
+
+@pytest.mark.parametrize(
+    "case", ["z", "asym", "r4", "slow32"],
+)
+def test_tolerances_near_the_floor_converge_without_rejections(case):
+    # At tol=1e-15 the exact steps of z, asym and r4 ran all 200 records
+    # with 92-94 rejected candidates, and slow32 to 1e-13 took 81 records
+    # with 28.  The route finishes each at its first step.
+    ch, tol = {
+        "z": (z_channel(0.5), 1e-15),
+        "asym": (ASYMMETRIC_BINARY, 1e-15),
+        "r4": (pinned_squares()["r4"], 1e-15),
+        "slow32": (pinned_squares()["r32"], 1e-13),
+    }[case]
+    result, trace = solve_backward_em(ch, tol=tol, max_iters=200)
+    assert result.termination is Termination.CONVERGED and result.iterations == 2
+    assert trace._column("step_status")[-1] == "support_newton"
+    assert sum(trace._column("rejected_candidates")[1:]) == 0
+
+
+def test_r64_finishes_above_the_newton_cap():
+    # 64 outputs: the adaptive rule keeps lambda = 1, which took 10,324
+    # records to 1e-9.  The route's first try is refused; its second, 50
+    # records later, finishes.
+    ch = Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64))
+    result, trace = solve_backward_em(ch, tol=1e-9)
+    assert result.termination is Termination.CONVERGED and result.iterations <= 60
+    assert trace._column("step_status")[-1] == "support_newton"

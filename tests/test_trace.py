@@ -25,7 +25,7 @@ from chancap import (
     solve_backward_em,
 )
 from chancap.arimoto import _COLUMNS
-from support import pinned_squares, random_channel
+from support import pinned_squares, random_channel, without_support_newton
 
 
 def r16():
@@ -143,7 +143,9 @@ def test_a_trace_retains_no_array_per_record(solve, inputs):
 
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
-    _, trace = solve(r16(), tol=1e-6)
+    # The backward solver finishes r16 at its first step with the
+    # support-Newton route; pinned r8 takes five steps to 1e-9.
+    _, trace = solve(r16(), tol=1e-6) if solve is solve_arimoto else solve(pinned_squares()["r8"], tol=1e-9)
     # The upper bound of iteration 4, in the kept list of rows.
     k = 3 * len(trace._columns) + trace._columns.index("upper_bound")
     trace._kept[k] = math.nextafter(trace._kept[k], math.inf)
@@ -152,16 +154,21 @@ def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
 
 
 @pytest.mark.parametrize(
-    "case", ["arimoto-underflow", "backward-underflow", "backward-max-inner-2", "backward-rejections"]
+    "case",
+    ["arimoto-underflow", "backward-underflow", "backward-max-inner-2", "backward-rejections", "backward-finish"],
 )
-def test_the_kept_columns_are_the_records_fields(case):
+def test_the_kept_columns_are_the_records_fields(case, monkeypatch):
     # Each column the trace keeps reads, bit for bit, as the TraceRecord
     # field it is named by.  The last input of the underflow channel starts
     # at the smallest subnormal; its first step underflows it to zero.  Both
     # solvers' state is the log-weights, so they keep the zero and clamp
     # nothing.  At max_inner=2 some backward steps fall back at the paper's
     # step size (the default's gap-scaled inner tolerance takes r16 without
-    # one), and slow32 to 1e-13 rejects candidates under the default.
+    # one), and slow32 to 1e-13 rejects candidates under the default
+    # without the support-Newton route, which otherwise finishes it at the
+    # first step.  With the route, r8's last record has no step size.
+    if case == "backward-rejections":
+        without_support_newton(monkeypatch)
     underflow_channel = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
     start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
     _, trace = {
@@ -169,6 +176,7 @@ def test_the_kept_columns_are_the_records_fields(case):
         "backward-underflow": lambda: solve_backward_em(underflow_channel, initial=start),
         "backward-max-inner-2": lambda: solve_backward_em(r16(), max_inner=2, step_size=1.0),
         "backward-rejections": lambda: solve_backward_em(pinned_squares()["r32"], tol=1e-13),
+        "backward-finish": lambda: solve_backward_em(pinned_squares()["r8"]),
     }[case]()
     columns = {name: trace._column(name) for name in _COLUMNS}
     for name, column in columns.items():
@@ -178,5 +186,7 @@ def test_the_kept_columns_are_the_records_fields(case):
         assert trace.records[-1].input_distribution.weights[4] == 0.0
     elif case.endswith("rejections"):
         assert sum(columns["rejected_inner_iterations"][1:]) > 0
+    elif case.endswith("finish"):
+        assert columns["step_status"][-1] == "support_newton" and columns["step_size"][-1] is None
     else:
         assert "fallback" in columns["step_status"]

@@ -12,19 +12,26 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   the paper's step size takes seconds rather than minutes);
 * solve_backward_em on the backward-em corpus at max_inner=2: at
   step_size=1.0 it takes the fallback route on a few steps, while the
-  default, whose inner solves stop at the bracket gap, rejects a candidate
-  on r8 and r16 and falls back on none;
+  default's support-Newton route finishes every case but r8 at the first
+  step, and r8 after four exact steps, with no fallback or rejection;
 * solve_backward_em on a random 4x40 channel at max_inner=2: wider than the
-  Newton cap, its default is the paper's step, and it takes the fallback
-  route on about half its steps;
+  Newton cap, it takes the paper's step size, and at step_size=1.0 the
+  fallback route on about half its steps, while the default's
+  support-Newton route finishes it at the first step;
+* solve_backward_em at the default step size alone on perfbench's r64 to
+  1e-9 (50 exact steps at lambda = 1 between a refused support-Newton try
+  and the one that finishes) and slow32 to 1e-13 (finished at the first
+  step); at step_size=1.0 either takes minutes;
 * both solvers on a channel whose first step underflows a weight, which
   each keeps as an exact 0, its state being the log-weights; and both
   solvers on a noiseless 10-symbol channel plus a useless input to a gap
   of 1e-300, stopped at 400 records: solve_arimoto, whose step divides
   the tilted weights by their sum, closes the gap to exactly 0 and
-  converges at sweep 17, with the useless weight at about 1e-17, while
-  solve_backward_em reaches an exact 0 at record 10 and rests at a
-  one-ulp gap to the 400th;
+  converges at sweep 17, with the useless weight at about 1e-17;
+  solve_backward_em's default closes it to exactly 0 at record 6, where
+  its support-Newton route solves the ten noiseless inputs and gives the
+  useless one a weight of exactly 0, while at step_size=1.0 it reaches an
+  exact 0 at record 324 and rests at a one-ulp gap to the 400th;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
@@ -226,6 +233,13 @@ def backward_runs(h: Hasher, label: str, ch: Channel, **settings) -> None:
     h.trace("step_size=1.0", label, solve_backward_em(ch, step_size=1.0, **settings))
 
 
+def long_backward_runs(h: Hasher) -> None:
+    # The default step size alone: the paper's takes minutes on either.
+    squares = corpus.pinned_squares()
+    h.trace("backward", "r64/1e-9/backward", solve_backward_em(Channel(corpus.pinned_r64()), tol=1e-9))
+    h.trace("backward", "slow32/1e-13/backward", solve_backward_em(Channel(squares["r32"]), tol=1e-13))
+
+
 def wide_runs(h: Hasher, seed: int) -> None:
     # More than 32 outputs: the default keeps the paper's step, whose inner
     # solve max_inner=2 starves on many steps.
@@ -349,6 +363,7 @@ def hash_lines(seed: int) -> list[str]:
     """The total line and one line per group."""
     h = Hasher()
     solver_runs(h, seed)
+    long_backward_runs(h)
     wide_runs(h, seed)
     underflow_runs(h)
     direct_steps(h, seed)
