@@ -81,20 +81,21 @@ capacity-achieving input is known, so the adaptive default, at every
 width, tries a third route that finishes the run: Newton on the
 Kuhn-Tucker conditions restricted to the support, d_x(q_S) = C for x in S
 with sum q_S = 1 (Gallager 1968, sec. 4.5), a (|S| + 1)-square solve; see
-_support_newton.  S is the inputs whose weight is above _SUPPORT_FLOOR
-(1e-12), and a try runs only when |S| is at most min(m, _MAX_SUPPORT),
-m the number of outputs.  Its candidate is swept over every row, like any
-other, and accepted only when its lower bound does not fall and its gap
-is at most tol: an accepted candidate is the run's last record, and a
-wrong support costs one refused try, never a wrong bracket.  The rule is
+arimoto._support_newton, and arimoto._try_finish, the try that solve_arimoto
+makes too.  S is the inputs whose weight is above 1e-12, and a try runs
+only when |S| is at most min(m, 64), m the number of outputs.  Its
+candidate is swept over every row, like any other, and accepted only
+when its lower bound does not fall and its gap is at most tol: an
+accepted candidate is the run's last record, and a wrong support costs
+one refused try, never a wrong bracket.  The rule is
 strict on purpose.  Accepting candidates that raise the lower bound and
 narrow the gap without reaching tol left the inputs the route dropped at
 exactly 0, where no later step revives them, and held a 64x64 channel at
 a gap of 1e-3.  A refused try adds no record and changes nothing, so
 every record before the last is the one the run without the route makes;
-the next try waits until the gap is below _RETRY_FRACTION (0.1) times the
-gap at the refused one, a threshold kept on the Step like lambda, so a
-replay takes the same tries.
+the next try waits until the gap is below 0.1 times the gap at the
+refused one, a threshold kept on the Step like lambda, so a replay takes
+the same tries.
 
 The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
@@ -116,7 +117,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arimoto import _COLUMNS, CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep
+from .arimoto import (
+    _COLUMNS, CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep, _try_finish,
+)
 from .channel import (
     Channel,
     _check_channel,
@@ -514,91 +517,6 @@ _CHEAP_INNER = 3
 _MAX_STEP_SIZE = 2.0**40
 
 
-# The support-Newton route takes as the support S the inputs whose weight
-# is above _SUPPORT_FLOOR, and is tried only when |S| is at most
-# min(m, _MAX_SUPPORT): its system is (|S| + 1) x (|S| + 1), and more
-# inputs than outputs make it singular.  A try makes at most
-# _MAX_SUPPORT_STEPS Newton steps, restarts included.  After a refused
-# try, the next waits until the gap is below _RETRY_FRACTION times the
-# gap at the refused one.
-_SUPPORT_FLOOR = 1e-12
-_MAX_SUPPORT = 64
-_MAX_SUPPORT_STEPS = 128
-_RETRY_FRACTION = 0.1
-
-
-class _Finish(NamedTuple):
-    """What _support_newton found: the solved weights, raw and checked,
-    the support they are positive on, the max-norm of the last Newton
-    correction and the Newton steps taken, restarts included."""
-
-    weights: np.ndarray
-    support: np.ndarray
-    residual: float
-    steps: int
-
-
-def _support_newton(q: np.ndarray, support: np.ndarray, ch: Channel) -> _Finish | None:
-    """Newton on the Kuhn-Tucker conditions restricted to a support S, or None.
-
-    support holds the indices of S, the inputs of q whose weight is above
-    _SUPPORT_FLOOR.  With r = q_S P_S and d_x = D(P_x || r), the conditions
-    are d_x(q_S) = C for every x in S, with sum q_S = 1 (Gallager,
-    Information Theory and Reliable Communication, 1968, sec. 4.5).  The
-    Jacobian of d_S is -M, M = P_S diag(1/r) P_S^T, so each step solves
-    the symmetric system bordered by the C column
-
-        [M   1] [delta]   [d_S]
-        [1^T 0] [  C  ] = [ 0 ],    q_S <- q_S + delta,
-
-    with numeric._solve, from q's weights on S divided by their sum.  When
-    a weight goes non-positive, the most negative input leaves S and the
-    steps restart from q's weights on the smaller S.  They stop at the
-    first correction no smaller than the one before, which the rounding
-    floor brings about.  None when a solve is singular, an r has a zero
-    entry, a weight is not finite or _MAX_SUPPORT_STEPS steps pass: no
-    least-squares solve stands in.  The result is a guess, not a
-    certificate; the caller sweeps it over every row.
-    """
-    steps = 0
-    while True:
-        rows, negentropy, k = ch.matrix[support], ch.row_negentropy[support], support.size
-        w = q[support]
-        w = w / np.add.reduce(w)
-        system = np.zeros((k + 1, k + 1))
-        system[k, :k] = system[:k, k] = 1.0
-        rhs = np.zeros(k + 1)
-        last = math.inf
-        while steps < _MAX_SUPPORT_STEPS:
-            r = _contract("x,xy->y", w, rows)
-            if not np.minimum.reduce(r) > 0.0:
-                return None
-            rhs[:k] = negentropy - _contract("xy,y->x", rows, np.log(r))
-            system[:k, :k] = _contract("xy,zy->xz", rows / r, rows)
-            try:
-                delta = _solve(system, rhs)[:k]
-            except np.linalg.LinAlgError:
-                return None
-            steps += 1
-            change = float(np.maximum.reduce(np.abs(delta)))
-            # A NaN or infinite correction fails this test.
-            if not change < math.inf:
-                return None
-            w = w + delta
-            smallest = w.argmin()
-            if not w[smallest] > 0.0:
-                support = np.concatenate((support[:smallest], support[smallest + 1:]))
-                break
-            if not change < last:
-                weights = np.zeros(q.size)
-                weights[support] = w / np.add.reduce(w)
-                return _Finish(_normalized(weights), support, change, steps)
-            last = change
-        else:
-            # _MAX_SUPPORT_STEPS steps passed.
-            return None
-
-
 def _adapted(previous: Step) -> float:
     """The adaptive rule's first step size for the step after previous."""
     if previous.step_size is None:
@@ -688,27 +606,15 @@ def solve_backward_em(
         if step_size != 1.0:
             raise ParameterOutOfRange(f"step_size must be None or 1, got {step_size!r}")
     adaptive = step_size is None and ch.num_outputs <= _NEWTON_MAX_OUTPUTS
-    largest_support = min(ch.num_outputs, _MAX_SUPPORT)
 
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
         r, d, lower, upper = sweep
         retry_below = previous.retry_below
         if step_size is None and upper - lower < retry_below:
-            support = (q > _SUPPORT_FLOOR).nonzero()[0]
-            if support.size <= largest_support:
-                finish = _support_newton(q, support, ch)
-                if finish is not None:
-                    swept = _sweep(finish.weights, ch)
-                    # Accepted only as the run's last record.
-                    if swept[2] >= lower and swept[3] - swept[2] <= tol:
-                        # Inputs off the support keep their last log-weights.
-                        log_weights = previous.log_weights - logsumexp(previous.log_weights)
-                        log_weights[finish.support] = np.log(finish.weights[finish.support])
-                        return Step(
-                            finish.weights, log_weights, "support_newton", finish.residual, finish.steps, swept,
-                            None, 0, 0, retry_below,
-                        )
-                retry_below = _RETRY_FRACTION * (upper - lower)
+            tried = _try_finish(q, sweep, previous, ch, tol)
+            if tried.__class__ is Step:
+                return tried
+            retry_below = tried
         size = _adapted(previous) if adaptive else 1.0
         # The residual each inner solve stops at, before the division by
         # the step size: the current gap, never below _INNER_TOL.
@@ -726,9 +632,9 @@ def solve_backward_em(
                     )
             # A run that does not adapt always has size 1.
             if size == 1.0:
-                return _arimoto_stepper(q, sweep, previous)._replace(
+                return _arimoto_stepper(q, sweep, previous, retry_below)._replace(
                     route="fallback", residual=inner.residual, inner=inner.sweeps, step_size=size,
-                    rejected=rejected, rejected_inner=rejected_inner, retry_below=retry_below,
+                    rejected=rejected, rejected_inner=rejected_inner,
                 )
             size = max(0.25 * size, 1.0)
             rejected += 1

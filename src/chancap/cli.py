@@ -111,14 +111,14 @@ def cmd_capacity(args) -> int:
         # Always 0: both solvers carry log-weights and clamp no iterate.  The
         # key stays, as every capacity key does.
         "clamped_steps": 0,
+        # 1 when the support-Newton route finished the run, else 0.
+        "support_newton_steps": trace._column("step_status").count("support_newton"),
     }
     if args.algorithm == "backward-em":
         payload["inner_sweeps"] = sum(inner or 0 for inner in trace._column("inner_iterations"))
-        # How each iterate after the first was made, from the same columns.
+        # How each other iterate after the first was made, from the same columns.
         payload["exact_steps"] = trace._column("step_status").count("exact")
         payload["fallback_steps"] = trace._column("step_status").count("fallback")
-        # 1 when the support-Newton route finished the run, else 0.
-        payload["support_newton_steps"] = trace._column("step_status").count("support_newton")
         # The largest step size any step took; null when no step was taken.
         payload["max_step_size"] = max(filter(None, trace._column("step_size")), default=None)
         # The candidates the adaptive rule rejected and retried at a smaller step size.

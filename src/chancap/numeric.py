@@ -26,7 +26,7 @@ skipping that frame changes no bit either.
 Two exceptions remain, both deterministic for a fixed build.  The Newton
 step of the exact backward m-step (see backward_em._inner_step), on
 channels of at most 32 outputs, solves a system of at most 32x32 with
-_solve, and the support-Newton route (backward_em._support_newton) one of
+_solve, and the support-Newton route (arimoto._support_newton) one of
 at most 65x65: LAPACK's gesv through numpy's solve1 gufunc, in the error state
 np.linalg.solve gives it, so that a singular system raises LinAlgError.
 np.linalg.solve calls that gufunc for a 1-D right-hand side; calling it

@@ -17,6 +17,7 @@ from chancap import (
     InvalidDistribution,
     MStepOutcome,
     MStepStatus,
+    arimoto,
     backward_em,
     bec,
     bsc,
@@ -82,10 +83,11 @@ def replayed(trace) -> list:
 
 
 def without_support_newton(monkeypatch) -> None:
-    """Turn solve_backward_em's support-Newton route off: every try is
-    refused, and a refused try changes no record, so the run is the
-    adaptive rule's exact and fallback steps alone."""
-    monkeypatch.setattr(backward_em, "_support_newton", lambda q, support, ch: None)
+    """Turn the support-Newton route off in both solvers: every try is
+    refused, and a refused try changes no record, so solve_arimoto's run
+    is the multiplicative sweeps alone and solve_backward_em's the adaptive
+    rule's exact and fallback steps alone."""
+    monkeypatch.setattr(arimoto, "_support_newton", lambda q, support, ch: None)
 
 
 def record_inner_solves(monkeypatch) -> list:

@@ -26,7 +26,7 @@ from chancap import (
 from chancap import arimoto, numeric, probability
 from chancap.arimoto import _ARIMOTO_COLUMNS, _TINY, Step, _arimoto_stepper, _iterate, _run, _sweep
 from chancap.probability import _normalized
-from support import multiplicative_step, pinned_squares, random_channel, random_interior
+from support import multiplicative_step, pinned_squares, random_channel, random_interior, without_support_newton
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
 
@@ -215,7 +215,9 @@ class TestSolve:
         assert result.bracket.upper - result.bracket.lower == 0.0
         assert result.capacity == pytest.approx(math.log(10.0), abs=1e-15)
 
-    def test_max_iters_termination(self):
+    def test_max_iters_termination(self, monkeypatch):
+        # The support-Newton route finishes z at its first step.
+        without_support_newton(monkeypatch)
         result, trace = solve_arimoto(z_channel(0.5), tol=1e-15, max_iters=3)
         assert result.termination is Termination.MAX_ITERATIONS
         assert result.iterations == 3
@@ -246,7 +248,9 @@ class TestSolve:
         with pytest.raises(NonInteriorInput):
             solve_arimoto(bsc(0.1), initial=Distribution(np.array([1.0, 0.0])))
 
-    def test_numpy_integer_limits_are_accepted(self):
+    def test_numpy_integer_limits_are_accepted(self, monkeypatch):
+        # The support-Newton route finishes z at its first step.
+        without_support_newton(monkeypatch)
         result, _ = solve_arimoto(z_channel(0.5), max_iters=np.int64(3))
         assert result.iterations == 3
         result, _ = solve_backward_em(z_channel(0.5), max_inner=np.int32(50))

@@ -70,7 +70,9 @@ class TestCapacity:
         assert payload["capacity"] == pytest.approx(Z05_BITS, abs=1e-8)
         assert payload["inner_sweeps"] > 0
 
-    def test_iteration_limit_exit_code(self, tmp_path, capsys):
+    def test_iteration_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The support-Newton route finishes z at its first step.
+        without_support_newton(monkeypatch)
         path = write_z(tmp_path, capsys)
         payload = run_json(
             capsys,
@@ -88,7 +90,10 @@ class TestCapacity:
         )
         assert payload["capacity"] == pytest.approx(Z05_BITS, abs=1e-9)
 
-    def test_writes_iteration_trace(self, tmp_path, capsys):
+    def test_writes_iteration_trace(self, tmp_path, capsys, monkeypatch):
+        # The plain sweeps' rows: the support-Newton route finishes z at its
+        # first step, on a row whose status reads support_newton.
+        without_support_newton(monkeypatch)
         path = write_z(tmp_path, capsys)
         trace_path = tmp_path / "trace.csv"
         run_json(capsys, ["capacity", "--channel", str(path), "--trace", str(trace_path)])
@@ -126,12 +131,15 @@ class TestCapacity:
         assert set(routes[:-1]) <= {"exact", "fallback"} and "exact" in routes
 
     @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
-    def test_trace_csv_keeps_the_row_by_row_format(self, tmp_path, algorithm):
+    def test_trace_csv_keeps_the_row_by_row_format(self, tmp_path, algorithm, monkeypatch):
         # The rows are written in one writelines call with one repr per
         # value; the bytes must be those of the format one write per row
         # gave, lower bound twice and an empty residual for None.
         ch = pinned_squares()["r16"]
         if algorithm == "arimoto":
+            # The plain sweeps' 1,042 rows: the support-Newton route
+            # finishes r16 at its first step.
+            without_support_newton(monkeypatch)
             _, trace = solve_arimoto(ch)
         else:
             # The paper's step size with a starved inner solve falls back on
@@ -147,6 +155,18 @@ class TestCapacity:
             expected.append(f"{iteration},{lower!r},{lower!r},{upper!r},{upper - lower!r},{route or ''},{residual}\n")
         assert len(expected) == len(trace) + 1 > 100
         assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    def test_arimoto_trace_marks_the_support_newton_finish(self, tmp_path, capsys):
+        # r8's plain sweeps leave status empty; the route finishes it at
+        # record 10, whose row reads support_newton, with no inner residual.
+        path = tmp_path / "r8.json"
+        path.write_bytes(save_channel(pinned_squares()["r8"]))
+        trace_path = tmp_path / "trace.csv"
+        payload = run_json(capsys, ["capacity", "--channel", str(path), "--trace", str(trace_path)])
+        statuses = [line.split(",")[5:] for line in trace_path.read_text().splitlines()[1:]]
+        assert payload["iterations"] == len(statuses) == 10
+        assert statuses == [["", ""]] * 9 + [["support_newton", ""]]
+        assert payload["support_newton_steps"] == 1
 
     @pytest.mark.parametrize("algorithm", ["arimoto", "backward-em"])
     @pytest.mark.parametrize("kind", ["z", "random"])
@@ -199,13 +219,15 @@ class TestCapacity:
         assert payload["max_step_size"] == max(filter(None, (rec.step_size for rec in trace.records[1:]))) > 1.0
         assert payload["rejected_candidates"] == sum(rec.rejected_candidates for rec in trace.records[1:])
         assert payload["rejected_inner_sweeps"] == sum(rec.rejected_inner_iterations for rec in trace.records[1:])
+        # solve_arimoto's support-Newton route finishes r8 at record 10.
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
         keys = {
-            "inner_sweeps", "exact_steps", "fallback_steps", "support_newton_steps", "max_step_size",
-            "rejected_candidates", "rejected_inner_sweeps",
+            "inner_sweeps", "exact_steps", "fallback_steps", "max_step_size", "rejected_candidates",
+            "rejected_inner_sweeps",
         }
         assert not keys & arimoto.keys()
         assert arimoto["clamped_steps"] == 0
+        assert arimoto["support_newton_steps"] == (0 if limit else 1)
 
     def test_backward_em_counts_rejected_candidates(self, tmp_path, capsys, monkeypatch):
         # The z channel's steps reject none, and neither do the pinned r8's
@@ -365,6 +387,20 @@ class TestVerify:
         assert "verdict: PASS" in out
         assert "circumcenter check: pass" in out
         assert "brute force" in out
+
+    def test_round_trip_through_exact_zeros(self, tmp_path, capsys):
+        # solve_arimoto finishes perfbench's r64 with the support-Newton
+        # route, whose optimal input is exactly 0 off the support it solved.
+        channel_path = tmp_path / "r64.json"
+        channel_path.write_bytes(save_channel(Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64))))
+        payload = run_json(capsys, ["capacity", "--channel", str(channel_path)])
+        assert payload["support_newton_steps"] == 1 and 0.0 in payload["optimal_input"]
+        law_path = tmp_path / "law.json"
+        law_path.write_text(json.dumps(payload))
+        code = main(["verify", "--channel", str(channel_path), "--input", str(law_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "verdict: PASS" in out
 
     def test_fresh_solve_when_no_input_given(self, tmp_path, capsys):
         path = write_bsc(tmp_path, capsys)

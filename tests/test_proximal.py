@@ -23,7 +23,7 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
-from chancap import backward_em
+from chancap import arimoto
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
 from support import (
     inner_solves_per_step, multiplicative_step, pinned_squares, random_channel, record_inner_solves, reference_m_step,
@@ -210,8 +210,8 @@ def test_rejected_candidates_count_their_inner_steps(monkeypatch):
     assert sum(rejected[1:]) > 10 and sum(rejected_inner[1:]) > sum(rejected[1:])
     _, paper = solve_backward_em(pinned_squares()["r8"], tol=1e-9, step_size=1.0)
     assert paper._column("rejected_inner_iterations")[1:] == [0] * (len(paper) - 1)
-    _, arimoto = solve_arimoto(pinned_squares()["r8"], tol=1e-9)
-    assert set(arimoto._column("rejected_inner_iterations")) == {None}
+    _, plain = solve_arimoto(pinned_squares()["r8"], tol=1e-9)
+    assert set(plain._column("rejected_inner_iterations")) == {None}
 
 
 def test_records_replay_an_adaptive_run(monkeypatch):
@@ -223,8 +223,8 @@ def test_records_replay_an_adaptive_run(monkeypatch):
     # would finish at the second record and fail the check.
     ch = pinned_squares()["r8"]
     tries = []
-    support_newton = backward_em._support_newton
-    monkeypatch.setattr(backward_em, "_support_newton", lambda *args: tries.append(1) or support_newton(*args))
+    support_newton = arimoto._support_newton
+    monkeypatch.setattr(arimoto, "_support_newton", lambda *args: tries.append(1) or support_newton(*args))
     _, trace = solve_backward_em(ch, tol=1e-9)
     sizes, routes = trace._column("step_size"), trace._column("step_status")
     assert len(tries) == 2

@@ -1,14 +1,15 @@
-"""The backward solver's support-Newton route: Newton on the Kuhn-Tucker
-conditions restricted to the support, tried under the adaptive default and
-accepted only as the run's last record."""
+"""The support-Newton route: Newton on the Kuhn-Tucker conditions restricted
+to the support, tried by solve_arimoto and by the backward solver's
+adaptive default, and accepted only as the run's last record."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from chancap import Channel, Termination, solve_backward_em, z_channel
-from chancap import backward_em
+from chancap import Channel, Termination, solve_arimoto, solve_backward_em, z_channel
+from chancap import arimoto
 from chancap.arimoto import _sweep
 from support import pinned_squares, random_channel, without_support_newton
 
@@ -31,25 +32,29 @@ def rows(trace) -> list:
 
 
 def counted_tries(monkeypatch) -> list:
-    """Patch backward_em._support_newton to append each try's result to the returned list."""
+    """Patch arimoto._support_newton to append each try's result to the returned list."""
     tries = []
-    support_newton = backward_em._support_newton
+    support_newton = arimoto._support_newton
 
     def counting(*args):
         tries.append(support_newton(*args))
         return tries[-1]
 
-    monkeypatch.setattr(backward_em, "_support_newton", counting)
+    monkeypatch.setattr(arimoto, "_support_newton", counting)
     return tries
+
+
+def symmetric(size: int, eps: float) -> np.ndarray:
+    """The size-ary symmetric channel that keeps its symbol with probability 1 - eps."""
+    matrix = np.full((size, size), eps / (size - 1))
+    np.fill_diagonal(matrix, 1.0 - eps)
+    return matrix
 
 
 def kronecker_256() -> Channel:
     """perfbench's large-loose asym_x_sym128 shape: the asymmetric binary
     channel times a 128-ary symmetric channel, unrelabelled."""
-    eps = 0.1
-    symmetric = np.full((128, 128), eps / 127)
-    np.fill_diagonal(symmetric, 1.0 - eps)
-    return Channel(np.kron(ASYMMETRIC_BINARY.matrix, symmetric))
+    return Channel(np.kron(ASYMMETRIC_BINARY.matrix, symmetric(128, 0.1)))
 
 
 def _corpus() -> dict:
@@ -114,13 +119,13 @@ def test_a_refused_try_waits_for_the_gap_to_fall_tenfold(monkeypatch):
     # inputs of the optimal support and is refused.  The next try runs at
     # the first record whose gap is below a tenth of that gap, and finishes.
     gaps = []
-    support_newton = backward_em._support_newton
+    support_newton = arimoto._support_newton
 
     def recording(q, support, ch):
         gaps.append(_sweep(q, ch)[3] - _sweep(q, ch)[2])
         return support_newton(q, support, ch)
 
-    monkeypatch.setattr(backward_em, "_support_newton", recording)
+    monkeypatch.setattr(arimoto, "_support_newton", recording)
     _, trace = solve_backward_em(pinned_squares()["r8"])
     record_gaps = [upper - lower for lower, upper in zip(trace._column("lower_bound"), trace._column("upper_bound"))]
     assert gaps == [record_gaps[0], record_gaps[4]]
@@ -134,7 +139,7 @@ def test_an_input_whose_weight_goes_negative_leaves_the_support():
     # at a time, until the solve keeps every weight positive.
     ch = pinned_squares()["r32"]
     q = np.full(32, 1.0 / 32)
-    finish = backward_em._support_newton(q, np.arange(32), ch)
+    finish = arimoto._support_newton(q, np.arange(32), ch)
     assert finish is not None and finish.support.size == 13
     assert finish.steps > 19
     off = np.ones(32, dtype=bool)
@@ -151,7 +156,7 @@ def test_a_zero_output_refuses_the_try():
     q = np.array([0.5, 0.5 - 1e-13, 1e-13])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert backward_em._support_newton(q, np.array([0, 1]), ch) is None
+        assert arimoto._support_newton(q, np.array([0, 1]), ch) is None
 
 
 def test_the_noiseless_channel_closes_its_gap_below_the_floor():
@@ -195,3 +200,152 @@ def test_r64_finishes_above_the_newton_cap():
     result, trace = solve_backward_em(ch, tol=1e-9)
     assert result.termination is Termination.CONVERGED and result.iterations <= 60
     assert trace._column("step_status")[-1] == "support_newton"
+
+
+# solve_arimoto takes the same route, through the same try.  Its records
+# before the last are the multiplicative sweeps.
+
+
+def solve_arimoto_both(ch, monkeypatch, **settings):
+    """solve_arimoto with the route, then without it for as many records:
+    the plain sweeps can take hundreds of thousands to a tight tol."""
+    _, finished = solve_arimoto(ch, **settings)
+    with monkeypatch.context() as patch:
+        without_support_newton(patch)
+        _, plain = solve_arimoto(ch, **{**settings, "max_iters": len(finished)})
+    return finished, plain
+
+
+@pytest.mark.parametrize("case", list(_corpus()))
+def test_arimoto_records_before_the_finish_are_the_plain_sweeps(case, monkeypatch):
+    ch, tol = _corpus()[case]
+    finished, plain = solve_arimoto_both(ch, monkeypatch, tol=tol)
+    routes = finished._column("step_status")
+    assert set(routes[:-1]) == {None}
+    assert len(plain) == len(finished)
+    assert rows(finished)[:-1] == rows(plain)[:-1]
+    if routes[-1] == "support_newton":
+        last = finished.records[-1]
+        assert last.gap <= tol and last.lower_bound >= finished.records[-2].lower_bound
+    else:
+        assert rows(finished) == rows(plain)
+
+
+@pytest.mark.parametrize("case", ["slow32", "r64"])
+def test_arimoto_finishes_the_slow_channels(case):
+    # The plain sweeps take 11,357 records on slow32 to 1e-7 and 10,315 on
+    # r64 to 1e-9.  slow32's first try, from the uniform start, drops 19
+    # of its 32 inputs and finishes; r64's is refused, and a later one
+    # finishes.
+    ch, tol, most = {
+        "slow32": (pinned_squares()["r32"], 1e-7, 2),
+        "r64": (Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64)), 1e-9, 60),
+    }[case]
+    result, trace = solve_arimoto(ch, tol=tol)
+    assert result.termination is Termination.CONVERGED and result.iterations <= most
+    assert trace._column("step_status")[-1] == "support_newton"
+    assert (result.optimal_input.weights == 0.0).any()
+
+
+def test_arimoto_records_replay_a_run_with_a_refused_try(monkeypatch):
+    # r8's first try, from the uniform start, settles on four of the five
+    # inputs of the optimal support, and its candidate is refused; the
+    # second waits for the gap to fall tenfold and finishes at record 10.
+    # retry_below lives on each Step, so the replay takes the same two
+    # tries; a replay that tried at every step would finish at the second
+    # record and fail the check.
+    ch = pinned_squares()["r8"]
+    tries = counted_tries(monkeypatch)
+    _, trace = solve_arimoto(ch, tol=1e-9)
+    assert len(trace) == 10 and [finish.support.size for finish in tries] == [4, 5]
+    records = trace.records
+    assert [finish.support.size for finish in tries] == [4, 5, 4, 5]
+    assert [rec.step_status for rec in records] == [None] * 9 + ["support_newton"]
+    _, tampered = solve_arimoto(ch, tol=1e-9)
+    # The upper bound of iteration 4, in the kept list of rows.
+    k = 3 * len(tampered._columns) + tampered._columns.index("upper_bound")
+    tampered._kept[k] = math.nextafter(tampered._kept[k], math.inf)
+    with pytest.raises(AssertionError, match="iteration 4"):
+        tampered.records
+
+
+@pytest.mark.parametrize("case", ["r8", "r16", "slow32"])
+def test_arimoto_keeps_the_per_step_progress_bound_through_the_finish(case):
+    # Criterion 13 on wider channels: C - I(q_t) <= sum_x q*(x) log(q_{t+1}(x) / q_t(x)).
+    # At the last step this is Arimoto's inequality C - I(q) <= D(q* || q),
+    # which holds for any interior q; an input off the optimal support adds
+    # nothing to the sum.
+    ch = pinned_squares()[{"slow32": "r32"}.get(case, case)]
+    result, trace = solve_arimoto(ch, tol=1e-9)
+    assert trace._column("step_status")[-1] == "support_newton"
+    q_star = result.optimal_input.weights
+    on = q_star > 0.0
+    records = trace.records
+    for before, after in zip(records, records[1:]):
+        shortfall = result.capacity - before.lower_bound
+        ratio = after.input_distribution.weights[on] / before.input_distribution.weights[on]
+        assert shortfall <= float(np.dot(q_star[on], np.log(ratio))) + 1e-9
+
+
+@pytest.mark.parametrize("case", ["z_x_sym512", "asym_x_sym128", "asym_x_column"])
+def test_arimoto_keeps_the_large_loose_records(case, monkeypatch):
+    # perfbench's large-loose shapes, unrelabelled: 1024 and 256 inputs are
+    # above the route's cap, and the 512 inputs of asym_x_column above its
+    # 2 outputs, so no try runs and every record is the plain sweep's.
+    matrix = {
+        "z_x_sym512": lambda: np.kron(z_channel(0.5).matrix, symmetric(512, 0.05)),
+        "asym_x_sym128": lambda: kronecker_256().matrix,
+        "asym_x_column": lambda: np.kron(ASYMMETRIC_BINARY.matrix, np.ones((256, 1))),
+    }[case]()
+    ch = Channel(matrix)
+    tries = counted_tries(monkeypatch)
+    _, finished = solve_arimoto(ch, tol=1e-6)
+    with monkeypatch.context() as patch:
+        without_support_newton(patch)
+        _, plain = solve_arimoto(ch, tol=1e-6)
+    assert tries == []
+    assert 20 <= len(finished) <= 30
+    assert rows(finished) == rows(plain)
+
+
+def test_arimoto_criterion_04_design_never_descends():
+    # Criterion 04's channels and Arimoto settings: 300 sweeps to 1e-14.
+    # The plain sweeps reached 1e-14 on 30 of the 200; the route, tried at
+    # most once per tenfold fall of the gap and accepted only as the last
+    # record, finishes 181.
+    rng = np.random.default_rng(41)
+    steps = descents = converged = finished = 0
+    for _ in range(200):
+        n, m = int(rng.integers(2, 17)), int(rng.integers(2, 17))
+        result, trace = solve_arimoto(random_channel(rng, n, m), tol=1e-14, max_iters=300)
+        converged += result.termination is Termination.CONVERGED
+        lowers, uppers, routes = map(trace._column, ("lower_bound", "upper_bound", "step_status"))
+        for k in range(1, len(trace)):
+            steps += 1
+            descents += lowers[k] < lowers[k - 1] - 1e-12
+            if routes[k] == "support_newton":
+                assert k == len(trace) - 1 and lowers[k] >= lowers[k - 1] and uppers[k] - lowers[k] <= 1e-14
+                finished += 1
+            else:
+                assert routes[k] is None
+    assert descents == 0
+    assert converged >= finished >= 175
+    assert steps < 20000
+
+
+def test_arimoto_tries_no_support_wider_than_the_outputs(monkeypatch):
+    # More inputs than outputs make the bordered system singular, so a try
+    # waits until at most m inputs keep a weight above 1e-12.
+    sizes = []
+    support_newton = arimoto._support_newton
+
+    def recording(q, support, ch):
+        sizes.append((support.size, ch.num_outputs))
+        return support_newton(q, support, ch)
+
+    monkeypatch.setattr(arimoto, "_support_newton", recording)
+    rng = np.random.default_rng(79)
+    for _ in range(10):
+        solve_arimoto(random_channel(rng, int(rng.integers(5, 13)), int(rng.integers(2, 5))), tol=1e-9)
+    assert len(sizes) >= 2
+    assert all(size <= outputs for size, outputs in sizes)

@@ -52,7 +52,9 @@ def built(monkeypatch):
     return counts
 
 
-def test_arimoto_solve_builds_no_record(built):
+def test_arimoto_solve_builds_no_record(built, monkeypatch):
+    # The plain sweeps: the support-Newton route finishes r16 at its first step.
+    without_support_newton(monkeypatch)
     ch = r16()
     result, trace = solve_arimoto(ch, tol=1e-9)
     assert result.iterations == len(trace) == 1042
@@ -109,18 +111,21 @@ def test_records_are_built_once_on_first_read(built, solve):
 
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
 @pytest.mark.parametrize("inputs", [16, 64])
-def test_a_trace_retains_no_array_per_record(solve, inputs):
+def test_a_trace_retains_no_array_per_record(solve, inputs, monkeypatch):
     # Kept per iterate in one flat list, with the list slots: two float
-    # bounds for Arimoto, about 67 B on r16; the bounds, a route, a
+    # bounds and a route for Arimoto, about 75 B on r16; the bounds, a route, a
     # residual, an inner count, a step size, a count of rejected candidates
     # and a count of their inner steps for the backward solver, about
     # 144 B.  A column of divergences and one of input weights took about
     # 600 B per record at 16 inputs and 1,390 B at 64.  The backward solver
     # runs at the paper's step size, which takes over 1,000 records on r16
-    # (the 64-output channel keeps it anyway).
+    # (the 64-output channel keeps it anyway).  solve_arimoto runs without
+    # the support-Newton route, which finishes r16 at its first step.
     bound = 100 if solve is solve_arimoto else 160
     if solve is solve_backward_em:
         solve = partial(solve, step_size=1.0)
+    else:
+        without_support_newton(monkeypatch)
     if inputs == 16:
         ch, tol = r16(), 1e-9
     else:
@@ -142,9 +147,12 @@ def test_a_trace_retains_no_array_per_record(solve, inputs):
 
 
 @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])
-def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve):
-    # The backward solver finishes r16 at its first step with the
-    # support-Newton route; pinned r8 takes five steps to 1e-9.
+def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve, monkeypatch):
+    # Both solvers finish r16 at their first step with the support-Newton
+    # route, so solve_arimoto runs without it; the backward solver takes
+    # five steps on pinned r8 to 1e-9.
+    if solve is solve_arimoto:
+        without_support_newton(monkeypatch)
     _, trace = solve(r16(), tol=1e-6) if solve is solve_arimoto else solve(pinned_squares()["r8"], tol=1e-9)
     # The upper bound of iteration 4, in the kept list of rows.
     k = 3 * len(trace._columns) + trace._columns.index("upper_bound")

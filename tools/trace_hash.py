@@ -9,7 +9,9 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * every trace record of solve_arimoto and solve_backward_em on the
   small-tight, large-loose and backward-em corpora at the given seed, each
   case at its benchmark tolerance (slow32 under backward-em at 1e-6, where
-  the paper's step size takes seconds rather than minutes);
+  the paper's step size takes seconds rather than minutes).  Both solvers
+  try the support-Newton route, which finishes most of these runs in a few
+  records; solve_arimoto's records before the last are its plain sweeps;
 * solve_backward_em on the backward-em corpus at max_inner=2: at
   step_size=1.0 it takes the fallback route on a few steps, while the
   default's support-Newton route finishes every case but r8 at the first
@@ -22,16 +24,21 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   1e-9 (50 exact steps at lambda = 1 between a refused support-Newton try
   and the one that finishes) and slow32 to 1e-13 (finished at the first
   step); at step_size=1.0 either takes minutes;
+* solve_arimoto on r64 and slow32 to 1e-9: 52 records, 50 plain sweeps
+  between a refused try and the one that finishes, and 2 records, where
+  the plain sweeps alone take 10,315 and 72,554;
 * both solvers on a channel whose first step underflows a weight, which
   each keeps as an exact 0, its state being the log-weights; and both
   solvers on a noiseless 10-symbol channel plus a useless input to a gap
-  of 1e-300, stopped at 400 records: solve_arimoto, whose step divides
-  the tilted weights by their sum, closes the gap to exactly 0 and
-  converges at sweep 17, with the useless weight at about 1e-17;
-  solve_backward_em's default closes it to exactly 0 at record 6, where
-  its support-Newton route solves the ten noiseless inputs and gives the
-  useless one a weight of exactly 0, while at step_size=1.0 it reaches an
-  exact 0 at record 324 and rests at a one-ulp gap to the 400th;
+  of 1e-300, stopped at 400 records: both solvers close the gap to
+  exactly 0 once the useless weight is below the route's 1e-12 support
+  floor, where the support-Newton route solves the ten noiseless inputs
+  and gives the useless one a weight of exactly 0, solve_arimoto at
+  record 13 and solve_backward_em's default at record 6 (without the
+  route, solve_arimoto's step, which divides the tilted weights by their
+  sum, closes the gap at sweep 17 with the useless weight at about
+  1e-17), while at step_size=1.0 solve_backward_em reaches an exact 0 at
+  record 324 and rests at a one-ulp gap to the 400th;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
@@ -64,11 +71,12 @@ and each warning as its category and message; one that fails, its label
 and the error's type and message.  The script prints the number of hashed
 items and the SHA-256 over all of them; equal lines from two checkouts
 mean the change left every number and every CLI byte unchanged.  It then
-prints the same for six groups of those items: the solve_arimoto traces,
+prints the same for seven groups of those items: the solve_arimoto traces,
 the solve_backward_em traces at the default step size, the direct calls,
-the solve_backward_em traces at step_size=1.0, the CLI calls and the
-loads, so a change meant to touch one solver can show the other's numbers
-unchanged.  The step_size=1.0 group hashes the same labels and record
+the solve_backward_em traces at step_size=1.0, the CLI calls that exit
+with a status other than 1, those that exit with 1 (bad input, which no
+solver reaches) and the loads, so a change meant to touch one solver can
+show the other's numbers unchanged.  The step_size=1.0 group hashes the same labels and record
 fields as the default group, so its line can be compared with a
 default-group line of a checkout whose default step size was 1.
 
@@ -119,7 +127,7 @@ CORPORA = ("small-tight", "large-loose", "backward-em")
 INNER_SETTINGS = ({}, {"max_inner": 2})
 
 
-GROUPS = ("arimoto", "backward", "direct", "step_size=1.0", "cli", "load")
+GROUPS = ("arimoto", "backward", "direct", "step_size=1.0", "cli", "cli-error", "load")
 
 # The files the CLI calls read, written into the temporary directory first.
 CLI_FILES = {
@@ -233,11 +241,14 @@ def backward_runs(h: Hasher, label: str, ch: Channel, **settings) -> None:
     h.trace("step_size=1.0", label, solve_backward_em(ch, step_size=1.0, **settings))
 
 
-def long_backward_runs(h: Hasher) -> None:
-    # The default step size alone: the paper's takes minutes on either.
-    squares = corpus.pinned_squares()
-    h.trace("backward", "r64/1e-9/backward", solve_backward_em(Channel(corpus.pinned_r64()), tol=1e-9))
-    h.trace("backward", "slow32/1e-13/backward", solve_backward_em(Channel(squares["r32"]), tol=1e-13))
+def long_runs(h: Hasher) -> None:
+    # The backward solver at the default step size alone: the paper's takes
+    # minutes on either.
+    r64, slow32 = Channel(corpus.pinned_r64()), Channel(corpus.pinned_squares()["r32"])
+    h.trace("backward", "r64/1e-9/backward", solve_backward_em(r64, tol=1e-9))
+    h.trace("backward", "slow32/1e-13/backward", solve_backward_em(slow32, tol=1e-13))
+    h.trace("arimoto", "r64/1e-9/arimoto", solve_arimoto(r64, tol=1e-9))
+    h.trace("arimoto", "slow32/1e-9/arimoto", solve_arimoto(slow32, tol=1e-9))
 
 
 def wide_runs(h: Hasher, seed: int) -> None:
@@ -290,12 +301,13 @@ def cli_runs(h: Hasher) -> None:
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 warnings.simplefilter("always")
                 code = cli_main([part.format(tmp=tmp) for part in argv.split()])
-            h.item("cli", label, code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>"))
+            group = "cli-error" if code == 1 else "cli"
+            h.item(group, label, code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>"))
             for warning in caught:
-                h.item("cli", warning.category.__name__, str(warning.message))
+                h.item(group, warning.category.__name__, str(warning.message))
             for path in sorted(Path(tmp).iterdir()):
                 if before.get(path.name) != path.read_bytes():
-                    h.item("cli", path.name, path.read_bytes())
+                    h.item(group, path.name, path.read_bytes())
 
 
 def load_documents(seed: int) -> list[tuple[str, bytes, str]]:
@@ -363,7 +375,7 @@ def hash_lines(seed: int) -> list[str]:
     """The total line and one line per group."""
     h = Hasher()
     solver_runs(h, seed)
-    long_backward_runs(h)
+    long_runs(h)
     wide_runs(h, seed)
     underflow_runs(h)
     direct_steps(h, seed)
