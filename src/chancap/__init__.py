@@ -7,21 +7,42 @@ machinery connecting capacity to divergence geometry.
 The public names are each module's own __all__, re-exported here; the
 package's __all__ is their sorted union.  numeric's ordered reductions stay
 in chancap.numeric.
-"""
 
-from . import arimoto, backward_em, channel, errors, infogeo, probability, verify
-from .arimoto import *  # noqa: F403
-from .backward_em import *  # noqa: F403
-from .channel import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .infogeo import *  # noqa: F403
-from .probability import *  # noqa: F403
-from .verify import *  # noqa: F403
+`import chancap` loads no submodule, so `python -m chancap.cli` loads only
+the modules its subcommand runs.  The first lookup of a name the package
+has not bound yet (a public name, __all__, a star import or dir()) imports
+the re-exported modules and binds their names here, as star imports would
+(PEP 562).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    name
-    for module in (arimoto, backward_em, channel, errors, infogeo, probability, verify)
-    for name in module.__all__
-)
+_REEXPORTED = ("arimoto", "backward_em", "channel", "errors", "infogeo", "probability", "verify")
+
+
+def _bind_public_names() -> None:
+    """Import the re-exported modules; bind each one's __all__ and their
+    sorted union as __all__.  Once bound, the names are never bound again, so
+    a name patched on the package stays patched."""
+    if "__all__" in globals():
+        return
+    from importlib import import_module
+
+    modules = [import_module(f"{__name__}.{name}") for name in _REEXPORTED]
+    namespace = globals()
+    for module in modules:
+        namespace.update((name, getattr(module, name)) for name in module.__all__)
+    namespace["__all__"] = sorted(name for module in modules for name in module.__all__)
+
+
+def __getattr__(name: str):
+    _bind_public_names()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    _bind_public_names()
+    return sorted(globals())

@@ -26,7 +26,6 @@ functions, so both paths agree bit for bit.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -392,6 +391,9 @@ def load_channel(source, format: str = "json") -> Channel:
     if not (isinstance(format, str) and format in ("json", "csv")):
         raise ParseError(f"unknown channel format {format!r}")
     if format == "csv":
+        # Imported here, so that a JSON channel never loads the csv module.
+        import csv
+
         # A CSV document has no labels, and its cells are floats already.
         rows = _RowBlocks()
         try:

@@ -16,15 +16,18 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arimoto import CapacityResult, IterationTrace, Termination, solve_arimoto
-from .backward_em import solve_backward_em
+# Every subcommand parses and reads a channel; each imports the rest of what
+# it runs when it runs, so no command loads a solver or check it does not use.
 from .channel import CANONICAL_KINDS, Channel, _canonical_entry, _json_numbers, load_channel, save_channel
 from .errors import ParseError
 from .probability import Distribution
-from .verify import brute_force_capacity, circumcenter_check, converse_check
+
+if TYPE_CHECKING:
+    from .arimoto import CapacityResult, IterationTrace
 
 LN2 = math.log(2.0)
 
@@ -89,11 +92,16 @@ def _scale(nats: float, units: str) -> float:
 
 
 def _solve(ch: Channel, args, algorithm: str) -> tuple[CapacityResult, IterationTrace]:
-    solver = solve_arimoto if algorithm == "arimoto" else solve_backward_em
+    if algorithm == "arimoto":
+        from .arimoto import solve_arimoto as solver
+    else:
+        from .backward_em import solve_backward_em as solver
     return solver(ch, tol=args.tol, max_iters=args.max_iters)
 
 
 def cmd_capacity(args) -> int:
+    from .arimoto import Termination
+
     ch = _read_channel(args.channel, args.format)
     result, trace = _solve(ch, args, args.algorithm)
     if args.trace:
@@ -130,11 +138,15 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import brute_force_capacity, circumcenter_check, converse_check
+
     ch = _read_channel(args.channel, args.format)
     if args.input:
         q = _read_input_distribution(args.input)
         origin = f"from {args.input}"
     else:
+        from .arimoto import solve_arimoto
+
         result, _ = solve_arimoto(ch)
         q = result.optimal_input
         origin = "from a fresh solver run"
@@ -189,6 +201,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .arimoto import Termination
+
     ch = _read_channel(args.channel, args.format)
     result_a, trace_a = _solve(ch, args, "arimoto")
     result_b, trace_b = _solve(ch, args, "backward-em")

@@ -34,13 +34,18 @@ _MAX_GRID_POINTS = 5_000_000
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every way to write total as an ordered sum of `parts` (at least two)
+    """Every way to write total as an ordered sum of `parts` (two or three)
     non-negative integers, one per row of a float array, in lexicographic
     order."""
-    head = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, -1).T
-    spent = np.add.reduce(head, axis=1)
-    keep = spent <= total
-    return np.column_stack([head[keep], total - spent[keep]]).astype(float)
+    first = np.arange(total + 1)
+    if parts == 2:
+        return np.column_stack([first, total - first]).astype(float)
+    # One run of rows per first part, total - first + 1 rows long, in which
+    # the second part counts up from 0.
+    runs = total + 1 - first
+    first = np.repeat(first, runs)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
+    return np.column_stack([first, second, total - first - second]).astype(float)
 
 
 def _grid_blocks(n: int, steps: int):

@@ -7,6 +7,10 @@ its own seed.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,8 @@ from chancap import (
 from chancap.backward_em import _DAMPING, _INNER_TOL, _MAX_HALVINGS, _NEWTON_MAX_OUTPUTS
 from chancap.numeric import logsumexp
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 # One example per canonical kind: its constructor, the parameters and the
 # CLI's --param text for them.
@@ -42,6 +48,23 @@ CANONICAL_EXAMPLES = {
     "identity": (identity_channel, (3,), "3"),
     "uniform": (uniform_rows, (2, 4), "2,4"),
 }
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """Run code in a fresh interpreter with the checkout's src/ first on
+    PYTHONPATH, from the repository root; return its standard output and
+    fail the test when it exits nonzero."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def random_channel(rng: np.random.Generator, n_in: int, n_out: int, alpha: float = 1.0) -> Channel:

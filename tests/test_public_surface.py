@@ -1,14 +1,20 @@
-"""The public surface: each module's __all__, re-exported by the package."""
+"""The public surface: each module's __all__, re-exported by the package.
+
+The package binds the names on first use, so the contract tests that need
+the first lookup run in a fresh interpreter.
+"""
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import textwrap
 
 import pytest
 
 import chancap
+from support import fresh_python
 
 # The modules the package re-exports; numeric's helpers stay in chancap.numeric.
 REEXPORTED = ("arimoto", "backward_em", "channel", "errors", "infogeo", "probability", "verify")
@@ -43,3 +49,45 @@ def test_every_public_name_has_a_docstring_of_its_own(name):
     # generates from the fields does not count.
     node = ast.parse(textwrap.dedent(inspect.getsource(getattr(chancap, name)))).body[0]
     assert ast.get_docstring(node), name
+
+
+def test_a_fresh_import_loads_no_submodule():
+    out = fresh_python("import json, sys, chancap; print(json.dumps(sorted(sys.modules)))")
+    assert [name for name in json.loads(out) if name.startswith("chancap")] == ["chancap"]
+
+
+def test_a_star_import_binds_exactly_all():
+    # The star import is the package's first lookup, so it reads the __all__
+    # that lookup binds.
+    out = fresh_python(
+        "import json\n"
+        "namespace = {}\n"
+        "exec('from chancap import *', namespace)\n"
+        "print(json.dumps(sorted(set(namespace) - {'__builtins__'})))"
+    )
+    assert json.loads(out) == chancap.__all__
+
+
+def test_a_submodule_imports_from_the_package():
+    out = fresh_python("from chancap import arimoto; print(arimoto.__name__, arimoto.solve_arimoto.__module__)")
+    assert out.split() == ["chancap.arimoto", "chancap.arimoto"]
+
+
+def test_dir_lists_every_public_name():
+    out = fresh_python("import json, chancap; print(json.dumps(dir(chancap)))")
+    assert set(chancap.__all__) <= set(json.loads(out))
+    assert set(chancap.__all__) <= set(dir(chancap))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    out = fresh_python(
+        "import chancap\n"
+        "try:\n"
+        "    chancap.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)"
+    )
+    assert out.strip() == "module 'chancap' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError):
+        chancap.no_such_name
+    assert not hasattr(chancap, "no_such_name")

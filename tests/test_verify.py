@@ -80,6 +80,34 @@ class TestBruteForce:
             assert [b[0, 0] for b in blocks] == list(range(steps + 1))
             assert all((b[:, 0] == b[0, 0]).all() for b in blocks)
 
+    @pytest.mark.parametrize(
+        "n, steps", [*((n, steps) for n in range(1, 5) for steps in range(13)), (4, 100)]
+    )
+    def test_grid_blocks_match_the_filtered_index_grid(self, n, steps):
+        # The reference is the construction the grid had before it built
+        # the compositions directly: the whole index grid of every part but
+        # the last, less the points whose parts overshoot.
+        def compositions(total, parts):
+            head = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, -1).T
+            spent = np.add.reduce(head, axis=1)
+            keep = spent <= total
+            return np.column_stack([head[keep], total - spent[keep]]).astype(float)
+
+        if n == 1:
+            expected = [np.array([[steps]], dtype=float)]
+        elif n == 2:
+            expected = [compositions(steps, 2)]
+        else:
+            expected = []
+            for first in range(steps + 1):
+                rest = compositions(steps - first, n - 1)
+                expected.append(np.column_stack([np.full(len(rest), float(first)), rest]))
+        blocks = list(_grid_blocks(n, steps))
+        assert len(blocks) == len(expected)
+        for block, want in zip(blocks, expected):
+            assert block.dtype == want.dtype and block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+
     def test_rejects_more_than_four_inputs(self):
         with pytest.raises(TooManyInputs):
             brute_force_capacity(uniform_rows(5, 2), grid_step=0.1)
