@@ -58,17 +58,18 @@ the weights off it have decayed: perfbench's slow32 takes 11,357 sweeps
 to a gap of 1e-7 and 72,554 to 1e-9.  So solve_arimoto, like the
 backward solver's adaptive default, tries a route that finishes the run:
 Newton on the Kuhn-Tucker conditions restricted to the support, d_x(q_S)
-= C for x in S with sum q_S = 1 (Gallager 1968, sec. 4.5), through the
-one try both solvers' steppers make, _try_finish, and its solve,
-_support_newton.  S is the inputs whose weight is above _SUPPORT_FLOOR
-(1e-12), and a try runs only when |S| is at most min(m, _MAX_SUPPORT), m
-the number of outputs, and the gap is below the Step's retry_below.  The
-candidate is swept over every row, like any iterate, and accepted only
-when its lower bound does not fall and its gap is at most tol, so it is
-the run's last record and a wrong support costs a refused try, never a
-wrong bracket.  A refused try adds no record and changes nothing, and
-the next waits until the gap is below _RETRY_FRACTION (0.1) times the
-gap at the refused one.  So every solve_arimoto record before the last
+= C for x in S with sum q_S = 1 (Gallager 1968, sec. 4.5).  The try is
+the iteration loop's, not a stepper's: before a step, _run may solve with
+_support_newton, and _try_finish decides whether the candidate ends the
+run.  S is the inputs whose weight is above _SUPPORT_FLOOR (1e-12), and a
+try runs only when |S| is at most min(m, _MAX_SUPPORT), m the number of
+outputs, and the gap is below the loop's retry_below.  The candidate is
+swept over every row, like any iterate, and accepted only when its lower
+bound does not fall and its gap is at most tol, so it is the run's last
+record, in place of the step, and a wrong support costs a refused try,
+never a wrong bracket.  A refused try adds no record and changes
+nothing, and the next waits until the gap is below _RETRY_FRACTION (0.1)
+times the gap at the refused one.  So every solve_arimoto record before the last
 is the multiplicative sweep's, bit for bit.  The per-step progress bound
 C - I(q_t) <= sum_x q*(x) log(q_{t+1}(x) / q_t(x)) still holds at the
 last step, where q_{t+1} is the finished law q*: there it reads C - I(q)
@@ -98,9 +99,10 @@ that has already swept the iterate it returns hands the sweep on in its
 Step, and the loop does not sweep it again.  A stepper's own state (the
 log-weights, the backward solver's step size) lives on its Step: _run
 hands each stepper the Step that made the current iterate, so a replay,
-which starts from the same Step, takes the same steps.  Both solvers'
-Steps also carry the gap below which the next support-Newton try may
-run, so a replay takes the same tries.
+which starts from the same Step, takes the same steps.  The gap below
+which the next support-Newton try may run is a local of the loop, so a
+replay, which restarts the loop, takes the same tries, and no Step
+carries it.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class IterationTrace:
 
     The solver hands over kept, the _row of each iteration one after
     another, replay, a callable that restarts the run (arimoto._run) from
-    the same start weights, channel and stepper, and columns, the names of
+    the same start weights, channel, stepper and tol, and columns, the names of
     a row's entries.  No divergences or input weights are kept.  records
     replays the run for len(trace) iterates on first access, raises
     AssertionError if a replayed row differs from the kept one in any bit,
@@ -361,11 +363,10 @@ class Step(NamedTuple):
     for a step with no inner loop; the backward solver's trace keeps them,
     through _row, as step_status, inner_residual, inner_iterations,
     step_size, rejected_candidates and rejected_inner_iterations.  sweep is
-    _sweep's tuple at iterate when the stepper has computed it, None otherwise, and
-    becomes the next iterate's.  retry_below is both solvers' state that
-    no trace column keeps: the next step tries the support-Newton route
-    only at a gap below it, inf until a try is refused.  _run yields each
-    Step with the iterate it made.
+    _sweep's tuple at iterate when the stepper has computed it, None
+    otherwise, and becomes the next iterate's.  A support-Newton finish,
+    which _run makes in place of a step, is a Step too, with route
+    "support_newton".  _run yields each Step with the iterate it made.
     """
 
     iterate: np.ndarray
@@ -377,13 +378,12 @@ class Step(NamedTuple):
     step_size: float | None = None
     rejected: int | None = None
     rejected_inner: int | None = None
-    retry_below: float = math.inf
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]
 
 
-def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
+def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None) -> Iterator[tuple]:
     """The iteration from the raw start weights q: one (q, d, lower, upper,
     step) per iterate, without end.
 
@@ -394,12 +394,29 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper) -> Iterator[tuple]:
     only when the next iterate is asked for.  This is the only loop body:
     _iterate runs it once to stop and keep the trace's scalars, and
     IterationTrace.records runs it again for the arrays.
+
+    With tol, a support-Newton try comes before each step while the gap is
+    below retry_below, inf until a try is refused and then _RETRY_FRACTION
+    times the gap at the refused one.  It runs when the inputs above
+    _SUPPORT_FLOOR are at most min(m, _MAX_SUPPORT), m the number of
+    outputs, and its accepted candidate (see _try_finish) is the next Step,
+    in place of the stepper's.  retry_below is the loop's own, so a replay,
+    which restarts the loop, takes the same tries.
     """
     step = Step(q, np.log(q))
+    # -inf without tol: no gap is below it, so no try runs.
+    retry_below = -math.inf if tol is None else math.inf
     while True:
         _, d, lower, upper = sweep = _sweep(q, ch) if step.sweep is None else step.sweep
         yield q, d, lower, upper, step
-        step = stepper(q, sweep, step)
+        finished = None
+        if upper - lower < retry_below:
+            support = (q > _SUPPORT_FLOOR).nonzero()[0]
+            if support.size <= min(ch.num_outputs, _MAX_SUPPORT):
+                finished = _try_finish(_support_newton(q, support, ch), lower, step, ch, tol)
+                if finished is None:
+                    retry_below = _RETRY_FRACTION * (upper - lower)
+        step = stepper(q, sweep, step) if finished is None else finished
         q = step.iterate
 
 
@@ -410,21 +427,24 @@ def _iterate(
     initial: Distribution | None,
     stepper: Stepper,
     columns: tuple[str, ...],
+    finishes: bool = False,
 ) -> tuple[CapacityResult, IterationTrace]:
     """The solver loop: steps with stepper from initial (uniform when None)
     until the gap is at most tol or max_iters iterates, keeping each
-    iterate's _row over columns."""
+    iterate's _row over columns.  finishes says whether the run tries the
+    support-Newton route (see _run)."""
     _check_channel(ch)
     _check_real("tolerance", tol)
     _check_limit("max_iters", max_iters)
     start = Distribution.uniform(ch.num_inputs) if initial is None else initial
     _check_interior_input(start, ch)
+    run = partial(_run, ch, start.weights, stepper, tol if finishes else None)
 
     # The trace's rows, one after another.
     kept = []
     previous = -math.inf
     termination = Termination.MAX_ITERATIONS
-    for iteration, (q, _, lower, upper, step) in enumerate(_run(ch, start.weights, stepper), 1):
+    for iteration, (q, _, lower, upper, step) in enumerate(run(), 1):
         # Brackets are ordered and mutual information never falls, up to a
         # 1e-12 rounding slack; a NaN bound fails the comparison too.
         if not previous - 1e-12 <= lower <= upper:
@@ -448,8 +468,7 @@ def _iterate(
         termination=termination,
     )
     # start's weights are read-only, so the replay starts where this run did.
-    replay = partial(_run, ch, start.weights, stepper)
-    return result, IterationTrace(kept, replay, columns)
+    return result, IterationTrace(kept, run, columns)
 
 
 # The support-Newton route takes as the support S the inputs whose weight
@@ -537,50 +556,36 @@ def _support_newton(q: np.ndarray, support: np.ndarray, ch: Channel) -> _Finish 
             return None
 
 
-def _try_finish(q: np.ndarray, sweep: tuple, previous: Step, ch: Channel, tol: float) -> Step | float:
-    """A support-Newton try from the iterate q, which both solvers' steppers
-    make when the gap of sweep, _sweep's tuple at q, is below
-    previous.retry_below.
+def _try_finish(finish: _Finish | None, lower: float, previous: Step, ch: Channel, tol: float) -> Step | None:
+    """The Step that ends the run at finish, or None when the try is refused.
 
-    The try runs when the support S, the inputs of q whose weight is above
-    _SUPPORT_FLOOR, has at most min(m, _MAX_SUPPORT) inputs, m the number
-    of outputs.  Its candidate is swept over every row and accepted only
-    when its lower bound does not fall and its gap is at most tol: the
-    Step returned then, route "support_newton", ends the run.  Otherwise
-    the result is the retry_below of the step the stepper takes instead:
-    previous's when no try ran, and _RETRY_FRACTION times the gap when one
-    was refused.
+    finish is what _support_newton solved from the iterate that previous
+    made, whose lower bound is lower; None when the solve gave up, which
+    refuses the try.  The candidate is swept over every row and accepted
+    only when its lower bound is at least lower and its gap is at most
+    tol: the Step, route "support_newton", is then the run's last record.
     """
-    lower, upper = sweep[2], sweep[3]
-    support = (q > _SUPPORT_FLOOR).nonzero()[0]
-    if support.size > min(ch.num_outputs, _MAX_SUPPORT):
-        return previous.retry_below
-    finish = _support_newton(q, support, ch)
-    if finish is not None:
-        swept = _sweep(finish.weights, ch)
-        # Accepted only as the run's last record.
-        if swept[2] >= lower and swept[3] - swept[2] <= tol:
-            # Inputs off the support keep their last log-weights.
-            log_weights = previous.log_weights - logsumexp(previous.log_weights)
-            log_weights[finish.support] = np.log(finish.weights[finish.support])
-            return Step(
-                finish.weights, log_weights, "support_newton", finish.residual, finish.steps, swept, None, 0, 0,
-                previous.retry_below,
-            )
-    return _RETRY_FRACTION * (upper - lower)
+    if finish is None:
+        return None
+    swept = _sweep(finish.weights, ch)
+    # Accepted only as the run's last record.
+    if not (swept[2] >= lower and swept[3] - swept[2] <= tol):
+        return None
+    # Inputs off the support keep their last log-weights.
+    log_weights = previous.log_weights - logsumexp(previous.log_weights)
+    log_weights[finish.support] = np.log(finish.weights[finish.support])
+    return Step(finish.weights, log_weights, "support_newton", finish.residual, finish.steps, swept, None, 0, 0)
 
 
-def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step, retry_below: float = math.inf) -> Step:
+def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
     """The multiplicative update of the log-weights that previous carries:
     the logits log q + d, shifted so that their maximum is 0, are the
-    next Step's log-weights, and q' is exp of them divided by its sum.
-    The Step carries retry_below, given by position: a keyword costs the
-    NamedTuple about 0.1 us, half a percent of a small channel's sweep."""
+    next Step's log-weights, and q' is exp of them divided by its sum."""
     logits = previous.log_weights + sweep[1]
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)
     weights /= np.add.reduce(weights)
-    return Step(_normalized(weights), logits, None, None, None, None, None, None, None, retry_below)
+    return Step(_normalized(weights), logits)
 
 
 def solve_arimoto(
@@ -592,12 +597,13 @@ def solve_arimoto(
     """Iterate multiplicative sweeps until the bracket gap is at most tol.
 
     Starts from the uniform input unless an interior initial law is given.
-    Each step may first try the support-Newton route (see the module
-    docstring): Newton on the Kuhn-Tucker conditions restricted to the
-    inputs above 1e-12, when there are at most min(m, 64) of them.  Its
-    candidate is accepted only when its lower bound does not fall and its
-    gap is at most tol, so it is the run's last record, whose step_status
-    is "support_newton", and every record before it is the plain sweep's.
+    Before each sweep the iteration loop may try the support-Newton route
+    (see the module docstring): Newton on the Kuhn-Tucker conditions
+    restricted to the inputs above 1e-12, when there are at most min(m,
+    64) of them.  Its candidate is accepted only when its lower bound does
+    not fall and its gap is at most tol, so it is the run's last record,
+    whose step_status is "support_newton", and every record before it is
+    the plain sweep's.
     The per-step progress bound holds at that record too, by Arimoto's
     inequality C - I(q) <= D(q* || q).  On perfbench's pinned squares it
     finishes slow32 in 2 records, to 1e-7 or 1e-9, where the sweeps alone
@@ -606,9 +612,9 @@ def solve_arimoto(
     try costs, per Newton step, two k-row kernel passes, a k x k
     contraction over the outputs and a (k + 1)-square solve at a support
     of k inputs, then one sweep of its candidate.  While the next try waits
-    for the gap to fall, a step costs one comparison more than the sweep;
-    while more than min(m, 64) inputs are above 1e-12, it also scans the
-    weights for them.
+    for the gap to fall, the loop adds one comparison to each sweep; while
+    more than min(m, 64) inputs are above 1e-12, it also scans the weights
+    for them.
 
     The iterates, and optimal_input, may hold exact zeros: at inputs whose
     weight underflowed, and, after the route, at every input off the
@@ -617,14 +623,4 @@ def solve_arimoto(
     iterate is computed once and reused for the update and the bracket; the
     trace recomputes it when its records are first read.
     """
-
-    def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
-        retry_below = previous.retry_below
-        if sweep[3] - sweep[2] < retry_below:
-            tried = _try_finish(q, sweep, previous, ch, tol)
-            if tried.__class__ is Step:
-                return tried
-            retry_below = tried
-        return _arimoto_stepper(q, sweep, previous, retry_below)
-
-    return _iterate(ch, tol, max_iters, initial, stepper, _ARIMOTO_COLUMNS)
+    return _iterate(ch, tol, max_iters, initial, _arimoto_stepper, _ARIMOTO_COLUMNS, True)

@@ -80,22 +80,23 @@ The proximal steps spend most of their records after the support of the
 capacity-achieving input is known, so the adaptive default, at every
 width, tries a third route that finishes the run: Newton on the
 Kuhn-Tucker conditions restricted to the support, d_x(q_S) = C for x in S
-with sum q_S = 1 (Gallager 1968, sec. 4.5), a (|S| + 1)-square solve; see
-arimoto._support_newton, and arimoto._try_finish, the try that solve_arimoto
-makes too.  S is the inputs whose weight is above 1e-12, and a try runs
-only when |S| is at most min(m, 64), m the number of outputs.  Its
-candidate is swept over every row, like any other, and accepted only
-when its lower bound does not fall and its gap is at most tol: an
-accepted candidate is the run's last record, and a wrong support costs
-one refused try, never a wrong bracket.  The rule is
-strict on purpose.  Accepting candidates that raise the lower bound and
-narrow the gap without reaching tol left the inputs the route dropped at
-exactly 0, where no later step revives them, and held a 64x64 channel at
-a gap of 1e-3.  A refused try adds no record and changes nothing, so
-every record before the last is the one the run without the route makes;
-the next try waits until the gap is below 0.1 times the gap at the
-refused one, a threshold kept on the Step like lambda, so a replay takes
-the same tries.
+with sum q_S = 1 (Gallager 1968, sec. 4.5), a (|S| + 1)-square solve.
+The stepper does not make the try: the iteration loop both solvers
+share, arimoto._run, makes it before a step, here only when step_size is
+None, and an accepted try takes the step's place.  S is the inputs whose
+weight is above 1e-12, and a try runs only when |S| is at most min(m,
+64), m the number of outputs.  Its candidate is swept over every row,
+like any other, and accepted only when its lower bound does not fall and
+its gap is at most tol: an accepted candidate is the run's last record,
+and a wrong support costs one refused try, never a wrong bracket.  The
+rule is strict on purpose.  Accepting candidates that raise the lower
+bound and narrow the gap without reaching tol left the inputs the route
+dropped at exactly 0, where no later step revives them, and held a 64x64
+channel at a gap of 1e-3.  A refused try adds no record and changes
+nothing, so every record before the last is the one the run without the
+route makes; the next try waits until the gap is below 0.1 times the gap
+at the refused one, a threshold the loop keeps, so a replay, which
+restarts the loop, takes the same tries.
 
 The exact m-step's loop, _inner_solve, runs on raw arrays and checks
 nothing.  exact_backward_m_step is its public form: it checks its
@@ -111,14 +112,13 @@ keeps evolving, and no iterate is clamped.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .arimoto import (
-    _COLUMNS, CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep, _try_finish,
+    _COLUMNS, CapacityResult, IterationTrace, Step, _arimoto_stepper, _iterate, _sweep,
 )
 from .channel import (
     Channel,
@@ -609,12 +609,6 @@ def solve_backward_em(
 
     def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
         r, d, lower, upper = sweep
-        retry_below = previous.retry_below
-        if step_size is None and upper - lower < retry_below:
-            tried = _try_finish(q, sweep, previous, ch, tol)
-            if tried.__class__ is Step:
-                return tried
-            retry_below = tried
         size = _adapted(previous) if adaptive else 1.0
         # The residual each inner solve stops at, before the division by
         # the step size: the current gap, never below _INNER_TOL.
@@ -628,11 +622,11 @@ def solve_backward_em(
                 if not adaptive or swept[2] >= lower or swept[3] - swept[2] < upper - lower:
                     return Step(
                         point.induced, point.log_induced, "exact", inner.residual, inner.sweeps, swept, size,
-                        rejected, rejected_inner, retry_below,
+                        rejected, rejected_inner,
                     )
             # A run that does not adapt always has size 1.
             if size == 1.0:
-                return _arimoto_stepper(q, sweep, previous, retry_below)._replace(
+                return _arimoto_stepper(q, sweep, previous)._replace(
                     route="fallback", residual=inner.residual, inner=inner.sweeps, step_size=size,
                     rejected=rejected, rejected_inner=rejected_inner,
                 )
@@ -640,4 +634,4 @@ def solve_backward_em(
             rejected += 1
             rejected_inner += inner.sweeps
 
-    return _iterate(ch, tol, max_iters, initial, stepper, _COLUMNS)
+    return _iterate(ch, tol, max_iters, initial, stepper, _COLUMNS, step_size is None)

@@ -282,6 +282,7 @@ WALK_DOCUMENTS = {
     "not-stochastic": b'{"matrix": [[0.5, 0.3], [0.5, 0.5]]}',
     "negative": b'{"matrix": [[1.5, -0.5], [0.5, 0.5]]}',
     "trailing-comma-rows": b'{"matrix": [[1.0],]}',
+    "missing-comma-rows": b'{"matrix": [[0.5, 0.5] [0.5, 0.5]]}',
     "trailing-comma-object": b'{"matrix": [[1.0]],}',
     "missing-colon": b'{"matrix" [[1.0]]}',
     "missing-comma": b'{"matrix": [[1.0]] "input_labels": ["a"]}',

@@ -61,6 +61,9 @@ class TestConstruction:
         assert dist(0.5, 0.5).is_interior
         assert not dist(1.0, 0.0).is_interior
 
+    def test_repr_lists_the_weights(self):
+        assert repr(dist(0.25, 0.75)) == "Distribution([0.25, 0.75])"
+
     def test_uniform(self):
         u = Distribution.uniform(4)
         assert u.alphabet_size == 4

@@ -215,12 +215,13 @@ def test_rejected_candidates_count_their_inner_steps(monkeypatch):
 
 
 def test_records_replay_an_adaptive_run(monkeypatch):
-    # The step size, and the gap the next support-Newton try waits for, live
-    # on each Step, not in the stepper, so the replay takes the same steps
-    # and the same tries; the lambda column is compared like the others.
-    # r8's first try is refused, so its second waits for the gap to fall
-    # tenfold, four exact steps later.  A replay that tried at every step
-    # would finish at the second record and fail the check.
+    # The step size lives on each Step, not in the stepper, and the gap the
+    # next support-Newton try waits for is a local of the loop the replay
+    # restarts, so the replay takes the same steps and the same tries; the
+    # lambda column is compared like the others.  r8's first try is
+    # refused, so its second waits for the gap to fall tenfold, four exact
+    # steps later.  A replay that tried at every step would finish at the
+    # fourth record and fail the check.
     ch = pinned_squares()["r8"]
     tries = []
     support_newton = arimoto._support_newton

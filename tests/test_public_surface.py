@@ -68,9 +68,19 @@ def test_a_star_import_binds_exactly_all():
     assert json.loads(out) == chancap.__all__
 
 
+def loaded_submodules(code: str) -> list:
+    """The chancap modules that a fresh interpreter has loaded after code."""
+    out = fresh_python(f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))")
+    return [name for name in json.loads(out) if name.startswith("chancap")]
+
+
 def test_a_submodule_imports_from_the_package():
     out = fresh_python("from chancap import arimoto; print(arimoto.__name__, arimoto.solve_arimoto.__module__)")
     assert out.split() == ["chancap.arimoto", "chancap.arimoto"]
+    # The package's lookup of a module's name imports that module alone,
+    # and what it imports, as `import chancap.arimoto` does.
+    assert loaded_submodules("from chancap import arimoto") == loaded_submodules("import chancap.arimoto")
+    assert chancap.__getattr__("arimoto") is MODULES["arimoto"]
 
 
 def test_dir_lists_every_public_name():

@@ -89,18 +89,27 @@ def test_records_before_the_finish_are_those_of_the_run_without_the_route(case, 
         assert rows(finished) == rows(plain)
 
 
-@pytest.mark.parametrize("case", ["duplicate-rows", "kronecker-256x256", "paper-step-size"])
+@pytest.mark.parametrize(
+    "case", ["duplicate-rows", "non-finite-correction", "step-cap", "kronecker-256x256", "paper-step-size"],
+)
 def test_runs_the_route_cannot_finish_keep_their_records(case, monkeypatch):
     # Duplicate rows in the support make the bordered system singular: each
     # try is refused, without a least-squares solve and without a
     # RuntimeWarning (which fails the suite), and the run is the one
-    # without the route.  The 256x256 Kronecker channel has more inputs
-    # than the route's cap, so no try runs; neither does one at the paper's
-    # step size.
+    # without the route.  So is each try on r8 when the solve returns NaN,
+    # or when one Newton step is the cap.  The 256x256 Kronecker channel
+    # has more inputs than the route's cap, so no try runs; neither does
+    # one at the paper's step size.
     settings = {}
     if case == "duplicate-rows":
         matrix = random_channel(np.random.default_rng(78), 4, 6).matrix
         ch, tries_expected = Channel(np.vstack([matrix, matrix[:1]])), True
+    elif case == "non-finite-correction":
+        monkeypatch.setattr(arimoto, "_solve", lambda system, rhs: np.full(rhs.size, math.nan))
+        ch, tries_expected = pinned_squares()["r8"], True
+    elif case == "step-cap":
+        monkeypatch.setattr(arimoto, "_MAX_SUPPORT_STEPS", 1)
+        ch, tries_expected = pinned_squares()["r8"], True
     elif case == "kronecker-256x256":
         ch, tries_expected, settings = kronecker_256(), False, {"tol": 1e-6}
     else:
@@ -247,21 +256,30 @@ def test_arimoto_finishes_the_slow_channels(case):
     assert (result.optimal_input.weights == 0.0).any()
 
 
-def test_arimoto_records_replay_a_run_with_a_refused_try(monkeypatch):
+@pytest.mark.parametrize(
+    "solver, routes",
+    [
+        (solve_arimoto, [None] * 9 + ["support_newton"]),
+        (solve_backward_em, [None] + ["exact"] * 4 + ["support_newton"]),
+    ],
+    ids=["arimoto", "backward"],
+)
+def test_arimoto_records_replay_a_run_with_a_refused_try(solver, routes, monkeypatch):
     # r8's first try, from the uniform start, settles on four of the five
     # inputs of the optimal support, and its candidate is refused; the
-    # second waits for the gap to fall tenfold and finishes at record 10.
-    # retry_below lives on each Step, so the replay takes the same two
-    # tries; a replay that tried at every step would finish at the second
-    # record and fail the check.
+    # second waits for the gap to fall tenfold and finishes, at record 10
+    # of solve_arimoto and record 6 of solve_backward_em.  The gap the next
+    # try waits for is a local of the loop, which the replay restarts, so
+    # the replay takes the same two tries; a replay that tried at every
+    # step would finish at the fourth record and fail the check there.
     ch = pinned_squares()["r8"]
     tries = counted_tries(monkeypatch)
-    _, trace = solve_arimoto(ch, tol=1e-9)
-    assert len(trace) == 10 and [finish.support.size for finish in tries] == [4, 5]
+    _, trace = solver(ch, tol=1e-9)
+    assert len(trace) == len(routes) and [finish.support.size for finish in tries] == [4, 5]
     records = trace.records
     assert [finish.support.size for finish in tries] == [4, 5, 4, 5]
-    assert [rec.step_status for rec in records] == [None] * 9 + ["support_newton"]
-    _, tampered = solve_arimoto(ch, tol=1e-9)
+    assert [rec.step_status for rec in records] == routes
+    _, tampered = solver(ch, tol=1e-9)
     # The upper bound of iteration 4, in the kept list of rows.
     k = 3 * len(tampered._columns) + tampered._columns.index("upper_bound")
     tampered._kept[k] = math.nextafter(tampered._kept[k], math.inf)
