@@ -12,14 +12,15 @@ in chancap.numeric.
 the modules its subcommand runs.  The first lookup of a name the package
 has not bound yet (a public name, __all__, a star import or dir()) imports
 the re-exported modules and binds their names here, as star imports would
-(PEP 562).  The lookup of a re-exported module's own name, which `from
-chancap import arimoto` makes, imports that module alone, and what it
-imports.
+(PEP 562).  The lookup of a submodule's own name, which `from chancap
+import arimoto` or `from chancap import numeric` makes, imports that
+module alone, and what it imports.
 """
 
 __version__ = "0.1.0"
 
 _REEXPORTED = ("arimoto", "backward_em", "channel", "errors", "infogeo", "probability", "verify")
+_SUBMODULES = (*_REEXPORTED, "cli", "numeric")
 
 
 def _bind_public_names() -> None:
@@ -38,7 +39,7 @@ def _bind_public_names() -> None:
 
 
 def __getattr__(name: str):
-    if name in _REEXPORTED:
+    if name in _SUBMODULES:
         from importlib import import_module
 
         return import_module(f"{__name__}.{name}")

@@ -49,9 +49,9 @@ The backward solver carries log-weights the same way: its exact step
 tilts them by the step size times the divergences from a solved output
 factor, with numeric._log_tilt, and hands on its induced input's
 normalized log-weights; its fallback is this step.  So in both solvers
-an underflowed weight is an exact 0 whose log keeps evolving.  Only the
-public arimoto_step, which promises an interior law, lifts such a weight
-of its result to the smallest positive normal float and renormalizes.
+an underflowed weight is an exact 0 whose log keeps evolving.  The public
+arimoto_step is the solvers' step from the log of its argument's weights,
+so its result, like approximate_m_step's, may hold such an exact 0.
 
 The sweeps find the support of a capacity-achieving input long before
 the weights off it have decayed: perfbench's slow32 takes 11,357 sweeps
@@ -84,13 +84,14 @@ each iterate with its divergences, bounds and the Step that made it.  Both
 solvers are deterministic maps from one iterate, and the Step that made
 it, to the next, so the trace keeps only each iterate's scalars (bounds,
 route, inner residual, inner count, step size, rejected candidates and
-their inner steps), and no array: _row spells them once, _COLUMNS names
-them by the TraceRecord fields they fill, and one flat list keeps one row
-per iterate.  Each solver keeps the columns its steps fill: the backward
-solver all of _COLUMNS, about 145 bytes per iterate, and solve_arimoto,
-whose step has no inner loop, the bounds and the route
-(_ARIMOTO_COLUMNS), about 75 bytes; the route is None on every sweep
-and "support_newton" on a finish.  The first read of
+their inner steps), and no array.  The Step fields after sweep are named
+for the TraceRecord fields they fill, so _COLUMNS is the two bounds and
+those names, _row slices a row from the bounds and the Step, and one flat
+list keeps one row per iterate.  Each solver keeps the columns its steps
+fill: the backward solver all of _COLUMNS, about 145 bytes per iterate,
+and solve_arimoto, whose step has no inner loop, the bounds and the
+route (_ARIMOTO_COLUMNS), about 75 bytes; the route is None on every
+sweep and "support_newton" on a finish.  The first read of
 IterationTrace.records runs _run again from the same start, checks every
 replayed row against the kept one bit for bit, and builds the
 TraceRecords, with each iterate's divergences and Distribution, from the
@@ -102,7 +103,8 @@ hands each stepper the Step that made the current iterate, so a replay,
 which starts from the same Step, takes the same steps.  The gap below
 which the next support-Newton try may run is a local of the loop, so a
 replay, which restarts the loop, takes the same tries, and no Step
-carries it.
+carries it.  A finish's Step carries no log-weights: it is the run's last
+record, so no stepper is handed it.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ from .channel import (
     Channel, _check_channel, _check_interior_input, _divergences, _marginal, per_input_divergences,
 )
 from .errors import _check_limit, _check_real
-from .numeric import _contract, _solve, logsumexp, ordered_sum
+from .numeric import _contract, _solve
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -132,8 +134,6 @@ __all__ = [
     "capacity_bracket",
     "solve_arimoto",
 ]
-
-_TINY = float(np.finfo(np.float64).tiny)
 
 
 class Termination(str, enum.Enum):
@@ -190,30 +190,59 @@ class TraceRecord:
         return self.upper_bound - self.lower_bound
 
 
-# The scalars a trace can keep of each iterate, named by the TraceRecord
-# fields they fill, in the order _row gives them.  A trace keeps a leading
-# run of them: the backward solver all, solve_arimoto the bounds and the
-# route, which is None but on a support-Newton finish.
-_COLUMNS = (
-    "lower_bound", "upper_bound", "step_status", "inner_residual", "inner_iterations", "step_size",
-    "rejected_candidates", "rejected_inner_iterations",
-)
+class Step(NamedTuple):
+    """What a stepper returns: the next iterate, and how the step made it.
+
+    A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
+    upper) at q and the Step that made q to a Step.  iterate is a raw weight
+    array the stepper has passed through probability._normalized.
+    log_weights is the iterate's log-weights up to an additive constant,
+    which no step depends on: an entry far below the largest is an exact 0
+    in iterate and a finite number here.  The start's Step carries np.log
+    of the start weights; the Arimoto step hands on its logits shifted so
+    that their maximum is exactly 0, of which iterate is exp divided by its
+    sum, and an exact backward step its induced input's log-weights, of
+    which iterate is exp.  A stepper steps from the log-weights it is
+    handed and returns its iterate's.  sweep is _sweep's tuple at iterate
+    when the stepper has computed it, None otherwise, and becomes the next
+    iterate's.  The fields after sweep fill the TraceRecord fields of the
+    same names: the step's route, last inner residual, inner sweep count,
+    step size, the candidates it rejected before its last inner solve and
+    the inner steps those rejected solves took, None for a step with no
+    inner loop.  A support-Newton finish, which _run makes in place of a
+    step, is a Step too, with step_status "support_newton" and log_weights
+    None, since no step follows it.  _run yields each Step with the
+    iterate it made.
+    """
+
+    iterate: np.ndarray
+    log_weights: np.ndarray | None
+    sweep: tuple | None = None
+    step_status: str | None = None
+    inner_residual: float | None = None
+    inner_iterations: int | None = None
+    step_size: float | None = None
+    rejected_candidates: int | None = None
+    rejected_inner_iterations: int | None = None
+
+
+# The scalars a trace can keep of each iterate, in the order _row gives
+# them: the bounds, then the Step fields after sweep.  A trace keeps a
+# leading run of them: the backward solver all, solve_arimoto the bounds
+# and the route, which is None but on a support-Newton finish.
+_COLUMNS = ("lower_bound", "upper_bound", *Step._fields[3:])
 _ARIMOTO_COLUMNS = _COLUMNS[:3]
 
 
 def _row(lower: float, upper: float, step: Step, columns: tuple) -> tuple:
-    """The trace's row for one iterate of _run: its bounds and the Step that
-    made it, one entry per name in columns, which is _COLUMNS or
-    _ARIMOTO_COLUMNS.
+    """The trace's row for one iterate of _run: its bounds, then the fields
+    of the Step that made it after sweep, one entry per name in columns,
+    which is _COLUMNS or _ARIMOTO_COLUMNS.
 
     _iterate keeps it and IterationTrace.records checks the replay against
     it.
     """
-    if columns is _ARIMOTO_COLUMNS:
-        return lower, upper, step.route
-    return (
-        lower, upper, step.route, step.residual, step.inner, step.step_size, step.rejected, step.rejected_inner,
-    )
+    return (lower, upper) + step[3:len(columns) + 1]
 
 
 class IterationTrace:
@@ -312,23 +341,16 @@ def _sweep(
     return r, d, lower, max(lower, float(np.maximum.reduce(d)))
 
 
-def _lifted(q: np.ndarray) -> np.ndarray:
-    """Raw weights q with underflowed entries lifted to the smallest positive
-    normal float, renormalized and checked again."""
-    weights = np.maximum(q, _TINY)
-    return _normalized(weights / ordered_sum(weights))
-
-
 def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """One multiplicative reweighting of the input law.
 
-    Requires an interior q, and returns an interior law: the solvers' step
-    from the log of q's weights, with any weight that underflowed lifted.
+    Requires an interior q, and returns the solvers' step from the log of
+    q's weights.  Like the solvers' iterates and approximate_m_step's
+    result, it may hold an exact 0 at a weight that underflowed.
     """
     _check_interior_input(q, ch)
     start = Step(q.weights, np.log(q.weights))
-    stepped = _arimoto_stepper(q.weights, _sweep(q.weights, ch), start).iterate
-    return Distribution(stepped if np.minimum.reduce(stepped) > 0.0 else _lifted(stepped))
+    return Distribution(_arimoto_stepper(q.weights, _sweep(q.weights, ch), start).iterate)
 
 
 def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
@@ -341,43 +363,6 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     """
     _check_interior_input(q, ch)
     return Bracket(*_sweep(q.weights, ch)[2:])
-
-
-class Step(NamedTuple):
-    """What a stepper returns: the next iterate, and how the step made it.
-
-    A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
-    upper) at q and the Step that made q to a Step.  iterate is a raw weight
-    array the stepper has passed through probability._normalized.
-    log_weights is the iterate's log-weights up to an additive constant,
-    which no step depends on: an entry far below the largest is an exact 0
-    in iterate and a finite number here.  The start's Step carries np.log
-    of the start weights; the Arimoto step hands on its logits shifted so
-    that their maximum is exactly 0, of which iterate is exp divided by its
-    sum, and an exact backward step its induced input's log-weights, of
-    which iterate is exp.  A stepper steps from the log-weights it is
-    handed and returns its iterate's.  route, residual, inner, step_size,
-    rejected and rejected_inner are the step's route, last inner residual,
-    inner sweep count, step size, the candidates it rejected before its
-    last inner solve and the inner steps those rejected solves took, None
-    for a step with no inner loop; the backward solver's trace keeps them,
-    through _row, as step_status, inner_residual, inner_iterations,
-    step_size, rejected_candidates and rejected_inner_iterations.  sweep is
-    _sweep's tuple at iterate when the stepper has computed it, None
-    otherwise, and becomes the next iterate's.  A support-Newton finish,
-    which _run makes in place of a step, is a Step too, with route
-    "support_newton".  _run yields each Step with the iterate it made.
-    """
-
-    iterate: np.ndarray
-    log_weights: np.ndarray
-    route: str | None = None
-    residual: float | None = None
-    inner: int | None = None
-    sweep: tuple | None = None
-    step_size: float | None = None
-    rejected: int | None = None
-    rejected_inner: int | None = None
 
 
 Stepper = Callable[[np.ndarray, tuple, Step], Step]
@@ -413,7 +398,7 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
         if upper - lower < retry_below:
             support = (q > _SUPPORT_FLOOR).nonzero()[0]
             if support.size <= min(ch.num_outputs, _MAX_SUPPORT):
-                finished = _try_finish(_support_newton(q, support, ch), lower, step, ch, tol)
+                finished = _try_finish(_support_newton(q, support, ch), lower, ch, tol)
                 if finished is None:
                     retry_below = _RETRY_FRACTION * (upper - lower)
         step = stepper(q, sweep, step) if finished is None else finished
@@ -556,25 +541,23 @@ def _support_newton(q: np.ndarray, support: np.ndarray, ch: Channel) -> _Finish 
             return None
 
 
-def _try_finish(finish: _Finish | None, lower: float, previous: Step, ch: Channel, tol: float) -> Step | None:
+def _try_finish(finish: _Finish | None, lower: float, ch: Channel, tol: float) -> Step | None:
     """The Step that ends the run at finish, or None when the try is refused.
 
-    finish is what _support_newton solved from the iterate that previous
-    made, whose lower bound is lower; None when the solve gave up, which
-    refuses the try.  The candidate is swept over every row and accepted
-    only when its lower bound is at least lower and its gap is at most
-    tol: the Step, route "support_newton", is then the run's last record.
+    finish is what _support_newton solved from an iterate whose lower
+    bound is lower; None when the solve gave up, which refuses the try.
+    The candidate is swept over every row and accepted only when its lower
+    bound is at least lower and its gap is at most tol.  The Step,
+    step_status "support_newton", is then the run's last record: _iterate
+    stops on the same test of the same bounds, and a replay stops at the
+    kept rows, so no stepper is handed it, and it carries no log-weights.
     """
     if finish is None:
         return None
     swept = _sweep(finish.weights, ch)
-    # Accepted only as the run's last record.
     if not (swept[2] >= lower and swept[3] - swept[2] <= tol):
         return None
-    # Inputs off the support keep their last log-weights.
-    log_weights = previous.log_weights - logsumexp(previous.log_weights)
-    log_weights[finish.support] = np.log(finish.weights[finish.support])
-    return Step(finish.weights, log_weights, "support_newton", finish.residual, finish.steps, swept, None, 0, 0)
+    return Step(finish.weights, None, swept, "support_newton", finish.residual, finish.steps, None, 0, 0)
 
 
 def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:

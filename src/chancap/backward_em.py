@@ -521,7 +521,7 @@ def _adapted(previous: Step) -> float:
     """The adaptive rule's first step size for the step after previous."""
     if previous.step_size is None:
         return 1.0
-    if previous.route == "exact" and previous.inner <= _CHEAP_INNER:
+    if previous.step_status == "exact" and previous.inner_iterations <= _CHEAP_INNER:
         return min(2.0 * previous.step_size, _MAX_STEP_SIZE)
     return previous.step_size
 
@@ -621,14 +621,14 @@ def solve_backward_em(
                 swept = _sweep(point.induced, ch, point.marginal)
                 if not adaptive or swept[2] >= lower or swept[3] - swept[2] < upper - lower:
                     return Step(
-                        point.induced, point.log_induced, "exact", inner.residual, inner.sweeps, swept, size,
+                        point.induced, point.log_induced, swept, "exact", inner.residual, inner.sweeps, size,
                         rejected, rejected_inner,
                     )
             # A run that does not adapt always has size 1.
             if size == 1.0:
                 return _arimoto_stepper(q, sweep, previous)._replace(
-                    route="fallback", residual=inner.residual, inner=inner.sweeps, step_size=size,
-                    rejected=rejected, rejected_inner=rejected_inner,
+                    step_status="fallback", inner_residual=inner.residual, inner_iterations=inner.sweeps,
+                    step_size=size, rejected_candidates=rejected, rejected_inner_iterations=rejected_inner,
                 )
             size = max(0.25 * size, 1.0)
             rejected += 1

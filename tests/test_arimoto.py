@@ -13,6 +13,7 @@ from chancap import (
     NonInteriorInput,
     ParameterOutOfRange,
     Termination,
+    approximate_m_step,
     arimoto_step,
     bsc,
     capacity_bracket,
@@ -24,7 +25,7 @@ from chancap import (
     z_channel,
 )
 from chancap import arimoto, numeric, probability
-from chancap.arimoto import _ARIMOTO_COLUMNS, _TINY, Step, _arimoto_stepper, _iterate, _run, _sweep
+from chancap.arimoto import _ARIMOTO_COLUMNS, Step, _arimoto_stepper, _iterate, _run
 from chancap.probability import _normalized
 from support import multiplicative_step, pinned_squares, random_channel, random_interior, without_support_newton
 
@@ -83,19 +84,19 @@ class TestStep:
         shifted = _arimoto_stepper(q, (None, d + shift, None, None), Step(q, np.log(q))).iterate
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
-    def test_underflow_clamp_keeps_iterate_interior(self):
+    def test_an_underflowed_weight_is_the_solvers_exact_zero(self):
         # The last input starts at the smallest subnormal and its step
-        # underflows to an exact 0, which the solvers keep; the public step
-        # promises an interior law, so it lifts that weight to the smallest
-        # normal float and renormalizes.
+        # underflows to an exact 0.  The public step is the solvers' step,
+        # so it keeps that 0, bit for bit, and so does approximate_m_step.
         ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
         q = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
-        solver = _arimoto_stepper(q.weights, _sweep(q.weights, ch), Step(q.weights, np.log(q.weights))).iterate
+        run = _run(ch, q.weights, _arimoto_stepper)
+        next(run)
+        solver = next(run)[0]
         assert solver[4] == 0.0
-        stepped = arimoto_step(q, ch)
-        assert stepped.is_interior and stepped.weights[4] == _TINY
-        assert np.max(np.abs(stepped.weights[:4] - solver[:4])) <= 1e-15
-        assert abs(float(np.sum(stepped.weights)) - 1.0) <= 1e-12
+        stepped = arimoto_step(q, ch).weights
+        assert np.array_equal(stepped, solver)
+        assert np.array_equal(stepped, approximate_m_step(q, ch).weights)
 
     def test_the_solver_step_carries_log_weights_past_underflow(self):
         # The third input's log-weight lies far below log(tiny): its weight

@@ -370,7 +370,7 @@ class TestSolver:
         iterates = replayed(trace)
         fallbacks = firsts = 0
         for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
-            if after.route == "fallback":
+            if after.step_status == "fallback":
                 base = Distribution(q)
                 d = per_input_divergences(ch, output_marginal(base, ch).weights)
                 log_stepped, weights = multiplicative_step(before.log_weights, d)
@@ -398,7 +398,7 @@ class TestSolver:
             _, trace = solve_backward_em(ch, tol=1e-7, step_size=1.0)
             iterates = replayed(trace)
             for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
-                assert after.route == "exact"
+                assert after.step_status == "exact"
                 base = Distribution(q)
                 want = reference_m_step(base, ch, log_base=before.log_weights)
                 if k == 0:
@@ -408,7 +408,7 @@ class TestSolver:
                     firsts += 1
                 assert np.array_equal(stepped, want.solution.induced_input.weights)
                 assert np.array_equal(np.exp(after.log_weights), stepped)
-                assert (after.residual, after.inner) == (want.residual, want.inner_iterations)
+                assert (after.inner_residual, after.inner_iterations) == (want.residual, want.inner_iterations)
                 exact += 1
         assert exact > len(channels) and firsts == len(channels)
 

@@ -136,23 +136,23 @@ def test_paper_step_size_takes_the_reference_steps():
             for k, ((q, _, _, _, before), (stepped, _, _, _, after)) in enumerate(zip(iterates, iterates[1:])):
                 base, log_base = Distribution(q), before.log_weights
                 want = reference_m_step(base, ch, log_base=log_base, **settings)
-                assert (after.step_size, after.rejected) == (1.0, 0)
-                assert (after.residual, after.inner) == (want.residual, want.inner_iterations)
+                assert (after.step_size, after.rejected_candidates) == (1.0, 0)
+                assert (after.inner_residual, after.inner_iterations) == (want.residual, want.inner_iterations)
                 if want.solution is None:
                     d = per_input_divergences(ch, output_marginal(base, ch).weights)
                     log_expected, expected = multiplicative_step(log_base, d)
                     public = arimoto_step(base, ch).weights if k == 0 else expected
-                    assert after.route == "fallback"
+                    assert after.step_status == "fallback"
                     assert np.array_equal(after.log_weights, log_expected) and np.max(after.log_weights) == 0.0
                 else:
                     expected = want.solution.induced_input.weights
                     public = expected
                     if k == 0:
                         public = exact_backward_m_step(base, ch, **settings).solution.induced_input.weights
-                    assert after.route == "exact"
+                    assert after.step_status == "exact"
                     assert np.array_equal(np.exp(after.log_weights), stepped)
                 assert np.array_equal(stepped, expected) and np.array_equal(public, expected)
-                routes.add(after.route)
+                routes.add(after.step_status)
     # The paper's step size never takes the support-Newton route.
     assert routes == {"exact", "fallback"}
 

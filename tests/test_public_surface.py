@@ -74,13 +74,14 @@ def loaded_submodules(code: str) -> list:
     return [name for name in json.loads(out) if name.startswith("chancap")]
 
 
-def test_a_submodule_imports_from_the_package():
-    out = fresh_python("from chancap import arimoto; print(arimoto.__name__, arimoto.solve_arimoto.__module__)")
-    assert out.split() == ["chancap.arimoto", "chancap.arimoto"]
+@pytest.mark.parametrize("module", ["arimoto", "numeric", "cli"])
+def test_a_submodule_imports_from_the_package(module):
+    assert fresh_python(f"from chancap import {module}; print({module}.__name__)").strip() == f"chancap.{module}"
     # The package's lookup of a module's name imports that module alone,
-    # and what it imports, as `import chancap.arimoto` does.
-    assert loaded_submodules("from chancap import arimoto") == loaded_submodules("import chancap.arimoto")
-    assert chancap.__getattr__("arimoto") is MODULES["arimoto"]
+    # and what it imports, as `import chancap.<module>` does: a re-exported
+    # module and one that is not alike.
+    assert loaded_submodules(f"from chancap import {module}") == loaded_submodules(f"import chancap.{module}")
+    assert chancap.__getattr__(module) is MODULES[module]
 
 
 def test_dir_lists_every_public_name():

@@ -89,6 +89,31 @@ def test_records_before_the_finish_are_those_of_the_run_without_the_route(case, 
         assert rows(finished) == rows(plain)
 
 
+@pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em], ids=["arimoto", "backward"])
+@pytest.mark.parametrize("name", ["r8", "r16", "r32"], ids=["r8", "r16", "slow32"])
+def test_no_step_follows_a_finish(solve, name, monkeypatch):
+    # A finish's Step carries no log-weights, which is sound only because
+    # no stepper is ever handed it: the run stops at it, and so does the
+    # replay that reading the records makes.
+    handed = []
+
+    def guarded(stepper):
+        def step(q, sweep, previous):
+            assert previous.step_status != "support_newton", "a stepper was handed a finish"
+            handed.append(previous.step_status)
+            return stepper(q, sweep, previous)
+        return step
+
+    run = arimoto._run
+    monkeypatch.setattr(arimoto, "_run", lambda ch, q, stepper, tol=None: run(ch, q, guarded(stepper), tol))
+    _, trace = solve(pinned_squares()[name])
+    records = trace.records
+    assert records[-1].step_status == "support_newton"
+    # The finish takes the last step's place, and the solve and the replay
+    # each hand the stepper every Step before it.
+    assert len(handed) == 2 * (len(records) - 2)
+
+
 @pytest.mark.parametrize(
     "case", ["duplicate-rows", "non-finite-correction", "step-cap", "kronecker-256x256", "paper-step-size"],
 )

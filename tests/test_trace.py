@@ -6,6 +6,7 @@ member per sweep, only the start and the optimal input; the records are
 rebuilt by replaying the run on their first read.
 """
 
+import dataclasses
 import gc
 import math
 from functools import partial
@@ -24,7 +25,7 @@ from chancap import (
     solve_arimoto,
     solve_backward_em,
 )
-from chancap.arimoto import _COLUMNS
+from chancap.arimoto import _ARIMOTO_COLUMNS, _COLUMNS, Step
 from support import pinned_squares, random_channel, without_support_newton
 
 
@@ -159,6 +160,13 @@ def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve, monkeypatc
     trace._kept[k] = math.nextafter(trace._kept[k], math.inf)
     with pytest.raises(AssertionError, match="iteration 4"):
         trace.records
+
+
+def test_the_columns_are_the_bounds_and_the_step_fields_after_sweep():
+    # A column is one Step field and the TraceRecord field of its name.
+    assert _COLUMNS[:2] == ("lower_bound", "upper_bound") and _COLUMNS[2:] == Step._fields[3:]
+    assert _ARIMOTO_COLUMNS == _COLUMNS[:3]
+    assert set(_COLUMNS) <= {field.name for field in dataclasses.fields(TraceRecord)}
 
 
 @pytest.mark.parametrize(

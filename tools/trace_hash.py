@@ -27,8 +27,9 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * solve_arimoto on r64 and slow32 to 1e-9: 52 records, 50 plain sweeps
   between a refused try and the one that finishes, and 2 records, where
   the plain sweeps alone take 10,315 and 72,554;
-* both solvers on a channel whose first step underflows a weight, which
-  each keeps as an exact 0, its state being the log-weights; and both
+* both solvers on the subnormal-start channel, whose first step
+  underflows a weight, which each keeps as an exact 0, its state being
+  the log-weights; and both
   solvers on a noiseless 10-symbol channel plus a useless input to a gap
   of 1e-300, stopped at 400 records: both solvers close the gap to
   exactly 0 once the useless weight is below the route's 1e-12 support
@@ -43,7 +44,9 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
   exact_backward_m_step calls (default and max_inner=2) on seeded random
-  channels;
+  channels, and direct arimoto_step and approximate_m_step calls from the
+  subnormal-start channel's start, both of which give the underflowed
+  weight as an exact 0;
 * a fixed list of chancap.cli.main(argv) calls, run in-process in a
   temporary directory: generate, capacity, verify and compare on channel
   files it writes, and on malformed ones;
@@ -258,11 +261,16 @@ def wide_runs(h: Hasher, seed: int) -> None:
     backward_runs(h, "wide/{'max_inner': 2}", ch, max_inner=2)
 
 
-def underflow_runs(h: Hasher) -> None:
-    # The last input starts at the smallest subnormal; its first step
-    # underflows it to an exact zero, which both solvers keep.
+def subnormal_start() -> tuple[Channel, Distribution]:
+    """A channel and a start whose last input is at the smallest subnormal;
+    its first step underflows that weight to an exact zero."""
     ch = Channel(np.vstack([np.eye(4), np.full(4, 0.25)]))
-    start = Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+    return ch, Distribution(np.array([0.4, 0.3, 0.2, 0.1, 5e-324]))
+
+
+def underflow_runs(h: Hasher) -> None:
+    # Both solvers keep the underflowed weight as an exact zero.
+    ch, start = subnormal_start()
     h.trace("arimoto", "subnormal-start/arimoto", solve_arimoto(ch, initial=start))
     backward_runs(h, "subnormal-start/backward", ch, initial=start)
     # The useless input's weight shrinks every step: the backward solver's
@@ -287,6 +295,9 @@ def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
             h.item("direct", str(settings), outcome.status.value, outcome.residual, outcome.inner_iterations)
             if member is not None:
                 h.item("direct", member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
+    ch, start = subnormal_start()
+    h.item("direct", "subnormal-start/arimoto_step", arimoto_step(start, ch).weights)
+    h.item("direct", "subnormal-start/approximate_m_step", approximate_m_step(start, ch).weights)
 
 
 def cli_runs(h: Hasher) -> None:
