@@ -27,19 +27,18 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * solve_arimoto on r64 and slow32 to 1e-9: 52 records, 50 plain sweeps
   between a refused try and the one that finishes, and 2 records, where
   the plain sweeps alone take 10,315 and 72,554;
-* both solvers on the subnormal-start channel, whose first step
-  underflows a weight, which each keeps as an exact 0, its state being
-  the log-weights; and both
-  solvers on a noiseless 10-symbol channel plus a useless input to a gap
-  of 1e-300, stopped at 400 records: both solvers close the gap to
-  exactly 0 once the useless weight is below the route's 1e-12 support
-  floor, where the support-Newton route solves the ten noiseless inputs
-  and gives the useless one a weight of exactly 0, solve_arimoto at
-  record 13 and solve_backward_em's default at record 6 (without the
-  route, solve_arimoto's step, which divides the tilted weights by their
-  sum, closes the gap at sweep 17 with the useless weight at about
-  1e-17), while at step_size=1.0 solve_backward_em reaches an exact 0 at
-  record 324 and rests at a one-ulp gap to the 400th;
+* both solvers on the subnormal-start channel, whose first step underflows
+  a weight, which each keeps as an exact 0, its state being the
+  log-weights; and both solvers on a noiseless 10-symbol channel plus a
+  useless input to a gap of 1e-300, stopped at 400 records: both solvers
+  close the gap to exactly 0 once the useless weight is below the route's
+  1e-12 support floor, where the support-Newton route solves the ten
+  noiseless inputs and gives the useless one a weight of exactly 0,
+  solve_arimoto at record 13 and solve_backward_em's default at record 6
+  (without the route, solve_arimoto's step, which divides the tilted
+  weights by their sum, closes the gap at sweep 17 with the useless weight
+  at about 1e-17), while at step_size=1.0 solve_backward_em reaches an
+  exact 0 at record 324 and rests at a one-ulp gap to the 400th;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
