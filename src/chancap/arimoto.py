@@ -193,9 +193,10 @@ class TraceRecord:
 class Step(NamedTuple):
     """What a stepper returns: the next iterate, and how the step made it.
 
-    A stepper maps the current iterate q, the _sweep tuple (r_q, d, lower,
-    upper) at q and the Step that made q to a Step.  iterate is a raw weight
-    array the stepper has passed through probability._normalized.
+    A stepper maps the _sweep tuple (r_q, d, lower, upper) at the current
+    iterate q and the Step that made q to a Step: q is that Step's iterate.
+    iterate is a raw weight array the stepper has passed through
+    probability._normalized.
     log_weights is the iterate's log-weights up to an additive constant,
     which no step depends on: an entry far below the largest is an exact 0
     in iterate and a finite number here.  The start's Step carries np.log
@@ -350,7 +351,7 @@ def arimoto_step(q: Distribution, ch: Channel) -> Distribution:
     """
     _check_interior_input(q, ch)
     start = Step(q.weights, np.log(q.weights))
-    return Distribution(_arimoto_stepper(q.weights, _sweep(q.weights, ch), start).iterate)
+    return Distribution(_arimoto_stepper(_sweep(q.weights, ch), start).iterate)
 
 
 def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
@@ -365,7 +366,7 @@ def capacity_bracket(q: Distribution, ch: Channel) -> Bracket:
     return Bracket(*_sweep(q.weights, ch)[2:])
 
 
-Stepper = Callable[[np.ndarray, tuple, Step], Step]
+Stepper = Callable[[tuple, Step], Step]
 
 
 def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None) -> Iterator[tuple]:
@@ -373,12 +374,13 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
     step) per iterate, without end.
 
     d, lower and upper are _sweep's at q, and step is the Step that made q
-    (for the start, one that carries np.log(q) and nothing else), which the
-    stepper is handed with q.  q may hold exact zeros, at weights whose
-    log-weights fell below the subnormal range.  The next step is taken
-    only when the next iterate is asked for.  This is the only loop body:
-    _iterate runs it once to stop and keep the trace's scalars, and
-    IterationTrace.records runs it again for the arrays.
+    (for the start, one that carries np.log(q) and nothing else).  The
+    stepper is handed the sweep and step, not q, which is step.iterate.  q
+    may hold exact zeros, at weights whose log-weights fell below the
+    subnormal range.  The next step is taken only when the next iterate is
+    asked for.  This is the only loop body: _iterate runs it once to stop
+    and keep the trace's scalars, and IterationTrace.records runs it again
+    for the arrays.
 
     With tol, a support-Newton try comes before each step while the gap is
     below retry_below, inf until a try is refused and then _RETRY_FRACTION
@@ -401,7 +403,7 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
                 finished = _try_finish(_support_newton(q, support, ch), lower, ch, tol)
                 if finished is None:
                     retry_below = _RETRY_FRACTION * (upper - lower)
-        step = stepper(q, sweep, step) if finished is None else finished
+        step = stepper(sweep, step) if finished is None else finished
         q = step.iterate
 
 
@@ -560,10 +562,11 @@ def _try_finish(finish: _Finish | None, lower: float, ch: Channel, tol: float) -
     return Step(finish.weights, None, swept, "support_newton", finish.residual, finish.steps, None, 0, 0)
 
 
-def _arimoto_stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
-    """The multiplicative update of the log-weights that previous carries:
-    the logits log q + d, shifted so that their maximum is 0, are the
-    next Step's log-weights, and q' is exp of them divided by its sum."""
+def _arimoto_stepper(sweep: tuple, previous: Step) -> Step:
+    """The multiplicative update of the log-weights that previous carries,
+    those of its iterate q: the logits log q + d, d the divergences in
+    sweep, shifted so that their maximum is 0, are the next Step's
+    log-weights, and q' is exp of them divided by its sum."""
     logits = previous.log_weights + sweep[1]
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)

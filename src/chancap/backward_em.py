@@ -607,7 +607,7 @@ def solve_backward_em(
             raise ParameterOutOfRange(f"step_size must be None or 1, got {step_size!r}")
     adaptive = step_size is None and ch.num_outputs <= _NEWTON_MAX_OUTPUTS
 
-    def stepper(q: np.ndarray, sweep: tuple, previous: Step) -> Step:
+    def stepper(sweep: tuple, previous: Step) -> Step:
         r, d, lower, upper = sweep
         size = _adapted(previous) if adaptive else 1.0
         # The residual each inner solve stops at, before the division by
@@ -626,7 +626,7 @@ def solve_backward_em(
                     )
             # A run that does not adapt always has size 1.
             if size == 1.0:
-                return _arimoto_stepper(q, sweep, previous)._replace(
+                return _arimoto_stepper(sweep, previous)._replace(
                     step_status="fallback", inner_residual=inner.residual, inner_iterations=inner.sweeps,
                     step_size=size, rejected_candidates=rejected, rejected_inner_iterations=rejected_inner,
                 )

@@ -64,7 +64,6 @@ __all__ = [
     "noisy_typewriter",
     "identity_channel",
     "uniform_rows",
-    "canonical",
 ]
 
 
@@ -152,13 +151,6 @@ class Channel:
     @property
     def num_outputs(self) -> int:
         return self.matrix.shape[1]
-
-    def row(self, x: int) -> Distribution:
-        """The output distribution of input symbol x, an integer in [0, num_inputs)."""
-        _check_limit("input symbol", x, minimum=0)
-        if x >= self.num_inputs:
-            raise ParameterOutOfRange(f"input symbol must be below {self.num_inputs}, got {x!r}")
-        return Distribution(self.matrix[x])
 
     def __repr__(self):
         return f"Channel({self.num_inputs}x{self.num_outputs})"
@@ -583,7 +575,7 @@ def uniform_rows(n: int, m: int) -> Channel:
 
 
 # Each canonical kind's constructor and the types of its parameters, in
-# order: canonical dispatches on it and the CLI parses --param with it.
+# order: the CLI's generate parses --param with it.
 _CANONICAL = {
     "bsc": (bsc, (float,)),
     "bec": (bec, (float,)),
@@ -596,22 +588,10 @@ CANONICAL_KINDS = tuple(_CANONICAL)
 
 
 def _canonical_entry(kind: str, count: int) -> tuple:
-    """The constructor and parameter types of a kind given count parameters.
-
-    ParameterOutOfRange for an unknown kind or a wrong parameter count.
-    """
-    if not (isinstance(kind, str) and kind in CANONICAL_KINDS):
-        raise ParameterOutOfRange(f"unknown channel kind {kind!r} (known: {', '.join(CANONICAL_KINDS)})")
+    """The constructor and parameter types of a known kind given count
+    parameters; ParameterOutOfRange for a wrong parameter count."""
     build, types = _CANONICAL[kind]
     if count != len(types):
         raise ParameterOutOfRange(f"bad parameters for {kind!r}: {len(types)} expected, got {count}")
     return build, types
 
-
-def canonical(kind: str, *params) -> Channel:
-    """Dispatch to a canonical channel family by name.
-
-    Kinds: bsc(p), bec(eps), z(p), typewriter(n), identity(n), uniform(n, m).
-    """
-    build, _ = _canonical_entry(kind, len(params))
-    return build(*params)

@@ -49,10 +49,12 @@ def _read_channel(path: str, fmt: str) -> Channel:
 
 
 def _read_input_distribution(path: str) -> Distribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
     # JSONDecodeError, an integer of too many digits, or too deep a nesting.
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None

@@ -18,8 +18,8 @@ import numpy as np
 
 from .channel import Channel, _check_interior_input, per_input_divergences
 from .errors import _check_type
-from .numeric import _tilt
-from .probability import Distribution, JointDistribution, marginals
+from .numeric import _tilt, ordered_sum_along
+from .probability import Distribution, JointDistribution
 
 __all__ = [
     "ProductPoint",
@@ -51,8 +51,10 @@ class ProductPoint:
 
 def m_project_to_independence(p: JointDistribution) -> ProductPoint:
     """Divergence-minimizing product law for a joint: the pair of marginals."""
-    q, r = marginals(p)
-    return ProductPoint(q, r)
+    _check_type("joint distribution", p, JointDistribution)
+    q = ordered_sum_along(p.weights, axis=1)
+    r = ordered_sum_along(p.weights, axis=0)
+    return ProductPoint(Distribution(q), Distribution(r))
 
 
 def e_project_to_channel(point: ProductPoint, ch: Channel) -> Distribution:

@@ -33,14 +33,12 @@ import numpy as np
 from .errors import (
     AbsoluteContinuityViolation, DimensionMismatch, InvalidDistribution, _check_limit, _check_type, _sized,
 )
-from .numeric import ordered_sum, ordered_sum_along
+from .numeric import ordered_sum
 
 __all__ = [
     "Distribution",
     "JointDistribution",
     "kl_divergence",
-    "marginals",
-    "mutual_information",
 ]
 
 # Construction tolerances.  REJECT is the documented contract; KEEP exists so
@@ -154,20 +152,6 @@ class JointDistribution:
         return f"JointDistribution(shape={self.weights.shape})"
 
 
-def _kl_weights(p: np.ndarray, q: np.ndarray, what: str = "divergence") -> float:
-    """KL divergence of raw weight vectors, skipping zero-mass terms first."""
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        raise AbsoluteContinuityViolation(
-            f"{what} is infinite: reference has zero mass where the argument does not"
-        )
-    pm = p[mask]
-    qm = q[mask]
-    total = ordered_sum(pm * (np.log(pm) - np.log(qm)))
-    # Rounding can drag a near-zero divergence a few ulp below zero.
-    return total if total > 0.0 else 0.0
-
-
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """D(p || q) in nats.
 
@@ -180,26 +164,14 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
         raise DimensionMismatch(
             f"alphabets differ: {p.alphabet_size} vs {q.alphabet_size}"
         )
-    return _kl_weights(p.weights, q.weights)
+    mask = p.weights > 0.0
+    qm = q.weights[mask]
+    if np.any(qm == 0.0):
+        raise AbsoluteContinuityViolation(
+            "divergence is infinite: reference has zero mass where the argument does not"
+        )
+    pm = p.weights[mask]
+    total = ordered_sum(pm * (np.log(pm) - np.log(qm)))
+    # Rounding can drag a near-zero divergence a few ulp below zero.
+    return total if total > 0.0 else 0.0
 
-
-def marginals(p: JointDistribution) -> tuple[Distribution, Distribution]:
-    """Input and output marginals of a joint distribution."""
-    _check_type("joint distribution", p, JointDistribution)
-    input_marginal = ordered_sum_along(p.weights, axis=1)
-    output_marginal = ordered_sum_along(p.weights, axis=0)
-    return Distribution(input_marginal), Distribution(output_marginal)
-
-
-def mutual_information(p: JointDistribution) -> float:
-    """I(X; Y) in nats, computed literally as D(p || q x r).
-
-    q and r are the marginals of p, and the divergence is taken between the
-    flattened joint and the flattened product, so mutual information inherits
-    the zero conventions and determinism of kl_divergence by construction.
-    """
-    q, r = marginals(p)
-    product = np.outer(q.weights, r.weights)
-    return kl_divergence(
-        Distribution(p.weights.ravel()), Distribution(product.ravel())
-    )

@@ -19,6 +19,7 @@ from chancap import (
     Channel,
     Distribution,
     InvalidDistribution,
+    JointDistribution,
     MStepOutcome,
     MStepStatus,
     arimoto,
@@ -26,6 +27,8 @@ from chancap import (
     bec,
     bsc,
     identity_channel,
+    kl_divergence,
+    m_project_to_independence,
     noisy_typewriter,
     output_marginal,
     per_input_divergences,
@@ -82,6 +85,15 @@ def pinned_squares() -> dict[str, Channel]:
 def random_interior(rng: np.random.Generator, n: int, alpha: float = 1.0) -> Distribution:
     """An interior input law drawn from a flat Dirichlet."""
     return Distribution(rng.dirichlet(np.full(n, alpha)))
+
+
+def mutual_information(p: JointDistribution) -> float:
+    """I(X; Y) in nats, computed literally as D(p || q x r): the divergence
+    between the flattened joint and the flattened outer product of its
+    marginals q and r, so it keeps kl_divergence's zero conventions."""
+    point = m_project_to_independence(p)
+    product = np.outer(point.input_factor.weights, point.output_factor.weights)
+    return kl_divergence(Distribution(p.weights.ravel()), Distribution(product.ravel()))
 
 
 def newton_step(q: np.ndarray, r: np.ndarray, t: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from chancap import (
     arimoto_step,
     bsc,
     capacity_bracket,
-    mutual_information,
     joint,
     solve_arimoto,
     solve_backward_em,
@@ -27,7 +26,9 @@ from chancap import (
 from chancap import arimoto, numeric, probability
 from chancap.arimoto import _ARIMOTO_COLUMNS, Step, _arimoto_stepper, _iterate, _run
 from chancap.probability import _normalized
-from support import multiplicative_step, pinned_squares, random_channel, random_interior, without_support_newton
+from support import (
+    multiplicative_step, mutual_information, pinned_squares, random_channel, random_interior, without_support_newton,
+)
 
 BSC01_CAPACITY = math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9)
 
@@ -80,8 +81,8 @@ class TestStep:
         rng = np.random.default_rng(77)
         q = rng.dirichlet(np.ones(5))
         d = rng.uniform(0.0, 3.0, size=5)
-        base = _arimoto_stepper(q, (None, d, None, None), Step(q, np.log(q))).iterate
-        shifted = _arimoto_stepper(q, (None, d + shift, None, None), Step(q, np.log(q))).iterate
+        base = _arimoto_stepper((None, d, None, None), Step(q, np.log(q))).iterate
+        shifted = _arimoto_stepper((None, d + shift, None, None), Step(q, np.log(q))).iterate
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
     def test_an_underflowed_weight_is_the_solvers_exact_zero(self):
@@ -107,14 +108,14 @@ class TestStep:
         q = _normalized(np.exp(log_q))
         assert math.log(np.finfo(float).tiny) > log_q[2] and q[2] == 0.0
         d = np.array([0.1, 0.2, 0.3])
-        step = _arimoto_stepper(q, (None, d, None, None), Step(q, log_q))
+        step = _arimoto_stepper((None, d, None, None), Step(q, log_q))
         log_stepped, stepped = multiplicative_step(log_q, d)
         assert np.array_equal(step.log_weights, log_stepped) and np.max(step.log_weights) == 0.0
         assert step.iterate[2] == 0.0 and np.isfinite(step.log_weights).all()
         assert np.array_equal(step.iterate, stepped)
         # Its divergence rises far above the others': the input regains weight.
         d = np.array([0.0, 0.0, 900.0])
-        again = _arimoto_stepper(step.iterate, (None, d, None, None), step)
+        again = _arimoto_stepper((None, d, None, None), step)
         assert again.iterate[2] > 0.5 and again.log_weights[2] == 0.0
         assert np.array_equal(again.iterate, multiplicative_step(step.log_weights, d)[1])
 
@@ -154,7 +155,7 @@ class TestStep:
         # The modules the step reaches: its own, the log-sum-exp's and the check's.
         for module in (arimoto, numeric, probability):
             monkeypatch.setattr(module, "np", CountingNumpy())
-        step = _arimoto_stepper(q, (None, d, None, None), previous)
+        step = _arimoto_stepper((None, d, None, None), previous)
         monkeypatch.undo()
         assert calls == ["exp"]
         assert np.array_equal(step.iterate, multiplicative_step(np.log(q), d)[1])
@@ -295,7 +296,7 @@ class TestSolve:
         # No solver's step lowers the mutual information, so a stepper that
         # always jumps to a worse law than the uniform start stands in for
         # a faulty one: the loop stops at the second iterate.
-        def stepper(q, sweep, previous):
+        def stepper(sweep, previous):
             weights = _normalized(np.array([0.95, 0.05]))
             return Step(weights, np.log(weights))
 

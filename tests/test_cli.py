@@ -449,6 +449,18 @@ class TestVerify:
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
 
+    def test_input_law_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        # As for a channel file, the error names the fault, here with the
+        # path, and is not a bare UnicodeDecodeError.
+        channel_path = write_z(tmp_path, capsys)
+        law_path = tmp_path / "law.json"
+        law_path.write_bytes(b"\xff[0.5, 0.5]")
+        code = main(["verify", "--channel", str(channel_path), "--input", str(law_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert captured.err.startswith(f"error: {law_path}: not valid UTF-8: ")
+        assert captured.out == ""
+
     def test_brute_force_skipped_above_four_inputs(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         assert (
@@ -547,6 +559,15 @@ class TestGenerate:
         capsys.readouterr()
         assert code == EXIT_OK
         assert load_channel(path.read_bytes()).num_inputs == 4
+
+    def test_an_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
+        # --kind takes only the canonical kinds, so no unknown kind reaches
+        # the dispatch.
+        path = tmp_path / "x.json"
+        code = main(["generate", "--kind", "mystery", "--param", "1", "--out", str(path)])
+        assert code == EXIT_BAD_INPUT
+        assert "invalid choice: 'mystery'" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_unparseable_param(self, tmp_path, capsys):
         code = main(["generate", "--kind", "bsc", "--param", "abc", "--out", str(tmp_path / "x.json")])

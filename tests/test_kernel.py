@@ -34,7 +34,6 @@ from chancap import (
     backward_e_member,
     bec,
     bsc,
-    canonical,
     capacity_bracket,
     circumcenter_check,
     converse_check,
@@ -46,8 +45,6 @@ from chancap import (
     kl_divergence,
     load_channel,
     m_project_to_independence,
-    marginals,
-    mutual_information,
     noisy_typewriter,
     output_marginal,
     per_input_divergences,
@@ -195,7 +192,7 @@ class TestDivergences:
             q = random_interior(rng, n)
             r = output_marginal(q, ch)
             d = per_input_divergences(ch, r.weights)
-            expected = [kl_divergence(ch.row(x), r) for x in range(n)]
+            expected = [kl_divergence(Distribution(ch.matrix[x]), r) for x in range(n)]
             assert np.max(np.abs(d - expected)) <= 1e-12
 
     def test_reference_with_zeros(self):
@@ -262,8 +259,6 @@ class TestInputSize:
             lambda ch: kl_divergence(np.array([0.5, 0.5]), Distribution.uniform(2)),
             lambda ch: kl_divergence(Distribution.uniform(2), np.array([0.5, 0.5])),
             lambda ch: m_project_to_independence(np.full((2, 2), 0.25)),
-            lambda ch: marginals(np.full((2, 2), 0.25)),
-            lambda ch: mutual_information(np.full((2, 2), 0.25)),
             lambda ch: save_channel(None),
             lambda ch: save_channel(ch.matrix),
             lambda ch: ProductPoint(Distribution.uniform(2), None).to_joint(),
@@ -275,8 +270,8 @@ class TestInputSize:
             "per_input_divergences", "brute_force_capacity",
             "backward_e_member", "geometric_mixture_check", "e_project_to_channel-tuple",
             "e_project_to_channel-array-output-factor",
-            "kl_divergence-first", "kl_divergence-second", "m_project_to_independence", "marginals",
-            "mutual_information", "save_channel-none", "save_channel-array", "ProductPoint-none",
+            "kl_divergence-first", "kl_divergence-second", "m_project_to_independence",
+            "save_channel-none", "save_channel-array", "ProductPoint-none",
         ],
     )
     def test_every_entry_point_rejects_a_wrong_argument_type(self, call):
@@ -284,12 +279,6 @@ class TestInputSize:
         # error, not an AttributeError from deep inside the call.
         with pytest.raises(InvalidDistribution):
             call(Channel(np.array([[0.9, 0.1], [0.2, 0.8]])))
-
-    @pytest.mark.parametrize("x", [2, 5, -1, "a", 1.0, None, True])
-    def test_row_rejects_anything_but_an_input_symbol(self, x):
-        # These used to raise a bare IndexError, or, for -1, return the last row.
-        with pytest.raises(ParameterOutOfRange):
-            Channel(np.array([[0.9, 0.1], [0.2, 0.8]])).row(x)
 
 
 # Every numeric parameter, called with a bool b in its place.
@@ -310,7 +299,6 @@ _NUMERIC_PARAMETERS = {
     "identity_channel": lambda ch, q, b: identity_channel(b),
     "uniform_rows-inputs": lambda ch, q, b: uniform_rows(b, 2),
     "uniform_rows-outputs": lambda ch, q, b: uniform_rows(2, b),
-    "canonical-uniform": lambda ch, q, b: canonical("uniform", b, b),
     "Distribution.uniform": lambda ch, q, b: Distribution.uniform(b),
     "geometric_mixture_check-weight": lambda ch, q, b: geometric_mixture_check(q, q, q, b, ch),
     "circumcenter_check-support_threshold": lambda ch, q, b: circumcenter_check(q, ch, support_threshold=b),
@@ -340,7 +328,6 @@ _PROBED = {
     "bec": (bec, {"eps": 0.1}),
     "brute_force_capacity": (brute_force_capacity, {"ch": _CH, "grid_step": 0.1}),
     "bsc": (bsc, {"p": 0.1}),
-    "canonical": (lambda kind, param: canonical(kind, param), {"kind": "bsc", "param": 0.1}),
     "capacity_bracket": (capacity_bracket, {"q": _Q, "ch": _CH}),
     "circumcenter_check": (
         circumcenter_check, {"q": _Q, "ch": _CH, "support_threshold": 1e-7, "tol": 1e-6}
@@ -356,8 +343,6 @@ _PROBED = {
     "kl_divergence": (kl_divergence, {"p": _Q, "q": _Q}),
     "load_channel": (load_channel, {"source": b'{"matrix": [[0.9, 0.1], [0.2, 0.8]]}', "format": "json"}),
     "m_project_to_independence": (m_project_to_independence, {"p": joint(_Q, _CH)}),
-    "marginals": (marginals, {"p": joint(_Q, _CH)}),
-    "mutual_information": (mutual_information, {"p": joint(_Q, _CH)}),
     "noisy_typewriter": (noisy_typewriter, {"n": 3}),
     "output_marginal": (output_marginal, {"q": _Q, "ch": _CH}),
     "per_input_divergences": (
@@ -372,7 +357,6 @@ _PROBED = {
     "uniform_rows": (uniform_rows, {"n": 2, "m": 2}),
     "z_channel": (z_channel, {"p": 0.1}),
     "Channel": (Channel, {"matrix": _CH.matrix, "input_labels": ("a", "b"), "output_labels": ("c", "d")}),
-    "Channel.row": (_CH.row, {"x": 0}),
     "Distribution": (Distribution, {"weights": np.array([0.5, 0.5])}),
     "Distribution.uniform": (Distribution.uniform, {"n": 2}),
     "JointDistribution": (JointDistribution, {"weights": np.full((2, 2), 0.25)}),
@@ -401,8 +385,7 @@ def test_the_probe_covers_every_public_function():
 @pytest.mark.parametrize("name", _PROBED)
 def test_every_parameter_given_an_odd_value_returns_or_raises_a_typed_error(name):
     # A string option handed an array used to raise numpy's bare ValueError
-    # ("truth value of an array ... is ambiguous"), or a bare TypeError
-    # (unhashable type) from canonical.
+    # ("truth value of an array ... is ambiguous").
     call, valid = _PROBED[name]
     assert valid.keys() == inspect.signature(call).parameters.keys()
     escaped = []

@@ -15,11 +15,10 @@ from chancap import (
     JointDistribution,
     ParameterOutOfRange,
     kl_divergence,
-    marginals,
-    mutual_information,
+    m_project_to_independence,
 )
 from chancap.probability import _normalized
-from support import random_interior
+from support import mutual_information, random_interior
 
 
 def dist(*weights):
@@ -225,22 +224,25 @@ class TestMarginals:
         assert repr(p) == "JointDistribution(shape=(2, 3))"
 
     def test_diagonal_joint_has_exact_marginals(self):
-        p = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        q, r = marginals(p)
-        assert np.array_equal(q.weights, [0.5, 0.5])
-        assert np.array_equal(r.weights, [0.5, 0.5])
+        # The m-projection of a joint is its pair of marginals.
+        point = m_project_to_independence(JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]])))
+        assert np.array_equal(point.input_factor.weights, [0.5, 0.5])
+        assert np.array_equal(point.output_factor.weights, [0.5, 0.5])
 
     def test_marginals_sum_to_one(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             p = JointDistribution(rng.dirichlet(np.ones(n * m)).reshape(n, m))
-            q, r = marginals(p)
-            assert abs(float(np.sum(q.weights)) - 1.0) <= 1e-12
-            assert abs(float(np.sum(r.weights)) - 1.0) <= 1e-12
+            point = m_project_to_independence(p)
+            assert abs(float(np.sum(point.input_factor.weights)) - 1.0) <= 1e-12
+            assert abs(float(np.sum(point.output_factor.weights)) - 1.0) <= 1e-12
 
 
 class TestMutualInformation:
+    # support.mutual_information, the suite's oracle for I(X; Y), built from
+    # kl_divergence and the m-projection's marginals.
+
     def test_known_2x2_value(self):
         # Oracle: direct double loop over the four cells.
         cells = [[0.4, 0.1], [0.1, 0.4]]
@@ -254,18 +256,6 @@ class TestMutualInformation:
         assert oracle == pytest.approx(0.19274475702175753, abs=1e-15)
         got = mutual_information(JointDistribution(np.array(cells)))
         assert got == pytest.approx(oracle, abs=1e-13)
-
-    def test_equals_divergence_to_product_by_construction(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-            p = JointDistribution(rng.dirichlet(np.ones(n * m)).reshape(n, m))
-            q, r = marginals(p)
-            via_kl = kl_divergence(
-                Distribution(p.weights.ravel()),
-                Distribution(np.outer(q.weights, r.weights).ravel()),
-            )
-            assert mutual_information(p) == via_kl
 
     def test_independent_joint_has_zero_information(self):
         q = np.array([0.3, 0.7])

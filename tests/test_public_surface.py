@@ -43,6 +43,45 @@ def test_the_package_exports_the_union_of_the_modules_lists():
     assert not set(DECLARING["numeric"]) & set(dir(chancap))
 
 
+# The package's public names.  Removing one needs a deprecation note in
+# README.md, which names what replaces it.
+PUBLIC = [
+    "AbsoluteContinuityViolation", "BackwardFamilyMember", "Bracket", "CapacityResult", "ChancapError", "Channel",
+    "CircumcenterReport", "DimensionMismatch", "Distribution", "DroppedOutputColumnWarning",
+    "GeometricMixtureResult", "InvalidDistribution", "IterationTrace", "JointDistribution", "MStepOutcome",
+    "MStepStatus", "NegativeEntry", "NonInteriorInput", "ParameterOutOfRange", "ParseError", "ProductPoint",
+    "RowNotStochastic", "Termination", "TooManyInputs", "TraceRecord", "approximate_m_step", "arimoto_step",
+    "backward_e_member", "bec", "brute_force_capacity", "bsc", "capacity_bracket", "circumcenter_check",
+    "converse_check", "e_project_to_channel", "exact_backward_m_step", "geometric_mixture_check",
+    "identity_channel", "joint", "kl_divergence", "load_channel", "m_project_to_independence",
+    "noisy_typewriter", "output_marginal", "per_input_divergences", "save_channel", "solve_arimoto",
+    "solve_backward_em", "uniform_rows", "z_channel",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert len(PUBLIC) == 50
+    assert chancap.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize(
+    "name, module",
+    [("marginals", "probability"), ("mutual_information", "probability"), ("canonical", "channel")],
+)
+def test_a_removed_name_is_gone(name, module):
+    # Their replacements: m_project_to_independence for marginals, the
+    # divergence from a joint to that projection for mutual_information,
+    # and the constructor of each kind for canonical.
+    assert not hasattr(chancap, name)
+    assert not hasattr(MODULES[module], name)
+    assert name not in DECLARING[module]
+
+
+def test_a_channel_has_no_row_accessor():
+    # Distribution(ch.matrix[x]) is the law of row x.
+    assert not hasattr(chancap.Channel, "row")
+
+
 @pytest.mark.parametrize("name", chancap.__all__)
 def test_every_public_name_has_a_docstring_of_its_own(name):
     # Read from the source, so the docstring dataclass or NamedTuple

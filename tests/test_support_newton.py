@@ -98,10 +98,10 @@ def test_no_step_follows_a_finish(solve, name, monkeypatch):
     handed = []
 
     def guarded(stepper):
-        def step(q, sweep, previous):
+        def step(sweep, previous):
             assert previous.step_status != "support_newton", "a stepper was handed a finish"
             handed.append(previous.step_status)
-            return stepper(q, sweep, previous)
+            return stepper(sweep, previous)
         return step
 
     run = arimoto._run
