@@ -532,3 +532,12 @@ class TestCanonical:
         assert _canonical_entry(kind, len(params)) == (build, tuple(type(p) for p in params))
         with pytest.raises(ParameterOutOfRange, match="^bad parameters"):
             _canonical_entry(kind, len(params) + 1)
+
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    def test_each_row_is_an_output_law(self, kind):
+        # Distribution(ch.matrix[x]) reads the law of Y given x; every row of
+        # every kind passes its check and keeps its bits.
+        build, params, _ = CANONICAL_EXAMPLES[kind]
+        ch = build(*params)
+        for row in ch.matrix:
+            assert np.array_equal(Distribution(row).weights, row)

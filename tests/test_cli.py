@@ -525,6 +525,25 @@ class TestCompare:
             assert len(lines) > 1
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [["capacity", "--trace", "trace.csv"], ["verify"], ["compare", "--trace-prefix", "cmp"]],
+    ids=["capacity", "verify", "compare"],
+)
+def test_a_channel_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch, argv):
+    # Every command that reads a channel reports the fault in one line, exits
+    # with the bad-input code and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ch.json").write_bytes(b'\xff{"matrix": [[1.0]]}')
+    code = main([argv[0], "--channel", "ch.json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_INPUT
+    assert captured.err.startswith("error: ") and "not valid UTF-8" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["ch.json"]
+
 class TestGenerate:
     @pytest.mark.parametrize("kind", CANONICAL_KINDS)
     def test_each_kind_loads_back_as_its_constructor(self, tmp_path, capsys, kind):
@@ -560,13 +579,14 @@ class TestGenerate:
         assert code == EXIT_OK
         assert load_channel(path.read_bytes()).num_inputs == 4
 
-    def test_an_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
-        # --kind takes only the canonical kinds, so no unknown kind reaches
-        # the dispatch.
+    @pytest.mark.parametrize("kind", ["mystery", "BSC", "z_channel"])
+    def test_an_unknown_kind_is_a_usage_error(self, tmp_path, capsys, kind):
+        # --kind takes only the canonical kinds, spelled exactly, so no
+        # unknown kind reaches the dispatch.
         path = tmp_path / "x.json"
-        code = main(["generate", "--kind", "mystery", "--param", "1", "--out", str(path)])
+        code = main(["generate", "--kind", kind, "--param", "1", "--out", str(path)])
         assert code == EXIT_BAD_INPUT
-        assert "invalid choice: 'mystery'" in capsys.readouterr().err
+        assert f"invalid choice: '{kind}'" in capsys.readouterr().err
         assert not path.exists()
 
     def test_unparseable_param(self, tmp_path, capsys):

@@ -259,6 +259,8 @@ class TestInputSize:
             lambda ch: kl_divergence(np.array([0.5, 0.5]), Distribution.uniform(2)),
             lambda ch: kl_divergence(Distribution.uniform(2), np.array([0.5, 0.5])),
             lambda ch: m_project_to_independence(np.full((2, 2), 0.25)),
+            lambda ch: m_project_to_independence(Distribution.uniform(4)),
+            lambda ch: m_project_to_independence([[0.25, 0.25], [0.25, 0.25]]),
             lambda ch: save_channel(None),
             lambda ch: save_channel(ch.matrix),
             lambda ch: ProductPoint(Distribution.uniform(2), None).to_joint(),
@@ -271,6 +273,7 @@ class TestInputSize:
             "backward_e_member", "geometric_mixture_check", "e_project_to_channel-tuple",
             "e_project_to_channel-array-output-factor",
             "kl_divergence-first", "kl_divergence-second", "m_project_to_independence",
+            "m_project_to_independence-distribution", "m_project_to_independence-list",
             "save_channel-none", "save_channel-array", "ProductPoint-none",
         ],
     )

@@ -14,11 +14,13 @@ from chancap import (
     InvalidDistribution,
     JointDistribution,
     ParameterOutOfRange,
+    joint,
     kl_divergence,
     m_project_to_independence,
 )
+from chancap.channel import CANONICAL_KINDS
 from chancap.probability import _normalized
-from support import mutual_information, random_interior
+from support import CANONICAL_EXAMPLES, mutual_information, random_interior
 
 
 def dist(*weights):
@@ -267,3 +269,23 @@ class TestMutualInformation:
         for _ in range(300):
             p = JointDistribution(rng.dirichlet(np.ones(12)).reshape(3, 4))
             assert mutual_information(p) >= 0.0
+
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    def test_matches_the_closed_form_at_the_uniform_input(self, kind):
+        # Each example's I(X; Y) at the uniform input, by hand from
+        # H(Y) - H(Y | X); the zero cells of bec, z and typewriter add nothing.
+        def h(p):
+            return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+
+        closed_form = {
+            "bsc": math.log(2.0) - h(0.2),
+            "bec": 0.7 * math.log(2.0),
+            "z": h(0.3) - 0.5 * h(0.4),
+            "typewriter": math.log(5.0) - math.log(2.0),
+            "identity": math.log(3.0),
+            "uniform": 0.0,
+        }
+        build, params, _ = CANONICAL_EXAMPLES[kind]
+        ch = build(*params)
+        got = mutual_information(joint(Distribution.uniform(ch.num_inputs), ch))
+        assert got == pytest.approx(closed_form[kind], abs=1e-14)
