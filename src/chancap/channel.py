@@ -69,11 +69,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """An immutable conditional distribution matrix, rows indexed by input."""
+    """An immutable conditional distribution matrix, rows indexed by input.
+
+    The matrix is the whole channel: it names no input or output symbol,
+    so labels for either are kept beside the channel.
+    """
 
     matrix: np.ndarray
-    input_labels: tuple[str, ...] | None = None
-    output_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         # C order fixes the grouping of every reduction over the matrix.
@@ -98,33 +100,15 @@ class Channel:
         if off.any():
             m[off] = m[off] / totals[off, None]
 
-        # Label counts are checked against the matrix as given, before any
-        # column is dropped.  A string is not a label list: tuple() would
-        # split it into characters.
-        for kind, size in (("input", m.shape[0]), ("output", m.shape[1])):
-            field = f"{kind}_labels"
-            given = getattr(self, field)
-            if given is not None:
-                if not isinstance(given, (list, tuple)):
-                    raise InvalidDistribution(f"{kind} labels must be a list or tuple, not {type(given).__name__}")
-                labels = tuple(str(s) for s in given)
-                if len(labels) != size:
-                    raise DimensionMismatch(f"{len(labels)} {kind} labels for {size} {kind}s")
-                object.__setattr__(self, field, labels)
-
         dead = (m == 0.0).all(axis=0)
         if dead.any():
-            kept = ~dead
             dropped = [int(y) for y in np.flatnonzero(dead)]
             warnings.warn(
                 f"dropping all-zero output column(s) {dropped}",
                 DroppedOutputColumnWarning,
                 stacklevel=2,
             )
-            m = np.ascontiguousarray(m[:, kept])
-            if self.output_labels is not None:
-                labels = tuple(lab for lab, keep in zip(self.output_labels, kept) if keep)
-                object.__setattr__(self, "output_labels", labels)
+            m = np.ascontiguousarray(m[:, ~dead])
 
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -161,17 +145,13 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 def save_channel(ch: Channel) -> bytes:
-    """Serialize a channel to its JSON document form.
+    """Serialize a channel to its JSON document form, {"matrix": rows}.
 
     Floats are written with repr precision, so load_channel(save_channel(ch))
     reproduces the matrix bit for bit.
     """
     _check_channel(ch)
-    doc: dict = {"matrix": [[float(v) for v in row] for row in ch.matrix]}
-    if ch.input_labels is not None:
-        doc["input_labels"] = list(ch.input_labels)
-    if ch.output_labels is not None:
-        doc["output_labels"] = list(ch.output_labels)
+    doc = {"matrix": [[float(v) for v in row] for row in ch.matrix]}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
@@ -280,7 +260,7 @@ def _streamed_json(text: str) -> dict | None:
     (see _RowBlocks), with the per-entry scan only for a block that has a
     row whose own text holds a '"', a "t" or an "f": a string entry needs
     the first, a true or false token one of the others, and no JSON
-    number holds any of them, so labels elsewhere in the document leave
+    number holds any of them, so quoted values outside the matrix leave
     plain rows unscanned.  None unless the document is a valid object whose
     last "matrix" is a non-empty list of equal-length rows of numbers:
     json.loads then reads it again and gives its own error or answer.
@@ -347,25 +327,14 @@ def _lines(text: str):
         start = end
 
 
-def _labels(doc: dict) -> list:
-    """The "input_labels" and "output_labels" of a JSON document, each a tuple or None."""
-    labels = []
-    for key in ("input_labels", "output_labels"):
-        value = doc.get(key)
-        if value is not None and not isinstance(value, list):
-            raise ParseError(f'"{key}" must be a list')
-        labels.append(tuple(value) if value is not None else None)
-    return labels
-
-
 def load_channel(source, format: str = "json") -> Channel:
     """Parse a channel from bytes, text, or a readable stream.
 
-    JSON documents are objects with a required "matrix" key (list of rows)
-    and optional "input_labels" / "output_labels".  CSV is one row per input
-    symbol, comma-separated probabilities, no header.  Validation failures
-    raise the same errors as the Channel constructor; malformed syntax raises
-    ParseError.
+    JSON documents are objects with a required "matrix" key (list of rows);
+    any other key, "input_labels" and "output_labels" among them, is read
+    as JSON and ignored.  CSV is one row per input symbol, comma-separated
+    probabilities, no header.  Validation failures raise the same errors as
+    the Channel constructor; malformed syntax raises ParseError.
 
     A CSV document, and a JSON document longer than 2**20 characters, is
     read a row at a time and converted to float64 in blocks of rows, so the
@@ -386,7 +355,7 @@ def load_channel(source, format: str = "json") -> Channel:
         # Imported here, so that a JSON channel never loads the csv module.
         import csv
 
-        # A CSV document has no labels, and its cells are floats already.
+        # A CSV document's cells are floats already.
         rows = _RowBlocks()
         try:
             for line in csv.reader(_lines(text)):
@@ -402,10 +371,9 @@ def load_channel(source, format: str = "json") -> Channel:
         return Channel(rows.matrix())
     doc = _streamed_json(text) if len(text) > _STREAM_CHARS else None
     if doc is not None:
-        labels = _labels(doc)
         # The text goes before the blocks are joined.
         del text
-        return Channel(doc["matrix"].matrix(), *labels)
+        return Channel(doc["matrix"].matrix())
     # The per-entry scan runs only when a one-character search (memchr)
     # finds what a bad entry needs: a true/false token holds a "u" or an
     # "l", which no JSON number or "matrix" key does, and a string entry a
@@ -423,8 +391,7 @@ def load_channel(source, format: str = "json") -> Channel:
         raise ParseError('"matrix" must be a list of rows')
     if len({len(r) for r in rows}) > 1:
         raise ParseError("matrix rows have unequal lengths")
-    labels = _labels(doc)
-    return Channel(_json_numbers(rows, '"matrix"', scan), *labels)
+    return Channel(_json_numbers(rows, '"matrix"', scan))
 
 
 # ---------------------------------------------------------------------------

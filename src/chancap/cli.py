@@ -45,7 +45,10 @@ _GRID_BY_INPUTS = {1: 0.1, 2: 1e-5, 3: 1.0 / 999.0, 4: 1.0 / 100.0}
 
 def _read_channel(path: str, fmt: str) -> Channel:
     with open(path, "rb") as fh:
-        return load_channel(fh, fmt)
+        try:
+            return load_channel(fh, fmt)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _read_input_distribution(path: str) -> Distribution:

@@ -11,13 +11,13 @@ run as 0 or 1:
 * _check_probability: a real number in [0, 1] (a canonical channel's
   probability, the mixture weight, support_threshold);
 * _check_limit: an integer of at least a minimum, 1 unless given (an
-  iteration limit, a size; 2 for the typewriter, 0 for an input symbol).
+  iteration limit, a size; 2 for the typewriter).
 
-Four domains add one bound on top of their check, at the call site:
-support_threshold must be below 1, grid_step at most 0.1, step_size 1 (or
-None, which skips the check), and an input symbol below the channel's
-input count.  A size has no upper bound of its own: _sized raises
-ParameterOutOfRange where numpy refuses the array the size asks for.
+Three domains add one bound on top of their check, at the call site:
+support_threshold must be below 1, grid_step at most 0.1, and step_size 1
+(or None, which skips the check).  A size has no upper bound of its own:
+_sized raises ParameterOutOfRange where numpy refuses the array the size
+asks for.
 """
 
 from __future__ import annotations

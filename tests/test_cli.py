@@ -327,7 +327,6 @@ class TestCapacity:
         [
             '{"matrix": [["a", "b"]]}',
             '{"matrix": [[{"a": 1}, 0.5]]}',
-            '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "input_labels": 5}',
             '{"matrix": [[true, false], [false, true]]}',
             '{"matrix": [["0.5", "0.5"], ["1e-1", "0.9"]]}',
             # An integer beyond the float range used to end in a traceback.
@@ -534,15 +533,18 @@ class TestCompare:
 def test_a_channel_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch, argv):
     # Every command that reads a channel reports the fault in one line, exits
     # with the bad-input code and writes nothing.
+    # The error names the file, as the input-law reader's does, for a
+    # document that is not UTF-8 and for one that is not JSON.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "ch.json").write_bytes(b'\xff{"matrix": [[1.0]]}')
-    code = main([argv[0], "--channel", "ch.json", *argv[1:]])
-    captured = capsys.readouterr()
-    assert code == EXIT_BAD_INPUT
-    assert captured.err.startswith("error: ") and "not valid UTF-8" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
-    assert captured.out == ""
-    assert [f.name for f in tmp_path.iterdir()] == ["ch.json"]
+    for doc, fault in ((b'\xff{"matrix": [[1.0]]}', "not valid UTF-8"), (b'{"matrix": [[1.0]]', "invalid JSON")):
+        (tmp_path / "ch.json").write_bytes(doc)
+        code = main([argv[0], "--channel", "ch.json", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert captured.err.startswith("error: ch.json: ") and fault in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert [f.name for f in tmp_path.iterdir()] == ["ch.json"]
 
 class TestGenerate:
     @pytest.mark.parametrize("kind", CANONICAL_KINDS)

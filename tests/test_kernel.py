@@ -359,7 +359,7 @@ _PROBED = {
     ),
     "uniform_rows": (uniform_rows, {"n": 2, "m": 2}),
     "z_channel": (z_channel, {"p": 0.1}),
-    "Channel": (Channel, {"matrix": _CH.matrix, "input_labels": ("a", "b"), "output_labels": ("c", "d")}),
+    "Channel": (Channel, {"matrix": _CH.matrix}),
     "Distribution": (Distribution, {"weights": np.array([0.5, 0.5])}),
     "Distribution.uniform": (Distribution.uniform, {"n": 2}),
     "JointDistribution": (JointDistribution, {"weights": np.full((2, 2), 0.25)}),

@@ -5,6 +5,7 @@ the first lookup run in a fresh interpreter.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -80,6 +81,17 @@ def test_a_removed_name_is_gone(name, module):
 def test_a_channel_has_no_row_accessor():
     # Distribution(ch.matrix[x]) is the law of row x.
     assert not hasattr(chancap.Channel, "row")
+
+
+def test_a_channel_is_its_matrix():
+    # Labels for inputs or outputs are kept beside the channel.
+    assert [f.name for f in dataclasses.fields(chancap.Channel)] == ["matrix"]
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    ch = chancap.Channel(identity)
+    for field in ("input_labels", "output_labels"):
+        assert not hasattr(ch, field)
+        with pytest.raises(TypeError):
+            chancap.Channel(identity, **{field: ("a", "b")})
 
 
 @pytest.mark.parametrize("name", chancap.__all__)

@@ -51,13 +51,14 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   files it writes, and on malformed ones;
 * load_channel on JSON documents shorter and longer than 2**20
   characters (the small-tight and large-loose corpora at the given seed,
-  and a seeded 300x300 channel plain, labelled, and changed in one place
-  each: a bad entry, a syntax fault, a short last row, labels that are not
-  a list, a second "matrix") and on short malformed ones, and on seeded CSV
-  documents of both sizes, broken ones too.  Documents nested past the
-  recursion limit, or holding an integer of more than 4300 digits, are
-  left out: load_channel raised a bare RecursionError or ValueError on
-  them before it raised ParseError.
+  and a seeded 300x300 channel plain, with "input_labels" and
+  "output_labels" keys, which load_channel reads past and ignores, and
+  changed in one place each: a bad entry, a syntax fault, a short last
+  row, an "input_labels" that is not a list, a second "matrix") and on
+  short malformed ones, and on seeded CSV documents of both sizes, broken
+  ones too.  Documents nested past the recursion limit, or holding an
+  integer of more than 4300 digits, are left out: load_channel raised a
+  bare RecursionError or ValueError on them before it raised ParseError.
 
 A trace record contributes its bounds, divergences, input weights, clamp
 flag (always False, since both solvers carry log-weights), step route,
@@ -68,9 +69,9 @@ contributes its label and exit code, its stdout and stderr with
 the temporary directory's path replaced by <tmp>, each warning it raised as
 its category and message (not the source path and line the default
 warning text carries), and the bytes of every file it wrote.  A document
-that loads contributes its label, the matrix's shape and bits, the labels
-and each warning as its category and message; one that fails, its label
-and the error's type and message.  The script prints the number of hashed
+that loads contributes its label, the matrix's shape and bits, and each
+warning as its category and message; one that fails, its label and the
+error's type and message.  The script prints the number of hashed
 items and the SHA-256 over all of them; equal lines from two checkouts
 mean the change left every number and every CLI byte unchanged.  It then
 prints the same for seven groups of those items: the solve_arimoto traces,
@@ -376,7 +377,7 @@ def load_runs(h: Hasher, seed: int) -> None:
             except ValueError as exc:
                 h.item("load", label, type(exc).__name__, str(exc))
                 continue
-        h.item("load", label, *ch.matrix.shape, ch.matrix, repr(ch.input_labels), repr(ch.output_labels))
+        h.item("load", label, *ch.matrix.shape, ch.matrix)
         for warning in caught:
             h.item("load", warning.category.__name__, str(warning.message))
 
