@@ -346,6 +346,24 @@ class TestCapacity:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "labels",
+        [
+            pytest.param({"input_labels": ["0", "1"], "output_labels": ["0", "1"]}, id="two"),
+            # These two were bad input while the channel kept its labels.
+            pytest.param({"input_labels": 5}, id="int"),
+            pytest.param({"output_labels": ["a"]}, id="too-few"),
+        ],
+    )
+    def test_labels_leave_the_output_unchanged(self, tmp_path, capsys, labels):
+        path = write_bsc(tmp_path, capsys)
+        assert main(["capacity", "--channel", str(path)]) == EXIT_OK
+        bare = capsys.readouterr()
+        labelled = tmp_path / "labelled.json"
+        labelled.write_text(json.dumps({**labels, **json.loads(path.read_text())}))
+        assert main(["capacity", "--channel", str(labelled)]) == EXIT_OK
+        assert capsys.readouterr() == bare
+
+    @pytest.mark.parametrize(
         "flags",
         [["--tol", "abc"], ["--damping", "0.5"], ["--inner-tol", "1e-12"], ["--algorithm", "newton"]],
         ids=["non-numeric-tol", "no-damping-flag", "no-inner-tol-flag", "unknown-algorithm"],
