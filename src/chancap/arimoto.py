@@ -59,15 +59,25 @@ to a gap of 1e-7 and 72,554 to 1e-9.  So solve_arimoto, like the
 backward solver's adaptive default, tries a route that finishes the run:
 Newton on the Kuhn-Tucker conditions restricted to the support, d_x(q_S)
 = C for x in S with sum q_S = 1 (Gallager 1968, sec. 4.5).  The try is
-the iteration loop's, not a stepper's: before a step, _run may solve with
-_support_newton, and _try_finish decides whether the candidate ends the
-run.  S is the inputs whose weight is above _SUPPORT_FLOOR (1e-12), and a
-try runs only when |S| is at most min(m, _MAX_SUPPORT), m the number of
-outputs, and the gap is below the loop's retry_below.  The candidate is
-swept over every row, like any iterate, and accepted only when its lower
-bound does not fall and its gap is at most tol, so it is the run's last
-record, in place of the step, and a wrong support costs a refused try,
-never a wrong bracket.  A refused try adds no record and changes
+the iteration loop's, not a stepper's: before a step, _run may try with
+_try_finish, which solves with _support_newton and decides whether a
+candidate ends the run.  S is the inputs whose weight is above
+_SUPPORT_FLOOR (1e-12), and a try runs only when |S| is at most min(m,
+_MAX_SUPPORT), m the number of outputs, and the gap is below the loop's
+retry_below.  The conditions also say which inputs S lacks or holds
+wrongly: at the optimum d_x <= C off the support.  So when a Newton step
+sends weights to 0 or below, the most negative input leaves S, and so
+does every other such input whose d_x at the iterate is below its lower
+bound, a weight the sweeps are shrinking; the rest stay.  And when a
+candidate's sweep gives the largest d_x to an input off S, above the
+candidate's lower bound, that input re-enters S, at most once per try,
+and the solve starts again from the candidate.  A solve stops at a
+correction of at most sqrt(eps), about 1.5e-8, where the next would be at
+the rounding floor.  Each candidate is swept over every row, like any
+iterate, and accepted only when its lower bound does not fall below the
+iterate's and its gap is at most tol, so it is the run's last record, in
+place of the step, and a wrong support costs a refused try, never a
+wrong bracket.  A refused try adds no record and changes
 nothing, and the next waits until the gap is below _RETRY_FRACTION (0.1)
 times the gap at the refused one.  So every solve_arimoto record before the last
 is the multiplicative sweep's, bit for bit.  The per-step progress bound
@@ -121,7 +131,7 @@ from .channel import (
     Channel, _check_channel, _check_interior_input, _divergences, _marginal, per_input_divergences,
 )
 from .errors import _check_limit, _check_real
-from .numeric import _contract, _solve
+from .numeric import _contract, _solve, _solving
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -386,8 +396,9 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
     below retry_below, inf until a try is refused and then _RETRY_FRACTION
     times the gap at the refused one.  It runs when the inputs above
     _SUPPORT_FLOOR are at most min(m, _MAX_SUPPORT), m the number of
-    outputs, and its accepted candidate (see _try_finish) is the next Step,
-    in place of the stepper's.  retry_below is the loop's own, so a replay,
+    outputs, from q with the d and lower the sweep gave, and its accepted
+    candidate (see _try_finish) is the next Step, in place of the
+    stepper's.  retry_below is the loop's own, so a replay,
     which restarts the loop, takes the same tries.
     """
     step = Step(q, np.log(q))
@@ -400,7 +411,7 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
         if upper - lower < retry_below:
             support = (q > _SUPPORT_FLOOR).nonzero()[0]
             if support.size <= min(ch.num_outputs, _MAX_SUPPORT):
-                finished = _try_finish(_support_newton(q, support, ch), lower, ch, tol)
+                finished = _try_finish(q, d, lower, support, ch, tol)
                 if finished is None:
                     retry_below = _RETRY_FRACTION * (upper - lower)
         step = stepper(sweep, step) if finished is None else finished
@@ -462,19 +473,23 @@ def _iterate(
 # is above _SUPPORT_FLOOR, and is tried only when |S| is at most
 # min(m, _MAX_SUPPORT): its system is (|S| + 1) x (|S| + 1), and more
 # inputs than outputs make it singular.  A try makes at most
-# _MAX_SUPPORT_STEPS Newton steps, restarts included.  After a refused
-# try, the next waits until the gap is below _RETRY_FRACTION times the
-# gap at the refused one.
+# _MAX_SUPPORT_STEPS Newton steps, restarts and re-admissions included,
+# and its solves stop at a correction of at most _SETTLED, the square
+# root of the float64 epsilon: Newton's next correction, about its
+# square, would be at the rounding floor.  After a refused try, the next
+# waits until the gap is below _RETRY_FRACTION times the gap at the
+# refused one.
 _SUPPORT_FLOOR = 1e-12
 _MAX_SUPPORT = 64
 _MAX_SUPPORT_STEPS = 128
+_SETTLED = math.sqrt(np.finfo(float).eps)
 _RETRY_FRACTION = 0.1
 
 
 class _Finish(NamedTuple):
     """What _support_newton found: the solved weights, raw and checked,
     the support they are positive on, the max-norm of the last Newton
-    correction and the Newton steps taken, restarts included."""
+    correction and the Newton steps the try has taken, restarts included."""
 
     weights: np.ndarray
     support: np.ndarray
@@ -482,29 +497,35 @@ class _Finish(NamedTuple):
     steps: int
 
 
-def _support_newton(q: np.ndarray, support: np.ndarray, ch: Channel) -> _Finish | None:
+def _support_newton(
+    q: np.ndarray, d: np.ndarray, lower: float, support: np.ndarray, ch: Channel, steps: int = 0
+) -> _Finish | None:
     """Newton on the Kuhn-Tucker conditions restricted to a support S, or None.
 
-    support holds the indices of S, the inputs of q whose weight is above
-    _SUPPORT_FLOOR.  With r = q_S P_S and d_x = D(P_x || r), the conditions
-    are d_x(q_S) = C for every x in S, with sum q_S = 1 (Gallager,
-    Information Theory and Reliable Communication, 1968, sec. 4.5).  The
-    Jacobian of d_S is -M, M = P_S diag(1/r) P_S^T, so each step solves
-    the symmetric system bordered by the C column
+    support holds the sorted indices of S; d and lower are _sweep's
+    divergences and lower bound L at q.  With r = q_S P_S and d_x = D(P_x
+    || r), the conditions are d_x(q_S) = C for every x in S, with sum q_S
+    = 1 (Gallager, Information Theory and Reliable Communication, 1968,
+    sec. 4.5).  The Jacobian of d_S is -M, M = P_S diag(1/r) P_S^T, so each
+    step solves the symmetric system bordered by the C column
 
         [M   1] [delta]   [d_S]
         [1^T 0] [  C  ] = [ 0 ],    q_S <- q_S + delta,
 
-    with numeric._solve, from q's weights on S divided by their sum.  When
-    a weight goes non-positive, the most negative input leaves S and the
-    steps restart from q's weights on the smaller S.  They stop at the
-    first correction no smaller than the one before, which the rounding
-    floor brings about.  None when a solve is singular, an r has a zero
-    entry, a weight is not finite or _MAX_SUPPORT_STEPS steps pass: no
-    least-squares solve stands in.  The result is a guess, not a
+    with numeric._solve, inside the caller's numeric._solving(), from q's
+    weights on S divided by their sum.  When a weight goes non-positive,
+    the most negative input leaves S, and so does every other input whose
+    weight went non-positive and whose d_x at q is below L: at the optimum
+    d_x <= C off the support, and the sweeps shrink the weight of an input
+    with d_x below the mean L.  An input whose d_x is at least L stays, as
+    it may belong to the support.  The steps then restart from q's weights
+    on the smaller S.  They stop at the first correction of at most
+    _SETTLED, or no smaller than the one before.  None when a solve is
+    singular, an r has a zero entry, a weight is not finite or the try
+    reaches _MAX_SUPPORT_STEPS steps, steps of them taken before this
+    call: no least-squares solve stands in.  The result is a guess, not a
     certificate; _try_finish sweeps it over every row.
     """
-    steps = 0
     while True:
         rows, negentropy, k = ch.matrix[support], ch.row_negentropy[support], support.size
         w = q[support]
@@ -529,37 +550,61 @@ def _support_newton(q: np.ndarray, support: np.ndarray, ch: Channel) -> _Finish 
             if not change < math.inf:
                 return None
             w = w + delta
-            smallest = w.argmin()
-            if not w[smallest] > 0.0:
-                support = np.concatenate((support[:smallest], support[smallest + 1:]))
+            if not np.minimum.reduce(w) > 0.0:
                 break
-            if not change < last:
+            if change <= _SETTLED or not change < last:
                 weights = np.zeros(q.size)
                 weights[support] = w / np.add.reduce(w)
                 return _Finish(_normalized(weights), support, change, steps)
             last = change
         else:
-            # _MAX_SUPPORT_STEPS steps passed.
+            # The try took _MAX_SUPPORT_STEPS steps.
             return None
+        keep = (w > 0.0) | (d[support] >= lower)
+        keep[w.argmin()] = False
+        support = support[keep]
 
 
-def _try_finish(finish: _Finish | None, lower: float, ch: Channel, tol: float) -> Step | None:
-    """The Step that ends the run at finish, or None when the try is refused.
+def _try_finish(
+    q: np.ndarray, d: np.ndarray, lower: float, support: np.ndarray, ch: Channel, tol: float
+) -> Step | None:
+    """The Step that ends the run from the iterate q, or None when the try is refused.
 
-    finish is what _support_newton solved from an iterate whose lower
-    bound is lower; None when the solve gave up, which refuses the try.
-    The candidate is swept over every row and accepted only when its lower
-    bound is at least lower and its gap is at most tol.  The Step,
-    step_status "support_newton", is then the run's last record: _iterate
-    stops on the same test of the same bounds, and a replay stops at the
-    kept rows, so no stepper is handed it, and it carries no log-weights.
+    d and lower are _sweep's at q, and support the inputs of q above
+    _SUPPORT_FLOOR.  _support_newton solves on S = support, and its
+    candidate is swept over every row and accepted only when its lower
+    bound is at least lower and its gap is at most tol.  A refused
+    candidate's sweep is the Kuhn-Tucker test: an input off S with d_x
+    above the candidate's lower bound C_S raises the mutual information
+    when it gains weight, so it belongs in S.  When the input with the
+    largest d_x is such an input, has not re-entered S in this try and S
+    has room for it under min(m, _MAX_SUPPORT), it re-enters S, and the
+    solve starts again from the candidate, at weight 0 for it, with the
+    candidate's d and lower bound for the drop rule.  Otherwise, or when a
+    solve gives up, the try is refused.  The accepted Step,
+    step_status "support_newton", is the run's last record: _iterate stops
+    on the same test of the same bounds, and a replay stops at the kept
+    rows, so no stepper is handed it, and it carries no log-weights.  The
+    whole try, solves and sweeps, runs in one numeric._solving() state.
     """
-    if finish is None:
-        return None
-    swept = _sweep(finish.weights, ch)
-    if not (swept[2] >= lower and swept[3] - swept[2] <= tol):
-        return None
-    return Step(finish.weights, None, swept, "support_newton", finish.residual, finish.steps, None, 0, 0)
+    readmitted = []
+    candidate_lower, steps = lower, 0
+    with _solving():
+        while True:
+            finish = _support_newton(q, d, candidate_lower, support, ch, steps)
+            if finish is None:
+                return None
+            _, d, candidate_lower, upper = swept = _sweep(finish.weights, ch)
+            if candidate_lower >= lower and upper - candidate_lower <= tol:
+                return Step(finish.weights, None, swept, "support_newton", finish.residual, finish.steps, None, 0, 0)
+            top = int(d.argmax())
+            on = finish.weights > 0.0
+            full = finish.support.size >= min(ch.num_outputs, _MAX_SUPPORT)
+            if on[top] or top in readmitted or not d[top] > candidate_lower or full:
+                return None
+            readmitted.append(top)
+            on[top] = True
+            q, support, steps = finish.weights, on.nonzero()[0], finish.steps
 
 
 def _arimoto_stepper(sweep: tuple, previous: Step) -> Step:
@@ -586,18 +631,22 @@ def solve_arimoto(
     Before each sweep the iteration loop may try the support-Newton route
     (see the module docstring): Newton on the Kuhn-Tucker conditions
     restricted to the inputs above 1e-12, when there are at most min(m,
-    64) of them.  Its candidate is accepted only when its lower bound does
+    64) of them.  Within the try, inputs leave S by their weights and
+    divergences, and re-enter it by the divergences a refused candidate's
+    sweep gives.  A candidate is accepted only when its lower bound does
     not fall and its gap is at most tol, so it is the run's last record,
     whose step_status is "support_newton", and every record before it is
     the plain sweep's.
     The per-step progress bound holds at that record too, by Arimoto's
-    inequality C - I(q) <= D(q* || q).  On perfbench's pinned squares it
-    finishes slow32 in 2 records, to 1e-7 or 1e-9, where the sweeps alone
-    take 11,357 and 72,554, r16 and r4 in 2 (1,042 and 137 sweeps), r8 in
-    10 after a refused first try (932), and r64 to 1e-9 in 52 (10,315).  A
-    try costs, per Newton step, two k-row kernel passes, a k x k
-    contraction over the outputs and a (k + 1)-square solve at a support
-    of k inputs, then one sweep of its candidate.  While the next try waits
+    inequality C - I(q) <= D(q* || q).  On perfbench's pinned squares the
+    first try finishes every run in 2 records: r4, r8 and r16 to 1e-9,
+    where the sweeps alone take 137, 932 and 1,042 (r8's first solve
+    settles on four of its five support inputs, and the fifth re-enters),
+    slow32 to 1e-7 or 1e-9 (11,357 and 72,554 sweeps) in 18 Newton steps,
+    and r64 to 1e-9 (10,315).  A try costs, per Newton step, two k-row
+    kernel passes, a k x k contraction over the outputs and a (k +
+    1)-square solve at a support of k inputs, then one sweep of each
+    candidate.  While the next try waits
     for the gap to fall, the loop adds one comparison to each sweep; while
     more than min(m, 64) inputs are above 1e-12, it also scans the weights
     for them.

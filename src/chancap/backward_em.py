@@ -88,7 +88,9 @@ weight is above 1e-12, and a try runs only when |S| is at most min(m,
 64), m the number of outputs.  Its candidate is swept over every row,
 like any other, and accepted only when its lower bound does not fall and
 its gap is at most tol: an accepted candidate is the run's last record,
-and a wrong support costs one refused try, never a wrong bracket.  The
+and a wrong support costs one refused try, never a wrong bracket.  A
+refused candidate's sweep may call an input back into S, and the try
+solves again (see arimoto._try_finish).  The
 rule is strict on purpose.  Accepting candidates that raise the lower
 bound and narrow the gap without reaching tol left the inputs the route
 dropped at exactly 0, where no later step revives them, and held a 64x64
@@ -132,7 +134,7 @@ from .channel import (
 from .errors import (
     InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real, _check_type,
 )
-from .numeric import _contract, _log_tilt, _solve, _tilt, logsumexp
+from .numeric import _contract, _log_tilt, _solve, _solving, _tilt, logsumexp
 from .probability import Distribution, _normalized
 
 __all__ = [
@@ -360,13 +362,15 @@ def _inner_solve(
     and the adaptive rule's scaled tolerance in solve_backward_em.
     """
     point = _point(log_base, r, d, step_size, ch)
-    for sweep in range(max_inner + 1):
-        if point.residual <= inner_tol:
-            return _InnerSolve(point.residual, sweep, point)
-        following = _inner_step(point, log_base, step_size, ch) if sweep < max_inner else None
-        if following is None:
-            break
-        point = following
+    # One error state for every Newton solve of the loop.
+    with _solving():
+        for sweep in range(max_inner + 1):
+            if point.residual <= inner_tol:
+                return _InnerSolve(point.residual, sweep, point)
+            following = _inner_step(point, log_base, step_size, ch) if sweep < max_inner else None
+            if following is None:
+                break
+            point = following
     return _InnerSolve(point.residual, sweep)
 
 
@@ -564,11 +568,10 @@ def solve_backward_em(
     with inner solves to 1e-10.  Any other step_size raises
     ParameterOutOfRange.  The default also tries the support-Newton
     route, at every width, which finishes the run.  On perfbench's pinned
-    r16 it finishes at the first step, so the run has 2 records to a gap
-    of 1e-9 or 1e-13; on r8 its first try is refused and the second
-    finishes after four exact steps, 6 records either way.  slow32 takes 2
-    records to 1e-13, where the exact steps alone took 81, and r64, above
-    the Newton cap, 52 to 1e-9, where they took 10,324.  Without the route
+    r8 and r16 it finishes at the first step, so the run has 2 records to
+    a gap of 1e-9 or 1e-13.  slow32 takes 2 records to 1e-13, where the
+    exact steps alone took 81, and r64, above the Newton cap, 2 to 1e-9,
+    where they took 10,324.  Without the route
     the default takes 14 outer steps on r8 and r16 to 1e-9, and lambda = 1
     about 1,000.
 
@@ -592,7 +595,8 @@ def solve_backward_em(
     1.3 times a paper step, and the adaptive rule takes about 70 times
     fewer.  A support-Newton try at a support of k inputs costs, per
     Newton step, two k-row kernel passes, a k x k contraction over the
-    outputs and a (k + 1)-square solve, then one sweep of its candidate.
+    outputs and a (k + 1)-square solve, then one sweep of each candidate.
+    Each inner solve, and each try, enters numeric._solving() once.
 
     max_inner bounds each inner solve (see exact_backward_m_step).
     """

@@ -23,7 +23,7 @@ import numpy as np
 # Every subcommand parses and reads a channel; each imports the rest of what
 # it runs when it runs, so no command loads a solver or check it does not use.
 from .channel import CANONICAL_KINDS, Channel, _canonical_entry, _json_numbers, load_channel, save_channel
-from .errors import ParseError
+from .errors import ChancapError, ParseError
 from .probability import Distribution
 
 if TYPE_CHECKING:
@@ -44,11 +44,16 @@ _GRID_BY_INPUTS = {1: 0.1, 2: 1e-5, 3: 1.0 / 999.0, 4: 1.0 / 100.0}
 
 
 def _read_channel(path: str, fmt: str) -> Channel:
+    """The channel in the file at path.  An error the file gives, a parse
+    fault or a matrix that fails validation, names the file first, and
+    keeps its class and attributes (a RowNotStochastic its row and
+    deviation)."""
     with open(path, "rb") as fh:
         try:
             return load_channel(fh, fmt)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+        except ChancapError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise exc from None
 
 
 def _read_input_distribution(path: str) -> Distribution:

@@ -28,7 +28,8 @@ step of the exact backward m-step (see backward_em._inner_step), on
 channels of at most 32 outputs, solves a system of at most 32x32 with
 _solve, and the support-Newton route (arimoto._support_newton) one of
 at most 65x65: LAPACK's gesv through numpy's solve1 gufunc, in the error state
-np.linalg.solve gives it, so that a singular system raises LinAlgError.
+np.linalg.solve gives it (_solving, entered once per loop of solves), so
+that a singular system raises LinAlgError.
 np.linalg.solve calls that gufunc for a 1-D right-hand side; calling it
 directly skips about 14 Python-level calls of its wrapper and computes the
 same bits.  c_einsum and solve1 are private names; on a numpy without them
@@ -135,14 +136,19 @@ def _singular(error: str, flag: int) -> None:
     raise np.linalg.LinAlgError("singular matrix")
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for a float64 square a and 1-D b, through its gufunc.
+def _solving() -> np.errstate:
+    """The error state np.linalg.solve gives its gufunc, in which _solve runs.
 
-    The error state is np.linalg.solve's: solve1 flags a singular system
-    as "invalid", which raises LinAlgError, and ignores every other flag.
-    Without solve1 it is np.linalg.solve itself.
+    solve1 flags a singular system as "invalid", which raises LinAlgError,
+    and every other flag is ignored.  A caller enters it once around a loop
+    of solves, not once per solve, which costs about 2 us.  Inside it an
+    invalid operation of any other numpy call raises LinAlgError too, so
+    the loops that enter it take logs and quotients of positive numbers
+    only.
     """
-    if _solve1 is None:
-        return np.linalg.solve(a, b)
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _solve1(a, b)
+    return np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+# np.linalg.solve(a, b) for a float64 square a and 1-D b, through its
+# gufunc, called inside _solving(); without solve1, np.linalg.solve itself.
+_solve = np.linalg.solve if _solve1 is None else _solve1

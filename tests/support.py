@@ -82,6 +82,16 @@ def pinned_squares() -> dict[str, Channel]:
     return {f"r{n}": random_channel(rng, n, n) for n in (4, 8, 16, 32)}
 
 
+def refused_square() -> Channel:
+    """A 6x6 flat-Dirichlet square (default_rng(103)) whose first
+    support-Newton try, from the uniform start, is refused even after it
+    re-admits an input: solve_arimoto finishes it at record 10 to 1e-9, and
+    solve_backward_em at record 5, after exact steps at step sizes 1, 2
+    and 4.  Found by a seeded search over flat-Dirichlet squares; the
+    pinned squares r4 to r32 all finish at the first try."""
+    return Channel(np.random.default_rng(103).dirichlet(np.ones(6), size=6))
+
+
 def random_interior(rng: np.random.Generator, n: int, alpha: float = 1.0) -> Distribution:
     """An interior input law drawn from a flat Dirichlet."""
     return Distribution(rng.dirichlet(np.full(n, alpha)))
@@ -122,7 +132,7 @@ def without_support_newton(monkeypatch) -> None:
     refused, and a refused try changes no record, so solve_arimoto's run
     is the multiplicative sweeps alone and solve_backward_em's the adaptive
     rule's exact and fallback steps alone."""
-    monkeypatch.setattr(arimoto, "_support_newton", lambda q, support, ch: None)
+    monkeypatch.setattr(arimoto, "_support_newton", lambda *args: None)
 
 
 def record_inner_solves(monkeypatch) -> list:

@@ -36,7 +36,7 @@ from chancap.arimoto import _sweep
 from chancap.backward_em import _NEWTON_MAX_OUTPUTS
 from support import (
     inner_solves_per_step, multiplicative_step, pinned_squares, random_channel, random_interior, record_inner_solves,
-    reference_m_step, replayed, without_support_newton,
+    reference_m_step, refused_square, replayed, without_support_newton,
 )
 
 
@@ -280,9 +280,10 @@ class TestSolver:
     def test_trace_records_step_route_and_residual(self):
         # Every step is exact or a fallback but the last, which the
         # support-Newton route makes: it is accepted only at a gap of at
-        # most tol, so it ends the run.  z finishes at its first step; r8's
-        # first try is refused, and its route finishes after four exact steps.
-        for ch, steps in ((z_channel(0.5), 1), (pinned_squares()["r8"], 5)):
+        # most tol, so it ends the run.  z finishes at its first step; the
+        # refused square's first try is refused, and its route finishes
+        # after three exact steps.
+        for ch, steps in ((z_channel(0.5), 1), (refused_square(), 4)):
             _, trace = solve_backward_em(ch)
             records = trace.records
             routes = [rec.step_status for rec in records[1:]]
@@ -292,10 +293,12 @@ class TestSolver:
             assert all(rec.inner_iterations >= 0 for rec in records[1:])
             last = records[-1]
             # The route has no step size and rejects no candidate; its inner
-            # count is its Newton steps and its residual the last correction.
+            # count is its Newton steps and its residual the last correction,
+            # at most the square root of the float64 epsilon, where its
+            # solves stop.
             assert last.gap <= 1e-9 and last.step_size is None
             assert (last.rejected_candidates, last.rejected_inner_iterations) == (0, 0)
-            assert last.inner_iterations >= 1 and 0.0 <= last.inner_residual < 1e-12
+            assert last.inner_iterations >= 1 and 0.0 <= last.inner_residual <= np.finfo(float).eps ** 0.5
             assert records[0].step_status is None
             assert records[0].inner_iterations is None
 
@@ -348,8 +351,8 @@ class TestSolver:
             check(name, *args)
 
         monkeypatch.setattr(backward_em, "_check_limit", counting)
-        # r8 takes exact steps and two support-Newton tries.
-        result, _ = solve_backward_em(pinned_squares()["r8"])
+        # The refused square takes exact steps and two support-Newton tries.
+        result, _ = solve_backward_em(refused_square())
         assert result.iterations > 2
         assert calls == ["max_inner"]
         exact_backward_m_step(Distribution.uniform(2), z_channel(0.5))

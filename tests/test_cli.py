@@ -12,11 +12,13 @@ from chancap.cli import (
     EXIT_ITERATION_LIMIT,
     EXIT_OK,
     _TRACE_HEADER,
+    _read_channel,
     _write_trace,
     main,
 )
 from chancap.channel import CANONICAL_KINDS
-from support import CANONICAL_EXAMPLES, pinned_squares, random_channel, without_support_newton
+from chancap.errors import InvalidDistribution, NegativeEntry, RowNotStochastic
+from support import CANONICAL_EXAMPLES, pinned_squares, random_channel, refused_square, without_support_newton
 
 BSC01_BITS = 0.5310044064107188
 Z05_BITS = np.log2(1.25)
@@ -107,9 +109,10 @@ class TestCapacity:
         assert gaps[-1] <= 1e-9
 
     def test_backward_trace_carries_step_route(self, tmp_path, capsys):
-        # r8's exact steps, then the support-Newton route on the last row.
-        path = tmp_path / "r8.json"
-        path.write_bytes(save_channel(pinned_squares()["r8"]))
+        # The refused square's exact steps, then the support-Newton route on
+        # the last row.
+        path = tmp_path / "refused.json"
+        path.write_bytes(save_channel(refused_square()))
         trace_path = tmp_path / "trace_bem.csv"
         run_json(
             capsys,
@@ -157,10 +160,11 @@ class TestCapacity:
         assert path.read_bytes() == "".join(expected).encode("utf-8")
 
     def test_arimoto_trace_marks_the_support_newton_finish(self, tmp_path, capsys):
-        # r8's plain sweeps leave status empty; the route finishes it at
-        # record 10, whose row reads support_newton, with no inner residual.
-        path = tmp_path / "r8.json"
-        path.write_bytes(save_channel(pinned_squares()["r8"]))
+        # The refused square's plain sweeps leave status empty; the route
+        # finishes it at record 10, whose row reads support_newton, with no
+        # inner residual.
+        path = tmp_path / "refused.json"
+        path.write_bytes(save_channel(refused_square()))
         trace_path = tmp_path / "trace.csv"
         payload = run_json(capsys, ["capacity", "--channel", str(path), "--trace", str(trace_path)])
         statuses = [line.split(",")[5:] for line in trace_path.read_text().splitlines()[1:]]
@@ -198,11 +202,12 @@ class TestCapacity:
     @pytest.mark.parametrize("limit", [[], ["--max-iters", "3"]])
     def test_backward_em_counts_step_routes(self, tmp_path, capsys, limit):
         # The route counts are read from the trace's columns; they must be
-        # the records' own, and cover every iterate after the first.  r8
-        # takes four exact steps, then the support-Newton route finishes it;
-        # stopped at 3 records, it has taken two exact steps and no route.
-        path = tmp_path / "r8.json"
-        path.write_bytes(save_channel(pinned_squares()["r8"]))
+        # the records' own, and cover every iterate after the first.  The
+        # refused square takes three exact steps, then the support-Newton
+        # route finishes it; stopped at 3 records, it has taken two exact
+        # steps and no route.
+        path = tmp_path / "refused.json"
+        path.write_bytes(save_channel(refused_square()))
         argv = ["capacity", "--channel", str(path), "--algorithm", "backward-em", *limit]
         code = EXIT_ITERATION_LIMIT if limit else EXIT_OK
         payload = run_json(capsys, argv, expected_code=code)
@@ -219,7 +224,7 @@ class TestCapacity:
         assert payload["max_step_size"] == max(filter(None, (rec.step_size for rec in trace.records[1:]))) > 1.0
         assert payload["rejected_candidates"] == sum(rec.rejected_candidates for rec in trace.records[1:])
         assert payload["rejected_inner_sweeps"] == sum(rec.rejected_inner_iterations for rec in trace.records[1:])
-        # solve_arimoto's support-Newton route finishes r8 at record 10.
+        # solve_arimoto's support-Newton route finishes it at record 10.
         arimoto = run_json(capsys, ["capacity", "--channel", str(path), *limit], expected_code=code)
         keys = {
             "inner_sweeps", "exact_steps", "fallback_steps", "max_step_size", "rejected_candidates",
@@ -232,7 +237,7 @@ class TestCapacity:
     def test_backward_em_counts_rejected_candidates(self, tmp_path, capsys, monkeypatch):
         # The z channel's steps reject none, and neither do the pinned r8's
         # to 1e-9.  To 1e-13, without the support-Newton route that
-        # finishes it at record 6, r8's steps at step sizes of 8192 and
+        # finishes it at record 2, r8's steps at step sizes of 8192 and
         # 4096 each reject one candidate, whose inner solves took 4 and 3
         # steps, and retry at a quarter of it.
         without_support_newton(monkeypatch)
@@ -563,6 +568,36 @@ def test_a_channel_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monk
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
         assert [f.name for f in tmp_path.iterdir()] == ["ch.json"]
+
+
+@pytest.mark.parametrize(
+    "doc, error, attributes",
+    [
+        ('{"matrix": [[0.5, 0.3], [0.5, 0.5]]}', RowNotStochastic, {"row": 0, "deviation": pytest.approx(0.2)}),
+        ('{"matrix": [[1.5, -0.5], [0.5, 0.5]]}', NegativeEntry, {}),
+        ('{"matrix": [[NaN, 1.0], [0.5, 0.5]]}', InvalidDistribution, {}),
+    ],
+    ids=["not-stochastic", "negative", "not-finite"],
+)
+def test_a_channel_file_that_fails_validation_names_the_file(tmp_path, capsys, monkeypatch, doc, error, attributes):
+    # A document that parses but whose matrix is no channel is reported like
+    # a parse fault: one line that names the file, and the bad-input code.
+    # The error keeps its class and attributes.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ch.json").write_text(doc)
+    with pytest.raises(error) as raised:
+        _read_channel("ch.json", "json")
+    assert str(raised.value).startswith("ch.json: ")
+    assert {name: getattr(raised.value, name) for name in attributes} == attributes
+    code = main(["capacity", "--channel", "ch.json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_INPUT and captured.out == ""
+    assert captured.err == f"error: {raised.value}\n"
+    unprefixed = str(raised.value).removeprefix("ch.json: ")
+    with pytest.raises(error) as direct:
+        load_channel(doc.encode())
+    assert str(direct.value) == unprefixed
+
 
 class TestGenerate:
     @pytest.mark.parametrize("kind", CANONICAL_KINDS)

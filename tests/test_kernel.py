@@ -55,7 +55,9 @@ from chancap import (
     z_channel,
 )
 from chancap.channel import _divergences, _marginal
-from chancap.numeric import _contract, _solve, _solve1, logsumexp, ordered_dot, ordered_sum, ordered_sum_along
+from chancap.numeric import (
+    _contract, _solve, _solve1, _solving, logsumexp, ordered_dot, ordered_sum, ordered_sum_along,
+)
 from chancap.verify import brute_force_capacity
 from support import pinned_squares, random_channel, random_interior, without_support_newton
 
@@ -528,9 +530,12 @@ class TestContract:
             b = rng.standard_normal((m + 3, m))
             system = laid_out(b.T @ b + np.diag(rng.dirichlet(np.ones(m))), layout)
             rhs = laid_out(rng.standard_normal(m), layout)
-            assert _solve(system, rhs).tobytes() == np.linalg.solve(system, rhs).tobytes()
-        # A singular system raises, and warns nothing: a RuntimeWarning fails the suite.
-        with pytest.raises(np.linalg.LinAlgError):
+            with _solving():
+                assert _solve(system, rhs).tobytes() == np.linalg.solve(system, rhs).tobytes()
+        # In _solving's error state, which its callers enter once around
+        # their loops of solves, a singular system raises, and warns
+        # nothing: a RuntimeWarning fails the suite.
+        with pytest.raises(np.linalg.LinAlgError), _solving():
             _solve(np.zeros((3, 3)), np.ones(3))
 
     @pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em])

@@ -27,7 +27,7 @@ from chancap import arimoto
 from chancap.backward_em import _CHEAP_INNER, _MAX_STEP_SIZE, _NEWTON_MAX_OUTPUTS
 from support import (
     inner_solves_per_step, multiplicative_step, pinned_squares, random_channel, record_inner_solves, reference_m_step,
-    replayed, without_support_newton,
+    refused_square, replayed, without_support_newton,
 )
 
 
@@ -218,14 +218,14 @@ def test_records_replay_an_adaptive_run(monkeypatch):
     # The step size lives on each Step, not in the stepper, and the gap the
     # next support-Newton try waits for is a local of the loop the replay
     # restarts, so the replay takes the same steps and the same tries; the
-    # lambda column is compared like the others.  r8's first try is
-    # refused, so its second waits for the gap to fall tenfold, four exact
-    # steps later.  A replay that tried at every step would finish at the
-    # fourth record and fail the check.
-    ch = pinned_squares()["r8"]
+    # lambda column is compared like the others.  The refused square's
+    # first try is refused, so its second waits for the gap to fall
+    # tenfold, three exact steps later.  A replay that tried at every step
+    # would finish earlier and fail the check.
+    ch = refused_square()
     tries = []
-    support_newton = arimoto._support_newton
-    monkeypatch.setattr(arimoto, "_support_newton", lambda *args: tries.append(1) or support_newton(*args))
+    try_finish = arimoto._try_finish
+    monkeypatch.setattr(arimoto, "_try_finish", lambda *args: tries.append(1) or try_finish(*args))
     _, trace = solve_backward_em(ch, tol=1e-9)
     sizes, routes = trace._column("step_size"), trace._column("step_status")
     assert len(tries) == 2
@@ -233,8 +233,8 @@ def test_records_replay_an_adaptive_run(monkeypatch):
     assert len(tries) == 4
     assert [rec.step_size for rec in records] == sizes
     assert [rec.step_status for rec in records] == routes
-    assert routes[1:] == ["exact"] * 4 + ["support_newton"]
-    assert sizes[0] is sizes[-1] is None and sizes[1:-1] == [1.0, 2.0, 4.0, 8.0]
+    assert routes[1:] == ["exact"] * 3 + ["support_newton"]
+    assert sizes[0] is sizes[-1] is None and sizes[1:-1] == [1.0, 2.0, 4.0]
     _, tampered = solve_backward_em(ch, tol=1e-9)
     # The step size of iteration 4, in the kept list of rows.
     tampered._kept[3 * len(tampered._columns) + tampered._columns.index("step_size")] *= 2.0
@@ -314,8 +314,8 @@ def test_the_default_reaches_1e_9_on_the_pinned_squares_within_20_records(name):
     # Doubling lambda after inner solves of at most three Newton steps, each
     # to a tolerance of max(1e-10, gap) / lambda, takes 14 records on
     # either; to 1e-10 / lambda it took 17, and doubling after two at a
-    # fixed 1e-10 took 31 and 30.  The support-Newton route finishes r8 at
-    # record 6 and r16 at record 2.
+    # fixed 1e-10 took 31 and 30.  The support-Newton route finishes both
+    # at record 2.
     result, _ = solve_backward_em(pinned_squares()[name], tol=1e-9)
     assert result.termination is Termination.CONVERGED
     assert result.iterations <= 20

@@ -11,7 +11,8 @@ import pytest
 from chancap import Channel, Termination, solve_arimoto, solve_backward_em, z_channel
 from chancap import arimoto
 from chancap.arimoto import _sweep
-from support import pinned_squares, random_channel, without_support_newton
+from chancap.numeric import _solving
+from support import pinned_squares, random_channel, refused_square, without_support_newton
 
 ASYMMETRIC_BINARY = Channel(np.array([[0.9, 0.1], [0.3, 0.7]]))
 
@@ -32,16 +33,29 @@ def rows(trace) -> list:
 
 
 def counted_tries(monkeypatch) -> list:
-    """Patch arimoto._support_newton to append each try's result to the returned list."""
+    """Patch arimoto._try_finish to append each try's result, its finishing
+    Step or None, to the returned list."""
     tries = []
-    support_newton = arimoto._support_newton
+    try_finish = arimoto._try_finish
 
     def counting(*args):
-        tries.append(support_newton(*args))
+        tries.append(try_finish(*args))
         return tries[-1]
 
-    monkeypatch.setattr(arimoto, "_support_newton", counting)
+    monkeypatch.setattr(arimoto, "_try_finish", counting)
     return tries
+
+
+def first_newton_weights(q: np.ndarray, ch: Channel) -> np.ndarray:
+    """The weights one support-Newton step from q makes on every input,
+    written with numpy: the bordered system's solution added to q."""
+    n = q.size
+    r = q @ ch.matrix
+    system = np.ones((n + 1, n + 1))
+    system[:n, :n] = (ch.matrix / r) @ ch.matrix.T
+    system[n, n] = 0.0
+    rhs = np.append(ch.row_negentropy - ch.matrix @ np.log(r), 0.0)
+    return q + np.linalg.solve(system, rhs)[:n]
 
 
 def symmetric(size: int, eps: float) -> np.ndarray:
@@ -149,38 +163,89 @@ def test_runs_the_route_cannot_finish_keep_their_records(case, monkeypatch):
 
 
 def test_a_refused_try_waits_for_the_gap_to_fall_tenfold(monkeypatch):
-    # r8's first try, at the start's gap, settles on four of the five
-    # inputs of the optimal support and is refused.  The next try runs at
-    # the first record whose gap is below a tenth of that gap, and finishes.
+    # The refused square's first try, at the start's gap, is refused.  The
+    # next try runs at the first record whose gap is below a tenth of that
+    # gap, and finishes.
     gaps = []
-    support_newton = arimoto._support_newton
+    try_finish = arimoto._try_finish
 
-    def recording(q, support, ch):
+    def recording(q, d, lower, support, ch, tol):
         gaps.append(_sweep(q, ch)[3] - _sweep(q, ch)[2])
-        return support_newton(q, support, ch)
+        return try_finish(q, d, lower, support, ch, tol)
 
-    monkeypatch.setattr(arimoto, "_support_newton", recording)
-    _, trace = solve_backward_em(pinned_squares()["r8"])
+    monkeypatch.setattr(arimoto, "_try_finish", recording)
+    _, trace = solve_backward_em(refused_square())
     record_gaps = [upper - lower for lower, upper in zip(trace._column("lower_bound"), trace._column("upper_bound"))]
-    assert gaps == [record_gaps[0], record_gaps[4]]
-    assert all(gap >= 0.1 * gaps[0] for gap in record_gaps[1:4]) and record_gaps[4] < 0.1 * gaps[0]
-    assert trace._column("step_status")[-1] == "support_newton" and len(trace) == 6
+    assert gaps == [record_gaps[0], record_gaps[3]]
+    assert all(gap >= 0.1 * gaps[0] for gap in record_gaps[1:3]) and record_gaps[3] < 0.1 * gaps[0]
+    assert trace._column("step_status")[-1] == "support_newton" and len(trace) == 5
 
 
 def test_an_input_whose_weight_goes_negative_leaves_the_support():
     # slow32's optimal support has 13 of its 32 inputs.  From the uniform
-    # start the route drops the most negative input and restarts, one input
-    # at a time, until the solve keeps every weight positive.
+    # start the try drops, at each restart, the most negative input and
+    # every other non-positive one whose divergence is below the lower
+    # bound, re-admits the inputs the candidates' sweeps call for, and
+    # finishes on the 13 in 18 Newton steps, where dropping one input at a
+    # time took 27.
     ch = pinned_squares()["r32"]
     q = np.full(32, 1.0 / 32)
-    finish = arimoto._support_newton(q, np.arange(32), ch)
-    assert finish is not None and finish.support.size == 13
-    assert finish.steps > 19
-    off = np.ones(32, dtype=bool)
-    off[finish.support] = False
-    assert (finish.weights[off] == 0.0).all() and (finish.weights[finish.support] > 0.0).all()
-    _, d, lower, upper = _sweep(finish.weights, ch)
+    _, d, lower, _ = _sweep(q, ch)
+    step = arimoto._try_finish(q, d, lower, np.arange(32), ch, 1e-14)
+    assert step is not None and step.inner_iterations == 18
+    support = step.iterate > 0.0
+    assert support.sum() == 13 and (step.iterate[~support] == 0.0).all()
+    _, _, lower, upper = _sweep(step.iterate, ch)
     assert upper - lower <= 1e-14
+
+
+def test_an_input_whose_divergence_is_at_least_the_lower_bound_stays():
+    # From r16's uniform start the first Newton step sends 10 of the 16
+    # weights non-positive.  Five of them have a divergence at least the
+    # start's lower bound: they stay in S, while the most negative input
+    # and the four others below it leave.  The solve keeps all five and
+    # finishes on the optimal support of 8 inputs.
+    ch = pinned_squares()["r16"]
+    q = np.full(16, 1.0 / 16)
+    _, d, lower, _ = _sweep(q, ch)
+    w = first_newton_weights(q, ch)
+    out = w <= 0.0
+    out[w.argmin()] = False
+    stays, leaves = (out & (d >= lower)).nonzero()[0], (out & (d < lower)).nonzero()[0]
+    assert list(stays) == [1, 6, 11, 12, 15] and list(leaves) == [2, 3, 5, 9]
+    with _solving():
+        finish = arimoto._support_newton(q, d, lower, np.arange(16), ch)
+    assert set(stays) <= set(finish.support) and not set(leaves) & set(finish.support)
+    assert finish.support.size == 8
+    _, _, lower, upper = _sweep(finish.weights, ch)
+    assert upper - lower <= 1e-14
+
+
+def test_r8s_first_try_re_admits_the_input_its_solve_dropped(monkeypatch):
+    # From the uniform start r8's first solve settles on four of the five
+    # inputs of the optimal support.  Its candidate's sweep gives the fifth
+    # the largest divergence, above the candidate's lower bound, so the
+    # input re-enters S and the solve, started from the candidate, finishes
+    # on all five: the first try ends the run at record 2.
+    solves = []
+    support_newton = arimoto._support_newton
+
+    def recording(*args):
+        solves.append(support_newton(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(arimoto, "_support_newton", recording)
+    ch = pinned_squares()["r8"]
+    q = np.full(8, 1.0 / 8)
+    _, d, lower, _ = _sweep(q, ch)
+    step = arimoto._try_finish(q, d, lower, np.arange(8), ch, 1e-9)
+    assert [finish.support.size for finish in solves] == [4, 5]
+    (added,) = set(solves[1].support) - set(solves[0].support)
+    assert _sweep(solves[0].weights, ch)[1].argmax() == added
+    assert step is not None and (step.iterate > 0.0).sum() == 5
+    for solve in (solve_arimoto, solve_backward_em):
+        result, trace = solve(ch, tol=1e-9)
+        assert result.iterations == 2 and trace._column("step_status")[-1] == "support_newton"
 
 
 def test_a_zero_output_refuses_the_try():
@@ -188,9 +253,10 @@ def test_a_zero_output_refuses_the_try():
     # output: the try is refused rather than dividing by zero.
     ch = Channel(np.eye(3))
     q = np.array([0.5, 0.5 - 1e-13, 1e-13])
+    _, d, lower, _ = _sweep(q, ch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert arimoto._support_newton(q, np.array([0, 1]), ch) is None
+        assert arimoto._support_newton(q, d, lower, np.array([0, 1]), ch) is None
 
 
 def test_the_noiseless_channel_closes_its_gap_below_the_floor():
@@ -228,11 +294,11 @@ def test_tolerances_near_the_floor_converge_without_rejections(case):
 
 def test_r64_finishes_above_the_newton_cap():
     # 64 outputs: the adaptive rule keeps lambda = 1, which took 10,324
-    # records to 1e-9.  The route's first try is refused; its second, 50
-    # records later, finishes.
+    # records to 1e-9.  The route's first try re-admits two inputs its
+    # solves dropped and finishes on 19.
     ch = Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64))
     result, trace = solve_backward_em(ch, tol=1e-9)
-    assert result.termination is Termination.CONVERGED and result.iterations <= 60
+    assert result.termination is Termination.CONVERGED and result.iterations <= 3
     assert trace._column("step_status")[-1] == "support_newton"
 
 
@@ -268,12 +334,11 @@ def test_arimoto_records_before_the_finish_are_the_plain_sweeps(case, monkeypatc
 @pytest.mark.parametrize("case", ["slow32", "r64"])
 def test_arimoto_finishes_the_slow_channels(case):
     # The plain sweeps take 11,357 records on slow32 to 1e-7 and 10,315 on
-    # r64 to 1e-9.  slow32's first try, from the uniform start, drops 19
-    # of its 32 inputs and finishes; r64's is refused, and a later one
-    # finishes.
+    # r64 to 1e-9.  The first try of each, from the uniform start, drops
+    # 19 of slow32's 32 inputs and 45 of r64's 64, and finishes.
     ch, tol, most = {
         "slow32": (pinned_squares()["r32"], 1e-7, 2),
-        "r64": (Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64)), 1e-9, 60),
+        "r64": (Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64)), 1e-9, 3),
     }[case]
     result, trace = solve_arimoto(ch, tol=tol)
     assert result.termination is Termination.CONVERGED and result.iterations <= most
@@ -285,24 +350,23 @@ def test_arimoto_finishes_the_slow_channels(case):
     "solver, routes",
     [
         (solve_arimoto, [None] * 9 + ["support_newton"]),
-        (solve_backward_em, [None] + ["exact"] * 4 + ["support_newton"]),
+        (solve_backward_em, [None] + ["exact"] * 3 + ["support_newton"]),
     ],
     ids=["arimoto", "backward"],
 )
 def test_arimoto_records_replay_a_run_with_a_refused_try(solver, routes, monkeypatch):
-    # r8's first try, from the uniform start, settles on four of the five
-    # inputs of the optimal support, and its candidate is refused; the
-    # second waits for the gap to fall tenfold and finishes, at record 10
-    # of solve_arimoto and record 6 of solve_backward_em.  The gap the next
-    # try waits for is a local of the loop, which the replay restarts, so
-    # the replay takes the same two tries; a replay that tried at every
-    # step would finish at the fourth record and fail the check there.
-    ch = pinned_squares()["r8"]
+    # The refused square's first try, from the uniform start, is refused;
+    # the second waits for the gap to fall tenfold and finishes, at record
+    # 10 of solve_arimoto and record 5 of solve_backward_em.  The gap the
+    # next try waits for is a local of the loop, which the replay restarts,
+    # so the replay takes the same two tries; a replay that tried at every
+    # step would finish earlier and fail the check there.
+    ch = refused_square()
     tries = counted_tries(monkeypatch)
     _, trace = solver(ch, tol=1e-9)
-    assert len(trace) == len(routes) and [finish.support.size for finish in tries] == [4, 5]
+    assert len(trace) == len(routes) and [step is not None for step in tries] == [False, True]
     records = trace.records
-    assert [finish.support.size for finish in tries] == [4, 5, 4, 5]
+    assert [step is not None for step in tries] == [False, True] * 2
     assert [rec.step_status for rec in records] == routes
     _, tampered = solver(ch, tol=1e-9)
     # The upper bound of iteration 4, in the kept list of rows.
@@ -379,12 +443,13 @@ def test_arimoto_criterion_04_design_never_descends():
 def test_arimoto_tries_no_support_wider_than_the_outputs(monkeypatch):
     # More inputs than outputs make the bordered system singular, so a try
     # waits until at most m inputs keep a weight above 1e-12.
+    # A re-admission keeps to the same bound.
     sizes = []
     support_newton = arimoto._support_newton
 
-    def recording(q, support, ch):
+    def recording(q, d, lower, support, ch, *steps):
         sizes.append((support.size, ch.num_outputs))
-        return support_newton(q, support, ch)
+        return support_newton(q, d, lower, support, ch, *steps)
 
     monkeypatch.setattr(arimoto, "_support_newton", recording)
     rng = np.random.default_rng(79)

@@ -26,7 +26,7 @@ from chancap import (
     solve_backward_em,
 )
 from chancap.arimoto import _ARIMOTO_COLUMNS, _COLUMNS, Step
-from support import pinned_squares, random_channel, without_support_newton
+from support import pinned_squares, random_channel, refused_square, without_support_newton
 
 
 def r16():
@@ -151,10 +151,10 @@ def test_a_trace_retains_no_array_per_record(solve, inputs, monkeypatch):
 def test_records_refuse_a_kept_scalar_the_replay_does_not_give(solve, monkeypatch):
     # Both solvers finish r16 at their first step with the support-Newton
     # route, so solve_arimoto runs without it; the backward solver takes
-    # five steps on pinned r8 to 1e-9.
+    # four steps on the refused square to 1e-9.
     if solve is solve_arimoto:
         without_support_newton(monkeypatch)
-    _, trace = solve(r16(), tol=1e-6) if solve is solve_arimoto else solve(pinned_squares()["r8"], tol=1e-9)
+    _, trace = solve(r16(), tol=1e-6) if solve is solve_arimoto else solve(refused_square(), tol=1e-9)
     # The upper bound of iteration 4, in the kept list of rows.
     k = 3 * len(trace._columns) + trace._columns.index("upper_bound")
     trace._kept[k] = math.nextafter(trace._kept[k], math.inf)

@@ -14,19 +14,21 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
   records; solve_arimoto's records before the last are its plain sweeps;
 * solve_backward_em on the backward-em corpus at max_inner=2: at
   step_size=1.0 it takes the fallback route on a few steps, while the
-  default's support-Newton route finishes every case but r8 at the first
-  step, and r8 after four exact steps, with no fallback or rejection;
+  default's support-Newton route finishes every case at the first step;
 * solve_backward_em on a random 4x40 channel at max_inner=2: wider than the
   Newton cap, it takes the paper's step size, and at step_size=1.0 the
   fallback route on about half its steps, while the default's
   support-Newton route finishes it at the first step;
 * solve_backward_em at the default step size alone on perfbench's r64 to
-  1e-9 (50 exact steps at lambda = 1 between a refused support-Newton try
-  and the one that finishes) and slow32 to 1e-13 (finished at the first
-  step); at step_size=1.0 either takes minutes;
-* solve_arimoto on r64 and slow32 to 1e-9: 52 records, 50 plain sweeps
-  between a refused try and the one that finishes, and 2 records, where
-  the plain sweeps alone take 10,315 and 72,554;
+  1e-9 and slow32 to 1e-13, each finished at the first step by a
+  support-Newton try that re-admits inputs its solves dropped; at
+  step_size=1.0 either takes minutes;
+* solve_arimoto on r64 and slow32 to 1e-9: 2 records each, where the
+  plain sweeps alone take 10,315 and 72,554;
+* both solvers on the 6x6 default_rng(103) flat-Dirichlet square to
+  1e-9, whose first support-Newton try is refused: solve_arimoto
+  finishes at record 10 and solve_backward_em's default at record 5, so
+  the refused try's path, and the retry threshold it sets, stay hashed;
 * both solvers on the subnormal-start channel, whose first step underflows
   a weight, which each keeps as an exact 0, its state being the
   log-weights; and both solvers on a noiseless 10-symbol channel plus a
@@ -252,6 +254,10 @@ def long_runs(h: Hasher) -> None:
     h.trace("backward", "slow32/1e-13/backward", solve_backward_em(slow32, tol=1e-13))
     h.trace("arimoto", "r64/1e-9/arimoto", solve_arimoto(r64, tol=1e-9))
     h.trace("arimoto", "slow32/1e-9/arimoto", solve_arimoto(slow32, tol=1e-9))
+    # A first try that is refused: the route finishes at a later one.
+    refused = Channel(np.random.default_rng(103).dirichlet(np.ones(6), size=6))
+    h.trace("arimoto", "refused-square/1e-9/arimoto", solve_arimoto(refused, tol=1e-9))
+    h.trace("backward", "refused-square/1e-9/backward", solve_backward_em(refused, tol=1e-9))
 
 
 def wide_runs(h: Hasher, seed: int) -> None:
