@@ -61,11 +61,15 @@ Newton on the Kuhn-Tucker conditions restricted to the support, d_x(q_S)
 = C for x in S with sum q_S = 1 (Gallager 1968, sec. 4.5).  The try is
 the iteration loop's, not a stepper's: before a step, _run may try with
 _try_finish, which solves with _support_newton and decides whether a
-candidate ends the run.  S is the inputs whose weight is above
-_SUPPORT_FLOOR (1e-12), and a try runs only when |S| is at most min(m,
-_MAX_SUPPORT), m the number of outputs, and the gap is below the loop's
-retry_below.  The conditions also say which inputs S lacks or holds
-wrongly: at the optimum d_x <= C off the support.  So when a Newton step
+candidate ends the run.  The conditions say that at the optimum d_x = C
+on the support and d_x <= C off it, and they alone pick S: the inputs
+whose d_x is at least 2L - U, within the gap U - L of the lower bound L.
+Near an optimum every input of the support has d_x within about the gap
+of L, while an unused input's d_x stays below C by a margin, so the test
+leaves it out long before the sweeps have decayed its weight.  A try
+runs only when |S| is at most min(m, _MAX_SUPPORT), m the number of
+outputs, and the gap is below the loop's retry_below.  The conditions
+also say which inputs S lacks or holds wrongly.  So when a Newton step
 sends weights to 0 or below, the most negative input leaves S, and so
 does every other such input whose d_x at the iterate is below its lower
 bound, a weight the sweeps are shrinking; the rest stay.  And when a
@@ -394,12 +398,22 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
 
     With tol, a support-Newton try comes before each step while the gap is
     below retry_below, inf until a try is refused and then _RETRY_FRACTION
-    times the gap at the refused one.  It runs when the inputs above
-    _SUPPORT_FLOOR are at most min(m, _MAX_SUPPORT), m the number of
-    outputs, from q with the d and lower the sweep gave, and its accepted
-    candidate (see _try_finish) is the next Step, in place of the
-    stepper's.  retry_below is the loop's own, so a replay,
-    which restarts the loop, takes the same tries.
+    times the gap at the refused one.  Its support S is the inputs whose
+    d_x is at least 2L - U, L and U the bounds the sweep gave (the
+    Kuhn-Tucker test; see the module docstring).  It runs when |S| is at
+    most min(m, _MAX_SUPPORT), m the number of outputs, from q with the d
+    and lower the sweep gave, and its accepted candidate (see _try_finish)
+    is the next Step, in place of the stepper's.  A try that does not run
+    leaves retry_below as it is.  retry_below is the loop's own, so a
+    replay, which restarts the loop, takes the same tries.
+
+    S always holds an input of positive weight, so the try's w / sum(w)
+    never divides by zero: L is the q-weighted mean of d, so some input of
+    positive weight has d_x >= L >= 2L - U.  (A try runs only at a gap
+    above tol, so U is the largest d_x; were L rounded above every d_x of
+    positive weight, that gap would be within the rounding of L and the
+    largest d_x at an input of weight 0, which a weight reaches only by
+    underflow, after hundreds of sweeps with its d_x below L.)
     """
     step = Step(q, np.log(q))
     # -inf without tol: no gap is below it, so no try runs.
@@ -409,7 +423,7 @@ def _run(ch: Channel, q: np.ndarray, stepper: Stepper, tol: float | None = None)
         yield q, d, lower, upper, step
         finished = None
         if upper - lower < retry_below:
-            support = (q > _SUPPORT_FLOOR).nonzero()[0]
+            support = (d >= 2.0 * lower - upper).nonzero()[0]
             if support.size <= min(ch.num_outputs, _MAX_SUPPORT):
                 finished = _try_finish(q, d, lower, support, ch, tol)
                 if finished is None:
@@ -469,17 +483,15 @@ def _iterate(
     return result, IterationTrace(kept, run, columns)
 
 
-# The support-Newton route takes as the support S the inputs whose weight
-# is above _SUPPORT_FLOOR, and is tried only when |S| is at most
-# min(m, _MAX_SUPPORT): its system is (|S| + 1) x (|S| + 1), and more
-# inputs than outputs make it singular.  A try makes at most
-# _MAX_SUPPORT_STEPS Newton steps, restarts and re-admissions included,
-# and its solves stop at a correction of at most _SETTLED, the square
-# root of the float64 epsilon: Newton's next correction, about its
-# square, would be at the rounding floor.  After a refused try, the next
+# The support-Newton route is tried only when its support S (see _run)
+# has at most min(m, _MAX_SUPPORT) inputs: its system is (|S| + 1) x
+# (|S| + 1), and more inputs than outputs make it singular.  A try makes
+# at most _MAX_SUPPORT_STEPS Newton steps, restarts and re-admissions
+# included, and its solves stop at a correction of at most _SETTLED, the
+# square root of the float64 epsilon: Newton's next correction, about
+# its square, would be at the rounding floor.  After a refused try, the next
 # waits until the gap is below _RETRY_FRACTION times the gap at the
 # refused one.
-_SUPPORT_FLOOR = 1e-12
 _MAX_SUPPORT = 64
 _MAX_SUPPORT_STEPS = 128
 _SETTLED = math.sqrt(np.finfo(float).eps)
@@ -570,8 +582,8 @@ def _try_finish(
 ) -> Step | None:
     """The Step that ends the run from the iterate q, or None when the try is refused.
 
-    d and lower are _sweep's at q, and support the inputs of q above
-    _SUPPORT_FLOOR.  _support_newton solves on S = support, and its
+    d and lower are _sweep's at q, and support the S that _run picked by
+    the divergences.  _support_newton solves on S = support, and its
     candidate is swept over every row and accepted only when its lower
     bound is at least lower and its gap is at most tol.  A refused
     candidate's sweep is the Kuhn-Tucker test: an input off S with d_x
@@ -630,8 +642,9 @@ def solve_arimoto(
     Starts from the uniform input unless an interior initial law is given.
     Before each sweep the iteration loop may try the support-Newton route
     (see the module docstring): Newton on the Kuhn-Tucker conditions
-    restricted to the inputs above 1e-12, when there are at most min(m,
-    64) of them.  Within the try, inputs leave S by their weights and
+    restricted to S, the inputs whose divergence is within the gap of the
+    lower bound (d_x >= 2L - U), when there are at most min(m, 64) of
+    them.  Within the try, inputs leave S by their weights and
     divergences, and re-enter it by the divergences a refused candidate's
     sweep gives.  A candidate is accepted only when its lower bound does
     not fall and its gap is at most tol, so it is the run's last record,
@@ -643,13 +656,15 @@ def solve_arimoto(
     where the sweeps alone take 137, 932 and 1,042 (r8's first solve
     settles on four of its five support inputs, and the fifth re-enters),
     slow32 to 1e-7 or 1e-9 (11,357 and 72,554 sweeps) in 18 Newton steps,
-    and r64 to 1e-9 (10,315).  A try costs, per Newton step, two k-row
-    kernel passes, a k x k contraction over the outputs and a (k +
-    1)-square solve at a support of k inputs, then one sweep of each
-    candidate.  While the next try waits
-    for the gap to fall, the loop adds one comparison to each sweep; while
-    more than min(m, 64) inputs are above 1e-12, it also scans the weights
-    for them.
+    and r64 to 1e-9 (10,315).  The test does not wait for unused weights
+    to decay: to 1e-9 a random 256x8 channel takes 261 records and a
+    random 64x4 channel 45, where a try that waited for them took 10,364
+    and 790.  A try costs, per Newton step, two k-row kernel passes, a k
+    x k contraction over the outputs and a (k + 1)-square solve at a
+    support of k inputs, then one sweep of each candidate.
+    While the next try waits for the gap to fall, the loop adds one
+    comparison to each sweep; while more than min(m, 64) inputs pass the
+    test, it also compares every d_x with 2L - U.
 
     The iterates, and optimal_input, may hold exact zeros: at inputs whose
     weight underflowed, and, after the route, at every input off the

@@ -84,8 +84,9 @@ with sum q_S = 1 (Gallager 1968, sec. 4.5), a (|S| + 1)-square solve.
 The stepper does not make the try: the iteration loop both solvers
 share, arimoto._run, makes it before a step, here only when step_size is
 None, and an accepted try takes the step's place.  S is the inputs whose
-weight is above 1e-12, and a try runs only when |S| is at most min(m,
-64), m the number of outputs.  Its candidate is swept over every row,
+divergence is within the gap of the lower bound, d_x >= 2L - U (see
+arimoto._run), and a try runs only when |S| is at most min(m, 64), m the
+number of outputs.  Its candidate is swept over every row,
 like any other, and accepted only when its lower bound does not fall and
 its gap is at most tol: an accepted candidate is the run's last record,
 and a wrong support costs one refused try, never a wrong bracket.  A
@@ -132,7 +133,7 @@ from .channel import (
     per_input_divergences,
 )
 from .errors import (
-    InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real, _check_type,
+    InvalidDistribution, ParameterOutOfRange, _check_limit, _check_probability, _check_real, _check_type, _plain,
 )
 from .numeric import _contract, _log_tilt, _solve, _solving, _tilt, logsumexp
 from .probability import Distribution, _normalized
@@ -608,7 +609,7 @@ def solve_backward_em(
     if step_size is not None:
         _check_real("step_size", step_size)
         if step_size != 1.0:
-            raise ParameterOutOfRange(f"step_size must be None or 1, got {step_size!r}")
+            raise ParameterOutOfRange(f"step_size must be None or 1, got {_plain(step_size)}")
     adaptive = step_size is None and ch.num_outputs <= _NEWTON_MAX_OUTPUTS
 
     def stepper(sweep: tuple, previous: Step) -> Step:

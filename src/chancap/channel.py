@@ -46,6 +46,7 @@ from .errors import (
     _check_limit,
     _check_probability,
     _check_type,
+    _plain,
     _sized,
 )
 from .numeric import _contract, ordered_sum_along
@@ -80,14 +81,16 @@ class Channel:
     def __post_init__(self):
         # C order fixes the grouping of every reduction over the matrix.
         m = _real_array(self.matrix, "channel matrix")
-        if m.ndim != 2 or m.size == 0:
+        if m.ndim != 2:
             raise InvalidDistribution(f"channel matrix must be 2-dimensional, got shape {m.shape}")
+        if m.size == 0:
+            raise InvalidDistribution(f"channel matrix must have at least one row and one column, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidDistribution("channel matrix entries must be finite")
         negative = m < 0.0
         if negative.any():
             x, y = (int(v) for v in np.argwhere(negative)[0])
-            raise NegativeEntry(f"matrix entry ({x}, {y}) is negative: {m[x, y]!r}")
+            raise NegativeEntry(f"matrix entry ({x}, {y}) is negative: {_plain(m[x, y])}")
         totals = ordered_sum_along(m, axis=1)
         deviation = np.abs(totals - 1.0)
         bad = deviation > _SUM_REJECT

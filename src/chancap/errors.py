@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 __all__ = [
     "ChancapError",
     "InvalidDistribution",
@@ -95,6 +97,12 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _plain(value) -> str:
+    """repr of value, with a numpy scalar shown as the Python number it
+    holds: -1.0 rather than np.float64(-1.0)."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def _check_real(name: str, value) -> None:
     """Raise ParameterOutOfRange unless value is a positive real number.
 
@@ -103,7 +111,7 @@ def _check_real(name: str, value) -> None:
     TypeError.
     """
     if not (_is_number(value, numbers.Real) and 0.0 < value):
-        raise ParameterOutOfRange(f"{name} must be a positive real number, got {value!r}")
+        raise ParameterOutOfRange(f"{name} must be a positive real number, got {_plain(value)}")
 
 
 def _check_type(name: str, value, kind: type) -> None:
@@ -115,7 +123,7 @@ def _check_type(name: str, value, kind: type) -> None:
 def _check_probability(name: str, value) -> None:
     """Raise ParameterOutOfRange unless value is a real number in [0, 1]."""
     if not (_is_number(value, numbers.Real) and 0.0 <= value <= 1.0):
-        raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value!r}")
+        raise ParameterOutOfRange(f"{name} must be in [0, 1], got {_plain(value)}")
 
 
 def _check_limit(name: str, value, minimum: int = 1) -> None:
@@ -126,9 +134,9 @@ def _check_limit(name: str, value, minimum: int = 1) -> None:
     truncate it.
     """
     if not _is_number(value, numbers.Integral):
-        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+        raise ParameterOutOfRange(f"{name} must be an integer, got {_plain(value)}")
     if value < minimum:
-        raise ParameterOutOfRange(f"{name} must be at least {minimum}, got {value!r}")
+        raise ParameterOutOfRange(f"{name} must be at least {minimum}, got {_plain(value)}")
 
 
 def _sized(build, shape, *args):

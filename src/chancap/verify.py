@@ -19,7 +19,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .channel import Channel, _check_channel, output_marginal, per_input_divergences
-from .errors import ParameterOutOfRange, TooManyInputs, _check_probability, _check_real
+from .errors import ParameterOutOfRange, TooManyInputs, _check_probability, _check_real, _plain
 from .numeric import ordered_dot, ordered_sum_along
 from .probability import Distribution
 
@@ -85,15 +85,15 @@ def brute_force_capacity(ch: Channel, grid_step: float) -> tuple[float, Distribu
         raise TooManyInputs(f"exhaustive search supports at most 4 inputs, got {n}")
     _check_real("grid_step", grid_step)
     if grid_step > 0.1:
-        raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step!r}")
+        raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {_plain(grid_step)}")
     # A pitch below 1 / (the largest float) has no finite reciprocal, so no grid.
     scale = 1.0 / float(grid_step)
     if not isfinite(scale):
-        raise ParameterOutOfRange(f"grid_step {grid_step!r} is too small: 1 / grid_step overflows")
+        raise ParameterOutOfRange(f"grid_step {_plain(grid_step)} is too small: 1 / grid_step overflows")
     steps = round(scale)
     if comb(steps + n - 1, n - 1) > _MAX_GRID_POINTS:
         raise ParameterOutOfRange(
-            f"grid_step {grid_step!r} with {n} inputs exceeds {_MAX_GRID_POINTS} points"
+            f"grid_step {_plain(grid_step)} with {n} inputs exceeds {_MAX_GRID_POINTS} points"
         )
 
     m = ch.matrix
@@ -155,7 +155,7 @@ def circumcenter_check(
     _check_real("tolerance", tol)
     _check_probability("support_threshold", support_threshold)
     if support_threshold == 1.0:
-        raise ParameterOutOfRange(f"support_threshold must be in [0, 1), got {support_threshold!r}")
+        raise ParameterOutOfRange(f"support_threshold must be in [0, 1), got {_plain(support_threshold)}")
     d = _divergences_at(q, ch)
     support = q.weights > support_threshold
     # Inputs with no mass contribute nothing to the weighted mean even when

@@ -33,10 +33,13 @@ from chancap import (
     output_marginal,
     per_input_divergences,
     save_channel,
+    solve_arimoto,
+    solve_backward_em,
     uniform_rows,
     z_channel,
 )
 from chancap import channel as channel_module
+from chancap.verify import brute_force_capacity
 from chancap.channel import CANONICAL_KINDS, _canonical_entry
 from support import CANONICAL_EXAMPLES, random_channel, random_interior
 
@@ -86,8 +89,10 @@ class TestConstruction:
         assert exc.value.deviation == pytest.approx(0.2)
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
-            Channel(np.array([[1.1, -0.1], [0.5, 0.5]]))
+        # The entry is shown as a plain number, not as np.float64(-0.25).
+        with pytest.raises(NegativeEntry) as raised:
+            Channel(np.array([[1.25, -0.25], [0.5, 0.5]]))
+        assert str(raised.value) == "matrix entry (0, 1) is negative: -0.25"
 
     @pytest.mark.parametrize(
         "matrix",
@@ -105,6 +110,13 @@ class TestConstruction:
     def test_matrix_entries_must_be_finite_reals(self, matrix):
         with pytest.raises(InvalidDistribution):
             Channel(matrix)
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 3)])
+    def test_an_empty_matrix_is_named_empty(self, shape):
+        # Both are 2-dimensional, which the message used to deny.
+        with pytest.raises(InvalidDistribution) as raised:
+            Channel(np.zeros(shape))
+        assert str(raised.value) == f"channel matrix must have at least one row and one column, got shape {shape}"
 
     def test_matrix_is_immutable(self):
         ch = bsc(0.2)
@@ -500,9 +512,29 @@ class TestCanonical:
         # Sizes are checked by the shared integer rule, with its message.
         with pytest.raises(ParameterOutOfRange, match="^typewriter size must be at least 2, got 1$"):
             noisy_typewriter(1)
-        with pytest.raises(ParameterOutOfRange, match="^typewriter size must be at least 2, got "):
+        with pytest.raises(ParameterOutOfRange, match="^typewriter size must be at least 2, got 1$"):
             noisy_typewriter(np.int64(1))
         assert noisy_typewriter(np.int64(3)).num_inputs == 3
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: solve_arimoto(bsc(0.1), tol=np.float64(-1)),
+             "tolerance must be a positive real number, got -1.0"),
+            (lambda: solve_arimoto(bsc(0.1), max_iters=np.int64(0)), "max_iters must be at least 1, got 0"),
+            (lambda: solve_arimoto(bsc(0.1), max_iters=np.float64(5)), "max_iters must be an integer, got 5.0"),
+            (lambda: bsc(np.float64(1.5)), "crossover probability must be in [0, 1], got 1.5"),
+            (lambda: solve_backward_em(bsc(0.1), step_size=np.float64(2)), "step_size must be None or 1, got 2.0"),
+            (lambda: brute_force_capacity(bsc(0.1), grid_step=np.float64(0.5)),
+             "grid_step must be in (0, 0.1], got 0.5"),
+        ],
+        ids=["real", "limit", "integer", "probability", "step_size", "grid_step"],
+    )
+    def test_a_numpy_scalar_parameter_is_shown_as_a_plain_number(self, call, message):
+        # repr of a numpy scalar reads np.float64(-1.0) under numpy 2.
+        with pytest.raises(ParameterOutOfRange) as raised:
+            call()
+        assert str(raised.value) == message
 
     def test_every_kind_has_an_example(self):
         assert set(CANONICAL_EXAMPLES) == set(CANONICAL_KINDS)

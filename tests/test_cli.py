@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven through main() with real files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ class TestCapacity:
         # ulp, not at 0 (by sweep 19, and by record 5), so a 1e-300 gap is
         # out of reach: the run stops at the iteration limit, with the
         # bracket at its rounding floor.  The backward solver's
-        # support-Newton route would close the gap at record 6 (see
+        # support-Newton route would close the gap at record 2 (see
         # test_the_support_newton_route_closes_the_noiseless_gap), so it is
         # off here: the underflow is the exact steps'.
         without_support_newton(monkeypatch)
@@ -296,18 +297,20 @@ class TestCapacity:
         assert 0.0 < payload["gap"] <= 1e-15
 
     def test_the_support_newton_route_closes_the_noiseless_gap(self, tmp_path, capsys):
-        # The backward case above with the route on: once the useless
-        # weight is below 1e-12 the support is the ten noiseless inputs,
-        # and one Newton solve on it lands on the uniform law, whose gap is
-        # exactly 0.  The useless input, off the support, weighs exactly 0.
+        # The backward case above with the route on: at the start the
+        # useless input's divergence is already below the support test's
+        # 2L - U, so the first try's support is the ten noiseless inputs,
+        # and one Newton solve on it lands on ten equal weights one ulp
+        # below 0.1, whose gap is exactly 0.  The useless input, off the
+        # support, weighs exactly 0.
         path = tmp_path / "noiseless.json"
         path.write_bytes(save_channel(Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))))
         argv = ["capacity", "--channel", str(path), "--algorithm", "backward-em", "--tol", "1e-300", "--max-iters",
                 "5000", "--units", "nats"]
         payload = run_json(capsys, argv)
-        assert payload["termination"] == "converged" and payload["iterations"] <= 10
+        assert payload["termination"] == "converged" and payload["iterations"] == 2
         assert payload["gap"] == 0.0 and payload["support_newton_steps"] == 1
-        assert payload["optimal_input"] == [0.1] * 10 + [0.0]
+        assert payload["optimal_input"] == [math.nextafter(0.1, 0.0)] * 10 + [0.0]
         assert payload["lower"] == payload["upper"] == pytest.approx(np.log(10.0), abs=1e-15)
 
     def test_missing_file_is_bad_input(self, tmp_path, capsys):
@@ -597,6 +600,28 @@ def test_a_channel_file_that_fails_validation_names_the_file(tmp_path, capsys, m
     with pytest.raises(error) as direct:
         load_channel(doc.encode())
     assert str(direct.value) == unprefixed
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ('{"matrix": [[]]}', InvalidDistribution,
+         "channel matrix must have at least one row and one column, got shape (1, 0)"),
+        ('{"matrix": [[1.5, -0.5], [0.5, 0.5]]}', NegativeEntry, "matrix entry (0, 1) is negative: -0.5"),
+    ],
+    ids=["empty-row", "negative"],
+)
+def test_a_channel_file_error_gives_plain_values(tmp_path, capsys, monkeypatch, doc, error, message):
+    # An empty row used to be reported as "must be 2-dimensional", and a
+    # negative entry as np.float64(-0.5).
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ch.json").write_text(doc)
+    with pytest.raises(error) as raised:
+        load_channel(doc.encode())
+    assert str(raised.value) == message
+    code = main(["capacity", "--channel", "ch.json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_INPUT and captured.err == f"error: ch.json: {message}\n"
 
 
 class TestGenerate:

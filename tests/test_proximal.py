@@ -48,7 +48,8 @@ def test_criterion_04_design_never_descends():
     # with inner solves to the gap over lambda.  The support-Newton route
     # is accepted only when its lower bound does not fall and its gap is at
     # most tol, so it is each run's last step: with it all 200 runs reach
-    # 1e-14, in 976 steps, 197 of them the route's.
+    # 1e-14, in 457 steps, 200 of them the route's (916 and 198 when a try
+    # waited for the unused weights to fall below 1e-12).
     rng = np.random.default_rng(41)
     steps = descents = fallbacks = converged = finished = 0
     for _ in range(200):
@@ -65,10 +66,10 @@ def test_criterion_04_design_never_descends():
             elif routes[k] == "support_newton":
                 assert k == len(trace) - 1 and lowers[k] >= lowers[k - 1] and uppers[k] - lowers[k] <= 1e-14
                 finished += 1
-    assert 500 < steps < 2000
+    assert 400 < steps < 1000
     assert descents == 0
     assert fallbacks <= 10
-    assert converged == 200 and finished >= 190
+    assert converged == finished == 200
 
 
 @pytest.mark.parametrize("name", ["r4", "r8", "r16", "r32"], ids=["r4", "r8", "r16", "slow32"])

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chancap import Channel, Termination, solve_arimoto, solve_backward_em, z_channel
 from chancap import arimoto
@@ -132,17 +134,18 @@ def test_no_step_follows_a_finish(solve, name, monkeypatch):
     "case", ["duplicate-rows", "non-finite-correction", "step-cap", "kronecker-256x256", "paper-step-size"],
 )
 def test_runs_the_route_cannot_finish_keep_their_records(case, monkeypatch):
-    # Duplicate rows in the support make the bordered system singular: each
-    # try is refused, without a least-squares solve and without a
-    # RuntimeWarning (which fails the suite), and the run is the one
-    # without the route.  So is each try on r8 when the solve returns NaN,
+    # A duplicate of an input of the optimal support has that input's
+    # divergence, so both pass the support test and make the bordered
+    # system singular: each try is refused, without a least-squares solve
+    # and without a RuntimeWarning (which fails the suite), and the run is
+    # the one without the route.  So is each try on r8 when the solve returns NaN,
     # or when one Newton step is the cap.  The 256x256 Kronecker channel
     # has more inputs than the route's cap, so no try runs; neither does
     # one at the paper's step size.
     settings = {}
     if case == "duplicate-rows":
         matrix = random_channel(np.random.default_rng(78), 4, 6).matrix
-        ch, tries_expected = Channel(np.vstack([matrix, matrix[:1]])), True
+        ch, tries_expected = Channel(np.vstack([matrix, matrix[2:3]])), True
     elif case == "non-finite-correction":
         monkeypatch.setattr(arimoto, "_solve", lambda system, rhs: np.full(rhs.size, math.nan))
         ch, tries_expected = pinned_squares()["r8"], True
@@ -160,6 +163,25 @@ def test_runs_the_route_cannot_finish_keep_their_records(case, monkeypatch):
     assert rows(finished) == rows(plain)
     assert "support_newton" not in finished._column("step_status")
     assert bool(tries) == tries_expected and not any(tries)
+
+
+@pytest.mark.parametrize(
+    "solve, records", [(solve_arimoto, 13), (solve_backward_em, 6)], ids=["arimoto", "backward"],
+)
+def test_a_duplicate_the_support_test_leaves_out_lets_the_run_finish(solve, records):
+    # Input 4 repeats input 0, whose weight at the optimum is about 0.09.
+    # The first try holds both and is refused.  At the second, inputs 0, 3
+    # and 4 have a divergence below 2L - U, so S is inputs 1 and 2; the
+    # candidates' sweeps re-admit input 0, the first of the two equal
+    # largest divergences, and then input 3.  The duplicate stays out, at
+    # weight exactly 0, and the run finishes.
+    matrix = random_channel(np.random.default_rng(78), 4, 6).matrix
+    ch = Channel(np.vstack([matrix, matrix[:1]]))
+    result, trace = solve(ch, tol=1e-9)
+    assert result.termination is Termination.CONVERGED and result.iterations == records
+    assert trace._column("step_status")[-1] == "support_newton"
+    weights = result.optimal_input.weights
+    assert weights[4] == 0.0 and (weights[:4] > 0.0).all()
 
 
 def test_a_refused_try_waits_for_the_gap_to_fall_tenfold(monkeypatch):
@@ -259,18 +281,20 @@ def test_a_zero_output_refuses_the_try():
         assert arimoto._support_newton(q, d, lower, np.array([0, 1]), ch) is None
 
 
-def test_the_noiseless_channel_closes_its_gap_below_the_floor():
+@pytest.mark.parametrize("solve", [solve_arimoto, solve_backward_em], ids=["arimoto", "backward"])
+def test_the_noiseless_channel_closes_its_gap_below_the_floor(solve):
     # The noiseless 10-symbol channel plus a useless input, at a tolerance
     # no float gap but 0 meets: the exact steps rest at a gap of 4.4e-16
-    # for all 5,000 records.  Once the useless weight is below 1e-12 the
-    # route solves the ten noiseless inputs to the uniform law, whose gap
-    # is exactly 0.
+    # for all 5,000 records.  At the uniform start the useless input's
+    # divergence, 0, is below 2L - U = (9/11) log 10, so the first try
+    # solves the ten noiseless inputs, to ten equal weights one ulp below
+    # 0.1, whose gap is exactly 0.
     ch = Channel(np.vstack([np.eye(10), np.full(10, 0.1)]))
-    result, trace = solve_backward_em(ch, tol=1e-300, max_iters=5000)
-    assert result.termination is Termination.CONVERGED and result.iterations <= 10
+    result, trace = solve(ch, tol=1e-300, max_iters=5000)
+    assert result.termination is Termination.CONVERGED and result.iterations == 2
     assert result.bracket.lower == result.bracket.upper
     assert trace._column("step_status")[-1] == "support_newton"
-    assert list(result.optimal_input.weights) == [0.1] * 10 + [0.0]
+    assert list(result.optimal_input.weights) == [math.nextafter(0.1, 0.0)] * 10 + [0.0]
 
 
 @pytest.mark.parametrize(
@@ -346,6 +370,47 @@ def test_arimoto_finishes_the_slow_channels(case):
     assert (result.optimal_input.weights == 0.0).any()
 
 
+@pytest.mark.parametrize("case, arimoto_records, backward_records", [("64x4", 45, 7), ("256x8", 261, 11)])
+def test_tall_channels_finish_without_waiting_for_the_unused_weights(case, arimoto_records, backward_records):
+    # Far more inputs than outputs: S is picked by the divergences, not by
+    # the weights, which the sweeps decay slowly.  A try that waited for
+    # every unused weight to fall below 1e-12 came after 790 records of
+    # solve_arimoto and 12 of solve_backward_em on the 64x4 channel, and
+    # after 10,364 and 16 on the 256x8.
+    seed, n, m = {"64x4": (64, 64, 4), "256x8": (7, 256, 8)}[case]
+    ch = random_channel(np.random.default_rng(seed), n, m)
+    for solve, records in ((solve_arimoto, arimoto_records), (solve_backward_em, backward_records)):
+        result, trace = solve(ch, tol=1e-9)
+        assert result.termination is Termination.CONVERGED and result.iterations == records
+        assert trace._column("step_status")[-1] == "support_newton"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(2, 12), st.integers(2, 8)),
+    distinct=st.integers(1, 12),
+    zeros=st.integers(0, 11),
+)
+def test_the_support_test_holds_an_input_of_positive_weight(seed, shape, distinct, zeros):
+    # The loop's support test, d_x >= 2L - U, at a weight law with exact
+    # zeros (as an underflowed iterate has) on a channel with repeated
+    # rows.  A try runs only at a gap above tol > 0, and there S carries
+    # weight: L is the q-weighted mean of d, so some input of positive
+    # weight has d_x >= L >= 2L - U.
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    rows = rng.dirichlet(np.ones(m), size=min(distinct, n))
+    ch = Channel(rows[rng.integers(0, rows.shape[0], size=n)])
+    q = rng.dirichlet(np.ones(n))
+    q[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
+    q /= q.sum()
+    _, d, lower, upper = _sweep(q, ch)
+    assume(upper > lower)
+    support = (d >= 2.0 * lower - upper).nonzero()[0]
+    assert q[support].sum() > 0.0
+
+
 @pytest.mark.parametrize(
     "solver, routes",
     [
@@ -419,7 +484,8 @@ def test_arimoto_criterion_04_design_never_descends():
     # Criterion 04's channels and Arimoto settings: 300 sweeps to 1e-14.
     # The plain sweeps reached 1e-14 on 30 of the 200; the route, tried at
     # most once per tenfold fall of the gap and accepted only as the last
-    # record, finishes 181.
+    # record, finishes all 200, in 1,073 steps.  A try that waited for the
+    # unused weights to fall below 1e-12 finished 181, in 17,058.
     rng = np.random.default_rng(41)
     steps = descents = converged = finished = 0
     for _ in range(200):
@@ -436,13 +502,13 @@ def test_arimoto_criterion_04_design_never_descends():
             else:
                 assert routes[k] is None
     assert descents == 0
-    assert converged >= finished >= 175
-    assert steps < 20000
+    assert converged == finished == 200
+    assert steps < 1500
 
 
 def test_arimoto_tries_no_support_wider_than_the_outputs(monkeypatch):
     # More inputs than outputs make the bordered system singular, so a try
-    # waits until at most m inputs keep a weight above 1e-12.
+    # waits until at most m inputs pass the support test, d_x >= 2L - U.
     # A re-admission keeps to the same bound.
     sizes = []
     support_newton = arimoto._support_newton

@@ -32,15 +32,17 @@ the channel corpus of perfbench/corpus.py, which it only reads.  It hashes:
 * both solvers on the subnormal-start channel, whose first step underflows
   a weight, which each keeps as an exact 0, its state being the
   log-weights; and both solvers on a noiseless 10-symbol channel plus a
-  useless input to a gap of 1e-300, stopped at 400 records: both solvers
-  close the gap to exactly 0 once the useless weight is below the route's
-  1e-12 support floor, where the support-Newton route solves the ten
-  noiseless inputs and gives the useless one a weight of exactly 0,
-  solve_arimoto at record 13 and solve_backward_em's default at record 6
-  (without the route, solve_arimoto's step, which divides the tilted
-  weights by their sum, closes the gap at sweep 17 with the useless weight
-  at about 1e-17), while at step_size=1.0 solve_backward_em reaches an
-  exact 0 at record 324 and rests at a one-ulp gap to the 400th;
+  useless input to a gap of 1e-300, stopped at 400 records: at the
+  uniform start the useless input already fails the route's support
+  test, so both solvers' first try solves the ten noiseless inputs,
+  closes the gap to exactly 0 and gives the useless input a weight of
+  exactly 0, in 2 records each (13 under solve_arimoto and 6 under
+  solve_backward_em's default when a try waited for the useless weight to
+  fall below 1e-12; without the route, solve_arimoto's step, which
+  divides the tilted weights by their sum, closes the gap at sweep 17
+  with the useless weight at about 1e-17), while at step_size=1.0
+  solve_backward_em reaches an exact 0 at record 324 and rests at a
+  one-ulp gap to the 400th;
 * every solve_backward_em run above again at step_size=1.0, the paper's
   iteration;
 * direct arimoto_step, approximate_m_step, capacity_bracket and
@@ -90,7 +92,12 @@ directory, next to copies of this script and of perfbench/corpus.py, and
 hashes it there in a second interpreter, so both sides run the same script
 on the same corpus.  It prints both sets of lines, then whether the two
 match, for the total and for each group, and exits with status 1 when any
-line differs.
+line differs.  Then, per group, it prints each label whose items differ:
+a solver run's label (corpus/case/solver, or the run's name), a CLI
+call's, a loaded document's, or "random channel k" and "subnormal-start"
+for the direct calls.  The second interpreter
+runs this script with --labels, which prints its lines and each label's
+digest as one JSON document.
 """
 
 from __future__ import annotations
@@ -191,20 +198,30 @@ def encode(v) -> bytes:
 
 
 class Hasher:
-    """A SHA-256 and an item count over everything, and one of each per group."""
+    """A SHA-256 and an item count over everything, and one of each per
+    group; and a SHA-256 per label of each group, over the items hashed
+    since label() named it, which --against compares to say which labels
+    moved.  A label named twice in a group goes on with its own hash."""
 
     def __init__(self) -> None:
         self.sha = {name: hashlib.sha256() for name in ("total", *GROUPS)}
         self.items = dict.fromkeys(self.sha, 0)
+        self.labels = {name: {} for name in GROUPS}
+        self.current = None
+
+    def label(self, group: str, name: str) -> None:
+        self.current = self.labels[group].setdefault(name, hashlib.sha256())
 
     def item(self, group: str, *values) -> None:
         data = b"".join(encode(v) for v in values)
         for name in ("total", group):
             self.sha[name].update(data)
             self.items[name] += 1
+        self.current.update(data)
 
     def trace(self, group: str, label: str, run) -> None:
         result, trace = run
+        self.label(group, label)
         self.item(group, label, result.capacity, result.bracket.lower, result.bracket.upper, result.iterations)
         for rec in trace:
             self.item(
@@ -288,7 +305,8 @@ def underflow_runs(h: Hasher) -> None:
 
 def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
     rng = np.random.default_rng(seed)
-    for _ in range(channels):
+    for k in range(channels):
+        h.label("direct", f"random channel {k}")
         n, m = (int(v) for v in rng.integers(2, 9, size=2))
         ch = Channel(rng.dirichlet(np.ones(m), size=n))
         q = Distribution(rng.dirichlet(np.ones(n)))
@@ -302,6 +320,7 @@ def direct_steps(h: Hasher, seed: int, channels: int = 20) -> None:
             if member is not None:
                 h.item("direct", member.output_factor.weights, member.induced_input.weights, member.log_normalizer)
     ch, start = subnormal_start()
+    h.label("direct", "subnormal-start")
     h.item("direct", "subnormal-start/arimoto_step", arimoto_step(start, ch).weights)
     h.item("direct", "subnormal-start/approximate_m_step", approximate_m_step(start, ch).weights)
 
@@ -319,6 +338,7 @@ def cli_runs(h: Hasher) -> None:
                 warnings.simplefilter("always")
                 code = cli_main([part.format(tmp=tmp) for part in argv.split()])
             group = "cli-error" if code == 1 else "cli"
+            h.label(group, label)
             h.item(group, label, code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>"))
             for warning in caught:
                 h.item(group, warning.category.__name__, str(warning.message))
@@ -376,6 +396,7 @@ def load_documents(seed: int) -> list[tuple[str, bytes, str]]:
 
 def load_runs(h: Hasher, seed: int) -> None:
     for label, doc, fmt in load_documents(seed):
+        h.label("load", label)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -388,8 +409,9 @@ def load_runs(h: Hasher, seed: int) -> None:
             h.item("load", warning.category.__name__, str(warning.message))
 
 
-def hash_lines(seed: int) -> list[str]:
-    """The total line and one line per group."""
+def hashed(seed: int) -> tuple[list[str], dict]:
+    """The total line and one line per group, and each group's labels with
+    the hex digest of each."""
     h = Hasher()
     solver_runs(h, seed)
     long_runs(h)
@@ -399,24 +421,39 @@ def hash_lines(seed: int) -> list[str]:
     cli_runs(h)
     load_runs(h, seed)
     lines = [f"seed {seed}: {h.items['total']} items, sha256 {h.sha['total'].hexdigest()}"]
-    return lines + [f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}" for name in GROUPS]
+    lines += [f"  {name}: {h.items[name]} items, sha256 {h.sha[name].hexdigest()}" for name in GROUPS]
+    return lines, {group: {label: sha.hexdigest() for label, sha in h.labels[group].items()} for group in GROUPS}
+
+
+def moved(ours: dict, theirs: dict) -> list[str]:
+    """One line per group in which some label's items differ, then one
+    line per such label.  Both sides run this script, so they hash the
+    same labels."""
+    lines = []
+    for group in GROUPS:
+        labels = [label for label, digest in ours[group].items() if theirs[group][label] != digest]
+        if labels:
+            lines += [f"  {group}:", *(f"    {label}" for label in labels)]
+    return lines
 
 
 def against(seed: int, rev: str) -> int:
-    """Print this checkout's lines and REV's, then whether each pair matches."""
+    """Print this checkout's lines and REV's, then whether each pair
+    matches, and the labels whose items differ."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True, stdout=subprocess.PIPE)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         for part in ("tools/trace_hash.py", "perfbench/corpus.py"):
             (Path(tmp) / part).parent.mkdir()
             shutil.copy(ROOT / part, Path(tmp) / part)
-        command = [sys.executable, str(Path(tmp) / "tools" / "trace_hash.py"), "--seed", str(seed)]
-        theirs = subprocess.run(command, check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines()
-    ours = hash_lines(seed)
+        command = [sys.executable, str(Path(tmp) / "tools" / "trace_hash.py"), "--seed", str(seed), "--labels"]
+        theirs, their_labels = json.loads(subprocess.run(command, check=True, stdout=subprocess.PIPE).stdout)
+    ours, our_labels = hashed(seed)
     print("this checkout:", *ours, f"{rev}:", *theirs, sep="\n")
     print("match:")
     for mine, other in zip(ours, theirs):
         print(f"  {mine.split(':')[0].strip()}: {'yes' if mine == other else 'NO'}")
+    print("labels whose items differ:", *moved(our_labels, their_labels), sep="\n")
     return 0 if ours == theirs else 1
 
 
@@ -424,10 +461,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="corpus and random-channel seed")
     parser.add_argument("--against", metavar="REV", help="also hash REV's src/ and compare the two")
+    parser.add_argument("--labels", action="store_true", help="print the lines and each label's digest as JSON")
     args = parser.parse_args()
     if args.against:
         return against(args.seed, args.against)
-    print(*hash_lines(args.seed), sep="\n")
+    lines, labels = hashed(args.seed)
+    print(json.dumps([lines, labels]) if args.labels else "\n".join(lines))
     return 0
 
 
